@@ -1,8 +1,8 @@
 #!/usr/bin/env python
-"""Serving-runtime benchmark over a compiled, kernel-lowered model plan.
+"""Serving-runtime benchmark over a compiled model plan.
 
 Compiles one layer into a :class:`~repro.serving.ModelPlan` (the compiled
-plan carries a lowered ``repro.kernels`` executor per layer), then measures:
+plan carries one exact float64-BLAS executor per layer), then measures:
 
 * **batched serving**: concurrent single-column requests through the
   thread-pool server and micro-batcher — throughput and p50/p95/p99 latency
@@ -240,7 +240,7 @@ def check(results: dict, baseline: dict) -> list:
             f"below the {SPEEDUP_GATE:.0f}x gate"
         )
     if not results["compile_stats"]["kernel_backends"]:
-        failures.append("compiled plan carries no lowered kernel backend")
+        failures.append("compiled plan carries no executor backend")
     fresh_rps = results["serving"]["throughput_rps"]
     baseline_rps = baseline.get("serving", {}).get("throughput_rps")
     if baseline_rps is not None:
@@ -267,7 +267,7 @@ def _measure_rps(plan, layer_name, execution, num_workers, activations):
     """Throughput of one execution tier over a fixed request mix.
 
     Every worker/shard is warmed first (thread mode: LRU caches; process
-    mode: plan unpickling and lazy kernel recompilation in the children), so
+    mode: plan unpickling and BLAS start-up in the children), so
     the timed window measures steady-state serving, not cold start.  Every
     output is verified bit-identical before the rate is returned.
     """
@@ -1040,7 +1040,7 @@ def _print_results(scale, results):
     backends = ", ".join(compile_stats["kernel_backends"]) or "none"
     print(f"[{scale}] {results['model']} {results['layer']} "
           f"(INT{WEIGHT_BITS}): compile {results['compile_s']:.2f}s "
-          f"(lowering {compile_stats['lowering_s'] * 1e3:.1f} ms, "
+          f"(executor build {compile_stats['lowering_s'] * 1e3:.1f} ms, "
           f"kernel backend {backends})")
     print(f"batched   : {serving['throughput_rps']:.1f} req/s, "
           f"p50 {serving['latency_p50_s'] * 1e3:.0f} ms, "

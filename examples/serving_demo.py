@@ -2,9 +2,9 @@
 """Serving demo: compile a LLaMA projection, fire concurrent model requests.
 
 Compiles the Q projection of the LLaMA-7B Transformer block (INT4 weights)
-into a :class:`~repro.serving.ModelPlan` — the weights are bit-sliced,
-static-scoreboarded and lowered to a compiled kernel (the autoselected
-backend is printed) once, offline — then spins up the thread-pool server and
+into a :class:`~repro.serving.ModelPlan` — the weights are bit-sliced and
+static-scoreboarded once, offline, and each layer gets an exact float64-BLAS
+executor (its backend is printed) — then spins up the thread-pool server and
 fires concurrent model-level requests at it from client threads.  A
 single-layer plan serves as an implicit one-stage pipeline, so
 ``server.submit(activation)`` needs no layer name.  The micro-batcher
@@ -43,8 +43,8 @@ def main() -> None:
           f"density {plan.op_counts.density:.1%})")
     stats = plan.compile_stats
     backends = ", ".join(stats.kernel_backends) if stats.kernel_backends else "none"
-    print(f"  lowered to compiled kernels via: {backends} "
-          f"({stats.lowering_s * 1e3:.1f} ms lowering, "
+    print(f"  served by executor: {backends} "
+          f"({stats.lowering_s * 1e3:.1f} ms to build, "
           f"{stats.kernel_bytes / 1024:.1f} KiB)\n")
 
     rng = np.random.default_rng(0)

@@ -74,15 +74,7 @@ def format_serving_report(report: "ServingReport") -> str:
         ("micro-batches", report.num_batches),
         ("mean batch size", f"{report.mean_batch_size:.2f}"),
         ("max batch size", report.max_batch_size),
-        ("plan cache hit rate", f"{report.plan_hit_rate:.1%} "
-                                f"({report.plan_hits} hits / {report.plan_misses} compiles)"),
     ]
-    if report.scoreboard_cache is not None:
-        cache = report.scoreboard_cache
-        rows.append(
-            ("engine LRU cache", f"{cache.hits} hits / {cache.misses} misses "
-                                 f"({cache.entries} entries)")
-        )
     for layer, count in sorted(report.requests_per_layer.items()):
         rows.append((f"requests[{layer}]", count))
     if report.op_counts is not None:
@@ -100,9 +92,9 @@ def format_serving_report(report: "ServingReport") -> str:
         rows.append(("kernel backends", backends))
         rows.append(
             ("offline compile", f"{stats.compile_s * 1e3:.1f} ms "
-                                f"({stats.lowering_s * 1e3:.1f} ms lowering)")
+                                f"({stats.lowering_s * 1e3:.1f} ms building executors)")
         )
-        rows.append(("compiled kernel size", f"{stats.kernel_bytes / 1024:.1f} KiB"))
+        rows.append(("executor size", f"{stats.kernel_bytes / 1024:.1f} KiB"))
     if report.num_shed or report.num_admission_shed:
         rows.append(
             ("requests shed (overload)",

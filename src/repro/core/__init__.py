@@ -2,13 +2,16 @@
 
 ``repro.core`` hosts the paper's primary contribution in functional form: a
 bit-exact GEMM engine that executes through prefix-result reuse
-(:mod:`repro.core.transitive_gemm`), the operation-count metrics used by the
-design-space exploration (:mod:`repro.core.metrics`), and the ZR/TR/FR/PR node
-classification of Sec. 5.2 (:mod:`repro.core.classification`).
+(:mod:`repro.core.transitive_gemm`), the exact float64-BLAS executor its
+compiled plans serve through (:mod:`repro.core.executor`), the operation-count
+metrics used by the design-space exploration (:mod:`repro.core.metrics`), and
+the ZR/TR/FR/PR node classification of Sec. 5.2
+(:mod:`repro.core.classification`).
 """
 
 from .metrics import OpCounts, op_counts_from_result, op_counts_from_static_outcome
 from .classification import NodeType, classify_nodes, classification_percentages
+from .executor import ExactExecutor
 from .transitive_gemm import (
     BatchedGemmReport,
     GemmPlan,
@@ -25,6 +28,7 @@ __all__ = [
     "classify_nodes",
     "classification_percentages",
     "BatchedGemmReport",
+    "ExactExecutor",
     "GemmPlan",
     "ScoreboardCacheInfo",
     "TransitiveGemmEngine",

@@ -1,0 +1,89 @@
+"""Exact float64-BLAS executor behind every compiled :class:`GemmPlan`.
+
+Transitive reuse only re-associates integer additions, so the served result
+of a planned GEMM is exactly ``weight @ activation``: the reuse lives in the
+plan's :class:`~repro.core.metrics.OpCounts` and in the accelerator's cycle
+model, not in how the host computes the product.  The host therefore runs
+one float64 BLAS product, which is exact while every partial sum of every
+dot product stays below ``2**53`` in magnitude, in whatever order BLAS sums;
+``row_bound * max|a|`` with ``row_bound = max_row sum|w|`` bounds all of
+them.  When that bound fails, the activation is split into base-``2**b``
+digits with ``row_bound * (2**b - 1) < 2**53``, each digit product runs
+exactly in float64, and the products are recombined modulo ``2**64``.
+
+For every int64 activation the result equals the exact product reduced
+mod ``2**64`` — the wrap-around semantics of an int64 matmul.
+"""
+
+from __future__ import annotations
+
+import time
+
+import numpy as np
+
+from ..errors import SimulationError
+
+#: float64 represents every integer of magnitude below this exactly.
+FLOAT64_EXACT = 2 ** 53
+
+
+class ExactExecutor:
+    """``weight @ activation`` in int64, computed through float64 BLAS.
+
+    Built once per weight matrix at plan time and immutable afterwards, so
+    concurrent :meth:`execute` calls are safe.  It pickles as plain arrays.
+    """
+
+    #: Name reported as the plan's kernel backend.
+    backend = "float64-blas"
+
+    def __init__(self, weight: np.ndarray) -> None:
+        start = time.perf_counter()
+        weight = np.asarray(weight, dtype=np.int64)
+        #: ``max_row sum|w|``: bounds every partial sum per unit of ``max|a|``.
+        self.row_bound = int(np.abs(weight).sum(axis=1).max(initial=0))
+        if self.row_bound >= FLOAT64_EXACT:
+            raise SimulationError(
+                f"weight row sums reach {self.row_bound}; float64 cannot run "
+                f"them exactly even one activation bit at a time"
+            )
+        #: Digit width ``b``, chosen so ``row_bound * (2**b - 1) < 2**53``.
+        # The widest ``b`` with ``2**b - 1 <= (2**53 - 1) // row_bound``; at
+        # least 1 for every accepted row bound.
+        self.digit_bits = (
+            (FLOAT64_EXACT - 1) // max(self.row_bound, 1) + 1
+        ).bit_length() - 1
+        self.weight = weight.astype(np.float64)
+        self.weight.setflags(write=False)
+        #: Bytes of compiled state: the float64 copy of the weight.
+        self.kernel_bytes = int(self.weight.nbytes)
+        #: Seconds spent building the executor.
+        self.build_s = time.perf_counter() - start
+
+    def __setstate__(self, state: dict) -> None:
+        # Unpickled arrays come back writeable; keep replicas immutable too.
+        self.__dict__.update(state)
+        self.weight.setflags(write=False)
+
+    def execute(self, activation: np.ndarray) -> np.ndarray:
+        """``weight @ activation`` for an integer ``(K, M)`` activation."""
+        activation = np.asarray(activation, dtype=np.int64)
+        peak = max(int(activation.max()), -int(activation.min())) if activation.size else 0
+        if self.row_bound * peak < FLOAT64_EXACT:
+            return (self.weight @ activation.astype(np.float64)).astype(np.int64)
+        return self._digit_product(activation, peak)
+
+    def _digit_product(self, activation: np.ndarray, peak: int) -> np.ndarray:
+        """One exact float64 product per base-``2**b`` digit of ``|a|``,
+        recombined in uint64 so the sum wraps modulo ``2**64``."""
+        bits = self.digit_bits
+        mask = np.uint64((1 << bits) - 1)
+        sign = np.where(activation < 0, -1.0, 1.0)
+        # |-2**63| wraps back to -2**63 in int64; read as uint64 it is 2**63.
+        magnitude = np.abs(activation).view(np.uint64)
+        total = np.zeros((self.weight.shape[0], activation.shape[1]), dtype=np.uint64)
+        for shift in range(0, peak.bit_length(), bits):
+            digit = ((magnitude >> np.uint64(shift)) & mask).astype(np.float64) * sign
+            product = (self.weight @ digit).astype(np.int64).view(np.uint64)
+            total += product << np.uint64(shift)
+        return total.view(np.int64)

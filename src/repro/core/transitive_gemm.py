@@ -26,23 +26,22 @@ Two execution paths produce identical outputs and identical
   entirely.
 
 On top of both, :meth:`TransitiveGemmEngine.plan` compiles a weight matrix
-**once, offline** into a :class:`GemmPlan`, and (by default) lowers the plan
-through :mod:`repro.kernels` into a flat :class:`~repro.kernels.LoweredKernel`
-— scatter/gather index tables composed into a single dense or sparse integer
-matmul.  Planned execution (:meth:`TransitiveGemmEngine.multiply_planned`,
-:meth:`TransitiveGemmEngine.multiply_many`) runs the lowered kernel when one
-is attached and the interpreted batched path otherwise; both are bit-identical
-to the scalar oracle and carry the plan's exact operation counts.
+**once, offline** into a :class:`GemmPlan`: its scoreboard's exact operation
+counts plus an :class:`~repro.core.executor.ExactExecutor`.  Because
+transitive reuse only re-associates integer additions, planned execution
+(:meth:`TransitiveGemmEngine.multiply_planned`,
+:meth:`TransitiveGemmEngine.multiply_many`) computes the product through that
+executor — exact float64 BLAS — and carries the plan's operation counts; it
+is bit-identical to the scalar oracle.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,10 +56,8 @@ from ..scoreboard.batched import (
     results_from_batch,
     run_scoreboard_batch,
 )
+from .executor import ExactExecutor
 from .metrics import OpCounts, op_counts_from_result
-
-if TYPE_CHECKING:  # pragma: no cover - typing only, repro.kernels imports us
-    from ..kernels import LoweredKernel
 
 #: Soft cap (bytes) on the fast path's per-block scratch arrays; chunks are
 #: processed in blocks sized so the node-result tensor and the per-plane
@@ -104,27 +101,21 @@ class GemmPlan:
 
     This is the offline half of the paper's *static scoreboard* serving mode
     made explicit: the weights are bit-sliced, packed and scoreboarded exactly
-    once, and the resulting packed TransRow values plus merged
-    :class:`~repro.core.metrics.OpCounts` are pinned in this handle.  Online
-    execution against the plan (:meth:`TransitiveGemmEngine.multiply_planned`
-    and :meth:`TransitiveGemmEngine.multiply_many`) skips weight
-    fingerprinting, bit-slicing and scoreboarding entirely and goes straight
-    to the gather/accumulate stages, which is what a serving runtime needs on
-    its per-request hot path.
-
-    When the engine lowers plans (the default), ``kernel`` holds the
-    :class:`~repro.kernels.LoweredKernel` compiled from the packed TransRows
-    — planned execution then is one flat dense/sparse matmul instead of an
-    interpreted lattice walk, still bit-identical with identical OpCounts.
+    once, and the merged :class:`~repro.core.metrics.OpCounts` are pinned in
+    this handle next to ``kernel``, the layer's
+    :class:`~repro.core.executor.ExactExecutor`.  Online execution against
+    the plan (:meth:`TransitiveGemmEngine.multiply_planned` and
+    :meth:`TransitiveGemmEngine.multiply_many`) skips weight fingerprinting,
+    bit-slicing and scoreboarding entirely, which is what a serving runtime
+    needs on its per-request hot path.
     """
 
     weight: np.ndarray
     weight_bits: int
     transrow_bits: int
     max_distance: int
-    packed: np.ndarray
     op_counts: OpCounts
-    kernel: Optional["LoweredKernel"] = None
+    kernel: ExactExecutor
 
     @property
     def n(self) -> int:
@@ -231,20 +222,6 @@ class TransitiveGemmEngine:
     scoreboard_cache_entries:
         Capacity of the static-scoreboard LRU cache used by the fast path.
         ``0`` disables caching (every call re-scoreboards the weights).
-    lower_plans:
-        Lower every :meth:`plan` into a flat compiled kernel by default
-        (:mod:`repro.kernels`); planned execution then runs the kernel
-        instead of interpreting the scoreboard structures per call.
-    kernel_backend:
-        Explicit kernel backend name for lowering (``"dense-numpy"``,
-        ``"csr-scipy"``, ``"reference"``); ``None`` autoselects by
-        capability (the ``REPRO_KERNEL_BACKEND`` environment variable still
-        overrides autoselection).
-    kernel_cache_entries:
-        Capacity of the lowered-kernel LRU cache, kept alongside the
-        scoreboard cache so re-planning the same weights (per-shard or
-        per-layer plan rebuilds in serving) skips lowering too.  ``0``
-        disables it.
     """
 
     def __init__(
@@ -254,9 +231,6 @@ class TransitiveGemmEngine:
         num_lanes: Optional[int] = None,
         fast: bool = True,
         scoreboard_cache_entries: int = 4,
-        lower_plans: bool = True,
-        kernel_backend: Optional[str] = None,
-        kernel_cache_entries: int = 4,
     ) -> None:
         if transrow_bits < 1 or transrow_bits > 16:
             raise SimulationError(
@@ -266,37 +240,27 @@ class TransitiveGemmEngine:
             raise SimulationError(
                 f"scoreboard_cache_entries must be >= 0, got {scoreboard_cache_entries}"
             )
-        if kernel_cache_entries < 0:
-            raise SimulationError(
-                f"kernel_cache_entries must be >= 0, got {kernel_cache_entries}"
-            )
         self.transrow_bits = transrow_bits
         self.max_distance = max_distance
         self.num_lanes = num_lanes if num_lanes is not None else transrow_bits
         self.fast = fast
-        self.lower_plans = lower_plans
-        self.kernel_backend = kernel_backend
         self._cache = _StaticScoreboardCache(scoreboard_cache_entries)
-        self._kernel_cache = _StaticScoreboardCache(kernel_cache_entries)
 
     # ------------------------------------------------------------- pickling
     def __getstate__(self) -> Dict[str, object]:
         """Spawn-safe pickled form: configuration only, no caches or locks.
 
-        The LRU caches hold ``threading.Lock`` objects (unpicklable) and
+        The LRU cache holds a ``threading.Lock`` (unpicklable) and
         per-process state anyway; a process-sharded serving tier pickles the
-        engine alongside its :class:`GemmPlan` replicas, so the caches are
-        rebuilt empty in the child and warm up as the shard serves.
+        engine alongside its :class:`GemmPlan` replicas, so the cache is
+        rebuilt empty in the child and warms up as the shard serves.
         """
         return {
             "transrow_bits": self.transrow_bits,
             "max_distance": self.max_distance,
             "num_lanes": self.num_lanes,
             "fast": self.fast,
-            "lower_plans": self.lower_plans,
-            "kernel_backend": self.kernel_backend,
             "scoreboard_cache_entries": self._cache.max_entries,
-            "kernel_cache_entries": self._kernel_cache.max_entries,
         }
 
     def __setstate__(self, state: Dict[str, object]) -> None:
@@ -340,111 +304,45 @@ class TransitiveGemmEngine:
         """Hit/miss statistics of the static-scoreboard cache."""
         return self._cache.info()
 
-    def kernel_cache_info(self) -> ScoreboardCacheInfo:
-        """Hit/miss statistics of the lowered-kernel cache."""
-        return self._kernel_cache.info()
-
     # ---------------------------------------------------------- plan serving
-    def plan(
-        self,
-        weight: np.ndarray,
-        weight_bits: int,
-        lower: Optional[bool] = None,
-        kernel_backend: Optional[str] = None,
-    ) -> GemmPlan:
+    def plan(self, weight: np.ndarray, weight_bits: int) -> GemmPlan:
         """Precompute the static scoreboard of one weight matrix, offline.
 
         Bit-slices, packs and scoreboards the weights exactly once and returns
-        a :class:`GemmPlan` handle.  Executions against the handle
-        (:meth:`multiply_planned`, :meth:`multiply_many`) skip the per-call
-        weight fingerprint and all weight-side work; the LRU cache is warmed
-        as a side effect so plain :meth:`multiply` calls with the same weights
-        also hit.
-
-        ``lower`` (default: the engine's ``lower_plans`` setting) also
-        compiles the plan into a flat :class:`~repro.kernels.LoweredKernel`
-        through ``kernel_backend`` (default: the engine's setting, else
-        autoselection); lowered kernels are cached in their own LRU alongside
-        the scoreboard cache.
+        a :class:`GemmPlan` handle carrying the exact operation counts and the
+        layer's :class:`~repro.core.executor.ExactExecutor`.  Executions
+        against the handle (:meth:`multiply_planned`, :meth:`multiply_many`)
+        skip the per-call weight fingerprint and all weight-side work; the LRU
+        cache is warmed as a side effect so plain :meth:`multiply` calls with
+        the same weights also hit.
         """
         # Pin the compiled weights: a caller-side mutation after plan() must
-        # not desynchronise plan.weight from the packed TransRows.
+        # not desynchronise plan.weight from its counts and executor.
         weight = np.array(weight, copy=True)
         weight.setflags(write=False)
         if weight.ndim != 2:
             raise SimulationError("weight must be a 2-D matrix")
         if weight.shape[1] == 0 or weight.shape[0] == 0:
             raise SimulationError("cannot plan a weight matrix with a zero dimension")
-        packed, counts, _ = self._packed_transrows_cached(weight, weight_bits)
-        packed.setflags(write=False)  # shared with the LRU cache; never written
-        plan = GemmPlan(
+        _, counts, _ = self._packed_transrows_cached(weight, weight_bits)
+        return GemmPlan(
             weight=weight,
             weight_bits=weight_bits,
             transrow_bits=self.transrow_bits,
             max_distance=self.max_distance,
-            packed=packed,
             op_counts=counts,
+            kernel=ExactExecutor(weight),
         )
-        should_lower = self.lower_plans if lower is None else lower
-        if not should_lower:
-            return plan
-        kernel = self._lowered_kernel_cached(plan, kernel_backend)
-        return dataclasses.replace(plan, kernel=kernel)
-
-    def _lowered_kernel_cached(
-        self, plan: GemmPlan, kernel_backend: Optional[str]
-    ) -> "LoweredKernel":
-        """Lower ``plan``, serving repeats from the lowered-kernel LRU.
-
-        The cache key extends the scoreboard key with the *effective* backend
-        request (explicit name, environment override, or ``auto``), so a hit
-        can never hand back a kernel compiled by a different backend than the
-        caller would get fresh.
-        """
-        # Imported lazily: repro.kernels consumes GemmPlan, so a module-level
-        # import here would be circular.
-        import os
-
-        from ..kernels import KERNEL_BACKEND_ENV, lower_plan
-
-        requested = kernel_backend or self.kernel_backend
-        effective = requested or os.environ.get(KERNEL_BACKEND_ENV) or "auto"
-        use_cache = self._kernel_cache.max_entries > 0
-        key: Optional[tuple] = None
-        if use_cache:
-            key = self._kernel_cache.key(
-                plan.weight, plan.weight_bits, self.transrow_bits, self.max_distance
-            ) + (effective,)
-            entry = self._kernel_cache.get(key)
-            if entry is not None:
-                return entry[0]
-        kernel = lower_plan(
-            plan,
-            backend=requested,
-            interpreter=lambda act: self._interpret_planned(
-                plan, np.asarray(act, dtype=np.int64)
-            ),
-        )
-        if use_cache and key is not None:
-            self._kernel_cache.put(key, (kernel,))
-        return kernel
 
     def multiply_planned(
-        self,
-        plan: GemmPlan,
-        activation: np.ndarray,
-        lowered: Optional[bool] = None,
+        self, plan: GemmPlan, activation: np.ndarray
     ) -> TransitiveGemmReport:
         """Compute ``plan.weight @ activation`` from the precompiled plan.
 
         The per-request hot path of the serving runtime: no hashing, no
-        bit-slicing, no scoreboarding.  With a lowered kernel attached (the
-        default compilation mode) the whole call is one flat dense/sparse
-        matmul; otherwise the batched gather/accumulate stages interpret the
-        packed TransRows.  ``lowered`` forces the choice: ``True`` requires a
-        kernel, ``False`` interprets even when a kernel is attached (the
-        benchmarks time both).  Bit-identical to :meth:`multiply` on the same
-        operands either way.
+        bit-slicing, no scoreboarding — one call into the plan's executor.
+        Bit-identical to :meth:`multiply` on the same operands, with the
+        plan's operation counts.
         """
         self._check_plan(plan)
         activation = np.asarray(activation, dtype=np.int64)
@@ -455,45 +353,16 @@ class TransitiveGemmEngine:
                 f"shape mismatch: plan weight {plan.weight.shape} x "
                 f"activation {activation.shape}"
             )
-        use_kernel = (plan.kernel is not None) if lowered is None else bool(lowered)
-        if use_kernel:
-            if plan.kernel is None:
-                raise SimulationError(
-                    "lowered execution was requested but the plan carries no "
-                    "kernel; compile it with plan(..., lower=True)"
-                )
-            output = plan.kernel.execute(activation)
-            return TransitiveGemmReport(output=output, op_counts=plan.op_counts)
-        output = self._interpret_planned(plan, activation)
+        output = plan.kernel.execute(activation)
         return TransitiveGemmReport(output=output, op_counts=plan.op_counts)
 
-    def _interpret_planned(self, plan: GemmPlan, activation: np.ndarray) -> np.ndarray:
-        """Interpreted planned execution: batched gather/accumulate stages.
-
-        The pre-lowering hot path, retained as the ``reference`` kernel
-        backend and the ``lowered=False`` escape hatch.
-        """
-        width = self.transrow_bits
-        num_chunks = plan.packed.shape[0]
-        n_out_cols = activation.shape[1]
-        act_full = np.zeros((num_chunks * width, n_out_cols), dtype=np.int64)
-        act_full[: plan.k] = activation
-        act = act_full.reshape(num_chunks, width, n_out_cols)
-        return self._batched_node_results_and_accumulate(
-            plan.packed, act, bit_plane_weights(plan.weight_bits), plan.n, n_out_cols
-        )
-
     def multiply_many(
-        self,
-        plan: GemmPlan,
-        activations: Sequence[np.ndarray],
-        lowered: Optional[bool] = None,
+        self, plan: GemmPlan, activations: Sequence[np.ndarray]
     ) -> BatchedGemmReport:
         """Serve a micro-batch of activations in one engine pass.
 
         The activations are concatenated along their column axis, executed as
-        a single planned GEMM (lowered kernel by default, see
-        :meth:`multiply_planned`) and split back, so each output equals
+        a single planned GEMM (see :meth:`multiply_planned`) and split back, so each output equals
         ``plan.weight @ activations[i]`` bit-exactly while the weight-side
         work is spent once for the whole batch.
         """

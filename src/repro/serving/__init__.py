@@ -5,8 +5,8 @@ scoreboard* was designed for: compile once, serve forever.
 
 * :mod:`repro.serving.plan` — offline compilation of any
   :class:`~repro.workloads.gemm.GemmWorkload` into a :class:`ModelPlan`
-  (per-layer weights bit-sliced, scoreboarded and lowered to flat
-  :mod:`repro.kernels` executors once — optionally per-layer mixed
+  (per-layer weights bit-sliced and scoreboarded once, each layer served
+  by one exact float64-BLAS executor — optionally per-layer mixed
   precision via ``quant_schemes=`` — with :class:`CompileStats` recording
   what that cost);
 * :mod:`repro.serving.graph` — the :class:`ModelGraph` of declared

@@ -3,8 +3,8 @@
 Threads cannot scale Python compute past the GIL, so the
 :class:`~repro.serving.server.Server` grows an ``execution="processes"``
 mode backed by this pool: each **shard** is one worker process holding its
-own unpickled :class:`~repro.serving.ModelPlan` replica (kernel executors
-rebuilt lazily in the child — see :mod:`repro.kernels`), fed through a
+own unpickled :class:`~repro.serving.ModelPlan` replica (each layer's
+exact executor travels as plain arrays), fed through a
 :class:`~repro.serving.shm.ShmRing` so activation and result payloads cross
 the process boundary through shared memory, never through pickle.
 
@@ -267,7 +267,7 @@ class ProcessWorkerPool:
 
         Each shard gets a ``swap`` message carrying the re-pickled plan; the
         child unpickles and prewarms the replica before acknowledging, so the
-        first post-swap batch pays no compile latency.  The blob is updated
+        first post-swap batch pays no start-up latency.  The blob is updated
         *first*, so a shard that is dead (or dies mid-swap) simply loads the
         new plan when its supervised restart respawns it.  The caller
         (``Server.swap_plan``) guarantees no batch is in flight, so the swap
@@ -444,9 +444,9 @@ def _shard_main(
     parent's crash detection and orphan handling get exercised for real.
     """
     plan: ModelPlan = pickle.loads(plan_blob)
-    # Prewarm every layer once: kernel executors recompile lazily after
-    # unpickling, and that belongs to shard startup (supervised, off the hot
-    # path), not to the first unlucky batch.
+    # Prewarm every layer once: the child's first BLAS call starts its thread
+    # pool, and that belongs to shard startup (supervised, off the hot path),
+    # not to the first unlucky batch.
     for layer_name in plan.layer_names():
         shape = plan.layer(layer_name).shape
         plan.run(layer_name, np.zeros((shape.k, 1), dtype=np.int64))

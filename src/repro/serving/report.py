@@ -12,7 +12,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.metrics import OpCounts
-from ..core.transitive_gemm import ScoreboardCacheInfo
 from ..energy.breakdown import EnergyBreakdown
 from ..errors import ServingError
 from .plan import CompileStats
@@ -141,15 +140,12 @@ class ServingReport:
     num_batches: int
     mean_batch_size: float
     max_batch_size: int
-    plan_hits: int
-    plan_misses: int
     requests_per_layer: Dict[str, int] = field(default_factory=dict)
     op_counts: Optional[OpCounts] = None
-    scoreboard_cache: Optional[ScoreboardCacheInfo] = None
     attributed_cycles: Optional[int] = None
     attributed_energy: Optional[EnergyBreakdown] = None
-    #: Offline-compilation statistics of the served plan (kernel backends,
-    #: lowering time, compiled bytes); ``None`` for pre-kernel plans.
+    #: Offline-compilation statistics of the served plan (executor backend,
+    #: executor build time and bytes); ``None`` for hand-built plans.
     compile_stats: Optional[CompileStats] = None
     #: Execution tier the run used: ``"threads"`` or ``"processes"``.
     execution: str = "threads"
@@ -205,13 +201,6 @@ class ServingReport:
         busy = self.compute_s_total + self.dispatch_s_total
         return self.compute_s_total / busy if busy > 0.0 else 0.0
 
-    @property
-    def plan_hit_rate(self) -> float:
-        """Engine passes served from precompiled scoreboards during the run
-        vs. the offline compilations of the layers the run touched."""
-        total = self.plan_hits + self.plan_misses
-        return self.plan_hits / total if total else 0.0
-
     def render(self) -> str:
         """Aligned plain-text table of the report (examples print this)."""
         from ..analysis.reporting import format_serving_report
@@ -242,21 +231,11 @@ class ServingReport:
             "num_batches": self.num_batches,
             "mean_batch_size": self.mean_batch_size,
             "max_batch_size": self.max_batch_size,
-            "plan_hits": self.plan_hits,
-            "plan_misses": self.plan_misses,
-            "plan_hit_rate": self.plan_hit_rate,
             "requests_per_layer": dict(self.requests_per_layer),
         }
         if self.op_counts is not None:
             summary["transitive_ops"] = self.op_counts.transitive_ops
             summary["density"] = self.op_counts.density
-        if self.scoreboard_cache is not None:
-            summary["engine_cache"] = {
-                "hits": self.scoreboard_cache.hits,
-                "misses": self.scoreboard_cache.misses,
-                "entries": self.scoreboard_cache.entries,
-                "hit_rate": self.scoreboard_cache.hit_rate,
-            }
         if self.attributed_cycles is not None:
             summary["attributed_cycles"] = self.attributed_cycles
         if self.attributed_energy is not None:
@@ -307,10 +286,7 @@ def build_report(
     num_rejected: int,
     batch_sizes: List[int],
     requests_per_layer: Dict[str, int],
-    plan_hits: int,
-    plan_misses: int,
     op_counts: Optional[OpCounts],
-    scoreboard_cache: Optional[ScoreboardCacheInfo],
     attributed_cycles: Optional[int],
     attributed_energy: Optional[EnergyBreakdown],
     num_expired: int = 0,
@@ -373,11 +349,8 @@ def build_report(
             sum(batch_sizes) / len(batch_sizes) if batch_sizes else 0.0
         ),
         max_batch_size=max(batch_sizes) if batch_sizes else 0,
-        plan_hits=plan_hits,
-        plan_misses=plan_misses,
         requests_per_layer=requests_per_layer,
         op_counts=op_counts,
-        scoreboard_cache=scoreboard_cache,
         attributed_cycles=attributed_cycles,
         attributed_energy=attributed_energy,
         compile_stats=compile_stats,

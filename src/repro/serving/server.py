@@ -579,12 +579,6 @@ class Server:
         try:
             if self._pool is not None:
                 self._pool.swap_plan(new_plan)
-            else:
-                # Prewarm every layer's scoreboard now, outside the hot path,
-                # so the first post-swap batch pays no compile latency.
-                for name in new_plan.layer_names():
-                    shape = new_plan.layer(name).shape
-                    new_plan.run(name, np.zeros((shape.k, 1), dtype=np.int64))
             self.plan = new_plan
             self.batcher.plan = new_plan
             with self._lock:
@@ -1582,11 +1576,6 @@ class Server:
             for attribution in attributions:
                 attributed_energy = attributed_energy.merge(attribution.energy)
 
-        # Per-run plan-cache accounting: every successful batch reused a
-        # precompiled scoreboard (hit); the misses are the offline scoreboard
-        # compilations of the layers this run actually served.
-        successful_batches = [b for b in batches if b.op_counts is not None]
-
         wall_s = (
             max(record.finished_at for record in records)
             - min(record.submitted_at for record in records)
@@ -1612,10 +1601,7 @@ class Server:
             num_rejected=self.queue.rejected,
             batch_sizes=[execution.batch_size for execution in batches],
             requests_per_layer=requests_per_layer,
-            plan_hits=len(successful_batches),
-            plan_misses=len({b.layer for b in successful_batches}),
             op_counts=op_counts,
-            scoreboard_cache=self.plan.engine.scoreboard_cache_info(),
             attributed_cycles=attributed_cycles,
             attributed_energy=attributed_energy,
             num_expired=expired,

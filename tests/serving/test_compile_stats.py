@@ -1,9 +1,16 @@
-"""Serving-side kernel plumbing: compile stats, reports, degraded bypass."""
+"""Serving-side executor plumbing: compile stats, reports, degraded bypass."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.core import TransitiveGemmEngine
+import repro
+
+from repro.core import ExactExecutor
 from repro.serving import CompileStats, Server, compile_workload
 from repro.workloads import synthetic_gemm_workload
 
@@ -24,34 +31,24 @@ class TestCompileStats:
         assert stats.compile_s > 0.0
         assert 0.0 <= stats.lowering_s <= stats.compile_s
         assert stats.kernel_bytes > 0
-        assert stats.kernel_slots > 0
-        assert stats.kernel_backends  # every layer lowered through a backend
+        assert stats.kernel_backends == ("float64-blas",)
         assert set(stats.per_layer_compile_s) == {"layer0", "layer1"}
 
-    def test_every_layer_carries_a_lowered_kernel(self):
+    def test_every_layer_carries_an_executor(self):
         plan = compile_workload(_workload())
         for name in plan.layer_names():
             kernel = plan.layer(name).gemm_plan.kernel
-            assert kernel is not None
+            assert isinstance(kernel, ExactExecutor)
             assert kernel.backend in plan.compile_stats.kernel_backends
-
-    def test_explicit_backend_reaches_every_layer(self):
-        plan = compile_workload(_workload(), kernel_backend="reference")
-        assert plan.compile_stats.kernel_backends == ("reference",)
-
-    def test_unlowered_compilation_reports_no_backends(self):
-        engine = TransitiveGemmEngine(transrow_bits=8, lower_plans=False)
-        plan = compile_workload(_workload(), engine=engine)
-        stats = plan.compile_stats
-        assert stats.kernel_backends == ()
-        assert stats.kernel_bytes == 0
-        assert stats.lowering_s == 0.0
+        assert plan.compile_stats.kernel_bytes == sum(
+            plan.layer(name).gemm_plan.kernel.kernel_bytes
+            for name in plan.layer_names()
+        )
 
     def test_as_dict_round_trips_the_bench_schema(self):
         stats = compile_workload(_workload()).compile_stats.as_dict()
         assert set(stats) == {
             "num_layers", "compile_s", "lowering_s", "kernel_bytes",
-            "kernel_slots", "kernel_dense_slots", "kernel_scatter_entries",
             "kernel_backends", "per_layer_compile_s", "per_layer_bits",
             "per_layer_scheme",
         }
@@ -80,40 +77,89 @@ class TestServingReport:
         assert "kernel backends" in rendered
         assert "offline compile" in rendered
 
-    def test_lowered_and_oracle_serving_agree(self):
+    def test_report_carries_no_plan_cache_counters(self):
+        plan = compile_workload(_workload(num_layers=1))
+        act = np.ones((20, 1), dtype=np.int64)
+        with Server(plan, num_workers=1, max_batch=4) as server:
+            server.submit("layer0", act).result(timeout=10.0)
+            report = server.report()
+        removed = {"plan_hits", "plan_misses", "plan_hit_rate", "scoreboard_cache"}
+        assert not removed & set(report.as_dict())
+        assert not any(hasattr(report, name) for name in removed)
+        rendered = report.render()
+        assert "plan hit" not in rendered and "scoreboard cache" not in rendered
+
+    def test_planned_and_oracle_serving_agree(self):
         plan = compile_workload(_workload(num_layers=1))
         rng = np.random.default_rng(1)
         act = rng.integers(-8, 8, size=(20, 3), dtype=np.int64)
-        lowered = plan.run("layer0", act)
+        planned = plan.run("layer0", act)
         degraded = plan.run_degraded("layer0", act)
-        assert np.array_equal(lowered, degraded)
-        assert np.array_equal(lowered, plan.layer("layer0").weight @ act)
+        assert np.array_equal(planned, degraded)
+        assert np.array_equal(planned, plan.layer("layer0").weight @ act)
 
 
 class TestDegradedBypass:
-    def test_degraded_fallback_never_touches_the_kernel(self):
-        # Booby-trap every lowered kernel: if the degraded path executed one,
-        # it would blow up — the oracle must stay fully independent.
+    def test_degraded_fallback_never_touches_the_executor(self, monkeypatch):
+        # Booby-trap the executor: if the degraded path ran it, it would blow
+        # up — the oracle must stay fully independent.
         plan = compile_workload(_workload(num_layers=1))
         layer = plan.layer("layer0")
-        assert layer.gemm_plan.kernel is not None
 
-        def boom(activation):
-            raise AssertionError("degraded path executed a lowered kernel")
+        def boom(self, activation):
+            raise AssertionError("degraded path executed the executor")
 
-        original = layer.gemm_plan.kernel._execute
-        layer.gemm_plan.kernel._execute = boom
-        try:
-            rng = np.random.default_rng(2)
-            act = rng.integers(-8, 8, size=(20, 2), dtype=np.int64)
-            output = plan.run_degraded("layer0", act)
-            assert np.array_equal(output, layer.weight @ act)
-            with pytest.raises(AssertionError):
-                plan.run("layer0", act)  # the fast path *does* use the kernel
-        finally:
-            layer.gemm_plan.kernel._execute = original
+        monkeypatch.setattr(ExactExecutor, "execute", boom)
+        rng = np.random.default_rng(2)
+        act = rng.integers(-8, 8, size=(20, 2), dtype=np.int64)
+        output = plan.run_degraded("layer0", act)
+        assert np.array_equal(output, layer.weight @ act)
+        with pytest.raises(AssertionError):
+            plan.run("layer0", act)  # the planned path *does* use it
 
-    def test_scalar_oracle_engine_does_not_lower(self):
+    def test_scalar_oracle_engine_is_scalar(self):
         plan = compile_workload(_workload(num_layers=1))
         oracle = plan._scalar_oracle()
-        assert oracle.lower_plans is False
+        assert oracle.fast is False
+
+
+_NUMPY_ONLY_SCRIPT = """
+import sys
+
+
+class _NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError("scipy is not installed (simulated)")
+
+
+sys.meta_path.insert(0, _NoScipy())
+
+import numpy as np
+
+from repro.serving import Server, compile_workload
+from repro.workloads import synthetic_gemm_workload
+
+plan = compile_workload(
+    synthetic_gemm_workload(num_layers=2, n=16, k=16, m=2, weight_bits=4), seed=1
+)
+act = np.arange(32, dtype=np.int64).reshape(16, 2)
+with Server(plan, num_workers=1, max_batch=4) as server:
+    out = server.submit("layer1", act).result(timeout=10.0)
+assert np.array_equal(out, plan.layer("layer1").weight @ act)
+assert not any(name.split(".")[0] == "scipy" for name in sys.modules)
+print("ok")
+"""
+
+
+class TestNumpyOnlyInstall:
+    def test_compiles_and_serves_without_scipy(self):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", _NUMPY_ONLY_SCRIPT],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "ok"

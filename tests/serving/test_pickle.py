@@ -1,10 +1,9 @@
-"""Spawn-safe pickling of compiled plans, kernels, engines and injectors.
+"""Spawn-safe pickling of compiled plans, executors, engines and injectors.
 
 The process-sharded serving tier ships a :class:`~repro.serving.ModelPlan`
 replica to every worker process through ``pickle`` under the ``spawn`` start
-method, so the pickled state must carry no locks, no compiled closures and no
-lambdas — and the unpickled replica must serve bit-identically, rebuilding
-its kernel executors lazily in the receiving process.
+method, so the pickled state must carry no locks, no closures and no lambdas — and
+the unpickled replica must serve bit-identically.
 """
 
 import pickle
@@ -12,41 +11,31 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.core.transitive_gemm import TransitiveGemmEngine
+from repro.core import ExactExecutor, TransitiveGemmEngine
 from repro.errors import ServingError
 from repro.serving import FaultInjector, FaultPlan, compile_workload
 from repro.workloads import synthetic_gemm_workload
 
 
-def _plan(num_layers: int = 2, lower: bool = True):
+def _plan(num_layers: int = 2):
     workload = synthetic_gemm_workload(
         num_layers=num_layers, n=24, k=20, m=3, weight_bits=4
     )
-    engine = None
-    if not lower:
-        engine = TransitiveGemmEngine(
-            transrow_bits=8, fast=True, scoreboard_cache_entries=4,
-            lower_plans=False,
-        )
-    return compile_workload(workload, engine=engine, seed=3)
+    return compile_workload(workload, seed=3)
 
 
 class TestEnginePickle:
     def test_round_trip_preserves_configuration(self):
         engine = TransitiveGemmEngine(
             transrow_bits=4, max_distance=3, num_lanes=2, fast=True,
-            scoreboard_cache_entries=7, lower_plans=False,
-            kernel_backend="dense-numpy", kernel_cache_entries=5,
+            scoreboard_cache_entries=7,
         )
         clone = pickle.loads(pickle.dumps(engine))
         assert clone.transrow_bits == 4
         assert clone.max_distance == 3
         assert clone.num_lanes == 2
         assert clone.fast is True
-        assert clone.lower_plans is False
-        assert clone.kernel_backend == "dense-numpy"
         assert clone._cache.max_entries == 7
-        assert clone._kernel_cache.max_entries == 5
 
     def test_caches_are_rebuilt_empty(self):
         engine = TransitiveGemmEngine(transrow_bits=8, scoreboard_cache_entries=4)
@@ -57,7 +46,6 @@ class TestEnginePickle:
         clone = pickle.loads(pickle.dumps(engine))
         info = clone.scoreboard_cache_info()
         assert info.entries == 0 and info.hits == 0 and info.misses == 0
-        assert clone.kernel_cache_info().entries == 0
 
     def test_unpickled_engine_multiplies_bit_identically(self):
         engine = TransitiveGemmEngine(transrow_bits=8)
@@ -68,27 +56,22 @@ class TestEnginePickle:
         assert np.array_equal(clone.multiply(weight, act, 4).output, weight @ act)
 
 
-class TestLoweredKernelPickle:
-    def test_executor_is_dropped_and_rebuilt_lazily(self):
+class TestExecutorPickle:
+    def test_round_trip_executes_bit_identically(self):
         plan = _plan(num_layers=1)
         layer = plan.layer("layer0")
         kernel = layer.gemm_plan.kernel
-        assert kernel is not None and kernel._execute is not None
         clone = pickle.loads(pickle.dumps(kernel))
-        # Lazy: nothing recompiled until the first execute().
-        assert clone._execute is None
+        assert isinstance(clone, ExactExecutor)
+        assert clone.row_bound == kernel.row_bound
+        assert clone.digit_bits == kernel.digit_bits
+        assert clone.backend == kernel.backend
         rng = np.random.default_rng(2)
         act = rng.integers(-64, 64, size=(layer.shape.k, 4), dtype=np.int64)
         assert np.array_equal(clone.execute(act), layer.weight @ act)
-        assert clone._execute is not None  # recompiled exactly once
-        assert clone.backend == kernel.backend
-
-    def test_pickled_state_contains_no_closure(self):
-        plan = _plan(num_layers=1)
-        kernel = plan.layer("layer0").gemm_plan.kernel
-        state = kernel.__getstate__()
-        assert state["_execute"] is None
-        assert "_rebuild_lock" not in state
+        # Past the float64 bound the digit split must survive pickling too.
+        big = act << 40
+        assert np.array_equal(clone.execute(big), layer.weight @ big)
 
 
 class TestModelPlanPickle:
@@ -114,25 +97,6 @@ class TestModelPlanPickle:
         assert np.array_equal(
             clone.run_degraded("layer0", act), layer.weight @ act
         )
-
-    def test_unlowered_plan_round_trips_without_growing_kernels(self):
-        plan = _plan(num_layers=1, lower=False)
-        clone = pickle.loads(pickle.dumps(plan))
-        layer = clone.layer("layer0")
-        assert layer.gemm_plan.kernel is None  # lower=False is preserved
-        act = np.ones((layer.shape.k, 2), dtype=np.int64)
-        assert np.array_equal(clone.run("layer0", act), layer.weight @ act)
-
-    def test_pickle_shares_weight_arrays_between_plan_and_kernel_source(self):
-        # The kernel retains its pre-lowering source plan; pickle's memo must
-        # serialise the shared weight/packed arrays once, not twice.
-        plan = _plan(num_layers=1)
-        gemm_plan = plan.layer("layer0").gemm_plan
-        assert gemm_plan.kernel._source.weight is gemm_plan.weight
-        assert gemm_plan.kernel._source.packed is gemm_plan.packed
-        blob = pickle.dumps(plan)
-        solo = pickle.dumps(gemm_plan.weight) + pickle.dumps(gemm_plan.packed)
-        assert len(blob) < 2 * len(solo)
 
     def test_compile_stats_and_attribution_metadata_survive(self):
         plan = _plan(num_layers=2)

@@ -88,8 +88,6 @@ class TestServerLifecycle:
         assert report.requests_per_layer == {"layer0": 16, "layer1": 16}
         assert 0.0 < report.latency_p50_s <= report.latency_p99_s
         assert report.mean_batch_size >= 1.0
-        assert report.plan_hits == report.num_batches
-        assert report.plan_misses == 2
         assert report.op_counts is not None and report.op_counts.transitive_ops > 0
         assert report.attributed_cycles is not None and report.attributed_cycles > 0
         assert report.attributed_energy is not None
