@@ -32,9 +32,6 @@ full scale).
 
 import argparse
 import json
-import os
-import platform
-import subprocess
 import time
 from pathlib import Path
 
@@ -43,7 +40,9 @@ import numpy as np
 import sys
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+from provenance import provenance  # noqa: E402
 from repro.core import TransitiveGemmEngine  # noqa: E402
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -176,40 +175,6 @@ def bench_llama_fc(shape):
         },
         "total_transrows": report.op_counts.total_transrows,
         "density": report.op_counts.density,
-    }
-
-
-def _blas() -> str:
-    """BLAS library and version numpy was built against."""
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (TypeError, KeyError):
-        return "unknown"
-    return f"{blas.get('name', 'unknown')} {blas.get('version', '')}".strip()
-
-
-def provenance() -> dict:
-    """Where and with what the numbers were measured."""
-    try:
-        import scipy
-
-        scipy_version = scipy.__version__
-    except ImportError:
-        scipy_version = "absent"
-    try:
-        sha = subprocess.run(
-            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
-            cwd=REPO_ROOT, capture_output=True, text=True, check=True,
-        ).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        sha = "unknown"
-    return {
-        "nproc": os.cpu_count(),
-        "blas": _blas(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "scipy": scipy_version,
-        "git_sha": sha,
     }
 
 

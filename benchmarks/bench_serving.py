@@ -81,7 +81,9 @@ import numpy as np
 import sys
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+from provenance import provenance  # noqa: E402
 from repro.errors import (  # noqa: E402
     BackpressureError,
     DeadlineExceededError,
@@ -211,6 +213,7 @@ def run(scale: str = "full", write: bool = True) -> dict:
     report, sequential_rps = bench_serving(plan, config["layer"])
     results = {
         "benchmark": "bench_serving",
+        "provenance": provenance(),
         "scale": scale,
         "bit_identical": True,  # bench_serving asserted every output
         "model": config["model"],
@@ -335,6 +338,7 @@ def run_mp(scale: str = "full", shards: int = 0, write: bool = True) -> dict:
     )
     results = {
         "benchmark": "bench_serving_mp",
+        "provenance": provenance(),
         "scale": scale,
         "bit_identical": True,  # _measure_rps asserted every output
         "model": plan.name,
@@ -485,6 +489,7 @@ def run_pipeline(scale: str = "full", write: bool = True) -> dict:
     pipelined_rps = PIPELINE_NUM_REQUESTS / elapsed
     results = {
         "benchmark": "bench_serving_pipeline",
+        "provenance": provenance(),
         "scale": scale,
         "bit_identical": True,  # asserted above against plan.run_model
         "model": plan.name,
@@ -639,6 +644,7 @@ def run_chaos_smoke(write: bool = True, execution: str = "threads") -> dict:
         }
     results = {
         "benchmark": "bench_serving_faults",
+        "provenance": provenance(),
         "scenario": "smoke",
         "execution": execution,
         "num_requests": num_requests,
@@ -920,6 +926,7 @@ def run_overload(
     )
     results = {
         "benchmark": "bench_serving_overload",
+        "provenance": provenance(),
         "scale": scale,
         "execution": execution,
         "model": plan.name,

@@ -114,6 +114,11 @@ def format_serving_report(report: "ServingReport") -> str:
     if report.num_force_aborted:
         rows.append(("force-aborted at close", report.num_force_aborted))
     rows.append(("execution tier", report.execution))
+    rows.append(
+        ("BLAS threads",
+         "not set (no OpenBLAS)" if report.blas_threads is None
+         else report.blas_threads)
+    )
     if report.shards:
         rows.append(
             ("queue wait vs compute",

@@ -3,13 +3,22 @@
 Transitive reuse only re-associates integer additions, so the served result
 of a planned GEMM is exactly ``weight @ activation``: the reuse lives in the
 plan's :class:`~repro.core.metrics.OpCounts` and in the accelerator's cycle
-model, not in how the host computes the product.  The host therefore runs
-one float64 BLAS product, which is exact while every partial sum of every
-dot product stays below ``2**53`` in magnitude, in whatever order BLAS sums;
-``row_bound * max|a|`` with ``row_bound = max_row sum|w|`` bounds all of
-them.  When that bound fails, the activation is split into base-``2**b``
-digits with ``row_bound * (2**b - 1) < 2**53``, each digit product runs
-exactly in float64, and the products are recombined modulo ``2**64``.
+model, not in how the host computes the product.  The host runs float64
+BLAS, which is exact while every partial sum of every dot product stays
+below ``2**53`` in magnitude, in whatever order BLAS sums.  With
+``row_bound = max_row sum|w|``, ``max|w|`` and ``peak = max|a|`` there are
+three regimes, each running the cheapest exact product:
+
+* ``row_bound * peak < 2**53``: one float64 product.
+* ``max|w| * peak < 2**53``: the reduction dimension K is split into the
+  fewest equal blocks of width ``w`` with ``max|w| * w * peak < 2**53``,
+  which bounds every partial sum inside a block.  Each block runs one exact
+  float64 product and the blocks are added in int64, which wraps modulo
+  ``2**64``; together they do one full product's work.
+* otherwise: the activation is split into base-``2**b`` digits with
+  ``row_bound * (2**b - 1) < 2**53``, each digit product runs exactly in
+  float64, and the products are recombined modulo ``2**64`` (one full
+  product per digit).
 
 For every int64 activation the result equals the exact product reduced
 mod ``2**64`` — the wrap-around semantics of an int64 matmul.
@@ -40,8 +49,12 @@ class ExactExecutor:
     def __init__(self, weight: np.ndarray) -> None:
         start = time.perf_counter()
         weight = np.asarray(weight, dtype=np.int64)
+        magnitude = np.abs(weight)
         #: ``max_row sum|w|``: bounds every partial sum per unit of ``max|a|``.
-        self.row_bound = int(np.abs(weight).sum(axis=1).max(initial=0))
+        self.row_bound = int(magnitude.sum(axis=1).max(initial=0))
+        #: ``max|w|``: bounds every partial sum of a K block per unit of
+        #: ``max|a|`` and block width.
+        self.max_weight = int(magnitude.max(initial=0))
         if self.row_bound >= FLOAT64_EXACT:
             raise SimulationError(
                 f"weight row sums reach {self.row_bound}; float64 cannot run "
@@ -71,7 +84,23 @@ class ExactExecutor:
         peak = max(int(activation.max()), -int(activation.min())) if activation.size else 0
         if self.row_bound * peak < FLOAT64_EXACT:
             return (self.weight @ activation.astype(np.float64)).astype(np.int64)
+        if self.max_weight * peak < FLOAT64_EXACT:
+            return self._block_product(activation, peak)
         return self._digit_product(activation, peak)
+
+    def _block_product(self, activation: np.ndarray, peak: int) -> np.ndarray:
+        """One exact float64 product per block of K, summed in int64 so the
+        sum wraps modulo ``2**64``."""
+        k = self.weight.shape[1]
+        widest = (FLOAT64_EXACT - 1) // (self.max_weight * peak)
+        blocks = -(-k // widest)
+        width = -(-k // blocks)
+        values = activation.astype(np.float64)
+        total = np.zeros((self.weight.shape[0], activation.shape[1]), dtype=np.int64)
+        for start in range(0, k, width):
+            block = slice(start, start + width)
+            total += (self.weight[:, block] @ values[block]).astype(np.int64)
+        return total
 
     def _digit_product(self, activation: np.ndarray, peak: int) -> np.ndarray:
         """One exact float64 product per base-``2**b`` digit of ``|a|``,

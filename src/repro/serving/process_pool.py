@@ -44,6 +44,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from ..core.blas import PROCESS_BUDGET
 from ..core.metrics import OpCounts
 from ..errors import ServingError, WorkerCrashError
 from .faults import FaultInjector
@@ -198,6 +199,7 @@ class ProcessWorkerPool:
                 name=f"serving-shard-{index}",
                 args=(
                     index,
+                    self.num_shards,
                     self._plan_blob,
                     shard.ring.name,
                     self.slot_bytes,
@@ -427,6 +429,7 @@ class ProcessWorkerPool:
 # --------------------------------------------------------------- child side
 def _shard_main(
     index: int,
+    num_shards: int,
     plan_blob: bytes,
     ring_name: str,
     slot_bytes: int,
@@ -444,6 +447,9 @@ def _shard_main(
     parent's crash detection and orphan handling get exercised for real.
     """
     plan: ModelPlan = pickle.loads(plan_blob)
+    # The shards share the cores like a thread-tier server's workers do; the
+    # process exits without releasing, which needs no restore.
+    PROCESS_BUDGET.acquire(num_shards)
     # Prewarm every layer once: the child's first BLAS call starts its thread
     # pool, and that belongs to shard startup (supervised, off the hot path),
     # not to the first unlucky batch.

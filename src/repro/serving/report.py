@@ -194,6 +194,9 @@ class ServingReport:
     goodput_rps: float = 0.0
     #: Goodput broken down by QoS priority class.
     goodput_by_priority: Dict[int, float] = field(default_factory=dict)
+    #: OpenBLAS threads the server applied for its workers' BLAS calls;
+    #: ``None`` when it could not apply any (no OpenBLAS found).
+    blas_threads: Optional[int] = None
 
     @property
     def compute_fraction(self) -> float:
@@ -255,6 +258,7 @@ class ServingReport:
             for priority, rps in sorted(self.goodput_by_priority.items())
         }
         summary["execution"] = self.execution
+        summary["blas_threads"] = self.blas_threads
         summary["queue_wait_s_total"] = self.queue_wait_s_total
         summary["compute_s_total"] = self.compute_s_total
         summary["dispatch_s_total"] = self.dispatch_s_total
@@ -309,6 +313,7 @@ def build_report(
     num_force_aborted: int = 0,
     num_deadline_met: int = 0,
     deadline_met_by_priority: Optional[Dict[int, int]] = None,
+    blas_threads: Optional[int] = None,
 ) -> ServingReport:
     """Assemble a :class:`ServingReport` from raw serving-run samples.
 
@@ -387,4 +392,5 @@ def build_report(
         num_deadline_met=num_deadline_met,
         goodput_rps=num_deadline_met / wall,
         goodput_by_priority=goodput_by_priority,
+        blas_threads=blas_threads,
     )

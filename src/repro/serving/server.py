@@ -95,6 +95,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from ..core.blas import PROCESS_BUDGET
 from ..energy.breakdown import EnergyBreakdown
 from ..errors import ServingError, ShedError, WorkerCrashError
 from ..transarray.accelerator import RequestAttribution
@@ -217,6 +218,9 @@ class ServerHealth:
     breaker_state: str = "disabled"
     #: Zero-downtime plan swaps completed so far.
     num_plan_swaps: int = 0
+    #: OpenBLAS threads in force for the server's BLAS calls (live while it
+    #: runs, the last value once closed); ``None`` when none were applied.
+    blas_threads: Optional[int] = None
 
     @property
     def healthy(self) -> bool:
@@ -245,6 +249,7 @@ class ServerHealth:
             "num_admission_shed": self.num_admission_shed,
             "breaker_state": self.breaker_state,
             "num_plan_swaps": self.num_plan_swaps,
+            "blas_threads": self.blas_threads,
         }
 
 
@@ -397,6 +402,10 @@ class Server:
         self._swap_cv = threading.Condition()
         self._swap_active = False
         self._inflight_batches = 0
+        # Workers registered with the process BLAS budget (0 when not
+        # registered) and the last thread count it applied for them.
+        self._blas_workers = 0
+        self._blas_threads: Optional[int] = None
 
     # ------------------------------------------------------------ lifecycle
     def start(self) -> "Server":
@@ -415,6 +424,9 @@ class Server:
                 cleanup_orphan_segments()
                 for index in range(self.num_workers):
                     self._pool.ensure_shard(index)
+            # Size BLAS against the workers before any of them can call it.
+            self._blas_threads = PROCESS_BUDGET.acquire(self.num_workers)
+            self._blas_workers = self.num_workers
             # Spawn under the lock so a concurrent close() always sees the
             # full worker list when it snapshots for joining.
             for index in range(self.num_workers):
@@ -455,6 +467,22 @@ class Server:
             if self._closed:
                 return
             self._closed = True
+        try:
+            self._shut_down(drain, timeout_s)
+        finally:
+            # After the workers' last BLAS call, or after a failed shutdown.
+            self._release_blas()
+
+    def _release_blas(self) -> None:
+        """Return this server's workers to the process BLAS budget."""
+        with self._lock:
+            workers, self._blas_workers = self._blas_workers, 0
+        if workers:
+            self._blas_threads = PROCESS_BUDGET.threads
+            PROCESS_BUDGET.release(workers)
+
+    def _shut_down(self, drain: bool, timeout_s: Optional[float]) -> None:
+        """The body of :meth:`close`, run once by the first caller."""
         self.queue.close()
         aborted: List[Request] = []
         if not drain:
@@ -1488,7 +1516,15 @@ class Server:
                 self.breaker.state if self.breaker is not None else "disabled"
             ),
             num_plan_swaps=plan_swaps,
+            blas_threads=self._blas_threads_now(),
         )
+
+    def _blas_threads_now(self) -> Optional[int]:
+        """BLAS threads in force for this server: the budget's live value
+        while registered, else the last value applied for it."""
+        with self._lock:
+            registered = self._blas_workers > 0
+        return PROCESS_BUDGET.threads if registered else self._blas_threads
 
     def _shard_stats(self) -> List[ShardStats]:
         """Per-shard utilization: pool counters, or thread-slot equivalents."""
@@ -1626,6 +1662,7 @@ class Server:
             num_force_aborted=force_aborted,
             num_deadline_met=len(met),
             deadline_met_by_priority=met_by_priority,
+            blas_threads=self._blas_threads_now(),
         )
 
     @staticmethod

@@ -2,8 +2,9 @@
 
 Its contract: for every int64 activation, ``execute`` returns the exact
 product ``weight @ activation`` reduced modulo 2**64 — one float64 product
-while the float64 bound holds, one exact product per activation digit past
-it — and planned execution carries the plan's scoreboard counts unchanged.
+while the row bound holds, one product's work split over K blocks while the
+largest weight's bound holds, one exact product per activation digit past
+both — and planned execution carries the plan's scoreboard counts unchanged.
 """
 
 import pickle
@@ -11,7 +12,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core import ExactExecutor, TransitiveGemmEngine
@@ -42,24 +43,34 @@ def _reference(weight: np.ndarray, activation: np.ndarray) -> np.ndarray:
 
 
 class _CountingMatrix(np.ndarray):
-    """Float64 weight view that counts the products run against it."""
+    """Float64 weight view that records the K width of every product run
+    against it or against a slice of it."""
+
+    def __array_finalize__(self, obj):
+        self.widths = getattr(obj, "widths", None)
 
     def __matmul__(self, other):
-        self.products += 1
+        self.widths.append(self.shape[1])
         return np.asarray(self) @ other
 
 
-def _digits(executor: ExactExecutor, activation: np.ndarray) -> int:
-    """Float64 products ``execute`` runs for ``activation``."""
+def _widths(executor: ExactExecutor, activation: np.ndarray) -> list:
+    """K width of each float64 product ``execute`` runs for ``activation``."""
     weight = executor.weight
     counting = weight.view(_CountingMatrix)
-    counting.products = 0
+    counting.widths = []
     executor.weight = counting
     try:
         executor.execute(activation)
     finally:
         executor.weight = weight
-    return counting.products
+    return counting.widths
+
+
+def _products(executor: ExactExecutor, activation: np.ndarray) -> float:
+    """Full-K products' worth of work ``execute`` runs for ``activation``:
+    summed product widths over K."""
+    return sum(_widths(executor, activation)) / executor.weight.shape[1]
 
 
 def _wrapping_add(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -110,7 +121,7 @@ class TestWrappedExactness:
         weight = _signed(8, 6, 9, seed=0)
         activation = np.random.default_rng(1).integers(-128, 128, size=(9, 5))
         executor = ExactExecutor(weight)
-        assert _digits(executor, activation) == 1
+        assert _products(executor, activation) == 1
         assert np.array_equal(executor.execute(activation), weight @ activation)
 
     def test_several_digits_past_the_bound(self):
@@ -119,7 +130,7 @@ class TestWrappedExactness:
             INT64_MIN, INT64_MAX, size=(7, 4), dtype=np.int64, endpoint=True
         )
         executor = ExactExecutor(weight)
-        assert _digits(executor, activation) >= 3
+        assert _products(executor, activation) >= 3
         assert np.array_equal(executor.execute(activation), _reference(weight, activation))
 
     def test_int64_extremes(self):
@@ -156,9 +167,97 @@ class TestWrappedExactness:
         executor = ExactExecutor(weight)
         assert executor.backend == "float64-blas"
         assert executor.row_bound == int(np.abs(weight).sum(axis=1).max())
+        assert executor.max_weight == int(np.abs(weight).max())
         assert executor.row_bound * ((1 << executor.digit_bits) - 1) < FLOAT64_EXACT
         assert executor.kernel_bytes == weight.size * 8
         assert executor.build_s >= 0.0
+
+
+REGIMES = ("one-product", "k-split", "digit-split")
+
+
+def _lay_out(activation: np.ndarray, layout: str) -> np.ndarray:
+    """``activation`` with the same values in a non-contiguous layout."""
+    if layout == "fortran":
+        return np.asfortranarray(activation)
+    if layout == "reversed":
+        return np.ascontiguousarray(activation[::-1, ::-1])[::-1, ::-1]
+    if layout == "strided":
+        k, m = activation.shape
+        base = np.zeros((2 * k, 3 * m), dtype=np.int64)
+        base[::2, ::3] = activation
+        return base[::2, ::3]
+    return activation
+
+
+@st.composite
+def _regime_operands(draw):
+    """Weight, activation and regime, the activation's peak drawn into the
+    regime: one product, K split or digit split."""
+    regime = draw(st.sampled_from(REGIMES))
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(0 if regime == "one-product" else 2, 9))
+    m = draw(st.integers(1, 3))
+    bits = draw(st.integers(2, 24))
+    lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+    weight = np.array(
+        draw(st.lists(st.integers(lo, hi), min_size=n * k, max_size=n * k)),
+        dtype=np.int64,
+    ).reshape(n, k)
+    row_bound = int(np.abs(weight).sum(axis=1).max(initial=0))
+    max_weight = int(np.abs(weight).max(initial=0))
+    if regime == "one-product":
+        low, high = 0, min((FLOAT64_EXACT - 1) // max(row_bound, 1), 2 ** 63)
+    elif regime == "k-split":
+        assume(row_bound > 0)
+        low, high = -(-FLOAT64_EXACT // row_bound), (FLOAT64_EXACT - 1) // max_weight
+    else:
+        assume(max_weight > 0)
+        low, high = -(-FLOAT64_EXACT // max_weight), 2 ** 63
+    assume(low <= high)
+    peak = draw(st.integers(low, high))
+    entries = st.integers(-min(peak, INT64_MAX), min(peak, INT64_MAX))
+    activation = np.array(
+        draw(st.lists(entries, min_size=k * m, max_size=k * m)), dtype=np.int64
+    ).reshape(k, m)
+    if activation.size:
+        row, col = draw(st.integers(0, k - 1)), draw(st.integers(0, m - 1))
+        negative = peak == 2 ** 63 or draw(st.booleans())
+        activation[row, col] = INT64_MIN if peak == 2 ** 63 else (-peak if negative else peak)
+    layout = draw(st.sampled_from(["contiguous", "fortran", "reversed", "strided"]))
+    return regime, weight, _lay_out(activation, layout), peak
+
+
+class TestRegimes:
+    @settings(max_examples=300, deadline=None)
+    @given(_regime_operands())
+    def test_each_regime_matches_python_ints_with_its_work(self, operands):
+        regime, weight, activation, peak = operands
+        executor = ExactExecutor(weight)
+        assert np.array_equal(executor.execute(activation), _reference(weight, activation))
+        k = weight.shape[1]
+        widths = _widths(executor, activation)
+        if regime == "one-product":
+            assert widths == [k]
+        elif regime == "k-split":
+            # Fewest equal blocks whose partial sums stay below 2**53.
+            widest = (FLOAT64_EXACT - 1) // (executor.max_weight * peak)
+            assert len(widths) == -(-k // widest) >= 2
+            assert sum(widths) == k
+            assert set(widths[:-1]) <= {widths[0]} and widths[-1] <= widths[0] <= widest
+        else:
+            digits = -(-peak.bit_length() // executor.digit_bits)
+            assert widths == [k] * digits
+
+    def test_k_not_divisible_by_the_block_width(self):
+        # max|w| = 1 and peak ~ 2**53 / 3: blocks of 3 cover K = 7 as 3+3+1.
+        weight = np.array([[1, -1, 1, 1, -1, 1, 1], [0, 1, 0, 0, 0, 0, 1]], dtype=np.int64)
+        peak = (FLOAT64_EXACT - 1) // 3
+        activation = np.array([[peak, -peak, peak, peak, -peak, peak, peak]], dtype=np.int64).T
+        executor = ExactExecutor(weight)
+        assert executor.row_bound * peak >= FLOAT64_EXACT
+        assert _widths(executor, activation) == [3, 3, 1]
+        assert np.array_equal(executor.execute(activation), _reference(weight, activation))
 
 
 class TestAlgebra:
@@ -237,8 +336,8 @@ class TestDigitSplit:
         last = (FLOAT64_EXACT - 1) // row_bound  # largest peak one product covers
         inside = np.array([[last, -last, 1]], dtype=np.int64)
         past = np.array([[last + 1, -last, 1]], dtype=np.int64)
-        assert _digits(executor, inside) == 1
-        assert _digits(executor, past) == 2
+        assert _products(executor, inside) == 1
+        assert _products(executor, past) == 2
         for activation in (inside, past):
             assert np.array_equal(executor.execute(activation), _reference(weight, activation))
 
@@ -247,17 +346,43 @@ class TestDigitSplit:
         [(8, 1), (32, 1), (33, 1), (34, 2), (48, 2), (63, 2), (64, 2)],
     )
     def test_digit_count_follows_the_peak(self, peak_bits, products):
-        # row_bound 2**20 gives 33-bit digits.
-        weight = (2 ** 18) * np.array([[1, -1, 1, -1], [-1, 1, 1, 0]], dtype=np.int64)
+        # row_bound 2**20 gives 33-bit digits; one weight per row makes
+        # max|w| equal the row bound, so K blocks cannot help past it.
+        weight = (2 ** 20) * np.array([[1, 0, 0, 0], [0, -1, 0, 0]], dtype=np.int64)
         executor = ExactExecutor(weight)
         assert executor.digit_bits == 33
+        assert executor.max_weight == executor.row_bound
         peak = INT64_MIN if peak_bits == 64 else (1 << peak_bits) - 1
         bound = min(abs(peak), INT64_MAX)
         activation = np.random.default_rng(peak_bits).integers(
             -bound, bound, size=(4, 3), dtype=np.int64, endpoint=True
         )
         activation[2, 1] = peak
-        assert _digits(executor, activation) == products
+        assert _products(executor, activation) == products
+        assert np.array_equal(executor.execute(activation), _reference(weight, activation))
+
+    @pytest.mark.parametrize(
+        "peak_bits,widths",
+        [
+            (33, [4]),  # one product
+            (34, [2, 2]), (35, [1, 1, 1, 1]),  # K split
+            (36, [4, 4]), (64, [4, 4]),  # digits
+        ],
+    )
+    def test_k_blocks_cover_peaks_past_the_row_bound(self, peak_bits, widths):
+        # row_bound 2**20 gives 33-bit digits; max|w| 2**18 lets K blocks
+        # cover peaks up to 35 bits with one product's work.
+        weight = (2 ** 18) * np.array([[1, -1, 1, -1], [-1, 1, 1, 0]], dtype=np.int64)
+        executor = ExactExecutor(weight)
+        assert executor.digit_bits == 33
+        assert executor.max_weight == 2 ** 18
+        peak = INT64_MIN if peak_bits == 64 else (1 << peak_bits) - 1
+        bound = min(abs(peak), INT64_MAX)
+        activation = np.random.default_rng(peak_bits).integers(
+            -bound, bound, size=(4, 3), dtype=np.int64, endpoint=True
+        )
+        activation[2, 1] = peak
+        assert _widths(executor, activation) == widths
         assert np.array_equal(executor.execute(activation), _reference(weight, activation))
 
 
@@ -373,7 +498,7 @@ class TestPlannedParity:
         assert planned.op_counts == fast.op_counts == plan.op_counts
         assert np.array_equal(planned.output, fast.output)
 
-    @pytest.mark.parametrize("regime", ["one-product", "digit-split"])
+    @pytest.mark.parametrize("regime", ["one-product", "k-split", "digit-split"])
     @pytest.mark.parametrize("scheme", sorted(SCHEME_REGISTRY))
     def test_quant_scheme_weights(self, scheme, regime):
         # Real quantizer outputs: outliers, power-of-two values, pruned bits.
@@ -383,9 +508,22 @@ class TestPlannedParity:
         bits = max(quantized.bits, int(np.abs(quantized.values).max()).bit_length() + 1)
         engine = TransitiveGemmEngine(transrow_bits=8)
         plan = engine.plan(quantized.values, bits)
-        scale = 7 if regime == "one-product" else 62
-        activation = rng.integers(-(1 << scale), 1 << scale, size=(16, 5), dtype=np.int64)
-        assert _digits(plan.kernel, activation) == (1 if regime == "one-product" else 2)
+        peak = {
+            "one-product": (1 << 7) - 1,
+            # The largest peak K blocks cover, past the row bound.
+            "k-split": (FLOAT64_EXACT - 1) // plan.kernel.max_weight,
+            "digit-split": (1 << 62) - 1,
+        }[regime]
+        activation = rng.integers(-peak, peak, size=(16, 5), dtype=np.int64, endpoint=True)
+        activation[3, 2] = peak
+        widths = _widths(plan.kernel, activation)
+        if regime == "one-product":
+            assert widths == [plan.k]
+        elif regime == "k-split":
+            assert plan.kernel.row_bound * peak >= FLOAT64_EXACT
+            assert len(widths) >= 2 and sum(widths) == plan.k
+        else:
+            assert widths == [plan.k, plan.k]
         output = engine.multiply_planned(plan, activation).output
         assert np.array_equal(output, _reference(plan.weight, activation))
 
@@ -472,18 +610,42 @@ class TestCompiledWorkloads:
             assert np.array_equal(plan.run(name, act), layer.weight @ act)
 
 
+def _run_stages(plan, x: np.ndarray):
+    """Each stage's input and product widths on model input ``x``, and the
+    exact (wrapped) model output."""
+    inputs, widths = [], []
+    stage_input = x
+    for spec in plan.graph.stages:
+        layer = plan.layer(spec.layer)
+        inputs.append(stage_input)
+        widths.append(_widths(layer.gemm_plan.kernel, stage_input))
+        stage_input = _reference(layer.weight, stage_input)
+    return inputs, widths, stage_input
+
+
 class TestChainedBlock:
-    def test_last_stage_takes_the_digit_split(self):
+    def test_last_stage_takes_the_k_split(self):
         # Like the prefill block's down_proj: the activations grow stage by
-        # stage until only the last product exceeds the float64 bound.
+        # stage until only the last product exceeds the row bound, and K
+        # blocks still run it with one product's work.
         plan = compile_workload(_tiny_llama_block(), seed=601, graph="chain")
         x = np.random.default_rng(9).integers(-128, 128, size=(32, 4))
-        digits = []
-        stage_input = x
-        for spec in plan.graph.stages:
-            layer = plan.layer(spec.layer)
-            digits.append(_digits(layer.gemm_plan.kernel, stage_input))
-            stage_input = _reference(layer.weight, stage_input)
-        assert digits[:-1] == [1] * (len(digits) - 1)
-        assert digits[-1] >= 2
-        assert np.array_equal(plan.run_model(x), stage_input)
+        _, widths, expected = _run_stages(plan, x)
+        ks = [plan.layer(spec.layer).shape.k for spec in plan.graph.stages]
+        assert widths[:-1] == [[k] for k in ks[:-1]]
+        assert len(widths[-1]) >= 2 and sum(widths[-1]) == ks[-1]
+        assert np.array_equal(plan.run_model(x), expected)
+
+    def test_last_stage_takes_the_digit_split(self):
+        # The chain is linear, so scaling the input by 8 scales every stage's
+        # activations by 8: enough that max|w| * peak reaches 2**53 at
+        # down_proj, where only the digit split stays exact.
+        plan = compile_workload(_tiny_llama_block(), seed=601, graph="chain")
+        x = 8 * np.random.default_rng(9).integers(-128, 128, size=(32, 4))
+        inputs, widths, expected = _run_stages(plan, x)
+        ks = [plan.layer(spec.layer).shape.k for spec in plan.graph.stages]
+        assert widths[:-1] == [[k] for k in ks[:-1]]
+        kernel = plan.layer(plan.graph.stages[-1].layer).gemm_plan.kernel
+        assert kernel.max_weight * int(np.abs(inputs[-1]).max()) >= FLOAT64_EXACT
+        assert len(widths[-1]) >= 2 and set(widths[-1]) == {ks[-1]}
+        assert np.array_equal(plan.run_model(x), expected)

@@ -65,6 +65,7 @@ class TestExecutorPickle:
         assert isinstance(clone, ExactExecutor)
         assert clone.row_bound == kernel.row_bound
         assert clone.digit_bits == kernel.digit_bits
+        assert clone.max_weight == kernel.max_weight
         assert clone.backend == kernel.backend
         rng = np.random.default_rng(2)
         act = rng.integers(-64, 64, size=(layer.shape.k, 4), dtype=np.int64)
