@@ -31,7 +31,9 @@ import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+from provenance import provenance  # noqa: E402
 from repro.analysis import fc_layer_comparison, format_table, geomean  # noqa: E402
 from repro.analysis.comparison import geomean_speedup  # noqa: E402
 
@@ -103,6 +105,7 @@ def run(scale: str = "full", write: bool = True) -> dict:
         "samples_per_gemm": config["samples_per_gemm"],
         "reference": "olive",
         "wall_s": wall_s,
+        "provenance": provenance(),
         "rows": [
             {
                 "workload": r.workload,

@@ -31,7 +31,9 @@ import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+from provenance import provenance  # noqa: E402
 from repro.analysis import attention_comparison, format_table  # noqa: E402
 from repro.analysis.comparison import geomean_speedup  # noqa: E402
 
@@ -96,6 +98,7 @@ def run(scale: str = "full", write: bool = True) -> dict:
         "samples_per_gemm": config["samples_per_gemm"],
         "reference": "bitfusion-16bit",
         "wall_s": wall_s,
+        "provenance": provenance(),
         "rows": [
             {
                 "workload": r.workload,

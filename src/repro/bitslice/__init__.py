@@ -17,13 +17,8 @@ from .slicer import (
     reconstruct_from_binary,
     sliced_gemm,
 )
-from .transrow import (
-    TransRow,
-    extract_transrows,
-    transrow_matrix_from_values,
-    num_column_chunks,
-)
-from .packing import pack_bits_to_uint, unpack_uint_to_bits, popcount
+from .transrow import TransRow, extract_transrows
+from .packing import pack_bits_to_uint, pack_transrow_chunks, unpack_uint_to_bits, popcount
 
 __all__ = [
     "BitPlanes",
@@ -35,9 +30,8 @@ __all__ = [
     "sliced_gemm",
     "TransRow",
     "extract_transrows",
-    "transrow_matrix_from_values",
-    "num_column_chunks",
     "pack_bits_to_uint",
+    "pack_transrow_chunks",
     "unpack_uint_to_bits",
     "popcount",
 ]

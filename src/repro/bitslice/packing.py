@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import BitSliceError
+from .slicer import bit_slice
 
 
 def pack_bits_to_uint(bits: np.ndarray) -> np.ndarray:
@@ -39,6 +40,36 @@ def pack_bits_to_uint(bits: np.ndarray) -> np.ndarray:
         raise BitSliceError(f"TransRow width must be in [1, 63], got {width}")
     weights = (1 << np.arange(width - 1, -1, -1)).astype(np.int64)
     return (bits.astype(np.int64) * weights).sum(axis=-1)
+
+
+def pack_transrow_chunks(matrix: np.ndarray, bits: int, width: int) -> np.ndarray:
+    """Pack every ``width``-wide column chunk of every bit plane in one pass.
+
+    Returns a ``(ceil(K / T), N, S)`` uint16 array for an ``(N, K)`` matrix of
+    ``bits``-bit integers: entry ``[c, n, s]`` is :func:`pack_bits_to_uint` of
+    plane ``s`` (LSB = 0) of row ``n`` over columns ``[c*T, (c+1)*T)``, so
+    column ``j`` of a chunk is bit ``T-1-j``.  A final partial chunk is
+    zero-padded on the right, like :func:`~repro.bitslice.extract_transrows`.
+    """
+    if width < 1 or width > 16:
+        raise BitSliceError(f"TransRow width must be in [1, 16], got {width}")
+    planes = bit_slice(matrix, bits).planes  # (S, N, K) uint8, LSB plane first
+    n_bits, n_rows, n_cols = planes.shape
+    chunks = -(-n_cols // width)
+    full = n_cols // width
+    # Right-align every chunk in whole bytes: after ``lead`` zero bits, the
+    # big-endian bytes np.packbits writes for a chunk are its packed value.
+    field = 8 * -(-width // 8)
+    lead = field - width
+    cells = np.zeros((n_bits, n_rows, chunks, field), dtype=np.uint8)
+    cells[:, :, :full, lead:] = planes[:, :, : full * width].reshape(
+        n_bits, n_rows, full, width
+    )
+    if full < chunks:
+        cells[:, :, full, lead: lead + n_cols - full * width] = planes[:, :, full * width:]
+    packed = np.packbits(cells.reshape(n_bits, n_rows, chunks * field), axis=-1)
+    values = packed.view(f">u{field // 8}").astype(np.uint16)
+    return values.transpose(2, 1, 0)
 
 
 def unpack_uint_to_bits(values: np.ndarray, width: int) -> np.ndarray:

@@ -92,10 +92,12 @@ def bit_slice(matrix: np.ndarray, bits: int) -> BitPlanes:
     """
     matrix = np.asarray(matrix)
     _validate_signed_range(matrix, bits)
-    unsigned = matrix.astype(np.int64) & ((1 << bits) - 1)
-    planes = np.stack(
-        [((unsigned >> s) & 1).astype(np.uint8) for s in range(bits)], axis=0
-    )
+    # The narrowest unsigned type holding ``bits`` bits: the integer cast
+    # wraps mod 2**8k, which keeps every two's-complement bit below ``bits``.
+    unsigned = matrix.astype(np.min_scalar_type((1 << bits) - 1))
+    planes = np.empty((bits,) + matrix.shape, dtype=np.uint8)
+    for s in range(bits):
+        np.bitwise_and(unsigned >> s, 1, out=planes[s], casting="unsafe")
     return BitPlanes(planes=planes, weights=bit_plane_weights(bits), bits=bits)
 
 

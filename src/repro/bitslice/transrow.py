@@ -123,18 +123,3 @@ def extract_transrows(
             )
     return rows
 
-
-def transrow_matrix_from_values(values, width: int) -> np.ndarray:
-    """Build a binary ``(len(values), width)`` matrix from packed TransRow values.
-
-    Convenience helper for tests and the design-space exploration, which work
-    directly on random TransRow value populations rather than real weights.
-    """
-    return unpack_uint_to_bits(np.asarray(values, dtype=np.int64), width)
-
-
-def num_column_chunks(n_cols: int, transrow_bits: int) -> int:
-    """Number of ``T``-wide chunks needed to cover ``n_cols`` weight columns."""
-    if transrow_bits < 1:
-        raise BitSliceError(f"transrow_bits must be >= 1, got {transrow_bits}")
-    return (n_cols + transrow_bits - 1) // transrow_bits

@@ -46,7 +46,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..bitslice.slicer import bit_plane_weights, bit_slice
-from ..bitslice.packing import pack_bits_to_uint
+from ..bitslice.packing import pack_bits_to_uint, pack_transrow_chunks
 from ..errors import SimulationError
 from ..hasse.graph import hasse_graph
 from ..scoreboard.algorithm import ScoreboardResult, run_scoreboard
@@ -472,7 +472,7 @@ class TransitiveGemmEngine:
                     return entry + (None,)
                 packed, counts = entry
         if packed is None:
-            packed = self._pack_all_chunks(weight, weight_bits)
+            packed = pack_transrow_chunks(weight, weight_bits, self.transrow_bits)
         bags = packed.reshape(packed.shape[0], -1).astype(np.int64)
         batch: Optional[BatchedScoreboard] = None
         if want_batch:
@@ -491,29 +491,6 @@ class TransitiveGemmEngine:
         if use_cache and key is not None:
             self._cache.put(key, (packed, counts))
         return packed, counts, batch
-
-    def _pack_all_chunks(self, weight: np.ndarray, weight_bits: int) -> np.ndarray:
-        """Pack every ``T``-wide column chunk of every bit plane at once.
-
-        Returns a ``(chunks, N, S)`` uint16 array where entry ``[c, n, s]`` is
-        the packed value of plane ``s`` (LSB = 0) of weight row ``n`` in
-        column chunk ``c`` — the same values ``_chunk_transrows`` produces one
-        chunk at a time, zero-padding included.
-        """
-        width = self.transrow_bits
-        planes = bit_slice(weight, weight_bits).planes  # (S, N, K) uint8
-        bits, n_rows, n_cols = planes.shape
-        num_chunks = (n_cols + width - 1) // width
-        padded_cols = num_chunks * width
-        if padded_cols != n_cols:
-            padded = np.zeros((bits, n_rows, padded_cols), dtype=np.uint8)
-            padded[:, :, :n_cols] = planes
-        else:
-            padded = planes
-        packed = np.zeros((bits, n_rows, num_chunks), dtype=np.int64)
-        for j in range(width):  # column j of each chunk → bit T-1-j
-            packed += padded[:, :, j::width].astype(np.int64) << (width - 1 - j)
-        return packed.transpose(2, 1, 0).astype(np.uint16)
 
     def _batched_node_results_and_accumulate(
         self,

@@ -23,6 +23,7 @@ from ..energy.energy_model import EnergyParameters
 from ..energy.sram import sram_energy_per_byte_pj
 from ..errors import SimulationError
 from ..baselines.base import Accelerator, PerformanceReport, WorkloadLike, as_workload
+from ..bitslice.packing import pack_transrow_chunks
 from ..scoreboard.batched import run_scoreboards_batched
 from ..scoreboard.static import StaticScoreboard
 from ..workloads.gemm import GemmShape
@@ -129,19 +130,16 @@ class TransitiveArrayAccelerator(Accelerator):
         self.name = f"transarray-{config.transrow_bits}t"
 
     # ------------------------------------------------------------ sampling
-    def _sample_weight_tile(self, shape: GemmShape, plan: TilingPlan) -> np.ndarray:
+    def _sample_weight_tile(
+        self, shape: GemmShape, plan: TilingPlan, weight: Optional[np.ndarray]
+    ) -> np.ndarray:
         """Draw one weight sub-tile, either from real weights or synthetically."""
         rows = plan.tile.weight_rows
         width = self.config.transrow_bits
         lo = -(1 << (shape.weight_bits - 1))
         hi = (1 << (shape.weight_bits - 1)) - 1
-        if self.weight_provider is None:
+        if weight is None:
             return self._rng.integers(lo, hi + 1, size=(rows, width), dtype=np.int64)
-        weight = np.asarray(self.weight_provider(shape))
-        if weight.shape != (shape.n, shape.k):
-            raise SimulationError(
-                f"weight provider returned shape {weight.shape}, expected {(shape.n, shape.k)}"
-            )
         row_block = int(self._rng.integers(0, plan.row_blocks))
         col_chunk = int(self._rng.integers(0, plan.col_chunks))
         tile = weight[
@@ -152,30 +150,35 @@ class TransitiveArrayAccelerator(Accelerator):
         padded[: tile.shape[0], : tile.shape[1]] = tile
         return padded
 
-    def _subtile_values(self, weight_tile: np.ndarray, weight_bits: int) -> List[int]:
-        """Packed TransRow values of one weight sub-tile."""
-        from ..bitslice.transrow import extract_transrows
-
-        rows = extract_transrows(weight_tile, weight_bits, self.config.transrow_bits)
-        return [row.value for row in rows]
-
     def _profile_gemm(self, shape: GemmShape, plan: TilingPlan) -> SubTileReport:
         """Mean sub-tile profile over the sampled sub-tiles of one GEMM."""
-        static = None
-        samples: List[List[int]] = []
-        for _ in range(self.samples_per_gemm):
-            tile = self._sample_weight_tile(shape, plan)
-            samples.append(self._subtile_values(tile, shape.weight_bits))
+        weight = None
+        if self.weight_provider is not None:  # fetched and validated once per GEMM
+            weight = np.asarray(self.weight_provider(shape))
+            if weight.shape != (shape.n, shape.k):
+                raise SimulationError(
+                    f"weight provider returned shape {weight.shape}, "
+                    f"expected {(shape.n, shape.k)}"
+                )
+        tiles = [self._sample_weight_tile(shape, plan, weight)
+                 for _ in range(self.samples_per_gemm)]
+        # One packing pass over every sampled tile: each tile is one T-wide
+        # chunk, so chunk 0 holds all of them; reversing the plane axis gives
+        # each tile's TransRows in (row, MSB-to-LSB plane) order.
+        packed = pack_transrow_chunks(
+            np.concatenate(tiles), shape.weight_bits, self.config.transrow_bits
+        )[0, :, ::-1]
+        samples = packed.reshape(self.samples_per_gemm, -1).astype(np.int64)
+        bags = samples.tolist()
         if self.scoreboard_mode == "static":
             static = StaticScoreboard(
                 width=self.config.transrow_bits,
                 max_distance=self.config.max_prefix_distance,
                 num_lanes=self.config.lanes,
             )
-            calibration = [value for values in samples for value in values]
-            static.fit(calibration)
+            static.fit(samples.ravel().tolist())
             reports = [self.unit.profile_subtile(values, static_scoreboard=static)
-                       for values in samples]
+                       for values in bags]
         elif self.fast:
             # One batched array pass scoreboards every sample; the rebuilt
             # per-sample results are exactly what the scalar runs would give.
@@ -186,9 +189,9 @@ class TransitiveArrayAccelerator(Accelerator):
                 num_lanes=self.config.lanes,
             )
             reports = [self.unit.profile_subtile(values, result=result)
-                       for values, result in zip(samples, results)]
+                       for values, result in zip(bags, results)]
         else:
-            reports = [self.unit.profile_subtile(values) for values in samples]
+            reports = [self.unit.profile_subtile(values) for values in bags]
         return self._mean_report(reports)
 
     @staticmethod

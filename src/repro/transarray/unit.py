@@ -21,8 +21,8 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..bitslice.slicer import bit_plane_weights, bit_slice
-from ..bitslice.packing import pack_bits_to_uint
+from ..bitslice.packing import pack_transrow_chunks
+from ..bitslice.slicer import bit_plane_weights
 from ..config import TransArrayConfig
 from ..core.metrics import OpCounts, op_counts_from_result
 from ..errors import SimulationError
@@ -120,10 +120,9 @@ class TransArrayUnit:
         lanes = self.config.lanes
         ppe_loads = result.lane_ppe_loads()
         outlier_ppe = sum(o.popcount for o in result.outliers)
-        outlier_rows = sum(o.count for o in result.outliers)
         nonzero_rows = result.total_transrows - result.zero_rows
         ppe_cycles = (max(ppe_loads) if ppe_loads else 0) + math.ceil(outlier_ppe / lanes)
-        ape_cycles = math.ceil((nonzero_rows + outlier_rows * 0) / lanes) if nonzero_rows else 0
+        ape_cycles = math.ceil(nonzero_rows / lanes)
         return ppe_cycles, ape_cycles
 
     def _buffer_traffic(self, counts: OpCounts) -> Dict[str, float]:
@@ -177,16 +176,16 @@ class TransArrayUnit:
                 f"activation tile must have {width} rows, got {act_tile.shape}"
             )
 
-        planes = bit_slice(weight_tile, weight_bits)
+        packed = pack_transrow_chunks(weight_tile, weight_bits, width)[0].tolist()
         plane_weights = bit_plane_weights(weight_bits)
         n_rows = weight_tile.shape[0]
         m = act_tile.shape[1]
 
-        transrows: List[tuple] = []
-        for row in range(n_rows):
-            for plane in range(weight_bits - 1, -1, -1):
-                value = int(pack_bits_to_uint(planes.planes[plane, row]))
-                transrows.append((value, row, plane))
+        transrows: List[tuple] = [
+            (packed[row][plane], row, plane)
+            for row in range(n_rows)
+            for plane in range(weight_bits - 1, -1, -1)
+        ]
 
         outcome = self.scoreboard.process([value for value, _, _ in transrows])
         info = ScoreboardInfo.from_result(outcome.result)

@@ -76,6 +76,25 @@ class TestBitSlice:
         np.testing.assert_array_equal(reconstruct_from_planes(planes), matrix)
 
 
+    @given(
+        st.integers(min_value=1, max_value=32),
+        st.sampled_from([np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_planes_match_int64_shifts_for_every_dtype(self, bits, dtype, seed):
+        info = np.iinfo(dtype)
+        lo = max(-(1 << (bits - 1)) if bits > 1 else 0, info.min)
+        hi = min((1 << (bits - 1)) - 1 if bits > 1 else 1, info.max)
+        rng = np.random.default_rng(seed)
+        matrix = rng.integers(lo, hi + 1, size=(3, 5), dtype=np.int64).astype(dtype)
+        planes = bit_slice(matrix, bits).planes
+        assert planes.dtype == np.uint8
+        unsigned = matrix.astype(np.int64) & ((1 << bits) - 1)
+        for s in range(bits):
+            np.testing.assert_array_equal(planes[s], (unsigned >> s) & 1)
+
+
 class TestBinaryWeightMatrix:
     def test_shape_is_s_times_n(self):
         matrix = np.arange(-8, 8).reshape(4, 4)

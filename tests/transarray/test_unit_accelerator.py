@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import TransArrayConfig
+from repro.core.metrics import OpCounts
 from repro.errors import SimulationError
 from repro.scoreboard import StaticScoreboard
 from repro.transarray import TransArrayUnit, TransitiveArrayAccelerator
 from repro.workloads import GemmShape, GemmWorkload
+from repro.workloads.llama import LlamaConfig, llama_block_gemms
 
 
 class TestUnitFunctional:
@@ -133,3 +135,125 @@ class TestAccelerator:
         report = TransitiveArrayAccelerator(samples_per_gemm=2).simulate(workload)
         assert set(report.per_gemm_cycles) == {"a", "b"}
         assert report.cycles == sum(report.per_gemm_cycles.values())
+
+
+def _decode_block_shapes():
+    """The hidden-256 / intermediate-704 INT4 decode block, one column."""
+    config = LlamaConfig(
+        "bench-256", hidden_size=256, intermediate_size=704,
+        num_attention_heads=4, num_key_value_heads=4, num_layers=1,
+    )
+    return llama_block_gemms(
+        config.name, config=config, sequence_length=1, weight_bits=4, activation_bits=8,
+    ).gemms
+
+
+#: ``simulate_gemm`` of the decode block shapes, in order, on one seed-1
+#: accelerator: cycles, OpCounts and the non-zero energy components (nJ).
+_DECODE_GOLDEN = {
+    "qkv_proj": (
+        1551,
+        OpCounts(width=8, total_transrows=3072, zero_rows=15, pr_ops=1949,
+                 fr_ops=1108, tr_ops=51, outlier_ops=0, set_bits=12351),
+        {"core_nj": 186.85176, "dram_dynamic_nj": 680.96, "dram_static_nj": 372.24,
+         "input_buffer_nj": 106.66666666666666, "output_buffer_nj": 270.37125290977224,
+         "prefix_buffer_nj": 286.0671193968297, "weight_buffer_nj": 5.12},
+    ),
+    "attn_score": (
+        1551,
+        OpCounts(width=8, total_transrows=3072, zero_rows=8, pr_ops=1939,
+                 fr_ops=1125, tr_ops=49, outlier_ops=0, set_bits=12252),
+        {"core_nj": 186.87224, "dram_dynamic_nj": 680.96, "dram_static_nj": 372.24,
+         "input_buffer_nj": 106.02666666666666, "output_buffer_nj": 270.9903562039718,
+         "prefix_buffer_nj": 285.784276684355, "weight_buffer_nj": 5.12},
+    ),
+    "o_proj": (
+        1551,
+        OpCounts(width=8, total_transrows=3072, zero_rows=20, pr_ops=1928,
+                 fr_ops=1124, tr_ops=48, outlier_ops=0, set_bits=12297),
+        {"core_nj": 186.5036, "dram_dynamic_nj": 680.96, "dram_static_nj": 372.24,
+         "input_buffer_nj": 105.38666666666666, "output_buffer_nj": 269.9290362710581,
+         "prefix_buffer_nj": 284.4266316644768, "weight_buffer_nj": 5.12},
+    ),
+    "gate_proj": (
+        4090,
+        OpCounts(width=8, total_transrows=3072, zero_rows=15, pr_ops=1952,
+                 fr_ops=1105, tr_ops=47, outlier_ops=0, set_bits=12273),
+        {"core_nj": 505.05168000000003, "dram_dynamic_nj": 1863.68,
+         "dram_static_nj": 981.5999999999998, "input_buffer_nj": 293.18666666666667,
+         "output_buffer_nj": 743.5209455018735, "prefix_buffer_nj": 786.5290148494205,
+         "weight_buffer_nj": 14.08},
+    ),
+    "down_proj": (
+        4090,
+        OpCounts(width=8, total_transrows=3072, zero_rows=11, pr_ops=1961,
+                 fr_ops=1100, tr_ops=45, outlier_ops=0, set_bits=12359),
+        {"core_nj": 505.47407999999996, "dram_dynamic_nj": 1836.8,
+         "dram_static_nj": 981.5999999999998, "input_buffer_nj": 294.2133333333333,
+         "output_buffer_nj": 744.4938221070444, "prefix_buffer_nj": 788.2402132598917,
+         "weight_buffer_nj": 14.08},
+    ),
+}
+
+_ENERGY_FIELDS = (
+    "dram_static_nj", "dram_dynamic_nj", "core_nj", "weight_buffer_nj",
+    "input_buffer_nj", "prefix_buffer_nj", "output_buffer_nj", "other_buffer_nj",
+)
+
+
+class TestSimulateGemmGolden:
+    """Pinned sampled-profile outputs: sampling and packing must not drift."""
+
+    def test_decode_block_seed_1(self):
+        accelerator = TransitiveArrayAccelerator(seed=1)
+        shapes = _decode_block_shapes()
+        assert [shape.name for shape in shapes] == list(_DECODE_GOLDEN)
+        for shape in shapes:
+            cycles, counts, energy = _DECODE_GOLDEN[shape.name]
+            profile = accelerator.simulate_gemm(shape)
+            assert profile.cycles == cycles, shape.name
+            assert profile.op_counts == counts, shape.name
+            for name in _ENERGY_FIELDS:
+                assert getattr(profile.energy, name) == pytest.approx(
+                    energy.get(name, 0.0), rel=1e-12, abs=0.0
+                ), (shape.name, name)
+
+    @pytest.mark.parametrize(
+        "mode, fast, cycles, tr_ops, total_nj",
+        [
+            ("dynamic", True, 133, 146, 74.9009426231629),
+            ("dynamic", False, 133, 146, 74.9009426231629),
+            ("static", True, 32, 487, 46.07200448745776),
+        ],
+    )
+    def test_weight_provider_profile(self, mode, fast, cycles, tr_ops, total_nj):
+        # A partial row block and a partial column chunk exercise the padding.
+        shape = GemmShape("odd", 37, 29, 3, weight_bits=4)
+        accelerator = TransitiveArrayAccelerator(
+            seed=6, scoreboard_mode=mode, fast=fast,
+            weight_provider=lambda s: np.random.default_rng(7).integers(-8, 8, size=(s.n, s.k)),
+        )
+        profile = accelerator.simulate_gemm(shape)
+        assert profile.cycles == cycles
+        assert profile.op_counts == OpCounts(
+            width=8, total_transrows=3072, zero_rows=1311, pr_ops=1155,
+            fr_ops=606, tr_ops=tr_ops, outlier_ops=0, set_bits=6756,
+        )
+        assert profile.energy.total_nj == pytest.approx(total_nj, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("mode", ["dynamic", "static"])
+    def test_weight_provider_called_once_per_gemm(self, mode):
+        calls = []
+
+        def provider(shape):
+            calls.append(shape.name)
+            return np.ones((shape.n, shape.k), dtype=np.int64)
+
+        accelerator = TransitiveArrayAccelerator(
+            samples_per_gemm=12, scoreboard_mode=mode, weight_provider=provider
+        )
+        shapes = [GemmShape("a", 64, 64, 8, weight_bits=4),
+                  GemmShape("b", 96, 40, 8, weight_bits=4)]
+        for shape in shapes:
+            accelerator.simulate_gemm(shape)
+        assert calls == ["a", "b"]
