@@ -44,12 +44,13 @@ with ``--processes`` to run the same chaos gate against the process tier
 ``--model llama-block`` benchmarks whole-model **pipelined serving**: a
 chained multi-stage plan (full: the five-stage LLaMA-7B block of
 :func:`~repro.workloads.llama_block_gemms`; smoke: a synthetic four-stage
-chain) served as concurrent model requests, against the non-overlapped
-staged baseline (``plan.run_model``, one request at a time).  Writes
+chain) served as concurrent model requests — each worker claim runs a
+batch of them through every stage — against the staged baseline
+(``plan.run_model``, one request at a time).  Writes
 ``BENCH_serving_pipeline.json`` (or ``_smoke``); the ``--check`` speedup
 gate is core-count aware — pipelined serving must reach 1.3x the staged
 baseline on >= 2 cores, and is recorded ungated on a single core, where
-stage overlap cannot buy wall time.
+parallel workers cannot buy wall time.
 
 ``--overload`` runs the overload-resilience scenario instead: measure the
 plan's closed-loop capacity ``C``, then offer **2x C** open-loop (seeded
@@ -65,9 +66,8 @@ off) over the identical arrival schedule is recorded for contrast.  Writes
 ``--processes`` to run the same scenario and gate against the
 process-sharded tier (``BENCH_serving_overload_mp{,_smoke}.json``).
 
-Every mode submits through the model-level API only (``submit(activation)``
-/ ``submit(activations[i], ...)``); the deprecated per-layer
-``submit(layer, activation)`` surface is not exercised here.
+Every mode submits through the model-level API (``submit(activation)``
+/ ``submit(activations[i], ...)``), the server's only surface.
 """
 
 import argparse
@@ -119,9 +119,9 @@ P99_REGRESSION_FACTOR = 4.0
 #: ungated; the full scale on a >= 4-core machine must reach 3x.
 MP_SPEEDUP_GATE_2CORE = 1.5
 MP_SPEEDUP_GATE_4CORE_FULL = 3.0
-#: Pipelined whole-model serving vs the staged (non-overlapped) baseline.
-#: Recorded ungated on a single core: with one core, overlapping pipeline
-#: stages cannot reduce wall time.
+#: Pipelined whole-model serving vs the staged (sequential) baseline.
+#: Recorded ungated on a single core: with one core, parallel workers
+#: cannot reduce wall time.
 PIPELINE_SPEEDUP_GATE = 1.3
 
 NUM_REQUESTS = 64
@@ -457,10 +457,11 @@ def run_pipeline(scale: str = "full", write: bool = True) -> dict:
     """Pipelined whole-model serving vs the staged sequential baseline.
 
     The staged baseline runs ``plan.run_model`` one request at a time — the
-    same per-stage engine calls the server makes, with zero overlap.  The
-    pipelined measurement serves concurrent model requests, so different
-    requests occupy different pipeline stages at once; every output is
-    bit-verified against the staged reference before rates are reported.
+    same per-stage executor calls the server makes, with no batching and
+    one thread.  The pipelined measurement serves concurrent model requests,
+    so worker claims batch them through every stage on both workers; every
+    output is bit-verified against the staged reference before rates are
+    reported.
     """
     cpu_count = os.cpu_count() or 1
     plan, compile_s = _compile_pipeline_plan(scale)

@@ -6,17 +6,17 @@ Compiles one full LLaMA Transformer block — the five chained GEMM stages of
 per-layer mixed precision (the attention path at INT4, the MLP pair at
 INT8), then serves it three ways:
 
-* a batch of concurrent **model requests**, each flowing through all five
-  pipeline stages while later arrivals occupy earlier stages;
+* a batch of concurrent **model requests**: each worker claim runs the
+  columns of several requests through all five stages back to back;
 * a **decode stream** (``stream=N``): the block's output token feeds back
   as the next step's input, N autoregressive steps on one request handle;
 * a sequential ``plan.run_model`` **reference pass**, to show every served
   output is bit-identical to running the stages one by one.
 
 The printed :class:`~repro.serving.ServingReport` includes per-stage rows:
-requests, micro-batches, compute time and occupancy (stage compute seconds
-per wall second — the overlap measure; the sum across stages approaches the
-worker count when the pipeline keeps every worker busy).
+requests, executor passes, compute time and occupancy (stage compute
+seconds per wall second; the sum across stages approaches the worker count
+when every worker is busy).
 
 A small model configuration keeps compile time in seconds; pass a real name
 such as ``llama1-7b`` for the full-size block.

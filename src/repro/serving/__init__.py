@@ -18,12 +18,13 @@ scoreboard* was designed for: compile once, serve forever.
   :class:`SubmitOptions` and the :class:`ModelRequest` handle returned by
   ``Server.submit(activation=...)`` (single forward pass or ``stream=N``
   autoregressive decode steps);
-* :mod:`repro.serving.batcher` — the dynamic micro-batcher coalescing
-  same-layer activations into single engine passes (per-stage
-  micro-batching of pipelined requests comes through the same path);
-* :mod:`repro.serving.server` — the supervised :class:`Server` with two
-  execution tiers (``"threads"`` and the GIL-free ``"processes"``), worker
-  restarts, :meth:`Server.health` and drain/abort shutdown;
+* :mod:`repro.serving.batcher` — the thread tier's stage primitive, one
+  executor pass over a batch's concatenated columns, and the standalone
+  single-layer :class:`MicroBatcher`;
+* :mod:`repro.serving.server` — the supervised :class:`Server`: one worker
+  claim runs a batch of model requests through every stage, in two
+  execution tiers (``"threads"`` and the GIL-free ``"processes"``), with
+  worker restarts, :meth:`Server.health` and drain/abort shutdown;
 * :mod:`repro.serving.shm` / :mod:`repro.serving.process_pool` — the
   process-sharded tier: shared-memory activation/result rings
   (:class:`ShmRing`) and the :class:`ProcessWorkerPool` of plan-replica

@@ -1,30 +1,29 @@
-"""Dynamic micro-batcher: one engine pass per coalesced same-layer batch.
+"""Micro-batch execution: one executor pass per coalesced batch of columns.
 
-The batcher is the bridge between queued requests and the compiled plan: it
-folds up to ``max_batch`` activations bound for one layer into a single
-:meth:`~repro.core.transitive_gemm.TransitiveGemmEngine.multiply_many` call,
-splits the outputs back per request, stamps timestamps, and attributes
-accelerator cycles/energy to each request when the plan was compiled with a
-cycle model.  Outputs are bit-identical to serving each request alone — the
-engine concatenates activation columns, and the weights (and therefore the
-scoreboard pass) are shared by construction.
+The batcher is the bridge between claimed requests and the compiled plan.
+:meth:`MicroBatcher.run_stage` is the thread tier's stage primitive: it runs
+one layer's executor over an already concatenated activation matrix (every
+column of a claimed batch), firing the optional
+:class:`~repro.serving.faults.FaultInjector` hook first, and raises on
+failure so the server's retry policy and degraded fallback see the error.
+The server calls it once per graph stage of a claim; the process tier's
+equivalent is :meth:`~repro.serving.process_pool.ProcessWorkerPool.execute`.
 
-Fault tolerance splits execution into two entry points.
-:meth:`MicroBatcher.execute_once` runs one engine pass over *already
-claimed* requests and **raises** on failure without touching their state, so
-the server can wrap it in its retry policy and degraded fallback.
-:meth:`MicroBatcher.execute` keeps the original standalone contract — claim,
-execute, and on error fail every request in place without raising.  The
-optional :class:`~repro.serving.faults.FaultInjector` hook fires immediately
-before the engine pass (inside the retried region, so injected transient
-faults exercise the retry path end to end).
+:meth:`MicroBatcher.execute` is the standalone single-layer contract on the
+same primitive: claim a same-layer batch of
+:class:`~repro.serving.request.Request` objects, run it, split the output
+back per request, and on error fail every request in place without raising.
+Outputs are bit-identical to serving each request alone — the executor
+concatenates activation columns, and the weights are shared by construction.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
+
+import numpy as np
 
 from ..core.metrics import OpCounts
 from ..errors import ServingError
@@ -35,7 +34,7 @@ from .request import Request
 
 @dataclass(frozen=True)
 class BatchExecution:
-    """Bookkeeping record of one executed micro-batch."""
+    """Bookkeeping record of one executed micro-batch (one stage of a claim)."""
 
     layer: str
     batch_size: int
@@ -43,24 +42,45 @@ class BatchExecution:
     started_at: float
     finished_at: float
     op_counts: Optional[OpCounts]
-    #: Pure engine-pass time (excludes attribution/fulfilment); ``None`` when
-    #: the pass never ran.  Per-stage occupancy accounting reads this.
+    #: Pure executor-pass time (excludes attribution/fulfilment); ``None``
+    #: when the pass never ran.  Per-stage occupancy accounting reads this.
     compute_s: Optional[float] = None
 
     @property
     def duration_s(self) -> float:
-        """Wall-clock duration of the engine pass."""
+        """Wall-clock duration of the executor pass."""
         return self.finished_at - self.started_at
 
 
 class MicroBatcher:
-    """Executes coalesced same-layer request batches against a model plan."""
+    """Executes coalesced batches of columns against a model plan."""
 
     def __init__(self, plan: ModelPlan, *, faults: Optional[FaultInjector] = None) -> None:
         self.plan = plan
         self.faults = faults
 
-    def _check_batch(self, requests: List[Request]) -> str:
+    def run_stage(
+        self, plan: ModelPlan, layer: str, activation: np.ndarray, batch_size: int
+    ) -> Tuple[np.ndarray, float]:
+        """One executor pass of ``layer`` over ``activation``; raises on failure.
+
+        ``batch_size`` is the number of requests whose columns the matrix
+        carries (reported to the fault hook).  Returns the output and the
+        seconds the pass took.
+        """
+        started_at = time.perf_counter()
+        if self.faults is not None:
+            self.faults.on_batch(layer, batch_size)
+        output = plan.run(layer, activation)
+        return output, time.perf_counter() - started_at
+
+    def execute(self, requests: List[Request]) -> BatchExecution:
+        """Run one same-layer micro-batch, fulfilling or failing every request.
+
+        Worker-side errors are captured on the requests (each waiting client
+        re-raises from :meth:`~repro.serving.request.Request.result`) so a
+        malformed request never takes the caller down.
+        """
         if not requests:
             raise ServingError("cannot execute an empty micro-batch")
         layer = requests[0].layer
@@ -69,81 +89,44 @@ class MicroBatcher:
                 "micro-batch mixes layers: "
                 f"{sorted({request.layer for request in requests})}"
             )
-        return layer
-
-    def execute_once(self, requests: List[Request]) -> BatchExecution:
-        """One engine pass over claimed requests; raises on failure.
-
-        The requests must already be ``running`` (claimed by the caller).  On
-        success every request is fulfilled; on failure the error propagates
-        with the requests untouched, so the caller decides between retrying,
-        degrading per-request, or failing the batch.
-        """
-        layer = self._check_batch(requests)
-        started_at = time.perf_counter()
-        if self.faults is not None:
-            self.faults.on_batch(layer, len(requests))
-        report = self.plan.run_batch(
-            layer, [request.activation for request in requests]
-        )
-        compute_s = time.perf_counter() - started_at
-        # Attribute before fulfilling anything: a failure here must fail
-        # the whole batch consistently, never leave it half-delivered.
-        attributions = [
-            self.plan.attribute(layer, request.columns) for request in requests
-        ]
-        finished_at = time.perf_counter()
-        for request, output, attribution in zip(
-            requests, report.outputs, attributions
-        ):
-            request.attribution = attribution
-            request.fulfil(output, finished_at)
-        return BatchExecution(
-            layer=layer,
-            batch_size=len(requests),
-            total_columns=report.total_columns,
-            started_at=started_at,
-            finished_at=finished_at,
-            op_counts=report.op_counts,
-            compute_s=compute_s,
-        )
-
-    def execute(self, requests: List[Request]) -> BatchExecution:
-        """Run one micro-batch, fulfilling or failing every request in it.
-
-        Worker-side errors are captured on the requests (each waiting client
-        re-raises from :meth:`~repro.serving.request.Request.result`) so a
-        malformed request never takes the server down.  This is the
-        standalone entry point; the server goes through
-        :meth:`execute_once` so its retry policy sees the errors.
-        """
-        layer = self._check_batch(requests)
         started_at = time.perf_counter()
         claimed = [
             request
             for request in requests
             if request.try_claim(started_at, len(requests))
         ]
-        if not claimed:
-            return BatchExecution(
-                layer=layer,
-                batch_size=0,
-                total_columns=0,
-                started_at=started_at,
-                finished_at=started_at,
-                op_counts=None,
-            )
-        try:
-            return self.execute_once(claimed)
-        except Exception as error:  # noqa: BLE001 - forwarded to the clients
-            finished_at = time.perf_counter()
-            for request in claimed:
-                request.fail(error, finished_at)
-            return BatchExecution(
-                layer=layer,
-                batch_size=len(claimed),
-                total_columns=sum(request.columns for request in claimed),
-                started_at=started_at,
-                finished_at=finished_at,
-                op_counts=None,
-            )
+        total_columns = sum(request.columns for request in claimed)
+        op_counts = None
+        if claimed:
+            try:
+                output, _ = self.run_stage(
+                    self.plan, layer,
+                    np.concatenate([r.activation for r in claimed], axis=1),
+                    len(claimed),
+                )
+                attributions = [
+                    self.plan.attribute(layer, request.columns) for request in claimed
+                ]
+            except Exception as error:  # noqa: BLE001 - forwarded to the clients
+                finished_at = time.perf_counter()
+                for request in claimed:
+                    request.fail(error, finished_at)
+            else:
+                op_counts = self.plan.layer(layer).op_counts
+                finished_at = time.perf_counter()
+                offset = 0
+                for request, attribution in zip(claimed, attributions):
+                    request.attribution = attribution
+                    request.fulfil(
+                        output[:, offset: offset + request.columns].copy(),
+                        finished_at,
+                    )
+                    offset += request.columns
+        return BatchExecution(
+            layer=layer,
+            batch_size=len(claimed),
+            total_columns=total_columns,
+            started_at=started_at,
+            finished_at=time.perf_counter(),
+            op_counts=op_counts,
+        )

@@ -1,16 +1,19 @@
 """Fault injection for the serving runtime (chaos testing harness).
 
-Failure paths that cannot be exercised cannot be trusted, so the server and
-micro-batcher expose two hook points wired to a :class:`FaultInjector`:
+Failure paths that cannot be exercised cannot be trusted, so the server
+exposes two hook points wired to a :class:`FaultInjector`:
 
 * :meth:`FaultInjector.on_dispatch` — called by a worker after it pops a
-  micro-batch, before execution; may raise
+  batch of model requests, before it runs the claim; may raise
   :class:`~repro.errors.WorkerCrashError`, which escapes the worker loop and
   kills the thread (the supervisor must detect and restart it);
-* :meth:`FaultInjector.on_batch` — called by the micro-batcher immediately
-  before the engine pass; may sleep (artificial latency) and may raise
-  :class:`~repro.errors.InjectedFaultError` (transient, so the retry policy
-  applies).
+* :meth:`FaultInjector.on_batch` — called immediately before each stage's
+  executor pass of a claim (once per attempt); may sleep (artificial
+  latency) and may raise :class:`~repro.errors.InjectedFaultError`
+  (transient, so the retry policy applies to that stage).
+
+In the process tier both hooks fire inside the shard, once per stage it
+executes.
 
 Faults come from two composable sources: a seeded **probabilistic** profile
 (per-hook rates drawn from one ``numpy`` generator, so a seed reproduces the
@@ -248,7 +251,7 @@ class FaultInjector:
         """Worker hook: called after a batch is popped, before execution.
 
         Raising here models a worker dying *while holding work*: the server
-        requeues the in-flight batch and the supervisor restarts the thread.
+        requeues the claimed requests and the supervisor restarts the thread.
         """
         with self._lock:
             self._dispatch_calls += 1
@@ -265,7 +268,7 @@ class FaultInjector:
             )
 
     def on_batch(self, layer: str, batch_size: int) -> None:
-        """Batcher hook: called immediately before the engine pass."""
+        """Stage hook: called immediately before a stage's executor pass."""
         with self._lock:
             self._batch_calls += 1
             index = self._batch_calls

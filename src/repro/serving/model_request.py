@@ -3,30 +3,29 @@
 A :class:`ModelRequest` is the client's future-style handle for one request
 routed through *every* stage of a compiled model's
 :class:`~repro.serving.graph.ModelGraph` (optionally for several
-autoregressive decode steps).  The server drives it: each pipeline stage is
-an ordinary per-layer :class:`~repro.serving.request.Request` flowing through
-the queue/batcher machinery, and as each stage completes the server advances
-the model request to the next stage (or the next decode step) until the
-final output is ready.
+autoregressive decode steps).  It is also the unit the server queues: a
+worker claims a batch of model requests, runs their concatenated columns
+through every stage back to back, and settles each request once its chain
+finishes or stops early.
 
-Clients only ever see this class and :class:`SubmitOptions`; the per-stage
-requests are internal.  Everything that held for single-layer requests holds
-here too: deadlines shed un-dispatched stages, ``cancel()`` abandons the
-remaining pipeline, stage failures (including exhausted retries and degraded
-fallback errors) surface from :meth:`ModelRequest.result`.
+Everything that held for single-layer requests holds here too: a deadline
+stops the chain at the next stage boundary, ``cancel()`` abandons the
+remaining stages, stage failures (including exhausted retries and degraded
+fallback errors) surface from :meth:`ModelRequest.result`.  A finished
+handle keeps the input and each decode step's final output, never the
+intermediate stage outputs.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ..errors import RequestCancelledError, ServingError
-from .request import CANCELLED, DONE, FAILED, PENDING, RUNNING, Request
+from .request import CANCELLED, DONE, RUNNING, Request
 
 
 @dataclass(frozen=True)
@@ -36,19 +35,19 @@ class SubmitOptions:
     Parameters
     ----------
     deadline_s:
-        Relative deadline for the *whole* pipeline (all stages, all decode
-        steps); stages not dispatched before it elapses are shed with
-        :class:`~repro.errors.DeadlineExceededError`.
+        Relative deadline for the *whole* chain (all stages, all decode
+        steps); the request stops with
+        :class:`~repro.errors.DeadlineExceededError` at the first stage
+        boundary past it, or is shed from the queue before it starts.
     stream:
         Autoregressive decode steps: step ``t``'s final output feeds step
         ``t + 1``'s input.  Requires a streamable graph (last stage output
         width equals first stage input width).  ``1`` (default) is a single
         forward pass.
     priority:
-        QoS class of every stage of the pipeline: 0 (default) is the most
-        urgent lane, larger values are bulk traffic that interactive work
-        overtakes and that the admission controller browns out first under
-        load.
+        QoS class of the request: 0 (default) is the most urgent lane,
+        larger values are bulk traffic that interactive work overtakes and
+        that the admission controller browns out first under load.
     """
 
     deadline_s: Optional[float] = None
@@ -62,8 +61,12 @@ class SubmitOptions:
             raise ServingError(f"priority must be >= 0, got {self.priority}")
 
 
-class ModelRequest:
-    """One in-flight whole-model request (future-style client handle)."""
+class ModelRequest(Request):
+    """One whole-model request (future-style client handle).
+
+    Inherits the :class:`~repro.serving.request.Request` state machine;
+    ``layer`` is the model's first stage, the layer the request enters at.
+    """
 
     def __init__(
         self,
@@ -71,31 +74,20 @@ class ModelRequest:
         model: str,
         stages: Tuple[str, ...],
         num_steps: int,
+        activation: np.ndarray,
         submitted_at: float,
         deadline_at: Optional[float] = None,
         priority: int = 0,
     ) -> None:
-        self.request_id = request_id
+        super().__init__(
+            request_id, stages[0], activation, submitted_at,
+            deadline_at=deadline_at, priority=priority,
+        )
         self.model = model
         self.stages = stages
         self.num_steps = num_steps
-        self.submitted_at = submitted_at
-        self.deadline_at = deadline_at
-        #: QoS class inherited by every stage request of the pipeline.
-        self.priority = priority
-        self.finished_at: Optional[float] = None
-        self.state = PENDING
-        #: Aggregated over stage requests: any-stage degraded / summed retries.
-        self.degraded = False
-        self.retries = 0
         self._step_outputs: List[np.ndarray] = []
-        self._stage_outputs: Dict[str, np.ndarray] = {}
-        self._step_input: Optional[np.ndarray] = None
-        self._error: Optional[BaseException] = None
-        self._done = threading.Event()
-        self._lock = threading.Lock()
         self._cancel_requested = False
-        self._current: Optional[Request] = None
 
     # ------------------------------------------------------------ client API
     @property
@@ -103,129 +95,71 @@ class ModelRequest:
         """Number of pipeline stages one decode step passes through."""
         return len(self.stages)
 
-    def done(self) -> bool:
-        """Whether the model request has reached a terminal state."""
-        return self._done.is_set()
-
     @property
     def steps_completed(self) -> int:
         """Decode steps whose final output is already available."""
-        with self._lock:
+        with self._state_lock:
             return len(self._step_outputs)
-
-    def result(self, timeout: Optional[float] = None) -> np.ndarray:
-        """Block for the final output (of the last decode step) and return it.
-
-        Raises the stage-side error if any pipeline stage failed, expired or
-        was cancelled, and :class:`~repro.errors.ServingError` if ``timeout``
-        elapses first.
-        """
-        return self.outputs(timeout)[-1]
 
     def outputs(self, timeout: Optional[float] = None) -> List[np.ndarray]:
         """Block for completion and return every decode step's final output.
 
-        For ``stream=1`` submissions this is a one-element list; the same
-        error contract as :meth:`result` applies.
+        For ``stream=1`` submissions this is a one-element list; the error
+        contract of :meth:`result` (the last step's output) applies.
         """
-        if not self._done.wait(timeout):
-            raise ServingError(
-                f"model request {self.request_id} ('{self.model}') did not "
-                f"complete within {timeout}s"
-            )
-        if self._error is not None:
-            raise self._error
-        with self._lock:
+        self.result(timeout)
+        with self._state_lock:
             return list(self._step_outputs)
 
     def cancel(self) -> bool:
         """Abandon the rest of the pipeline.
 
-        Returns ``True`` if the cancellation will take effect (the model
-        request finishes with :class:`~repro.errors.RequestCancelledError`
-        once the stage currently in flight settles), ``False`` if the model
-        request already reached a terminal state.
+        Returns ``True`` if the cancellation takes effect: a queued request
+        is cancelled at once, a running one at its next stage boundary (or
+        instead of completing).  ``False`` once the request has settled.
         """
-        with self._lock:
+        with self._state_lock:
             if self._done.is_set():
                 return False
-            self._cancel_requested = True
-            current = self._current
-        if current is not None:
-            # If the current stage is still queued this cancels it outright;
-            # if a worker already claimed it, the stage completes and the
-            # server honours the flag before scheduling the next stage.
-            current.cancel()
-        return True
-
-    @property
-    def latency_s(self) -> float:
-        """Submit-to-finish wall-clock latency of the whole pipeline."""
-        if self.finished_at is None:
-            raise ServingError(f"model request {self.request_id} has not finished")
-        return self.finished_at - self.submitted_at
+            if self.state == RUNNING:
+                self._cancel_requested = True
+                return True
+            self._settle_locked(CANCELLED, self._cancel_error(), time.perf_counter())
+            return True
 
     # ------------------------------------------------------------ server API
-    def _set_current(self, request: Request) -> None:
-        with self._lock:
-            self._current = request
-        self.state = RUNNING
-
-    def _begin_step(self, activation: np.ndarray) -> None:
-        """Reset per-step dataflow state before (re)entering stage 0."""
-        with self._lock:
-            self._step_input = activation
-            self._stage_outputs = {}
-
-    def _record_stage(self, request: Request, layer: str, output: np.ndarray) -> None:
-        """Absorb one completed stage's output and fault-tolerance counters."""
-        with self._lock:
-            self._stage_outputs[layer] = output
-            self.retries += request.retries
-            self.degraded = self.degraded or request.degraded
-
-    def _stage_activation(self, source: str, is_input: bool) -> np.ndarray:
-        """Activation for the next stage from the declared dataflow source."""
-        with self._lock:
-            if is_input:
-                assert self._step_input is not None
-                return self._step_input
-            return self._stage_outputs[source]
-
-    def _finish_step(self, output: np.ndarray) -> None:
-        with self._lock:
-            self._step_outputs.append(output)
+    def reset_for_retry(self) -> bool:
+        """Return a crashed claim's request to ``pending`` for stage 0."""
+        if not super().reset_for_retry():
+            return False
+        with self._state_lock:
+            self._step_outputs = []
+        return True
 
     def _cancel_pending(self) -> bool:
-        with self._lock:
+        with self._state_lock:
             return self._cancel_requested
 
+    def _finish_step(self, output: np.ndarray) -> None:
+        with self._state_lock:
+            self._step_outputs.append(output)
+
     def _complete(self, finished_at: float) -> bool:
-        """Terminal transition to ``done``; returns whether this call won."""
-        with self._lock:
+        """Terminal transition once the last step finished; a cancel the
+        client asked for meanwhile wins.  Returns whether this call settled
+        the request."""
+        with self._state_lock:
             if self._done.is_set():
                 return False
-            self.state = DONE
-            self.finished_at = finished_at
-            self._done.set()
+            if self._cancel_requested:
+                self._settle_locked(CANCELLED, self._cancel_error(), finished_at)
+            else:
+                self._output = self._step_outputs[-1]
+                self._settle_locked(DONE, None, finished_at)
             return True
 
-    def _fail(self, error: BaseException, finished_at: float, state: str = FAILED) -> bool:
-        with self._lock:
-            if self._done.is_set():
-                return False
-            self.state = state
-            self._error = error
-            self.finished_at = finished_at
-            self._done.set()
-            return True
-
-    def _cancelled(self, finished_at: float) -> bool:
-        return self._fail(
-            RequestCancelledError(
-                f"model request {self.request_id} ('{self.model}') was "
-                f"cancelled by the client mid-pipeline"
-            ),
-            finished_at,
-            state=CANCELLED,
+    def _cancel_error(self) -> RequestCancelledError:
+        return RequestCancelledError(
+            f"model request {self.request_id} ('{self.model}') was "
+            f"cancelled by the client"
         )

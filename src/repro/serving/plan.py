@@ -129,6 +129,7 @@ class ModelPlan:
         self.compile_stats = compile_stats
         self._oracle: Optional[TransitiveGemmEngine] = None
         self._oracle_lock = threading.Lock()
+        self._attributions: Dict[Tuple[str, int], Optional[RequestAttribution]] = {}
         self._layers: Dict[str, LayerPlan] = {}
         for layer in layers:
             if layer.name in self._layers:
@@ -254,12 +255,12 @@ class ModelPlan:
     def run_model(self, activation: np.ndarray) -> np.ndarray:
         """Run one activation through every graph stage, sequentially.
 
-        The non-overlapped reference execution: stage outputs are produced
-        one at a time on the calling thread, each via
+        The sequential reference execution: stage outputs are produced one
+        at a time on the calling thread, each via
         :meth:`~repro.core.transitive_gemm.TransitiveGemmEngine.multiply_planned`.
-        The pipelined server is bit-identical to this by construction — it
-        routes the same per-stage calls through its workers, just overlapped
-        across requests.
+        The server is bit-identical to this by construction — a worker claim
+        makes the same per-stage executor calls over the concatenated
+        columns of several requests.
         """
         graph = self._require_graph()
         outputs: Dict[str, np.ndarray] = {}
@@ -269,23 +270,31 @@ class ModelPlan:
         return outputs[graph.stages[-1].layer]
 
     def attribute(self, layer_name: str, columns: int) -> Optional[RequestAttribution]:
-        """Accelerator cycles/energy for a request, if profiles were compiled."""
-        layer = self.layer(layer_name)
-        if layer.profile is None or self.accelerator is None:
-            return None
-        return self.accelerator.attribute_request(layer.profile, columns)
+        """Accelerator cycles/energy for a request, if profiles were compiled.
+
+        Memoised per ``(layer, columns)``: the attribution depends on nothing
+        else, and serving asks for it once per stage of every request.
+        """
+        key = (layer_name, columns)
+        if key not in self._attributions:
+            layer = self.layer(layer_name)
+            self._attributions[key] = (
+                None if layer.profile is None or self.accelerator is None
+                else self.accelerator.attribute_request(layer.profile, columns)
+            )
+        return self._attributions[key]
 
     # ----------------------------------------------------- degraded fallback
     def run_degraded(self, layer_name: str, activation: np.ndarray) -> np.ndarray:
         """Execute one activation through the exact scalar oracle.
 
-        The serving fault-tolerance fallback: when a fast-path micro-batch
-        keeps failing, the server re-runs each member alone through the
-        scalar reference implementation (``fast=False``, no executor, no
+        The serving fault-tolerance fallback: when a stage of a claim keeps
+        failing on the fast path, the server re-runs each request alone
+        through the scalar reference implementation (``fast=False``, no executor, no
         shared caches) — the slowest but most independent execution path in
         the repo, and bit-identical to the planned path by the engine's core
         invariant.  A batch-poisoning request then fails alone instead of
-        failing its whole micro-batch, and a (hypothetically) faulty executor
+        failing its whole batch, and a (hypothetically) faulty executor
         cannot poison the fallback.
         """
         layer = self.layer(layer_name)

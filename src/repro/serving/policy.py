@@ -7,7 +7,7 @@ about) without a running server:
 * :func:`deadline_at` / :func:`remaining_s` — per-request deadlines are stored
   as absolute ``time.perf_counter()`` instants, computed once at submission;
 * :class:`RetryPolicy` — capped exponential backoff with jitter, applied by
-  the server around micro-batch execution, retrying only
+  the server around each stage of a claim, retrying only
   :class:`~repro.errors.TransientServingError` failures (anything else would
   deterministically fail again, so it goes straight to the degraded fallback);
 * :class:`AdmissionController` — EWMA queue-wait and per-layer compute
@@ -60,12 +60,12 @@ def remaining_s(deadline: Optional[float], now: float) -> float:
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Capped exponential backoff with jitter for transient batch failures.
+    """Capped exponential backoff with jitter for transient stage failures.
 
     Parameters
     ----------
     max_attempts:
-        Total execution attempts per micro-batch, including the first one.
+        Total execution attempts per stage of a claim, including the first.
     backoff_base_s:
         Sleep before the first retry; attempt ``n`` waits
         ``backoff_base_s * backoff_multiplier**(n-1)``, capped.

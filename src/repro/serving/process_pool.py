@@ -10,11 +10,13 @@ the process boundary through shared memory, never through pickle.
 
 Division of labour:
 
-* the **parent** keeps everything stateful: the request queue, micro-batch
-  coalescing, deadlines, retries, the degraded oracle fallback and all
-  accounting.  One parent worker thread is pinned to each shard and drives
-  it synchronously: write activations into a ring slot, push a descriptor,
-  block on the result descriptor, copy the outputs out, release the slot;
+* the **parent** keeps everything stateful: the request queue, the claim
+  that runs a batch of model requests through every stage, deadlines,
+  retries, the degraded oracle fallback and all accounting.  One parent
+  worker thread is pinned to each shard and drives it synchronously, one
+  stage at a time: write the stage's activations into a ring slot, push a
+  descriptor, block on the result descriptor, copy the outputs out, release
+  the slot;
 * the **child** is deliberately dumb: read descriptors, execute
   ``plan.run_batch``, write outputs back into the same slot, reply.  A child
   that dies (injected crash, OOM kill, segfault) simply stops replying —
@@ -306,9 +308,16 @@ class ProcessWorkerPool:
 
     # ------------------------------------------------------------ execution
     def execute(
-        self, index: int, layer: str, activations: Sequence[np.ndarray]
+        self,
+        index: int,
+        layer: str,
+        activations: Sequence[np.ndarray],
+        requests: Optional[int] = None,
     ) -> ShardResult:
         """Run one same-layer batch on shard ``index`` and block for results.
+
+        ``requests`` is the number of requests whose columns the batch
+        carries, for the shard's counters (default: one per activation).
 
         Raises :class:`~repro.errors.WorkerCrashError` when the shard process
         dies mid-batch (the server requeues and restarts), and re-raises any
@@ -361,7 +370,7 @@ class ProcessWorkerPool:
             roundtrip = time.perf_counter() - started
             with shard.lock:
                 shard.batches += 1
-                shard.requests += len(activations)
+                shard.requests += len(activations) if requests is None else requests
                 shard.compute_s += compute_s
                 shard.dispatch_s += max(roundtrip - compute_s, 0.0)
                 shard.layer_compute_s[layer] = (

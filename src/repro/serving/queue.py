@@ -16,7 +16,8 @@ deadline ties, so a lane with no deadlines degenerates to the classic FIFO
 queue).  After popping the head, :meth:`next_batch` coalesces up to
 ``max_batch - 1`` more requests bound for the *same layer* — first from the
 head's own lane, then riding lower-priority lanes along — preserving each
-lane's relative order for everything it skips.
+lane's relative order for everything it skips.  A server's model requests
+all enter at the model's first stage, so any of them batch together.
 
 Deadline enforcement happens at dispatch: while scanning for a batch,
 :meth:`next_batch` *sheds* every already-expired request it encounters —
@@ -125,20 +126,6 @@ class RequestQueue:
             for request in requests:
                 self._insert(request)
             self._condition.notify(len(requests))
-
-    def put_continuation(self, request: Request) -> None:
-        """Enqueue the next stage of an already-admitted pipelined request.
-
-        Admission control happened once, at stage 0: a model-level request
-        occupies one pipeline stage at a time, so its continuations must
-        never bounce off the admission bound (that would deadlock a full
-        pipeline against itself) nor off a closing queue mid-drain.  They
-        enter their lane at the normal EDF position (a pipeline with a
-        deadline keeps overtaking deadline-less work at every stage).
-        """
-        with self._condition:
-            self._insert(request)
-            self._condition.notify()
 
     def requeue(self, requests: Iterable[Request]) -> None:
         """Return admitted-but-unexecuted requests to their queue positions.

@@ -78,11 +78,13 @@ class StageStats:
     """Per-pipeline-stage breakdown of one whole-model serving run.
 
     One entry per :class:`~repro.serving.graph.ModelGraph` stage, aggregated
-    over every stage-level request the run routed through that stage.
+    over every model request (and decode step) the run passed through that
+    stage; ``batches`` counts the claims' executor passes of the stage and
+    ``queue_wait_mean_s`` the wait before it (the queue wait for the first
+    stage, the claim's own stage-to-stage gap for the others).
     ``occupancy`` is the fraction of the run's wall-clock the stage spent
-    inside engine passes — in a well-overlapped pipeline the occupancies sum
-    toward the worker count, while a serial (non-overlapped) execution keeps
-    their sum below 1.
+    inside executor passes; with every worker busy the stage occupancies sum
+    toward the worker count.
     """
 
     stage: int

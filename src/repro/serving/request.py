@@ -1,10 +1,12 @@
-"""Request objects exchanged between clients, the queue and the batcher.
+"""Request objects exchanged between clients, the queue and the workers.
 
-A request carries one activation matrix bound for one compiled layer.  The
-submitting thread gets the request back immediately (future-style) and blocks
-on :meth:`Request.result` only when it needs the output; the worker that
-executes the micro-batch fulfils or fails the request and stamps the
-timestamps the latency accounting is built from.
+A request carries one activation matrix bound for one compiled layer; the
+server queues its subclass
+:class:`~repro.serving.model_request.ModelRequest`, whose layer is the
+model's first stage.  The submitting thread gets the request back
+immediately (future-style) and blocks on :meth:`Request.result` only when it
+needs the output; the worker that executes it fulfils or fails the request
+and stamps the timestamps the latency accounting is built from.
 
 Requests are also where the fault-tolerance state machine lives.  Alongside
 the original ``pending → running → done|failed`` path there are three
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -71,13 +73,6 @@ class Request:
         self.degraded: bool = False
         self.attribution: Optional[RequestAttribution] = None
         self.state = PENDING
-        #: Optional completion hook fired exactly once, *after* the terminal
-        #: transition and outside the state lock (the server uses it to
-        #: advance pipelined model requests to their next stage).
-        self.on_done: Optional[Callable[["Request"], None]] = None
-        #: Server-side pipeline bookkeeping (model request, step, stage) —
-        #: ``None`` for plain single-layer requests.
-        self.pipeline = None
         self._output: Optional[np.ndarray] = None
         self._error: Optional[BaseException] = None
         self._done = threading.Event()
@@ -112,14 +107,14 @@ class Request:
         with self._state_lock:
             if self.state != PENDING:
                 return False
-            self.state = CANCELLED
-            self._error = RequestCancelledError(
-                f"request {self.request_id} ('{self.layer}') was cancelled "
-                f"by the client before execution"
+            self._settle_locked(
+                CANCELLED,
+                RequestCancelledError(
+                    f"request {self.request_id} ('{self.layer}') was "
+                    f"cancelled by the client before execution"
+                ),
+                time.perf_counter(),
             )
-            self.finished_at = time.perf_counter()
-            self._done.set()
-        self._fire_on_done()
         return True
 
     def result(self, timeout: Optional[float] = None) -> np.ndarray:
@@ -163,21 +158,16 @@ class Request:
         the request is failed here (deadline enforcement's last line of
         defence; the queue normally sheds expired requests earlier).
         """
-        expired = False
         with self._state_lock:
             if self.state != PENDING:
                 return False
             if self.expired(started_at):
                 self._expire_locked(started_at)
-                expired = True
-            else:
-                self.started_at = started_at
-                self.batch_size = batch_size
-                self.state = RUNNING
-                return True
-        if expired:
-            self._fire_on_done()
-        return False
+                return False
+            self.started_at = started_at
+            self.batch_size = batch_size
+            self.state = RUNNING
+            return True
 
     def expire(self, now: float) -> bool:
         """Fail a pending request whose deadline elapsed before dispatch."""
@@ -185,18 +175,18 @@ class Request:
             if self.state != PENDING:
                 return False
             self._expire_locked(now)
-        self._fire_on_done()
         return True
 
     def _expire_locked(self, now: float) -> None:
         overrun = now - self.deadline_at if self.deadline_at is not None else 0.0
-        self.state = EXPIRED
-        self._error = DeadlineExceededError(
-            f"request {self.request_id} ('{self.layer}') missed its deadline "
-            f"by {overrun * 1e3:.1f} ms before dispatch"
+        self._settle_locked(
+            EXPIRED,
+            DeadlineExceededError(
+                f"request {self.request_id} ('{self.layer}') missed its "
+                f"deadline by {overrun * 1e3:.1f} ms before dispatch"
+            ),
+            now,
         )
-        self.finished_at = now
-        self._done.set()
 
     def shed(self, error: BaseException, now: Optional[float] = None) -> bool:
         """Terminate the request without computing it (overload shedding).
@@ -207,15 +197,9 @@ class Request:
         waiting client re-raises ``error`` — conventionally a
         :class:`~repro.errors.ShedError` carrying a retry-after hint.
         """
-        with self._state_lock:
-            if self._done.is_set():
-                return False
-            self.state = SHED
-            self._error = error
-            self.finished_at = now if now is not None else time.perf_counter()
-            self._done.set()
-        self._fire_on_done()
-        return True
+        return self._settle(
+            SHED, error, now if now is not None else time.perf_counter()
+        )
 
     def reset_for_retry(self) -> bool:
         """Return a claimed-but-unexecuted request to ``pending``.
@@ -238,10 +222,7 @@ class Request:
             if self._done.is_set():
                 return
             self._output = output
-            self.finished_at = finished_at
-            self.state = DONE
-            self._done.set()
-        self._fire_on_done()
+            self._settle_locked(DONE, None, finished_at)
 
     def fail(self, error: BaseException, finished_at: float) -> bool:
         """Record a worker-side failure and wake the waiting client.
@@ -250,26 +231,23 @@ class Request:
         ``False`` if the request had already settled (so e.g. a force-abort
         sweep can tell which requests it actually killed).
         """
+        return self._settle(FAILED, error, finished_at)
+
+    def _settle(
+        self, state: str, error: Optional[BaseException], now: float
+    ) -> bool:
+        """Terminal transition from any live state; ``False`` if already
+        settled (exactly one caller wins)."""
         with self._state_lock:
             if self._done.is_set():
                 return False
-            self._error = error
-            self.finished_at = finished_at
-            self.state = FAILED
-            self._done.set()
-        self._fire_on_done()
-        return True
+            self._settle_locked(state, error, now)
+            return True
 
-    def _fire_on_done(self) -> None:
-        """Invoke the completion hook, once, outside the state lock.
-
-        Terminal transitions all pass through here after releasing
-        ``_state_lock``, so a hook that inspects the request (or enqueues
-        follow-up work that touches other requests) can never deadlock
-        against the state machine.
-        """
-        hook = self.on_done
-        if hook is None:
-            return
-        self.on_done = None
-        hook(self)
+    def _settle_locked(
+        self, state: str, error: Optional[BaseException], now: float
+    ) -> None:
+        self.state = state
+        self._error = error
+        self.finished_at = now
+        self._done.set()

@@ -1,34 +1,42 @@
 """Thread-pool serving runtime over a compiled :class:`ModelPlan`.
 
 The server owns the bounded :class:`~repro.serving.queue.RequestQueue`, a pool
-of supervised worker threads draining it through the
-:class:`~repro.serving.batcher.MicroBatcher`, and the accounting that becomes
-the :class:`~repro.serving.report.ServingReport`.  The flow is the classic
-online-inference shape: clients :meth:`Server.submit` activations and receive
-future-style :class:`~repro.serving.request.Request` handles; admission
-control rejects work beyond ``max_pending`` with
-:class:`~repro.errors.BackpressureError`; workers coalesce up to ``max_batch``
-same-layer activations into one engine pass over the layer's precompiled
-static scoreboard.
+of supervised worker threads draining it, and the accounting that becomes
+the :class:`~repro.serving.report.ServingReport`.  Clients
+:meth:`Server.submit` activations and receive future-style
+:class:`~repro.serving.model_request.ModelRequest` handles; admission control
+rejects work beyond ``max_pending`` with
+:class:`~repro.errors.BackpressureError`.
 
-On top of that sits the fault-tolerance layer:
+Every queued item is a model request, and a worker serves it in **one
+claim**: it pops up to ``max_batch`` model requests, concatenates their
+columns once, and runs every stage of the plan's
+:class:`~repro.serving.graph.ModelGraph` back to back against one snapshot
+of the plan — for every decode step of ``stream=`` — before splitting the
+output once and settling the requests.  The Transitive Array streams each
+GEMM into the next layer the same way, with no round trip through the host
+queue between layers.  A single-layer plan without a graph serves as an
+implicit one-stage chain.
+
+The claim keeps the fault-tolerance layer at stage granularity:
 
 * **deadlines & cancellation** — ``submit(..., deadline_s=...)`` attaches a
-  per-request deadline; expired requests are shed before dispatch with
-  :class:`~repro.errors.DeadlineExceededError` and are never computed, and
-  ``Request.cancel()`` abandons queued work;
-* **retries & degraded mode** — transient batch failures are retried under
-  the :class:`~repro.serving.policy.RetryPolicy`; when retries are exhausted
-  (or the failure is not transient) each member of the batch is re-run alone
-  through the exact scalar oracle (``fast=False``), so one poisoned request
-  fails alone instead of failing its micro-batch;
+  deadline for the whole chain; expired requests are shed from the queue
+  with :class:`~repro.errors.DeadlineExceededError` and never computed, and
+  the claim checks deadlines and ``ModelRequest.cancel()`` between stages,
+  computing no further stage for a request that stopped;
+* **retries & degraded mode** — a stage that fails transiently is retried
+  under the :class:`~repro.serving.policy.RetryPolicy` without re-running
+  the stages before it; when retries are exhausted (or the failure is not
+  transient) each request is re-run alone through the exact scalar oracle
+  (``fast=False``) for that stage, so one poisoned request fails alone;
 * **supervision & health** — a supervisor thread restarts workers whose loop
-  an exception escaped (their in-flight batch is requeued first), up to a
-  restart budget, and :meth:`Server.health` exposes live liveness/counter
-  state for monitoring;
+  an exception escaped (their claimed requests are requeued from stage 0
+  first), up to a restart budget, and :meth:`Server.health` exposes live
+  liveness/counter state for monitoring;
 * **fault injection** — an optional
-  :class:`~repro.serving.faults.FaultInjector` hooks worker dispatch and the
-  engine pass, powering the chaos test suite.
+  :class:`~repro.serving.faults.FaultInjector` hooks each claim's dispatch
+  and each stage's executor pass, powering the chaos test suite.
 
 And on top of the fault-tolerance layer sits the **overload-resilience**
 layer:
@@ -38,39 +46,30 @@ layer:
   class), so interactive traffic overtakes bulk instead of FIFO-starving;
 * **adaptive load shedding** — an
   :class:`~repro.serving.policy.AdmissionController` (default on) sheds
-  deadline-doomed work at admission and at batch-claim time and browns out
+  deadline-doomed work at admission and at claim time and browns out
   low-priority lanes as the queue fills, raising
   :class:`~repro.errors.ShedError` with a retry-after hint;
 * **degraded-path circuit breaker** — a
   :class:`~repro.serving.policy.CircuitBreaker` (default on) around the
   scalar-oracle fallback: sustained fast-path failure trips it open and
-  failing batches are shed fast instead of compounding the overload through
+  failing stages are shed fast instead of compounding the overload through
   the ~35x slower oracle;
-* **zero-downtime plan swap** — :meth:`Server.swap_plan` drains in-flight
-  batches to a plan-quiescent point and installs a shape-compatible new
-  plan (weight update) without dropping or reordering a single admitted
-  request.
+* **zero-downtime plan swap** — :meth:`Server.swap_plan` waits for in-flight
+  claims to finish and installs a shape-compatible new plan (weight update)
+  without dropping or reordering a single admitted request; a model request
+  runs every stage on one plan, never on a mix of two.
 
-Two execution tiers share all of the above machinery.  The default
-``execution="threads"`` runs the engine pass on the worker threads; the GIL
-serialises that compute, so ``execution="processes"`` instead pins each
-worker thread to a worker *process* holding its own plan replica
+Two execution tiers share all of the above.  The default
+``execution="threads"`` runs each stage's executor on the worker thread;
+``execution="processes"`` instead pins each worker thread to a worker
+*process* holding its own plan replica
 (:class:`~repro.serving.process_pool.ProcessWorkerPool`), with activations
-and results crossing through shared-memory rings rather than pickle.  The
-queue, batching, deadlines, retries, degraded fallback and supervision stay
-in the parent either way — a crashed shard process surfaces as a
+and results crossing through shared-memory rings rather than pickle.  Both
+run a claim through the same stage primitive, :meth:`Server._run_stage`; the
+queue, claim, deadlines, retries, degraded fallback and supervision stay in
+the parent either way — a crashed shard process surfaces as a
 :class:`~repro.errors.WorkerCrashError`, takes the same requeue path as a
 crashed thread, and its shard is restarted on next dispatch.
-
-On top of both tiers sits **whole-model pipelined serving**: when the plan
-was compiled with a :class:`~repro.serving.graph.ModelGraph`, a model-level
-``submit(activation=...)`` routes one request through *every* graph stage.
-Each stage is an ordinary per-layer request flowing through the same
-queue/batcher/worker machinery, so per-stage micro-batching comes for free
-and different model requests occupy different pipeline stages concurrently —
-layer ``k`` of request ``i`` overlaps layer ``k - 1`` of request ``i + 1``.
-``stream=`` runs decode-style autoregressive steps (step ``t``'s output is
-step ``t + 1``'s input) through the same pipeline.
 
 Usage::
 
@@ -89,19 +88,18 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
 from ..core.blas import PROCESS_BUDGET
 from ..energy.breakdown import EnergyBreakdown
-from ..errors import ServingError, ShedError, WorkerCrashError
+from ..errors import DeadlineExceededError, ServingError, ShedError, WorkerCrashError
 from ..transarray.accelerator import RequestAttribution
 from .batcher import BatchExecution, MicroBatcher
 from .faults import FaultInjector
-from .graph import ModelGraph
+from .graph import INPUT, ModelGraph
 from .model_request import ModelRequest, SubmitOptions
 from .plan import ModelPlan
 from .policy import (
@@ -114,7 +112,7 @@ from .policy import (
 from .process_pool import ProcessWorkerPool
 from .queue import RequestQueue
 from .report import ServingReport, ShardStats, StageStats, build_report
-from .request import CANCELLED, DONE, EXPIRED, FAILED, SHED, Request
+from .request import CANCELLED, DONE, EXPIRED, FAILED, SHED
 from .shm import cleanup_orphan_segments
 
 #: Valid ``Server(execution=...)`` tiers.
@@ -123,14 +121,19 @@ EXECUTION_MODES = ("threads", "processes")
 #: Exactly-representable-in-float bound for validating float activations.
 _FLOAT_EXACT_INT_BOUND = float(2**53)
 
+#: A claim's columns: one matrix, or one per request before the first
+#: stage stacks them.
+_Columns = Union[np.ndarray, List[np.ndarray]]
 
-@dataclass(frozen=True)
-class _RequestRecord:
-    """Scalar accounting snapshot of a finished request.
 
-    The server keeps these instead of the :class:`Request` objects so a
-    long-running ("serve forever") process never pins the per-request
-    activation/output arrays in its accounting state.
+class _RequestRecord(NamedTuple):
+    """Scalar accounting snapshot of one stage of a finished model request.
+
+    The server keeps these instead of the request objects so a long-running
+    ("serve forever") process never pins activation/output arrays in its
+    accounting state.  ``submitted_at`` is when the stage became runnable:
+    the model request's submission for its first stage, the previous stage's
+    finish for the others.
     """
 
     layer: str
@@ -166,7 +169,7 @@ class _WorkerSlot:
 
     index: int
     thread: Optional[threading.Thread] = None
-    inflight: Optional[List[Request]] = None
+    inflight: Optional[List[ModelRequest]] = None
     crash_errors: List[BaseException] = field(default_factory=list)
     dead: bool = False
     finished: bool = False
@@ -184,6 +187,294 @@ class _WorkerSlot:
     @property
     def alive(self) -> bool:
         return self.thread is not None and self.thread.is_alive()
+
+
+def _stage_record(
+    request: ModelRequest,
+    layer: str,
+    state: str,
+    queued_at: Optional[float],
+    started_at: Optional[float],
+    finished_at: float,
+    retries: int = 0,
+    degraded: bool = False,
+    attribution: Optional[RequestAttribution] = None,
+) -> _RequestRecord:
+    """The accounting record of one stage of ``request``.
+
+    ``queued_at`` is ``None`` for the first stage of the first step, which
+    was runnable from submission on; ``started_at`` is ``None`` for a stage
+    that never ran.
+    """
+    submitted_at = request.submitted_at if queued_at is None else queued_at
+    return _RequestRecord(
+        layer=layer,
+        columns=request.columns,
+        state=state,
+        submitted_at=submitted_at,
+        finished_at=finished_at,
+        latency_s=finished_at - submitted_at,
+        queue_delay_s=(
+            started_at - submitted_at if started_at is not None else 0.0
+        ),
+        retries=retries,
+        degraded=degraded,
+        attribution=attribution,
+        priority=request.priority,
+        deadline_met=(
+            state == DONE
+            and (request.deadline_at is None or finished_at <= request.deadline_at)
+        ),
+    )
+
+
+class _Claim:
+    """One worker claim: a batch of model requests run through every stage.
+
+    It holds the live requests in column order, one entry per executor pass
+    (the requests it served) and, per request, the stages that degraded or
+    stopped it.  Only the requests the claim itself settles are handed to
+    the server's accounting, once, when the claim ends — a request requeued
+    after a crash is counted by the claim that settles it.
+    """
+
+    def __init__(self, server: "Server", slot: _WorkerSlot,
+                 requests: List[ModelRequest]) -> None:
+        self.server = server
+        self.slot = slot
+        # One plan for every stage: swap_plan waits for running claims.
+        self.plan = server.plan
+        self.live = list(requests)
+        #: Per executor pass: layer, queued/started/finished instants,
+        #: retries, and the requests whose columns it carried.
+        self.passes: List[Tuple[str, Optional[float], float, float, int,
+                                Tuple[ModelRequest, ...]]] = []
+        self.logs: Dict[ModelRequest, List[_RequestRecord]] = {
+            request: [] for request in requests
+        }
+        self.settled: List[ModelRequest] = []
+        self.executions: List[BatchExecution] = []
+        self.compute_s = 0.0
+
+    def run(self) -> None:
+        """Every decode step, every stage, until no request is live."""
+        stages = self.server._pipeline_graph().stages
+        # The first stage pass stacks the inputs, inside its failure handling.
+        step_input: _Columns = [
+            request.activation for request in self.live
+        ]
+        queued_at: Optional[float] = None
+        step = 0
+        while self.live:
+            values = {INPUT: step_input}
+            for spec in stages:
+                values = self._stop_at_boundary(values, spec.layer, queued_at)
+                if not self.live:
+                    return
+                values[spec.layer] = self._run_stage(
+                    spec.layer, values[spec.source], queued_at
+                )
+                queued_at = time.perf_counter()
+            step_input = self._finish_step(values[stages[-1].layer], step)
+            step += 1
+
+    def records(self, request: ModelRequest) -> List[_RequestRecord]:
+        """Stage records of a request: its executor passes, then the stages
+        that degraded or stopped it."""
+        return [
+            _stage_record(
+                request, layer, DONE, queued_at, started_at, finished_at,
+                retries, attribution=self.plan.attribute(layer, request.columns),
+            )
+            for layer, queued_at, started_at, finished_at, retries, members
+            in self.passes
+            if request in members
+        ] + self.logs[request]
+
+    # -------------------------------------------------------------- columns
+    def _keep(self, values: Dict[str, _Columns], keep: List[bool]) -> Dict[str, _Columns]:
+        """Drop the columns of requests that left the claim."""
+        if all(keep):
+            return values
+        columns = np.concatenate([
+            np.arange(offset, offset + request.columns)
+            for request, offset, kept in zip(self.live, self._offsets(), keep)
+            if kept
+        ] or [np.arange(0)])
+        self.live = [r for r, kept in zip(self.live, keep) if kept]
+        return {
+            name: (
+                value[:, columns] if isinstance(value, np.ndarray)
+                else [part for part, kept in zip(value, keep) if kept]
+            )
+            for name, value in values.items()
+        }
+
+    def _offsets(self) -> List[int]:
+        offsets, offset = [], 0
+        for request in self.live:
+            offsets.append(offset)
+            offset += request.columns
+        return offsets
+
+    # ------------------------------------------------------------ settling
+    def _stop(self, request: ModelRequest, state: str, error: BaseException,
+              layer: str, queued_at: Optional[float], started_at: Optional[float],
+              retries: int = 0) -> None:
+        """Settle ``request`` early at ``layer`` (if nobody settled it yet)."""
+        now = time.perf_counter()
+        if request._settle(state, error, now):
+            self.settled.append(request)
+            self.logs[request].append(_stage_record(
+                request, layer, state, queued_at, started_at, now, retries
+            ))
+
+    def _stop_at_boundary(self, values: Dict[str, _Columns], layer: str,
+                          queued_at: Optional[float]) -> Dict[str, _Columns]:
+        """Before ``layer``: drop requests cancelled, expired or settled elsewhere."""
+        now = time.perf_counter()
+        keep = []
+        for request in self.live:
+            if request._cancel_pending():
+                self._stop(request, CANCELLED, request._cancel_error(),
+                           layer, queued_at, None)
+            elif request.expired(now):
+                overrun = now - request.deadline_at
+                self._stop(request, EXPIRED, DeadlineExceededError(
+                    f"model request {request.request_id} ('{request.model}') "
+                    f"missed its deadline by {overrun * 1e3:.1f} ms before "
+                    f"stage '{layer}'"
+                ), layer, queued_at, None)
+            keep.append(not request.done())
+        return self._keep(values, keep)
+
+    def _finish_step(self, output: np.ndarray, step: int) -> np.ndarray:
+        """Hand each request its step output; settle the ones that are done.
+
+        Returns the next step's input over the requests still live.
+        """
+        now = time.perf_counter()
+        keep = []
+        for request, offset in zip(self.live, self._offsets()):
+            if request.done():
+                keep.append(False)
+                continue
+            # A copy: a view would pin the whole batch output on the handle.
+            request._finish_step(output[:, offset: offset + request.columns].copy())
+            more = step + 1 < request.num_steps
+            if not more and request._complete(now):
+                self.settled.append(request)
+            keep.append(more)
+        return self._keep({INPUT: output}, keep)[INPUT]
+
+    # --------------------------------------------------------------- stages
+    def _run_stage(self, layer: str, activation: _Columns,
+                   queued_at: Optional[float]) -> np.ndarray:
+        """One stage for every live request, under retries and the fallback.
+
+        ``activation`` holds every live column, or one matrix per request
+        for the first stage, which stacks them.
+        """
+        server = self.server
+        started_at = time.perf_counter()
+        attempt = retries = 0
+        while True:
+            attempt += 1
+            try:
+                if isinstance(activation, list):
+                    activation = np.concatenate(activation, axis=1)
+                output, compute_s = server._run_stage(
+                    self.slot, self.plan, layer, activation, len(self.live)
+                )
+                break
+            except WorkerCrashError:
+                # Not a stage failure: the worker crash path requeues the
+                # claim from stage 0 and restarts the worker.
+                raise
+            except Exception as error:  # noqa: BLE001 - resilience boundary
+                policy = server.retry_policy
+                if policy is None or not policy.should_retry(error, attempt):
+                    return self._stage_failed(
+                        layer, activation, error, queued_at, started_at, retries
+                    )
+                retries += 1
+                for request in self.live:
+                    request.retries += 1
+                with server._lock:
+                    server._retry_events += len(self.live)
+                delay = policy.backoff_s(attempt)
+                if delay > 0.0:
+                    time.sleep(delay)
+        if server.breaker is not None:
+            server.breaker.record_success()
+        if server.admission is not None:
+            server.admission.observe_batch(layer, len(self.live), compute_s)
+        finished_at = time.perf_counter()
+        self.compute_s += compute_s
+        self.executions.append(BatchExecution(
+            layer=layer,
+            batch_size=len(self.live),
+            total_columns=int(activation.shape[1]),
+            started_at=started_at,
+            finished_at=finished_at,
+            op_counts=self.plan.layer(layer).op_counts,
+            compute_s=compute_s,
+        ))
+        self.passes.append(
+            (layer, queued_at, started_at, finished_at, retries, tuple(self.live))
+        )
+        return output
+
+    def _stage_failed(self, layer: str, activation: _Columns,
+                      error: BaseException, queued_at: Optional[float],
+                      started_at: float, retries: int) -> np.ndarray:
+        """A stage that exhausted its retries: fail, shed or degrade.
+
+        Returns the stage output over every live column; columns of requests
+        that stopped here are zero and dropped at the next boundary.
+        """
+        server = self.server
+        breaker = server.breaker
+        if breaker is not None:
+            breaker.record_failure()
+        if not server.degraded_fallback:
+            for request in self.live:
+                self._stop(request, FAILED, error, layer, queued_at, started_at, retries)
+        elif breaker is not None and not breaker.allow():
+            retry_after = breaker.retry_after_s()
+            for request in self.live:
+                self._stop(request, SHED, ShedError(
+                    f"request {request.request_id} ('{layer}') shed: the "
+                    f"degraded-fallback circuit breaker is open after "
+                    f"sustained fast-path failures ({error}); retry in "
+                    f"~{max(retry_after, 1e-3) * 1e3:.0f} ms",
+                    retry_after_s=retry_after,
+                ), layer, queued_at, started_at, retries)
+        offsets = self._offsets()
+        width = sum(request.columns for request in self.live)
+        output = np.zeros((self.plan.layer(layer).shape.n, width), dtype=np.int64)
+        for index, (request, offset) in enumerate(zip(self.live, offsets)):
+            if request.done():
+                continue
+            columns = slice(offset, offset + request.columns)
+            part = (
+                activation[index] if isinstance(activation, list)
+                else activation[:, columns]
+            )
+            # Each request alone through the exact oracle: a batch-poisoning
+            # request fails by itself and its neighbours still complete.
+            try:
+                output[:, columns] = self.plan.run_degraded(layer, part)
+            except Exception as failure:  # noqa: BLE001 - per-request failure
+                self._stop(request, FAILED, failure, layer, queued_at, started_at, retries)
+                continue
+            request.degraded = True
+            self.logs[request].append(_stage_record(
+                request, layer, DONE, queued_at, started_at, time.perf_counter(),
+                retries, degraded=True,
+                attribution=self.plan.attribute(layer, request.columns),
+            ))
+        return output
 
 
 @dataclass(frozen=True)
@@ -254,28 +545,28 @@ class ServerHealth:
 
 
 class Server:
-    """Request-batching, pipeline-capable inference server over one plan.
+    """Request-batching, whole-chain inference server over one plan.
 
     Parameters (all keyword-only past ``plan``)
     ----------
     plan:
         The :class:`~repro.serving.plan.ModelPlan` to serve.  With a
         :class:`~repro.serving.graph.ModelGraph` attached (compiled via
-        ``graph=...``), model-level :meth:`submit` pipelines requests
-        through every stage; without one, only the single layer of a
-        one-layer plan (or the deprecated layer-level surface) is servable.
+        ``graph=...``), :meth:`submit` runs requests through every stage;
+        without one, a one-layer plan serves as an implicit one-stage chain.
     num_workers:
-        Worker threads draining the queue (each executes whole micro-batches).
+        Worker threads draining the queue (each runs whole claims).
     max_batch:
-        Maximum same-layer activations coalesced into one engine pass.
+        Maximum model requests claimed together; their columns run through
+        each stage in one executor pass.
     max_pending:
         Admission-control bound on queued requests; submissions beyond it
         raise :class:`~repro.errors.BackpressureError`.
     retry_policy:
-        Backoff policy for transient batch failures; ``None`` disables
+        Backoff policy for transient stage failures; ``None`` disables
         retries entirely (failures go straight to the degraded fallback).
     degraded_fallback:
-        Re-run each member of a failed batch alone through the exact scalar
+        Re-run each request of a failed stage alone through the exact scalar
         oracle before giving up (default on).
     admission_control:
         Adaptive load shedding: ``True`` (default) installs a default
@@ -293,14 +584,14 @@ class Server:
         Supervisor budget of worker restarts over the server's lifetime;
         defaults to ``2 * num_workers``.
     execution:
-        ``"threads"`` (default) executes batches on the worker threads
+        ``"threads"`` (default) runs each stage on the worker threads
         themselves; ``"processes"`` pins each worker thread to its own worker
         *process* holding a plan replica, with activations and results
         crossing through shared-memory rings — the tier that scales Python
         compute past the GIL (see :mod:`repro.serving.process_pool`).
     max_batch_columns:
-        Process mode only: ring slots are sized for one batch of up to this
-        many activation columns on the widest layer; larger batches fall back
+        Process mode only: ring slots are sized for one stage of up to this
+        many activation columns on the widest layer; larger claims fall back
         to pickle transport (counted, never wrong).
     start_method:
         Process mode only: multiprocessing start method for the shards
@@ -388,7 +679,6 @@ class Server:
         self._batches: List[BatchExecution] = []
         self._model_records: List[_ModelRecord] = []
         self._implicit_graph: Optional[ModelGraph] = None
-        self._served_model_requests = False
         self._expired = 0
         self._cancelled = 0
         self._degraded = 0
@@ -397,7 +687,7 @@ class Server:
         self._admission_sheds = 0
         self._force_aborted = 0
         self._plan_swaps = 0
-        # Plan-swap barrier: workers register popped batches as in-flight; a
+        # Plan-swap barrier: workers register running claims as in-flight; a
         # swap drains to inflight == 0 while holding new dispatches out.
         self._swap_cv = threading.Condition()
         self._swap_active = False
@@ -454,7 +744,7 @@ class Server:
         With ``drain=True`` (default) queued requests are still executed
         before the workers exit.  With ``drain=False`` the server aborts:
         still-queued requests are failed promptly with
-        :class:`~repro.errors.ServingError` and only the batches already in
+        :class:`~repro.errors.ServingError` and only the claims already in
         flight finish.  ``timeout_s`` bounds the shutdown either way: if
         workers are still running when it elapses, the server force-aborts —
         shard processes are terminated, still-queued *and* still-in-flight
@@ -484,7 +774,7 @@ class Server:
     def _shut_down(self, drain: bool, timeout_s: Optional[float]) -> None:
         """The body of :meth:`close`, run once by the first caller."""
         self.queue.close()
-        aborted: List[Request] = []
+        aborted: List[ModelRequest] = []
         if not drain:
             now = time.perf_counter()
             aborted = self.queue.drain_pending()
@@ -523,7 +813,7 @@ class Server:
             # A timed-out drain terminates wedged shard processes quickly
             # instead of waiting out the full join grace per process.
             self._pool.close(join_timeout_s=0.2 if timed_out else None)
-        forced: List[Request] = []
+        forced: List[ModelRequest] = []
         if timed_out:
             # Give workers unwedged by the shard teardown a moment to unwind,
             # then kill whatever is still held in flight.  Force-abort never
@@ -564,7 +854,7 @@ class Server:
                 self._force_aborted += len(forced) + len(leftovers)
         stragglers = aborted + forced + leftovers + self.queue.take_shed()
         if stragglers:
-            self._finish([], [self._record(request) for request in stragglers])
+            self._account(stragglers)
 
     def __enter__(self) -> "Server":
         return self.start()
@@ -577,20 +867,20 @@ class Server:
         """Hot-swap the served plan with zero downtime (weight update).
 
         The server keeps admitting and queueing requests throughout; only
-        batch *dispatch* pauses while in-flight batches drain to a
-        plan-quiescent point, then ``new_plan`` is installed — in the batcher
-        (thread tier) or in every shard process (process tier: replicas are
-        re-pickled and prewarmed, the shared-memory rings are kept) — and
-        dispatch resumes.  No admitted request is dropped or reordered; work
-        claimed before the swap completes against the old plan, everything
-        after runs on the new one.
+        *dispatch* pauses while in-flight claims drain to a plan-quiescent
+        point, then ``new_plan`` is installed — for the thread tier, or in
+        every shard process (process tier: replicas are re-pickled and
+        prewarmed, the shared-memory rings are kept) — and dispatch resumes.
+        No admitted request is dropped or reordered; a claim runs every stage
+        of its requests on the plan it started with, so each output is
+        exactly one plan's ``run_model``: requests claimed before the swap
+        complete against the old plan, everything after runs on the new one.
 
         ``new_plan`` must be shape-compatible with the served plan (same
         layer names, per-layer dimensions and model graph) so queued
         activations stay valid; anything else raises
         :class:`~repro.errors.ServingError` without disturbing serving.
-        Call it from a control thread — never from a request callback (a
-        worker cannot drain the batch it is executing).
+        Call it from a control thread, never from a worker.
         """
         with self._lock:
             if not self._started:
@@ -644,173 +934,88 @@ class Server:
     # -------------------------------------------------------------- clients
     def submit(
         self,
-        layer: Union[str, np.ndarray, None] = None,
-        activation: Optional[np.ndarray] = None,
+        activation: np.ndarray,
         deadline_s: Optional[float] = None,
         *,
         model: Optional[str] = None,
         stream: Optional[int] = None,
         priority: Optional[int] = None,
         options: Optional[SubmitOptions] = None,
-    ) -> Union[ModelRequest, Request]:
+    ) -> ModelRequest:
         """Admit one request against the compiled model.
 
-        The model-level surface (the default): ``submit(activation=act)``
-        routes the activation through every stage of the plan's
-        :class:`~repro.serving.graph.ModelGraph` and returns a
-        :class:`~repro.serving.model_request.ModelRequest` handle.  ``model=``
-        optionally names the plan being targeted (validated), ``stream=N``
-        runs ``N`` autoregressive decode steps (step ``t``'s output feeds
-        step ``t + 1``), ``priority=`` picks the QoS class (0 = interactive,
-        the default; larger = bulk traffic that interactive work overtakes
-        and the admission controller browns out first), and ``options=``
-        bundles all of them as a
-        :class:`~repro.serving.model_request.SubmitOptions` (explicit
-        keywords win).  Admission control applies at stage 0 only — a model
-        request occupies one pipeline stage at a time, so continuations
-        never bounce off the queue bound.  Besides
-        :class:`~repro.errors.BackpressureError`, submission may raise
-        :class:`~repro.errors.ShedError` when the admission controller
-        judges the request doomed or browns out its priority class.
-
-        The deprecated layer-level surface: ``submit("q_proj", act)`` (first
-        positional a layer-name string) targets a single compiled layer and
-        returns a plain :class:`~repro.serving.request.Request`, emitting a
-        :class:`DeprecationWarning`.  Both surfaces validate shape/dtype up
-        front, honour ``deadline_s`` and may raise
-        :class:`~repro.errors.BackpressureError`.
+        ``submit(activation)`` runs the activation through every stage of
+        the plan's :class:`~repro.serving.graph.ModelGraph` and returns a
+        :class:`~repro.serving.model_request.ModelRequest` handle.
+        ``deadline_s`` bounds the whole chain, ``model=`` optionally names
+        the plan being targeted (validated), ``stream=N`` runs ``N``
+        autoregressive decode steps (step ``t``'s output feeds step
+        ``t + 1``), ``priority=`` picks the QoS class (0 = interactive, the
+        default; larger = bulk traffic that interactive work overtakes and
+        the admission controller browns out first), and ``options=`` bundles
+        all of them as a :class:`~repro.serving.model_request.SubmitOptions`
+        (explicit keywords win).  The activation's shape and dtype are
+        validated up front.  Raises :class:`~repro.errors.BackpressureError`
+        when the queue is full and :class:`~repro.errors.ShedError` when the
+        admission controller judges the request doomed or browns out its
+        priority class.
         """
-        if isinstance(layer, str):
-            warnings.warn(
-                "Server.submit(layer, activation) is deprecated; use the "
-                "model-level submit(activation=...) against a plan compiled "
-                "with graph=... (see docs/serving.md for the migration table)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if activation is None:
-                raise ServingError(
-                    "layer-level submit() needs an activation matrix"
-                )
-            return self._submit_layer(layer, activation, deadline_s, priority)
-        if layer is not None:
-            if activation is not None:
-                raise ServingError(
-                    "submit() got two activations (positional and keyword); "
-                    "pass exactly one"
-                )
-            activation = layer
-        if activation is None:
-            raise ServingError("submit() needs an activation matrix")
-        return self._submit_model(
-            activation, deadline_s=deadline_s, model=model,
-            stream=stream, priority=priority, options=options,
-        )
+        return self._admit(
+            [activation], deadline_s, model, stream, priority, options
+        )[0]
 
     def submit_many(
         self,
-        layer: Union[str, List[np.ndarray], None] = None,
-        activations: Optional[List[np.ndarray]] = None,
+        activations: List[np.ndarray],
         deadline_s: Optional[float] = None,
         *,
         model: Optional[str] = None,
         stream: Optional[int] = None,
         priority: Optional[int] = None,
         options: Optional[SubmitOptions] = None,
-    ) -> Union[List[ModelRequest], List[Request]]:
+    ) -> List[ModelRequest]:
         """Admit a batch of requests atomically (all-or-nothing admission).
 
-        The model-level surface: ``submit_many(activations=[...])`` admits
-        one whole-model request per activation, with every stage-0 request
-        enqueued through a single
+        One model request per activation, enqueued through a single
         :meth:`~repro.serving.queue.RequestQueue.put_many` call — if the
         batch does not fit under ``max_pending``, nothing is admitted and
         :class:`~repro.errors.BackpressureError` is raised with every member
-        counted as rejected.  Returns the
-        :class:`~repro.serving.model_request.ModelRequest` handles in
-        submission order.
-
-        The deprecated layer-level surface ``submit_many("q_proj", [...])``
-        keeps the PR 8 contract for single-layer batches (and emits a
-        :class:`DeprecationWarning`).
+        counted as rejected.  Returns the handles in submission order.
         """
-        if isinstance(layer, str):
-            warnings.warn(
-                "Server.submit_many(layer, activations) is deprecated; use "
-                "the model-level submit_many(activations=...) against a plan "
-                "compiled with graph=... (see docs/serving.md)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if activations is None:
-                raise ServingError(
-                    "layer-level submit_many() needs a list of activations"
-                )
-            return self._submit_layer_many(layer, activations, deadline_s, priority)
-        if layer is not None:
-            if activations is not None:
-                raise ServingError(
-                    "submit_many() got two activation lists (positional and "
-                    "keyword); pass exactly one"
-                )
-            activations = layer
-        if activations is None:
-            raise ServingError("submit_many() needs a list of activations")
-        return self._submit_model_many(
-            activations, deadline_s=deadline_s, model=model,
-            stream=stream, priority=priority, options=options,
-        )
-
-    # ------------------------------------------------- layer-level (legacy)
-    def _submit_layer(
-        self,
-        layer: str,
-        activation: np.ndarray,
-        deadline_s: Optional[float] = None,
-        priority: Optional[int] = None,
-    ) -> Request:
-        """Admit one single-layer request (the pre-pipeline contract)."""
-        with self._lock:
-            self._check_accepting()
-            request_id = self._next_id
-            self._next_id += 1
-        layer_plan = self.plan.layer(layer)
-        request = self._make_request(
-            request_id, layer, layer_plan, activation,
-            time.perf_counter(), deadline_s, priority or 0,
-        )
-        self._admission_shed_check(layer, request.deadline_at, request.priority)
-        self.queue.put(request)  # may raise BackpressureError
-        return request
-
-    def _submit_layer_many(
-        self,
-        layer: str,
-        activations: List[np.ndarray],
-        deadline_s: Optional[float] = None,
-        priority: Optional[int] = None,
-    ) -> List[Request]:
-        """Admit a same-layer batch atomically (the pre-pipeline contract)."""
         activations = list(activations)
         if not activations:
             raise ServingError("submit_many needs at least one activation")
+        return self._admit(
+            activations, deadline_s, model, stream, priority, options
+        )
+
+    def _admit(
+        self,
+        activations: List[np.ndarray],
+        deadline_s: Optional[float],
+        model: Optional[str],
+        stream: Optional[int],
+        priority: Optional[int],
+        options: Optional[SubmitOptions],
+    ) -> List[ModelRequest]:
+        """Validate, shed-check and enqueue model requests as one unit."""
+        graph, deadline_s, steps, qos = self._resolve_submit(
+            deadline_s, model, stream, priority, options
+        )
         with self._lock:
             self._check_accepting()
             first_id = self._next_id
             self._next_id += len(activations)
-        layer_plan = self.plan.layer(layer)
         submitted_at = time.perf_counter()
         requests = [
             self._make_request(
-                first_id + offset, layer, layer_plan, activation,
-                submitted_at, deadline_s, priority or 0,
+                first_id + offset, graph, activation, submitted_at,
+                deadline_s, steps, qos,
             )
             for offset, activation in enumerate(activations)
         ]
-        # All-or-nothing, like put_many: one shed decision covers the batch.
         self._admission_shed_check(
-            layer, requests[0].deadline_at, requests[0].priority,
-            count=len(requests),
+            requests[0].layer, requests[0].deadline_at, qos, count=len(requests)
         )
         self.queue.put_many(requests)  # may raise BackpressureError
         return requests
@@ -838,7 +1043,6 @@ class Server:
                 self._admission_sheds += count
             raise error
 
-    # ------------------------------------------------- model-level pipeline
     def _pipeline_graph(self) -> ModelGraph:
         """The graph model requests flow through, building the implicit
         single-layer chain when the plan has exactly one layer and no graph."""
@@ -890,225 +1094,6 @@ class Server:
                 )
         return graph, deadline_s, steps, qos
 
-    def _build_model_request(
-        self,
-        request_id: int,
-        graph: ModelGraph,
-        activation: np.ndarray,
-        submitted_at: float,
-        deadline_s: Optional[float],
-        steps: int,
-        priority: int,
-    ) -> Tuple[ModelRequest, Request]:
-        """Wrap one validated activation into a model request + its stage-0
-        request (not yet enqueued)."""
-        first_layer = graph.stages[0].layer
-        stage0 = self._make_request(
-            request_id, first_layer, self.plan.layer(first_layer), activation,
-            submitted_at, deadline_s, priority,
-        )
-        model_request = ModelRequest(
-            request_id=request_id,
-            model=self.plan.name,
-            stages=graph.layers,
-            num_steps=steps,
-            submitted_at=submitted_at,
-            deadline_at=stage0.deadline_at,
-            priority=priority,
-        )
-        model_request._graph = graph
-        model_request._begin_step(stage0.activation)
-        stage0.pipeline = (model_request, 0, 0)
-        stage0.on_done = self._on_stage_done
-        model_request._set_current(stage0)
-        return model_request, stage0
-
-    def _submit_model(
-        self,
-        activation: np.ndarray,
-        deadline_s: Optional[float],
-        model: Optional[str],
-        stream: Optional[int],
-        priority: Optional[int],
-        options: Optional[SubmitOptions],
-    ) -> ModelRequest:
-        graph, deadline_s, steps, qos = self._resolve_submit(
-            deadline_s, model, stream, priority, options
-        )
-        with self._lock:
-            self._check_accepting()
-            request_id = self._next_id
-            self._next_id += 1
-            self._served_model_requests = True
-        model_request, stage0 = self._build_model_request(
-            request_id, graph, activation, time.perf_counter(), deadline_s,
-            steps, qos,
-        )
-        self._admission_shed_check(stage0.layer, stage0.deadline_at, qos)
-        self.queue.put(stage0)  # may raise BackpressureError
-        return model_request
-
-    def _submit_model_many(
-        self,
-        activations: List[np.ndarray],
-        deadline_s: Optional[float],
-        model: Optional[str],
-        stream: Optional[int],
-        priority: Optional[int],
-        options: Optional[SubmitOptions],
-    ) -> List[ModelRequest]:
-        activations = list(activations)
-        if not activations:
-            raise ServingError("submit_many needs at least one activation")
-        graph, deadline_s, steps, qos = self._resolve_submit(
-            deadline_s, model, stream, priority, options
-        )
-        with self._lock:
-            self._check_accepting()
-            first_id = self._next_id
-            self._next_id += len(activations)
-            self._served_model_requests = True
-        submitted_at = time.perf_counter()
-        pairs = [
-            self._build_model_request(
-                first_id + offset, graph, activation, submitted_at,
-                deadline_s, steps, qos,
-            )
-            for offset, activation in enumerate(activations)
-        ]
-        self._admission_shed_check(
-            pairs[0][1].layer, pairs[0][1].deadline_at, qos, count=len(pairs)
-        )
-        self.queue.put_many([stage0 for _, stage0 in pairs])
-        return [model_request for model_request, _ in pairs]
-
-    def _on_stage_done(self, request: Request) -> None:
-        """Advance a pipelined model request when one of its stages settles.
-
-        Fired by the stage request's terminal transition (outside its state
-        lock), on whichever thread completed it — a worker fulfilling a
-        batch, the queue shedding an expired request, or a client cancelling.
-        Any error advancing the pipeline fails the model request rather than
-        the advancing thread.
-        """
-        model_request, step, stage_index = request.pipeline
-        try:
-            self._advance_model(model_request, request, step, stage_index)
-        except Exception as error:  # noqa: BLE001 - must not kill the caller
-            self._finish_model(model_request, error=error)
-
-    def _advance_model(
-        self,
-        model_request: ModelRequest,
-        request: Request,
-        step: int,
-        stage_index: int,
-    ) -> None:
-        graph: ModelGraph = model_request._graph
-        if request.state != DONE:
-            # The stage failed / expired / was cancelled: its error is the
-            # model request's error (deadlines and retries were already
-            # enforced at stage level, exactly as for single-layer requests).
-            try:
-                request.result(timeout=0)
-            except BaseException as error:  # noqa: BLE001 - forwarded
-                self._finish_model(model_request, error=error)
-                return
-            raise ServingError(
-                f"stage request {request.request_id} in state "
-                f"'{request.state}' reported no result and no error"
-            )  # pragma: no cover - state machine guarantees one of the two
-        output = request.result(timeout=0)
-        model_request._record_stage(request, request.layer, output)
-        if model_request._cancel_pending():
-            self._finish_model(model_request, cancelled=True)
-            return
-        next_stage = stage_index + 1
-        now = time.perf_counter()
-        if next_stage < len(graph.stages):
-            spec = graph.stages[next_stage]
-            activation = model_request._stage_activation(
-                spec.source, spec.reads_input
-            )
-            self._enqueue_stage(
-                model_request, spec.layer, activation, step, next_stage, now
-            )
-            return
-        # Last stage of this decode step.
-        model_request._finish_step(output)
-        next_step = step + 1
-        if next_step < model_request.num_steps:
-            model_request._begin_step(output)
-            first = graph.stages[0]
-            self._enqueue_stage(
-                model_request, first.layer, output, next_step, 0, now
-            )
-            return
-        self._finish_model(model_request)
-
-    def _enqueue_stage(
-        self,
-        model_request: ModelRequest,
-        layer: str,
-        activation: np.ndarray,
-        step: int,
-        stage_index: int,
-        now: float,
-    ) -> None:
-        """Build and enqueue one continuation stage request.
-
-        Continuations bypass admission control (the model request was
-        admitted at stage 0 and occupies one stage at a time) and carry the
-        model's *absolute* deadline, so a whole-pipeline deadline sheds
-        later stages exactly like queued single-layer requests.
-        """
-        with self._lock:
-            request_id = self._next_id
-            self._next_id += 1
-        stage_request = Request(
-            request_id=request_id,
-            layer=layer,
-            activation=activation,
-            submitted_at=now,
-            deadline_at=model_request.deadline_at,
-            priority=model_request.priority,
-        )
-        stage_request.pipeline = (model_request, step, stage_index)
-        stage_request.on_done = self._on_stage_done
-        model_request._set_current(stage_request)
-        self.queue.put_continuation(stage_request)
-
-    def _finish_model(
-        self,
-        model_request: ModelRequest,
-        error: Optional[BaseException] = None,
-        cancelled: bool = False,
-    ) -> None:
-        now = time.perf_counter()
-        if cancelled:
-            won = model_request._cancelled(now)
-        elif error is not None:
-            won = model_request._fail(error, now)
-        else:
-            won = model_request._complete(now)
-        if not won:
-            return
-        record = _ModelRecord(
-            state=model_request.state,
-            latency_s=model_request.latency_s,
-            steps=model_request.steps_completed,
-            priority=model_request.priority,
-            deadline_met=(
-                model_request.state == DONE
-                and (
-                    model_request.deadline_at is None
-                    or model_request.finished_at <= model_request.deadline_at
-                )
-            ),
-        )
-        with self._lock:
-            self._model_records.append(record)
-
     def _check_accepting(self) -> None:
         """Reject submissions outside the started-and-open window (locked)."""
         if not self._started:
@@ -1119,27 +1104,31 @@ class Server:
     def _make_request(
         self,
         request_id: int,
-        layer: str,
-        layer_plan,
+        graph: ModelGraph,
         activation: np.ndarray,
         submitted_at: float,
         deadline_s: Optional[float],
-        priority: int = 0,
-    ) -> Request:
-        """Validate one activation and wrap it into a queued-ready request."""
+        steps: int,
+        priority: int,
+    ) -> ModelRequest:
+        """Validate one activation and wrap it into a queue-ready request."""
+        layer = graph.stages[0].layer
+        k = self.plan.layer(layer).shape.k
         activation = np.asarray(activation)
         if activation.ndim != 2:
             raise ServingError(
                 f"activation for layer '{layer}' must be 2-D, got {activation.ndim}-D"
             )
-        if activation.shape[0] != layer_plan.shape.k or activation.shape[1] < 1:
+        if activation.shape[0] != k or activation.shape[1] < 1:
             raise ServingError(
-                f"activation for layer '{layer}' must be ({layer_plan.shape.k}, m>=1), "
+                f"activation for layer '{layer}' must be ({k}, m>=1), "
                 f"got {activation.shape}"
             )
-        return Request(
+        return ModelRequest(
             request_id=request_id,
-            layer=layer,
+            model=self.plan.name,
+            stages=graph.layers,
+            num_steps=steps,
             activation=self._validate_activation_values(layer, activation),
             submitted_at=submitted_at,
             deadline_at=deadline_at(submitted_at, deadline_s),
@@ -1197,7 +1186,7 @@ class Server:
             if batch is None:
                 return
             slot.inflight = batch
-            # Plan-swap barrier: register the batch as in-flight so
+            # Plan-swap barrier: register the claim as in-flight so
             # swap_plan() can drain to a plan-quiescent point; a draining
             # swap holds new dispatches here.  The popped batch stays in
             # ``slot.inflight`` meanwhile, so a crash still requeues it,
@@ -1219,167 +1208,66 @@ class Server:
                     self._swap_cv.notify_all()
             slot.inflight = None
 
-    def _process_batch(self, slot: _WorkerSlot, batch: List[Request]) -> None:
+    def _process_batch(self, slot: _WorkerSlot, batch: List[ModelRequest]) -> None:
+        """One claim: run the batch through every stage, then account once."""
         claim_time = time.perf_counter()
-        claimed = [
-            request for request in batch if request.try_claim(claim_time, len(batch))
-        ]
+        # Members that do not claim (expired at claim, cancelled after the
+        # pop) settled without a stage; nobody else accounts for them.
+        claimed: List[ModelRequest] = []
+        unclaimed: List[ModelRequest] = []
+        for request in batch:
+            ok = request.try_claim(claim_time, len(batch))
+            (claimed if ok else unclaimed).append(request)
+        claim = _Claim(self, slot, claimed)
         if claimed and self.admission is not None:
             for request in claimed:
                 self.admission.observe_wait(claim_time - request.submitted_at)
-        execution = self._execute_resilient(slot, claimed) if claimed else None
-        if execution is not None and self.admission is not None:
-            self.admission.observe_batch(
-                execution.layer,
-                execution.batch_size,
-                execution.compute_s
-                if execution.compute_s is not None
-                else execution.duration_s,
-            )
+        try:
+            if claimed:
+                claim.run()
+        except BaseException:
+            # A crash: the requests still live are requeued from stage 0 by
+            # the crash path and counted by the claim that settles them.
+            self._account(unclaimed + claim.settled, claim)
+            raise
         if claimed and self._pool is None:
             # Thread-mode utilization accounting (the pool tracks its own).
             busy_s = time.perf_counter() - claim_time
-            compute_s = execution.duration_s if execution is not None else 0.0
-            slot.batches += 1
-            slot.requests += len(claimed)
-            slot.compute_s += compute_s
-            slot.dispatch_s += max(busy_s - compute_s, 0.0)
-        records = [self._record(request) for request in batch]
-        self._finish([execution] if execution is not None else [], records)
+            slot.batches += len(claim.executions)
+            slot.requests += sum(e.batch_size for e in claim.executions)
+            slot.compute_s += claim.compute_s
+            slot.dispatch_s += max(busy_s - claim.compute_s, 0.0)
+        self._account(unclaimed + claim.settled, claim, claim.executions)
 
-    def _execute_claimed(
-        self, slot: _WorkerSlot, claimed: List[Request]
-    ) -> BatchExecution:
-        """One execution attempt on this worker's tier (thread or shard)."""
-        if self._pool is None:
-            return self.batcher.execute_once(claimed)
-        return self._execute_on_shard(slot.index, claimed)
+    def _run_stage(
+        self,
+        slot: _WorkerSlot,
+        plan: ModelPlan,
+        layer: str,
+        activation: np.ndarray,
+        batch_size: int,
+    ) -> Tuple[np.ndarray, float]:
+        """One stage of a claim on this worker's tier: output and compute seconds.
 
-    def _execute_on_shard(
-        self, shard: int, claimed: List[Request]
-    ) -> BatchExecution:
-        """Round-trip one claimed batch through this worker's shard process.
-
-        Raises on failure with the requests untouched (same contract as
-        :meth:`~repro.serving.batcher.MicroBatcher.execute_once`), including
-        :class:`~repro.errors.WorkerCrashError` when the shard process died —
-        which deliberately escapes the retry machinery so the server's crash
-        path requeues the batch and the supervisor restarts the shard.
+        Raises on failure, including :class:`~repro.errors.WorkerCrashError`
+        when the shard process died — which escapes the retry machinery so
+        the crash path requeues the claim and the supervisor restarts the
+        shard.
         """
-        layer = self.batcher._check_batch(claimed)
-        started_at = time.perf_counter()
+        if self._pool is None:
+            return self.batcher.run_stage(plan, layer, activation, batch_size)
         # A replacement worker thread lands here after a shard crash: bring
         # the (dead) shard back up before dispatching to it.
-        self._pool.ensure_shard(shard)
+        self._pool.ensure_shard(slot.index)
         result = self._pool.execute(
-            shard, layer, [request.activation for request in claimed]
+            slot.index, layer, [activation], requests=batch_size
         )
-        attributions = [
-            self.plan.attribute(layer, request.columns) for request in claimed
-        ]
-        finished_at = time.perf_counter()
-        for request, output, attribution in zip(
-            claimed, result.outputs, attributions
-        ):
-            request.attribution = attribution
-            request.fulfil(output, finished_at)
-        return BatchExecution(
-            layer=layer,
-            batch_size=len(claimed),
-            total_columns=sum(int(out.shape[1]) for out in result.outputs),
-            started_at=started_at,
-            finished_at=finished_at,
-            op_counts=result.op_counts,
-            compute_s=result.compute_s,
-        )
-
-    def _execute_resilient(
-        self, slot: _WorkerSlot, claimed: List[Request]
-    ) -> Optional[BatchExecution]:
-        """Run one claimed batch under the retry policy + degraded fallback.
-
-        The circuit breaker watches the outcomes: a fast-path success records
-        success, exhausted retries (or a non-transient failure) record
-        failure — and when the accumulated failures tripped it open, the
-        batch is shed instead of taking the slow degraded oracle.
-        """
-        attempt = 1
-        while True:
-            try:
-                execution = self._execute_claimed(slot, claimed)
-            except WorkerCrashError:
-                # Shard-process death is not a batch failure: let it escape to
-                # the worker crash path (requeue + supervised restart) instead
-                # of burning retries or degrading a batch that never ran.
-                raise
-            except Exception as error:  # noqa: BLE001 - resilience boundary
-                if self.retry_policy is not None and self.retry_policy.should_retry(
-                    error, attempt
-                ):
-                    for request in claimed:
-                        request.retries += 1
-                    with self._lock:
-                        self._retry_events += len(claimed)
-                    delay = self.retry_policy.backoff_s(attempt)
-                    attempt += 1
-                    if delay > 0.0:
-                        time.sleep(delay)
-                    continue
-                if self.breaker is not None:
-                    self.breaker.record_failure()
-                if not self.degraded_fallback:
-                    finished_at = time.perf_counter()
-                    for request in claimed:
-                        request.fail(error, finished_at)
-                elif self.breaker is not None and not self.breaker.allow():
-                    self._shed_breaker_blocked(claimed, error)
-                else:
-                    self._execute_degraded(claimed)
-                return None
-            else:
-                if self.breaker is not None:
-                    self.breaker.record_success()
-                return execution
-
-    def _shed_breaker_blocked(
-        self, claimed: List[Request], cause: BaseException
-    ) -> None:
-        """Shed a failed batch the open breaker keeps away from the oracle."""
-        retry_after = self.breaker.retry_after_s() if self.breaker else 0.0
-        now = time.perf_counter()
-        for request in claimed:
-            request.shed(
-                ShedError(
-                    f"request {request.request_id} ('{request.layer}') shed: "
-                    f"the degraded-fallback circuit breaker is open after "
-                    f"sustained fast-path failures ({cause}); retry in "
-                    f"~{max(retry_after, 1e-3) * 1e3:.0f} ms",
-                    retry_after_s=retry_after,
-                ),
-                now,
-            )
-
-    def _execute_degraded(self, claimed: List[Request]) -> None:
-        """Per-request scalar-oracle fallback for a batch that kept failing.
-
-        Serving each request alone through the exact oracle isolates a
-        batch-poisoning request: its neighbours still complete bit-exactly,
-        and only the poisoned request fails with its own error.
-        """
-        for request in claimed:
-            try:
-                output = self.plan.run_degraded(request.layer, request.activation)
-            except Exception as error:  # noqa: BLE001 - per-request failure
-                request.fail(error, time.perf_counter())
-                continue
-            request.degraded = True
-            request.attribution = self.plan.attribute(request.layer, request.columns)
-            request.fulfil(output, time.perf_counter())
+        return result.outputs[0], result.compute_s
 
     def _collect_shed(self) -> None:
         shed = self.queue.take_shed()
         if shed:
-            self._finish([], [self._record(request) for request in shed])
+            self._account(shed)
 
     def _report_crash(self, slot: _WorkerSlot, error: BaseException) -> None:
         """Worker-death path: salvage in-flight work, then wake the supervisor."""
@@ -1429,12 +1317,42 @@ class Server:
                 self._spawn_worker(slot)
 
     # ------------------------------------------------------------ accounting
-    def _finish(
-        self, executions: List[BatchExecution], records: List[_RequestRecord]
+    def _account(
+        self,
+        requests: List[ModelRequest],
+        claim: Optional[_Claim] = None,
+        executions: Iterable[BatchExecution] = (),
     ) -> None:
+        """Write the records of settled requests, once, with a claim's stages.
+
+        A request's stage records come from the claim that settled it; one
+        that never reached a stage counts as its first stage.
+        """
+        records: List[_RequestRecord] = []
+        models: List[_ModelRecord] = []
+        for request in requests:
+            log = (
+                claim.records(request)
+                if claim is not None and request in claim.logs else []
+            )
+            records.extend(log or [self._record(request)])
+            models.append(_ModelRecord(
+                state=request.state,
+                latency_s=request.latency_s,
+                steps=request.steps_completed,
+                priority=request.priority,
+                deadline_met=(
+                    request.state == DONE
+                    and (
+                        request.deadline_at is None
+                        or request.finished_at <= request.deadline_at
+                    )
+                ),
+            ))
         with self._lock:
             self._batches.extend(executions)
             self._records.extend(records)
+            self._model_records.extend(models)
             for record in records:
                 if record.state == EXPIRED:
                     self._expired += 1
@@ -1446,35 +1364,16 @@ class Server:
                     self._degraded += 1
 
     @staticmethod
-    def _record(request: Request) -> _RequestRecord:
+    def _record(request: ModelRequest) -> _RequestRecord:
+        """The first-stage record of a request that settled outside a stage."""
         finished_at = (
             request.finished_at
             if request.finished_at is not None
             else time.perf_counter()
         )
-        return _RequestRecord(
-            layer=request.layer,
-            columns=request.columns,
-            state=request.state,
-            submitted_at=request.submitted_at,
-            finished_at=finished_at,
-            latency_s=finished_at - request.submitted_at,
-            queue_delay_s=(
-                request.started_at - request.submitted_at
-                if request.started_at is not None
-                else 0.0
-            ),
-            retries=request.retries,
-            degraded=request.degraded,
-            attribution=request.attribution,
-            priority=request.priority,
-            deadline_met=(
-                request.state == DONE
-                and (
-                    request.deadline_at is None
-                    or finished_at <= request.deadline_at
-                )
-            ),
+        return _stage_record(
+            request, request.layer, request.state, None, request.started_at,
+            finished_at, request.retries, request.degraded, request.attribution,
         )
 
     # ------------------------------------------------------------ monitoring
@@ -1567,7 +1466,6 @@ class Server:
             records = list(self._records)
             batches = list(self._batches)
             model_records = list(self._model_records)
-            served_models = self._served_model_requests
             admission_sheds = self._admission_sheds
             plan_swaps = self._plan_swaps
             force_aborted = self._force_aborted
@@ -1620,9 +1518,7 @@ class Server:
         )
         stages: List[StageStats] = []
         pipeline_depth = 0
-        graph = self.plan.graph
-        if graph is None and served_models:
-            graph = self._implicit_graph
+        graph = self.plan.graph or self._implicit_graph
         if graph is not None:
             pipeline_depth = len(graph)
             stages = self._stage_stats(graph, records, batches, wall_s)
@@ -1676,9 +1572,9 @@ class Server:
 
         Stages map 1:1 to layers in a model graph, so the stage's requests
         are the records against its layer and its compute time is the summed
-        engine-pass time of that layer's batches.  ``occupancy`` divides by
-        the run's wall-clock: overlapped pipelines push the stage occupancies
-        toward the worker count, serial execution keeps their sum under 1.
+        executor time of that layer's stage passes, timed inside the claims.
+        ``occupancy`` divides by the run's wall-clock: with every worker
+        busy the stage occupancies sum toward the worker count.
         """
         wall = max(wall_s, 1e-12)
         stages: List[StageStats] = []

@@ -1,5 +1,6 @@
 """The redesigned serving API surface: exports, keyword-only constructors,
-deprecation shims, submit validation and the ModelGraph contract."""
+warning-free model-level submit, submit validation and the ModelGraph
+contract."""
 
 import warnings
 
@@ -19,7 +20,6 @@ from repro.serving import (
     SubmitOptions,
     compile_workload,
 )
-from repro.serving.request import Request
 from repro.workloads import synthetic_gemm_workload
 
 
@@ -67,32 +67,6 @@ class TestKeywordOnlyConstructors:
 
 
 class TestDeprecationShims:
-    def test_layer_submit_warns_and_still_serves(self):
-        plan = _plan()
-        activation = np.arange(8, dtype=np.int64).reshape(8, 1)
-        with Server(plan, num_workers=1, max_batch=2) as server:
-            with pytest.warns(DeprecationWarning, match="submit"):
-                request = server.submit("layer0", activation)
-            assert isinstance(request, Request)
-            assert np.array_equal(
-                request.result(timeout=10.0),
-                plan.layer("layer0").weight @ activation,
-            )
-
-    def test_layer_submit_many_warns_and_still_serves(self):
-        plan = _plan()
-        activations = [
-            np.full((8, 1), fill, dtype=np.int64) for fill in (1, 2, 3)
-        ]
-        with Server(plan, num_workers=1, max_batch=4) as server:
-            with pytest.warns(DeprecationWarning, match="submit_many"):
-                requests = server.submit_many("layer0", activations)
-            weight = plan.layer("layer0").weight
-            for request, activation in zip(requests, activations):
-                assert np.array_equal(
-                    request.result(timeout=10.0), weight @ activation
-                )
-
     def test_model_submit_does_not_warn(self):
         plan = _plan()
         activation = np.ones((8, 1), dtype=np.int64)
@@ -113,13 +87,6 @@ class TestSubmitValidation:
             request.result(timeout=10.0)
             with pytest.raises(ServingError, match="serves model"):
                 server.submit(activation, model="some-other-model")
-
-    def test_layer_and_activation_positional_conflict(self):
-        plan = _plan()
-        activation = np.ones((8, 1), dtype=np.int64)
-        with Server(plan, num_workers=1, max_batch=2) as server:
-            with pytest.raises(ServingError):
-                server.submit(activation, activation)
 
     def test_stream_requires_streamable_graph(self):
         plan = _plan(n=6, k=8)  # 8 -> 6: output cannot feed the input

@@ -179,13 +179,13 @@ class TestServers:
     def test_force_abort_restores(self, fake):
         server = Server(_plan(), num_workers=1, max_batch=1, max_pending=4)
         release = threading.Event()
-        execute_once = server.batcher.execute_once
+        run_stage = server.batcher.run_stage
 
-        def wedged(requests):
+        def wedged(*args):
             release.wait(10.0)
-            return execute_once(requests)
+            return run_stage(*args)
 
-        server.batcher.execute_once = wedged
+        server.batcher.run_stage = wedged
         try:
             server.start()
             handle = server.submit(_act())

@@ -61,10 +61,7 @@ class TestServingReport:
         rng = np.random.default_rng(0)
         with Server(plan, num_workers=1, max_batch=4) as server:
             futures = [
-                server.submit(
-                    "layer0",
-                    rng.integers(-8, 8, size=(20, 1), dtype=np.int64),
-                )
+                server.submit(rng.integers(-8, 8, size=(20, 1), dtype=np.int64))
                 for _ in range(8)
             ]
             for future in futures:
@@ -81,7 +78,7 @@ class TestServingReport:
         plan = compile_workload(_workload(num_layers=1))
         act = np.ones((20, 1), dtype=np.int64)
         with Server(plan, num_workers=1, max_batch=4) as server:
-            server.submit("layer0", act).result(timeout=10.0)
+            server.submit(act).result(timeout=10.0)
             report = server.report()
         removed = {"plan_hits", "plan_misses", "plan_hit_rate", "scoreboard_cache"}
         assert not removed & set(report.as_dict())
@@ -141,12 +138,15 @@ from repro.serving import Server, compile_workload
 from repro.workloads import synthetic_gemm_workload
 
 plan = compile_workload(
-    synthetic_gemm_workload(num_layers=2, n=16, k=16, m=2, weight_bits=4), seed=1
+    synthetic_gemm_workload(num_layers=2, n=16, k=16, m=2, weight_bits=4),
+    seed=1, graph="chain",
 )
 act = np.arange(32, dtype=np.int64).reshape(16, 2)
 with Server(plan, num_workers=1, max_batch=4) as server:
-    out = server.submit("layer1", act).result(timeout=10.0)
-assert np.array_equal(out, plan.layer("layer1").weight @ act)
+    out = server.submit(act).result(timeout=10.0)
+assert np.array_equal(
+    out, plan.layer("layer1").weight @ (plan.layer("layer0").weight @ act)
+)
 assert not any(name.split(".")[0] == "scipy" for name in sys.modules)
 print("ok")
 """

@@ -19,7 +19,7 @@ from repro.workloads import synthetic_gemm_workload
 
 def _plan(**kwargs):
     workload = synthetic_gemm_workload(num_layers=2, n=12, k=10, m=4, weight_bits=4)
-    return compile_workload(workload, seed=11, **kwargs)
+    return compile_workload(workload, seed=11, layer_names=["layer0"], **kwargs)
 
 
 def _request(request_id, layer="layer0", k=10, cols=1, deadline_at_=None):
@@ -34,16 +34,16 @@ def _request(request_id, layer="layer0", k=10, cols=1, deadline_at_=None):
 
 
 class _Gate:
-    """Blocks the server's batch execution until released."""
+    """Blocks the server's stage execution until released."""
 
     def __init__(self, server):
         self.event = threading.Event()
-        self._original = server.batcher.execute_once
-        server.batcher.execute_once = self._gated
+        self._original = server.batcher.run_stage
+        server.batcher.run_stage = self._gated
 
-    def _gated(self, requests):
+    def _gated(self, *args):
         assert self.event.wait(10.0)
-        return self._original(requests)
+        return self._original(*args)
 
     def release(self):
         self.event.set()
@@ -142,7 +142,7 @@ class TestServerDeadlines:
             activation = np.ones((10, 1), dtype=np.int64)
             for bad in (0.0, -2.0, float("inf"), float("nan")):
                 with pytest.raises(ServingError):
-                    server.submit("layer0", activation, deadline_s=bad)
+                    server.submit(activation, deadline_s=bad)
 
     def test_expired_request_fails_without_being_computed(self):
         plan = _plan()
@@ -151,11 +151,11 @@ class TestServerDeadlines:
         activation = np.ones((10, 1), dtype=np.int64)
         try:
             server.start()
-            blocker = server.submit("layer0", activation)
+            blocker = server.submit(activation)
             deadline = time.perf_counter() + 5.0
             while len(server.queue) and time.perf_counter() < deadline:
                 time.sleep(0.001)  # the gated worker holds the first request
-            doomed = server.submit("layer0", activation, deadline_s=0.01)
+            doomed = server.submit(activation, deadline_s=0.01)
             time.sleep(0.05)  # let the deadline lapse while queued
             gate.release()
             with pytest.raises(DeadlineExceededError):
@@ -182,11 +182,11 @@ class TestServerDeadlines:
         activation = np.ones((10, 1), dtype=np.int64)
         try:
             server.start()
-            blocker = server.submit("layer0", activation)
+            blocker = server.submit(activation)
             deadline = time.perf_counter() + 5.0
             while len(server.queue) and time.perf_counter() < deadline:
                 time.sleep(0.001)
-            victim = server.submit("layer0", activation)
+            victim = server.submit(activation)
             assert victim.cancel() is True
             with pytest.raises(RequestCancelledError):
                 victim.result(timeout=1.0)
@@ -208,11 +208,11 @@ class TestServerDeadlines:
         gate = _Gate(server)
         activation = np.ones((10, 1), dtype=np.int64)
         server.start()
-        inflight = server.submit("layer0", activation)
+        inflight = server.submit(activation)
         deadline = time.perf_counter() + 5.0
         while len(server.queue) and time.perf_counter() < deadline:
             time.sleep(0.001)
-        queued = [server.submit("layer0", activation) for _ in range(2)]
+        queued = [server.submit(activation) for _ in range(2)]
         closer = threading.Thread(target=server.close, kwargs={"drain": False})
         closer.start()
         # Queued-but-undispatched requests fail while the in-flight batch is

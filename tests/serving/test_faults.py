@@ -26,7 +26,8 @@ from repro.serving import (
     Server,
     compile_workload,
 )
-from repro.serving.request import DONE, FAILED, Request
+from repro.serving.model_request import ModelRequest
+from repro.serving.request import DONE, FAILED
 from repro.workloads import synthetic_gemm_workload
 
 #: Zero-sleep policy so retry-path tests stay fast.
@@ -35,7 +36,7 @@ FAST_RETRIES = RetryPolicy(max_attempts=3, backoff_base_s=0.0, backoff_max_s=0.0
 
 def _plan(**kwargs):
     workload = synthetic_gemm_workload(num_layers=2, n=12, k=10, m=4, weight_bits=4)
-    return compile_workload(workload, seed=23, **kwargs)
+    return compile_workload(workload, seed=23, layer_names=["layer0"], **kwargs)
 
 
 def _activations(count, k=10, seed=5):
@@ -55,7 +56,11 @@ def _preloaded_server(plan, requests, **kwargs):
 
 
 def _raw_request(request_id, activation, layer="layer0"):
-    return Request(request_id, layer, activation, submitted_at=time.perf_counter())
+    """A model request built without submit()'s validation."""
+    return ModelRequest(
+        request_id, model="raw", stages=(layer,), num_steps=1,
+        activation=activation, submitted_at=time.perf_counter(),
+    )
 
 
 class TestFaultInjector:
@@ -301,7 +306,9 @@ class TestWorkerSupervision:
 class TestSeededChaos:
     def test_seeded_chaos_run_is_bit_identical_and_accounted(self):
         """ISSUE 6 acceptance: probabilistic seeded faults, 100% availability."""
-        plan = _plan()
+        # Two chained layers, so faults land at either stage of a claim.
+        workload = synthetic_gemm_workload(num_layers=2, n=10, k=10, m=4, weight_bits=4)
+        plan = compile_workload(workload, seed=23, graph="chain")
         faults = FaultInjector(
             engine_fault_rate=0.25,
             latency_rate=0.2,
@@ -321,18 +328,16 @@ class TestSeededChaos:
         submitted = []
         with server:
             for index in range(48):
-                layer = f"layer{index % 2}"
                 activation = rng.integers(
                     -32, 32, size=(10, int(rng.integers(1, 3))), dtype=np.int64
                 )
-                submitted.append(
-                    (server.submit(layer, activation), layer, activation)
-                )
-            for request, layer, activation in submitted:
-                expected = plan.layer(layer).weight @ activation
+                submitted.append((server.submit(activation), activation))
+            for request, activation in submitted:
+                expected = plan.run_model(activation)
                 assert np.array_equal(request.result(timeout=30.0), expected)
         report = server.report()
-        assert report.num_requests == 48
+        assert report.num_model_requests == 48
+        assert report.num_requests == 2 * 48  # one record per stage
         assert report.num_failed == 0  # availability: every request completed
         assert report.num_expired == 0 and report.num_cancelled == 0
         stats = faults.stats()

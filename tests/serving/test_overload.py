@@ -79,16 +79,16 @@ def _request(request_id, layer=LAYER, deadline_at_=None, priority=0, k=10):
 
 
 class _Gate:
-    """Blocks the server's batch execution until released."""
+    """Blocks the server's stage execution until released."""
 
     def __init__(self, server):
         self.event = threading.Event()
-        self._original = server.batcher.execute_once
-        server.batcher.execute_once = self._gated
+        self._original = server.batcher.run_stage
+        server.batcher.run_stage = self._gated
 
-    def _gated(self, requests):
+    def _gated(self, *args):
         assert self.event.wait(10.0)
-        return self._original(requests)
+        return self._original(*args)
 
     def release(self):
         self.event.set()
@@ -702,6 +702,30 @@ class TestPlanSwap:
                 assert np.array_equal(
                     handle.result(timeout=30.0), new_weight @ act
                 )
+        assert server.report().num_plan_swaps == 1
+
+    def test_multi_stage_swap_never_mixes_plans(self):
+        # Every output must be one plan's run_model: no request may run its
+        # early stages on the old weights and its later ones on the new.
+        workload = synthetic_gemm_workload(num_layers=4, n=10, k=10, m=4, weight_bits=4)
+        served = compile_workload(workload, seed=23, graph="chain")
+        replacement = compile_workload(workload, seed=99, graph="chain")
+        acts = _acts(300, seed=61)
+        server = Server(served, num_workers=2, max_batch=4, max_pending=512)
+        with server:
+            handles = server.submit_many(activations=acts)
+            deadline = time.perf_counter() + 30.0
+            while not handles[0].done() and time.perf_counter() < deadline:
+                time.sleep(0.0005)
+            server.swap_plan(replacement)
+            outputs = [handle.result(timeout=60.0) for handle in handles]
+        mixed = [
+            index
+            for index, (act, output) in enumerate(zip(acts, outputs))
+            if not (np.array_equal(output, served.run_model(act))
+                    or np.array_equal(output, replacement.run_model(act)))
+        ]
+        assert mixed == []
         assert server.report().num_plan_swaps == 1
 
     def test_swap_validation_never_disturbs_serving(self):

@@ -1,30 +1,41 @@
-"""Whole-model pipelined serving: parity, faults, deadlines, streams.
+"""Whole-model serving: parity, faults, deadlines, streams, the claim.
 
-The acceptance criteria mirror ISSUE 9: a compiled multi-layer LLaMA block
-(five chained GEMM stages) served end-to-end must be bit-identical to
-running ``engine.multiply_planned`` per layer sequentially, in both the
-thread and process execution tiers, including under a mid-pipeline worker
-kill (the crashed stage's in-flight request is requeued and the model
-request still completes).  Deadlines, cancellation and backpressure apply
-to pipelined requests; the report carries per-stage breakdowns.
+A compiled multi-layer LLaMA block (five chained GEMM stages) served
+end-to-end must be bit-identical to running ``engine.multiply_planned`` per
+layer sequentially, in both the thread and process execution tiers,
+including under a worker kill (the claim's requests are requeued and still
+complete).  One worker claim runs a batch of model requests through every
+stage; deadlines, cancellation, retries, the degraded fallback and crash
+requeue work at stage granularity inside it, and the report carries
+per-stage breakdowns.
 """
 
+import gc
+import sys
 import threading
 import time
+import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import (
     BackpressureError,
     DeadlineExceededError,
     RequestCancelledError,
     ServingError,
+    ShedError,
+    WorkerCrashError,
 )
 from repro.serving import (
+    CircuitBreaker,
     FaultInjector,
     FaultPlan,
     ModelGraph,
+    RetryPolicy,
     Server,
     compile_workload,
 )
@@ -179,23 +190,24 @@ class TestPipelineDeadlinesAndCancel:
         plan = _block_plan()
         activation = _activations(plan, 1)[0]
         server = Server(plan, num_workers=1, max_batch=1, max_pending=4)
+        ran = []
         with server:
-            original = server.queue.next_batch
+            original = server.batcher.run_stage
 
-            def delayed(*args, **kwargs):
-                # Once the stage-1 continuation is pending, let the model
-                # deadline lapse before the worker can claim it.
-                if any(entry[2].layer == "attn_score"
-                       for lane in list(server.queue._lanes.values())
-                       for entry in list(lane)):
+            def slow_first_stage(served, layer, *args):
+                ran.append(layer)
+                output = original(served, layer, *args)
+                if layer == "qkv_proj":
+                    # Let the model deadline lapse before stage 1.
                     time.sleep(0.15)
-                return original(*args, **kwargs)
+                return output
 
-            server.queue.next_batch = delayed
+            server.batcher.run_stage = slow_first_stage
             request = server.submit(activation, deadline_s=0.05)
             with pytest.raises(DeadlineExceededError):
                 request.result(timeout=10.0)
         # Stage 0 completed; the request expired before stage 1 ran.
+        assert ran == ["qkv_proj"]
         assert request.steps_completed == 0
         assert server.report().num_expired == 1
 
@@ -205,13 +217,13 @@ class TestPipelineDeadlinesAndCancel:
         server = Server(plan, num_workers=1, max_batch=1, max_pending=4)
         gate = threading.Event()
         with server:
-            original = server.batcher.execute_once
+            original = server.batcher.run_stage
 
-            def gated(requests):
+            def gated(*args):
                 assert gate.wait(10.0)
-                return original(requests)
+                return original(*args)
 
-            server.batcher.execute_once = gated
+            server.batcher.run_stage = gated
             first = server.submit(acts[0])
             second = server.submit(acts[1])
             assert second.cancel() is True
@@ -295,3 +307,327 @@ class TestPipelineGraphRequirements:
         plan = compile_workload(workload, seed=5, graph=graph)
         assert plan.graph == graph
         assert plan.streamable
+
+
+#: Retries without sleeps so fault paths stay fast.
+FAST_RETRIES = RetryPolicy(max_attempts=3, backoff_base_s=0.0, backoff_max_s=0.0)
+STAGES = ("qkv_proj", "attn_score", "o_proj", "gate_proj", "down_proj")
+
+
+class _StageLog:
+    """Wraps the thread tier's stage primitive and records every pass.
+
+    ``calls`` holds ``(layer, columns)`` per executor pass (failed attempts
+    included); ``before``/``after`` run around a pass with its layer and
+    1-based call index; passes wait while ``hold`` is cleared.
+    """
+
+    def __init__(self, server, before=None, after=None):
+        self.calls = []
+        self.before = before
+        self.after = after
+        self.hold = threading.Event()
+        self.hold.set()
+        self._original = server.batcher.run_stage
+        server.batcher.run_stage = self
+
+    def __call__(self, plan, layer, activation, batch_size):
+        assert self.hold.wait(10.0)
+        self.calls.append((layer, activation.shape[1]))
+        if self.before is not None:
+            self.before(layer, len(self.calls))
+        output = self._original(plan, layer, activation, batch_size)
+        if self.after is not None:
+            self.after(layer, len(self.calls))
+        return output
+
+
+def _plug(server, log, activation):
+    """Occupy the single worker with one request held before its first
+    stage, so the requests submitted next share the following claim."""
+    log.hold.clear()
+    plug = server.submit(activation)
+    deadline = time.perf_counter() + 5.0
+    while len(server.queue) and time.perf_counter() < deadline:
+        time.sleep(0.001)
+    assert len(server.queue) == 0
+    return plug
+
+
+class TestWholeChainClaim:
+    def test_deadline_between_stages_stops_only_that_request(self):
+        plan = _block_plan()
+        acts = _activations(plan, 3, seed=41)
+        server = Server(plan, num_workers=1, max_batch=4, max_pending=8,
+                        admission_control=False)
+
+        def lapse(layer, index):
+            if index == 8:  # o_proj of the second claim
+                time.sleep(0.35)
+
+        log = _StageLog(server, after=lapse)
+        with server:
+            plug = _plug(server, log, acts[0])
+            doomed = server.submit(acts[1], deadline_s=0.3)
+            survivor = server.submit(acts[2])
+            log.hold.set()
+            plug.result(timeout=30.0)
+            with pytest.raises(DeadlineExceededError, match="gate_proj"):
+                doomed.result(timeout=30.0)
+            assert np.array_equal(
+                survivor.result(timeout=30.0), plan.run_model(acts[2])
+            )
+        # The expired request's columns left the claim before gate_proj.
+        assert log.calls[5:] == [
+            ("qkv_proj", 2), ("attn_score", 2), ("o_proj", 2),
+            ("gate_proj", 1), ("down_proj", 1),
+        ]
+        assert doomed.steps_completed == 0
+        report = server.report()
+        assert report.num_expired == 1
+        assert report.num_model_requests == 2
+        assert [stage.requests for stage in report.stages] == [3, 3, 3, 2, 2]
+
+    def test_cancel_between_stages(self):
+        plan = _block_plan()
+        acts = _activations(plan, 3, seed=43)
+        server = Server(plan, num_workers=1, max_batch=4, max_pending=8)
+        handles = {}
+        cancels = []
+
+        def cancel(layer, index):
+            if index == 7:  # attn_score of the second claim
+                cancels.append(handles["victim"].cancel())
+
+        log = _StageLog(server, after=cancel)
+        with server:
+            plug = _plug(server, log, acts[0])
+            handles["victim"] = server.submit(acts[1])
+            other = server.submit(acts[2])
+            log.hold.set()
+            plug.result(timeout=30.0)
+            with pytest.raises(RequestCancelledError):
+                handles["victim"].result(timeout=30.0)
+            assert np.array_equal(other.result(timeout=30.0), plan.run_model(acts[2]))
+        assert cancels == [True]
+        assert log.calls[5:] == [
+            ("qkv_proj", 2), ("attn_score", 2), ("o_proj", 1),
+            ("gate_proj", 1), ("down_proj", 1),
+        ]
+        report = server.report()
+        assert report.num_cancelled == 1
+        assert handles["victim"].cancel() is False  # already settled
+
+    def test_transient_fault_at_stage_k_retries_only_that_stage(self):
+        plan = _block_plan()
+        activation = _activations(plan, 1, seed=45)[0]
+        faults = FaultInjector(plan=FaultPlan(engine_faults_at={3}))
+        server = Server(plan, num_workers=1, max_batch=4,
+                        retry_policy=FAST_RETRIES, faults=faults)
+        log = _StageLog(server)
+        with server:
+            output = server.submit(activation).result(timeout=30.0)
+        assert np.array_equal(output, plan.run_model(activation))
+        # o_proj failed once and ran again; no earlier stage re-ran.
+        assert [layer for layer, _ in log.calls] == [
+            "qkv_proj", "attn_score", "o_proj", "o_proj", "gate_proj", "down_proj",
+        ]
+        assert faults.stats().batch_hooks == 6
+        report = server.report()
+        assert report.num_retried == 1
+        assert report.num_degraded == 0
+        assert report.num_requests == 5
+
+    def test_exhausted_retries_degrade_per_request_and_trip_breaker(self):
+        plan = _block_plan()
+        acts = _activations(plan, 2, seed=47, cols=2)
+        # Every attempt at o_proj (hook calls 3-5) fails.
+        faults = FaultInjector(plan=FaultPlan(engine_faults_at={3, 4, 5}))
+        breaker = CircuitBreaker(failure_threshold=1, cooldown_s=0.0)
+        server = Server(plan, num_workers=1, max_batch=4, max_pending=8,
+                        retry_policy=FAST_RETRIES, faults=faults,
+                        degraded_breaker=breaker)
+        log = _StageLog(server)
+        with server:
+            handles = server.submit_many(acts)
+            for act, handle in zip(acts, handles):
+                assert np.array_equal(handle.result(timeout=30.0), plan.run_model(act))
+                assert handle.degraded
+        # Later stages went back to the fast path with both requests.
+        assert log.calls[-2:] == [("gate_proj", 4), ("down_proj", 4)]
+        report = server.report()
+        assert report.breaker_trips == 1
+        assert report.num_degraded == 2
+        assert report.num_retried == 4  # two retries for each request
+        by_layer = {stage.layer: stage for stage in report.stages}
+        assert by_layer["o_proj"].requests == 2
+        assert by_layer["o_proj"].batches == 0  # served by the oracle
+        assert by_layer["gate_proj"].batches == 1
+
+    def test_worker_crash_mid_chain_requeues_from_stage_zero(self):
+        plan = _block_plan()
+        acts = _activations(plan, 2, seed=49)
+        crashed = []
+
+        def crash(layer, index):
+            if layer == "gate_proj" and not crashed:
+                crashed.append(index)
+                raise WorkerCrashError("worker died mid-chain")
+
+        server = Server(plan, num_workers=1, max_batch=4, max_pending=8,
+                        max_worker_restarts=2)
+        log = _StageLog(server, before=crash)
+        with server:
+            handles = server.submit_many(acts)
+            for act, handle in zip(acts, handles):
+                assert np.array_equal(handle.result(timeout=30.0), plan.run_model(act))
+            deadline = time.perf_counter() + 10.0
+            while (server.health().num_worker_restarts < 1
+                   and time.perf_counter() < deadline):
+                time.sleep(0.005)
+            assert server.health().num_worker_restarts == 1
+        assert [layer for layer, _ in log.calls] == list(STAGES[:4]) + list(STAGES)
+        report = server.report()
+        # Stage records of the crashed claim were never written.
+        assert report.num_requests == 2 * len(STAGES)
+        assert [stage.requests for stage in report.stages] == [2] * len(STAGES)
+        assert [stage.batches for stage in report.stages] == [1] * len(STAGES)
+        assert report.num_model_requests == 2
+        assert report.num_failed == 0
+
+    def test_each_stage_executes_once_per_claim(self):
+        plan = _block_plan()
+        acts = _activations(plan, 6, seed=51)
+        faults = FaultInjector()  # counts hook calls, injects nothing
+        server = Server(plan, num_workers=1, max_batch=8, max_pending=8,
+                        faults=faults)
+        with server:
+            handles = server.submit_many(acts)
+            for act, handle in zip(acts, handles):
+                assert np.array_equal(handle.result(timeout=30.0), plan.run_model(act))
+        stats = faults.stats()
+        assert stats.dispatch_hooks == 1
+        assert stats.batch_hooks == len(STAGES)
+        report = server.report()
+        assert [stage.batches for stage in report.stages] == [1] * len(STAGES)
+        assert report.mean_batch_size == 6.0
+
+    def test_stream_three_equals_run_model_three_times(self):
+        plan = _block_plan()
+        acts = _activations(plan, 4, seed=53)
+        server = Server(plan, num_workers=1, max_batch=4, max_pending=8)
+        log = _StageLog(server)
+        with server:
+            plug = _plug(server, log, acts[0])
+            # Three decode lengths share one claim and leave it step by step.
+            handles = [
+                server.submit(act, stream=steps)
+                for act, steps in zip(acts[1:], (3, 1, 2))
+            ]
+            log.hold.set()
+            plug.result(timeout=30.0)
+            for act, handle, steps in zip(acts[1:], handles, (3, 1, 2)):
+                token = act
+                outputs = handle.outputs(timeout=30.0)
+                assert len(outputs) == steps
+                for produced in outputs:
+                    token = plan.run_model(token)
+                    assert np.array_equal(produced, token)
+        widths = [columns for _, columns in log.calls[5:]]
+        assert widths == [3] * 5 + [2] * 5 + [1] * 5
+
+    def test_finished_handle_pins_no_stage_output(self):
+        plan = _block_plan()
+        activation = _activations(plan, 1, seed=55)[0]
+        stage_outputs = []
+        server = Server(plan, num_workers=1, max_batch=4)
+        original = server.batcher.run_stage
+
+        def keep_refs(served, layer, *args):
+            output, compute_s = original(served, layer, *args)
+            stage_outputs.append(weakref.ref(output))
+            return output, compute_s
+
+        server.batcher.run_stage = keep_refs
+        with server:
+            handle = server.submit(activation)
+            result = handle.result(timeout=30.0)
+        gc.collect()
+        assert len(stage_outputs) == len(STAGES)
+        # The handle keeps its own copy of the final output and nothing of
+        # the stage outputs, intermediate or final.
+        assert all(ref() is None for ref in stage_outputs)
+        assert np.array_equal(result, plan.run_model(activation))
+
+    def test_batch_compositions_match_run_model(self):
+        plan = _block_plan()
+        with Server(plan, num_workers=2, max_batch=16, max_pending=64) as server:
+
+            @settings(max_examples=25, deadline=None)
+            @given(
+                widths=st.lists(st.integers(1, 5), min_size=1, max_size=16),
+                seed=st.integers(0, 2**32 - 1),
+            )
+            def check(widths, seed):
+                rng = np.random.default_rng(seed)
+                acts = [
+                    rng.integers(-128, 128, size=(plan.input_dim, width),
+                                 dtype=np.int64)
+                    for width in widths
+                ]
+                handles = server.submit_many(acts)
+                for act, handle in zip(acts, handles):
+                    assert np.array_equal(
+                        handle.result(timeout=30.0), plan.run_model(act)
+                    )
+
+            check()
+
+    def test_accounting_holds_under_thread_churn(self):
+        # More workers than cores and a tiny switch interval: every admitted
+        # request settles once and is counted once, whatever interleaving
+        # the claims, the clients' cancels and the deadlines produce.
+        plan = _block_plan()
+        acts = _activations(plan, 120, seed=57)
+        outcomes = Counter()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with Server(plan, num_workers=4, max_batch=4, max_pending=256) as server:
+                admitted = []
+                for index, act in enumerate(acts):
+                    try:
+                        handle = server.submit(
+                            act, stream=1 + index % 3,
+                            deadline_s=0.002 if index % 4 == 0 else None,
+                        )
+                    except ShedError:
+                        outcomes["shed at admission"] += 1
+                        continue
+                    if index % 5 == 0:
+                        handle.cancel()
+                    admitted.append((act, handle))
+                for act, handle in admitted:
+                    try:
+                        outputs = handle.outputs(timeout=60.0)
+                    except (DeadlineExceededError, RequestCancelledError,
+                            ShedError) as error:
+                        outcomes[type(error).__name__] += 1
+                        continue
+                    token = act
+                    for produced in outputs:
+                        token = plan.run_model(token)
+                        assert np.array_equal(produced, token)
+                    outcomes["done"] += 1
+        finally:
+            sys.setswitchinterval(interval)
+        report = server.report()
+        assert report.num_model_requests == outcomes["done"]
+        assert report.num_model_requests + report.num_model_failed == len(admitted)
+        assert report.num_admission_shed == outcomes["shed at admission"]
+        # A request stopped before its last stage leaves one terminal stage
+        # record; one cancelled while its last stage ran leaves none.
+        assert report.num_expired == outcomes["DeadlineExceededError"]
+        assert report.num_shed == outcomes["ShedError"]
+        assert report.num_cancelled <= outcomes["RequestCancelledError"]
+        assert report.num_failed == 0

@@ -25,10 +25,20 @@ from repro.workloads import synthetic_gemm_workload
 
 @pytest.fixture(scope="module")
 def plan():
+    """One layer, served as an implicit one-stage chain."""
     workload = synthetic_gemm_workload(
         num_layers=2, n=24, k=20, m=3, weight_bits=4
     )
-    return compile_workload(workload, seed=3)
+    return compile_workload(workload, seed=3, layer_names=["layer0"])
+
+
+@pytest.fixture(scope="module")
+def chain_plan():
+    """Two chained layers: every request runs through both stages."""
+    workload = synthetic_gemm_workload(
+        num_layers=2, n=20, k=20, m=3, weight_bits=4
+    )
+    return compile_workload(workload, seed=3, graph="chain")
 
 
 def _activations(plan, count, columns=3, seed=0):
@@ -41,28 +51,27 @@ def _activations(plan, count, columns=3, seed=0):
 
 
 class TestProcessExecution:
-    def test_process_mode_is_bit_identical_to_thread_mode(self, plan):
-        acts = _activations(plan, 12)
-        layers = plan.layer_names()
+    def test_process_mode_is_bit_identical_to_thread_mode(self, chain_plan):
+        acts = _activations(chain_plan, 12)
         outputs = {}
         for mode in ("threads", "processes"):
             with Server(
-                plan, num_workers=2, max_batch=4, execution=mode
+                chain_plan, num_workers=2, max_batch=4, execution=mode
             ) as server:
-                requests = [
-                    server.submit(layers[i % len(layers)], act)
-                    for i, act in enumerate(acts)
-                ]
+                requests = [server.submit(act) for act in acts]
                 outputs[mode] = [r.result(timeout=120.0) for r in requests]
-        for threaded, sharded in zip(outputs["threads"], outputs["processes"]):
+        for act, threaded, sharded in zip(
+            acts, outputs["threads"], outputs["processes"]
+        ):
             assert np.array_equal(threaded, sharded)
+            assert np.array_equal(threaded, chain_plan.run_model(act))
 
     def test_outputs_match_the_dense_reference(self, plan):
         acts = _activations(plan, 6, seed=1)
         with Server(
             plan, num_workers=1, max_batch=3, execution="processes"
         ) as server:
-            requests = [server.submit("layer0", act) for act in acts]
+            requests = [server.submit(act) for act in acts]
             for request, act in zip(requests, acts):
                 expected = plan.layer("layer0").weight @ act
                 assert np.array_equal(request.result(timeout=120.0), expected)
@@ -76,7 +85,7 @@ class TestProcessExecution:
             plan, num_workers=1, max_batch=2, execution="processes",
             max_batch_columns=1,
         ) as server:
-            requests = [server.submit("layer0", act) for act in acts]
+            requests = [server.submit(act) for act in acts]
             for request, act in zip(requests, acts):
                 expected = plan.layer("layer0").weight @ act
                 assert np.array_equal(request.result(timeout=120.0), expected)
@@ -92,7 +101,7 @@ class TestProcessExecution:
         with Server(
             plan, num_workers=2, max_batch=4, execution="processes"
         ) as server:
-            requests = [server.submit("layer0", act) for act in acts]
+            requests = [server.submit(act) for act in acts]
             for request in requests:
                 request.result(timeout=120.0)
             health = server.health()
@@ -118,7 +127,7 @@ class TestProcessExecution:
             plan, num_workers=2, max_batch=4, execution="threads"
         ) as server:
             for act in acts:
-                server.submit("layer0", act).result(timeout=60.0)
+                server.submit(act).result(timeout=60.0)
         report = server.report()
         assert report.execution == "threads"
         assert len(report.shards) == 2
@@ -134,7 +143,7 @@ class TestProcessFaultTolerance:
             plan, num_workers=1, max_batch=2, execution="processes",
             faults=faults,
         ) as server:
-            requests = [server.submit("layer0", act) for act in acts]
+            requests = [server.submit(act) for act in acts]
             for request, act in zip(requests, acts):
                 expected = plan.layer("layer0").weight @ act
                 assert np.array_equal(request.result(timeout=120.0), expected)
@@ -153,7 +162,7 @@ class TestProcessFaultTolerance:
             plan, num_workers=1, max_batch=2, execution="processes"
         ) as server:
             server._pool._shards[0].process.kill()
-            requests = [server.submit("layer0", act) for act in acts]
+            requests = [server.submit(act) for act in acts]
             for request, act in zip(requests, acts):
                 expected = plan.layer("layer0").weight @ act
                 assert np.array_equal(request.result(timeout=120.0), expected)
@@ -167,7 +176,7 @@ class TestProcessFaultTolerance:
             plan, num_workers=1, max_batch=4, execution="processes",
             faults=faults,
         ) as server:
-            requests = [server.submit("layer0", act) for act in acts]
+            requests = [server.submit(act) for act in acts]
             for request in requests:
                 request.result(timeout=120.0)
         report = server.report()
@@ -181,7 +190,7 @@ class TestProcessFaultTolerance:
             plan, num_workers=1, max_batch=2, execution="processes",
             faults=faults,
         ) as server:
-            requests = [server.submit("layer0", act) for act in acts]
+            requests = [server.submit(act) for act in acts]
             for request in requests:
                 request.result(timeout=120.0)
         own = [
@@ -195,7 +204,7 @@ class TestSubmitMany:
     def test_batch_admission_serves_bit_identically(self, plan):
         acts = _activations(plan, 10, seed=9)
         with Server(plan, num_workers=2, max_batch=4) as server:
-            requests = server.submit_many("layer0", acts)
+            requests = server.submit_many(acts)
             assert [r.request_id for r in requests] == list(range(10))
             for request, act in zip(requests, acts):
                 expected = plan.layer("layer0").weight @ act
@@ -207,10 +216,10 @@ class TestSubmitMany:
         # Not started: the queue must stay untouched while we probe admission.
         server._started = True
         with pytest.raises(BackpressureError):
-            server.submit_many("layer0", acts)
+            server.submit_many(acts)
         assert len(server.queue) == 0  # nothing partially admitted
         assert server.queue.rejected == 6  # every member counted
-        admitted = server.submit_many("layer0", acts[:4])
+        admitted = server.submit_many(acts[:4])
         assert len(server.queue) == 4
         assert len(admitted) == 4
 
@@ -220,19 +229,19 @@ class TestSubmitMany:
         bad = [np.ones((3, 2), dtype=np.int64)]  # wrong k
         good = _activations(plan, 1, seed=11)
         with pytest.raises(ServingError):
-            server.submit_many("layer0", good + bad)
+            server.submit_many(good + bad)
         assert len(server.queue) == 0
         with pytest.raises(ServingError):
-            server.submit_many("layer0", [])
+            server.submit_many([])
 
-    def test_submit_many_under_process_mode(self, plan):
-        acts = _activations(plan, 6, seed=12)
+    def test_submit_many_under_process_mode(self, chain_plan):
+        acts = _activations(chain_plan, 6, seed=12)
         with Server(
-            plan, num_workers=2, max_batch=3, execution="processes"
+            chain_plan, num_workers=2, max_batch=3, execution="processes"
         ) as server:
-            requests = server.submit_many("layer1", acts)
+            requests = server.submit_many(acts)
             for request, act in zip(requests, acts):
-                expected = plan.layer("layer1").weight @ act
+                expected = chain_plan.run_model(act)
                 assert np.array_equal(request.result(timeout=120.0), expected)
 
 

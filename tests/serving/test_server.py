@@ -25,36 +25,40 @@ from repro.workloads import synthetic_gemm_workload
 class TestServerLifecycle:
     def _plan(self, **kwargs):
         workload = synthetic_gemm_workload(num_layers=2, n=16, k=12, m=4, weight_bits=5)
-        return compile_workload(workload, seed=13, **kwargs)
+        return compile_workload(workload, seed=13, layer_names=["layer0"], **kwargs)
 
     def test_submit_requires_started_server_and_valid_request(self):
         plan = self._plan()
         server = Server(plan, num_workers=1, max_batch=2)
         activation = np.ones((12, 1), dtype=np.int64)
         with pytest.raises(ServingError):
-            server.submit("layer0", activation)  # not started
+            server.submit(activation)  # not started
         with server:
             with pytest.raises(ServingError):
-                server.submit("missing", activation)
+                server.submit(activation, model="missing")
             with pytest.raises(ServingError):
-                server.submit("layer0", np.ones((5, 1), dtype=np.int64))
+                server.submit(np.ones((5, 1), dtype=np.int64))
             with pytest.raises(ServingError):
-                server.submit("layer0", np.ones((12, 0), dtype=np.int64))
-            request = server.submit("layer0", activation)
+                server.submit(np.ones((12, 0), dtype=np.int64))
+            request = server.submit(activation)
             assert np.array_equal(
                 request.result(timeout=10.0), plan.layer("layer0").weight @ activation
             )
         with pytest.raises(ServingError):
-            server.submit("layer0", activation)  # closed
+            server.submit(activation)  # closed
         with pytest.raises(ServingError):
             Server(plan, num_workers=0)
         with pytest.raises(ServingError):
             Server(plan, max_batch=0)
 
     def test_concurrent_multi_layer_serving_and_report(self):
-        plan = self._plan(accelerator=TransitiveArrayAccelerator(samples_per_gemm=2))
+        # Two chained layers: every request runs through both.
+        workload = synthetic_gemm_workload(num_layers=2, n=12, k=12, m=4, weight_bits=5)
+        plan = compile_workload(
+            workload, seed=13, graph="chain",
+            accelerator=TransitiveArrayAccelerator(samples_per_gemm=2),
+        )
         rng = np.random.default_rng(17)
-        layers = [f"layer{i % 2}" for i in range(32)]
         activations = [
             rng.integers(-64, 64, size=(12, int(rng.integers(1, 4))), dtype=np.int64)
             for _ in range(32)
@@ -65,7 +69,7 @@ class TestServerLifecycle:
         with Server(plan, num_workers=3, max_batch=4, max_pending=64) as server:
             def client(index):
                 try:
-                    request = server.submit(layers[index], activations[index])
+                    request = server.submit(activations[index])
                     results[index] = request.result(timeout=30.0)
                 except Exception as exc:  # pragma: no cover - failure reporting
                     errors.append(exc)
@@ -77,15 +81,18 @@ class TestServerLifecycle:
                 thread.join()
 
         assert not errors
+        weights = [plan.layer(name).weight for name in ("layer0", "layer1")]
         for index in range(32):
-            expected = plan.layer(layers[index]).weight @ activations[index]
+            expected = weights[1] @ (weights[0] @ activations[index])
             assert np.array_equal(results[index], expected)
 
         report = server.report()
-        assert report.num_requests == 32
+        # Stage-level accounting: one record per request per layer.
+        assert report.num_requests == 64
+        assert report.num_model_requests == 32
         assert report.num_failed == 0
-        assert report.total_columns == sum(a.shape[1] for a in activations)
-        assert report.requests_per_layer == {"layer0": 16, "layer1": 16}
+        assert report.total_columns == 2 * sum(a.shape[1] for a in activations)
+        assert report.requests_per_layer == {"layer0": 32, "layer1": 32}
         assert 0.0 < report.latency_p50_s <= report.latency_p99_s
         assert report.mean_batch_size >= 1.0
         assert report.op_counts is not None and report.op_counts.transitive_ops > 0
@@ -93,29 +100,29 @@ class TestServerLifecycle:
         assert report.attributed_energy is not None
         assert report.attributed_energy.total_nj > 0
         assert report.render()  # table renders without error
-        assert report.as_dict()["num_requests"] == 32
+        assert report.as_dict()["num_requests"] == 64
 
     def test_backpressure_rejection_is_counted(self):
         plan = self._plan()
         server = Server(plan, num_workers=1, max_batch=1, max_pending=1)
         gate = threading.Event()
-        original = server.batcher.execute_once
+        original = server.batcher.run_stage
 
-        def gated_execute_once(batch):
+        def gated_run_stage(*args):
             gate.wait(10.0)
-            return original(batch)
+            return original(*args)
 
-        server.batcher.execute_once = gated_execute_once
+        server.batcher.run_stage = gated_run_stage
         activation = np.ones((12, 1), dtype=np.int64)
         try:
             server.start()
-            first = server.submit("layer0", activation)
+            first = server.submit(activation)
             deadline = time.perf_counter() + 5.0
             while len(server.queue) and time.perf_counter() < deadline:
                 time.sleep(0.001)  # wait for the (gated) worker to dequeue it
-            queued = server.submit("layer0", activation)  # fills the bounded queue
+            queued = server.submit(activation)  # fills the bounded queue
             with pytest.raises(BackpressureError):
-                server.submit("layer0", activation)
+                server.submit(activation)
             assert server.queue.rejected == 1
             # the rejected submission never produced a runnable request: the
             # admitted one is still pending, untouched by the rejection
@@ -151,18 +158,18 @@ class TestServerLifecycle:
         plan = self._plan()
         with Server(plan, num_workers=1) as server:
             with pytest.raises(ServingError):
-                server.submit("layer0", np.full((12, 1), 1.5))  # silent floor
+                server.submit(np.full((12, 1), 1.5))  # silent floor
             with pytest.raises(ServingError):
-                server.submit("layer0", np.full((12, 1), np.nan))
+                server.submit(np.full((12, 1), np.nan))
             with pytest.raises(ServingError):
-                server.submit("layer0", np.full((12, 1), np.inf))
+                server.submit(np.full((12, 1), np.inf))
             with pytest.raises(ServingError):
-                server.submit("layer0", np.full((12, 1), 2.0**60))  # not exact
+                server.submit(np.full((12, 1), 2.0**60))  # not exact
             with pytest.raises(ServingError):
-                server.submit("layer0", np.ones((12, 1), dtype=np.complex128))
+                server.submit(np.ones((12, 1), dtype=np.complex128))
             # exactly-integral floats and narrower integer dtypes are fine
-            exact_float = server.submit("layer0", np.full((12, 1), 3.0))
-            narrow_int = server.submit("layer0", np.ones((12, 1), dtype=np.int8))
+            exact_float = server.submit(np.full((12, 1), 3.0))
+            narrow_int = server.submit(np.ones((12, 1), dtype=np.int8))
             weight = plan.layer("layer0").weight
             assert np.array_equal(
                 exact_float.result(timeout=10.0),
