@@ -22,24 +22,12 @@ every output bit-identical to ``weight @ activation``; ``--check`` also
 applies generous regression bounds (throughput floor, p99 ceiling) against
 the checked-in baseline JSON of the same scale and exits non-zero on failure.
 
-``--processes [N]`` benchmarks the GIL-free process-sharded tier instead:
-the same request mix served by ``execution="threads"`` and then by
-``execution="processes"`` with N shard processes (default: all cores), both
-measured after warm-up and bit-verified.  Writes ``BENCH_serving_mp.json``
-(or ``_mp_smoke``); the ``--check`` speedup gate is core-count aware —
-process-vs-thread speedup must reach 1.5x on >= 2 cores (smoke and full)
-and 3x for the full scale on >= 4 cores, and is recorded but not gated on
-a single-core machine, where no parallel tier can win.
-
 ``--faults smoke`` runs the chaos smoke scenario instead: a synthetic
 two-stage chained plan served as whole-model requests under seeded injected
 engine faults, latency and a scripted mid-pipeline worker crash.  It writes
 ``BENCH_serving_faults.json`` and gates that **availability** — the
 fraction of (non-injected) client requests that still complete
-bit-identically via retry or the degraded oracle — stays >= 99%.  Combine
-with ``--processes`` to run the same chaos gate against the process tier
-(crashes then kill real worker processes; writes
-``BENCH_serving_faults_mp.json``).
+bit-identically via retry or the degraded oracle — stays >= 99%.
 
 ``--model llama-block`` benchmarks whole-model **pipelined serving**: a
 chained multi-stage plan (full: the five-stage LLaMA-7B block of
@@ -62,9 +50,7 @@ goodput (deadline-met completions per second) stays >= 85% of capacity and
 that request accounting conserves exactly (admitted == done + expired +
 cancelled + shed + failed).  An unshedded control run (admission control
 off) over the identical arrival schedule is recorded for contrast.  Writes
-``BENCH_serving_overload.json`` (or ``_smoke``); combine with
-``--processes`` to run the same scenario and gate against the
-process-sharded tier (``BENCH_serving_overload_mp{,_smoke}.json``).
+``BENCH_serving_overload.json`` (or ``_smoke``).
 
 Every mode submits through the model-level API (``submit(activation)``
 / ``submit(activations[i], ...)``), the server's only surface.
@@ -106,7 +92,6 @@ from repro.workloads import (  # noqa: E402
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FAULTS_OUTPUT_PATH = REPO_ROOT / "BENCH_serving_faults.json"
-FAULTS_MP_OUTPUT_PATH = REPO_ROOT / "BENCH_serving_faults_mp.json"
 #: Chaos gate: fraction of client requests that must still succeed.
 AVAILABILITY_GATE = 0.99
 #: Absolute floor: batched serving vs the sequential single-GEMM loop.
@@ -114,11 +99,6 @@ SPEEDUP_GATE = 2.0
 #: Regression bounds vs the checked-in baseline (generous — CI varies).
 RPS_REGRESSION_FACTOR = 0.25
 P99_REGRESSION_FACTOR = 4.0
-#: Process-vs-thread speedup gates, keyed by the cores they require.  On a
-#: single core no parallel tier can win, so the speedup is recorded
-#: ungated; the full scale on a >= 4-core machine must reach 3x.
-MP_SPEEDUP_GATE_2CORE = 1.5
-MP_SPEEDUP_GATE_4CORE_FULL = 3.0
 #: Pipelined whole-model serving vs the staged (sequential) baseline.
 #: Recorded ungated on a single core: with one core, parallel workers
 #: cannot reduce wall time.
@@ -136,20 +116,9 @@ SCALES = {
     "smoke": {"suffix": "_smoke", "model": "serving-smoke", "layer": "layer0"},
 }
 
-#: Activation columns per request in the process-tier comparison.  The MP
-#: smoke layer is also larger (512x512) than the thread-bench smoke layer:
-#: the tiers only differ under compute-bound load — with microsecond batches
-#: every tier just measures queue overhead and no speedup gate is winnable.
-MP_COLUMNS = 4
-MP_SMOKE_N = 512
-
 
 def output_path(scale: str) -> Path:
     return REPO_ROOT / f"BENCH_serving{SCALES[scale]['suffix']}.json"
-
-
-def mp_output_path(scale: str) -> Path:
-    return REPO_ROOT / f"BENCH_serving_mp{SCALES[scale]['suffix']}.json"
 
 
 def _workload(scale: str):
@@ -263,156 +232,6 @@ def check(results: dict, baseline: dict) -> list:
                 f"{baseline_p99 * 1e3:.1f} ms (ceiling {ceiling * 1e3:.1f} ms)"
             )
     return failures
-
-
-# --------------------------------------------------------- process sharding
-def _measure_rps(plan, layer_name, execution, num_workers, activations):
-    """Throughput of one execution tier over a fixed request mix.
-
-    Every worker/shard is warmed first (thread mode: LRU caches; process
-    mode: plan unpickling and BLAS start-up in the children), so
-    the timed window measures steady-state serving, not cold start.  Every
-    output is verified bit-identical before the rate is returned.
-    """
-    layer = plan.layer(layer_name)
-    with Server(
-        plan, num_workers=num_workers, max_batch=MAX_BATCH,
-        max_pending=len(activations) + 2 * num_workers, execution=execution,
-    ) as server:
-        warmup = [
-            server.submit(activations[0])
-            for _ in range(2 * num_workers)
-        ]
-        for request in warmup:
-            request.result(timeout=600.0)
-        start = time.perf_counter()
-        requests = [server.submit(act) for act in activations]
-        outputs = [request.result(timeout=600.0) for request in requests]
-        elapsed = time.perf_counter() - start
-    for activation, output in zip(activations, outputs):
-        assert np.array_equal(output, layer.weight @ activation)
-    return len(activations) / elapsed, server.report()
-
-
-def mp_speedup_gate(scale: str, cpu_count: int):
-    """Core-count-aware process-vs-thread gate; ``None`` = record, no gate."""
-    if cpu_count >= 4 and scale == "full":
-        return MP_SPEEDUP_GATE_4CORE_FULL
-    if cpu_count >= 2:
-        return MP_SPEEDUP_GATE_2CORE
-    return None
-
-
-def _compile_mp_plan(scale: str):
-    """The process-tier scenario plan (a heavier smoke layer; see MP_SMOKE_N)."""
-    if scale == "full":
-        return _compile_plan("full")
-    workload = synthetic_gemm_workload(
-        num_layers=1, n=MP_SMOKE_N, k=MP_SMOKE_N, m=1, weight_bits=WEIGHT_BITS,
-        name="serving-mp-smoke",
-    )
-    start = time.perf_counter()
-    plan = compile_workload(workload, layer_names=["layer0"], seed=42)
-    return plan, time.perf_counter() - start
-
-
-def run_mp(scale: str = "full", shards: int = 0, write: bool = True) -> dict:
-    """Thread-tier vs process-tier serving throughput on the same plan."""
-    config = SCALES[scale]
-    cpu_count = os.cpu_count() or 1
-    shards = shards or cpu_count
-    plan, compile_s = _compile_mp_plan(scale)
-    layer = plan.layer(config["layer"])
-    rng = np.random.default_rng(7)
-    activations = [
-        rng.integers(-128, 128, size=(layer.shape.k, MP_COLUMNS), dtype=np.int64)
-        for _ in range(NUM_REQUESTS)
-    ]
-    # Same worker count for both tiers: the comparison isolates the GIL, not
-    # the pool size.
-    threaded_rps, threaded_report = _measure_rps(
-        plan, config["layer"], "threads", shards, activations
-    )
-    process_rps, process_report = _measure_rps(
-        plan, config["layer"], "processes", shards, activations
-    )
-    results = {
-        "benchmark": "bench_serving_mp",
-        "provenance": provenance(),
-        "scale": scale,
-        "bit_identical": True,  # _measure_rps asserted every output
-        "model": plan.name,
-        "layer": config["layer"],
-        "weight_bits": WEIGHT_BITS,
-        "columns_per_request": MP_COLUMNS,
-        "num_requests": NUM_REQUESTS,
-        "max_batch": MAX_BATCH,
-        "num_shards": shards,
-        "cpu_count": cpu_count,
-        "compile_s": compile_s,
-        "threaded_rps": threaded_rps,
-        "process_rps": process_rps,
-        "speedup_vs_threads": process_rps / threaded_rps,
-        "speedup_gate": mp_speedup_gate(scale, cpu_count),
-        "threaded": threaded_report.as_dict(),
-        "process": process_report.as_dict(),
-    }
-    if write:
-        mp_output_path(scale).write_text(json.dumps(results, indent=2) + "\n")
-    return results
-
-
-def check_mp(results: dict, baseline: dict) -> list:
-    """Gate a process-tier run: core-aware speedup + regression floor."""
-    failures = []
-    gate = results["speedup_gate"]
-    speedup = results["speedup_vs_threads"]
-    if gate is not None and speedup < gate:
-        failures.append(
-            f"process tier is only {speedup:.2f}x the threaded tier on "
-            f"{results['cpu_count']} cores (gate {gate:.1f}x)"
-        )
-    if results["process"]["shm_fallbacks"] > 0:
-        failures.append(
-            f"{results['process']['shm_fallbacks']} batches fell back to "
-            f"pickle transport; ring slots are undersized for this scenario"
-        )
-    baseline_rps = baseline.get("process_rps")
-    if baseline_rps is not None:
-        floor = RPS_REGRESSION_FACTOR * baseline_rps
-        if results["process_rps"] < floor:
-            failures.append(
-                f"process-tier throughput regressed: "
-                f"{results['process_rps']:.0f} req/s vs baseline "
-                f"{baseline_rps:.0f} req/s (floor {floor:.0f})"
-            )
-    return failures
-
-
-def mp_main(scale: str, shards: int, do_check: bool) -> None:
-    baseline = {}
-    if do_check and mp_output_path(scale).exists():
-        baseline = json.loads(mp_output_path(scale).read_text())
-    results = run_mp(scale=scale, shards=shards, write=True)
-    gate = results["speedup_gate"]
-    print(f"[{scale}] {results['model']} {results['layer']}: "
-          f"{results['num_shards']} shards on {results['cpu_count']} cores")
-    print(f"threaded : {results['threaded_rps']:.1f} req/s")
-    print(f"processes: {results['process_rps']:.1f} req/s "
-          f"-> {results['speedup_vs_threads']:.2f}x "
-          f"(gate {'none (single core)' if gate is None else f'{gate:.1f}x'})")
-    shard_rows = results["process"].get("shards", [])
-    for row in shard_rows:
-        print(f"  shard[{row['shard']}]: {row['batches']} batches, "
-              f"{row['utilization']:.1%} compute utilization")
-    print(f"wrote {mp_output_path(scale)}")
-    if do_check:
-        failures = check_mp(results, baseline)
-        for failure in failures:
-            print(f"GATE FAILED: {failure}")
-        if failures:
-            raise SystemExit(1)
-        print(f"[{scale}] all process-tier gates passed")
 
 
 def test_batched_serving_2x_sequential():
@@ -571,7 +390,7 @@ def pipeline_main(scale: str, do_check: bool) -> None:
         print(f"[{scale}] all pipeline gates passed")
 
 
-def run_chaos_smoke(write: bool = True, execution: str = "threads") -> dict:
+def run_chaos_smoke(write: bool = True) -> dict:
     """Seeded chaos smoke run: serve a synthetic plan under injected faults.
 
     Availability counts every client request (none are "injected" — faults
@@ -581,9 +400,7 @@ def run_chaos_smoke(write: bool = True, execution: str = "threads") -> dict:
     through both pipeline stages, so an injected fault or crash can land
     mid-pipeline and the recovery machinery (retry, degraded oracle, worker
     restart with in-flight requeue) must carry the request through its
-    remaining stages.  Under ``execution="processes"`` the scripted crash
-    kills a real worker process per shard (each shard runs its own
-    decorrelated injector clone).
+    remaining stages.
     """
     num_requests = 128
     workload = synthetic_gemm_workload(
@@ -605,7 +422,6 @@ def run_chaos_smoke(write: bool = True, execution: str = "threads") -> dict:
         retry_policy=RetryPolicy(max_attempts=3, backoff_base_s=0.001),
         faults=faults,
         max_worker_restarts=4,
-        execution=execution,
     )
     rng = np.random.default_rng(11)
     w0 = plan.layer("layer0").weight
@@ -625,29 +441,16 @@ def run_chaos_smoke(write: bool = True, execution: str = "threads") -> dict:
                 succeeded += 1
     report = server.report()
     stats = faults.stats()
-    if execution == "processes":
-        # The parent's injector stays quiet in process mode (each shard runs
-        # its own clone, whose counters die with the child); report what the
-        # parent observed instead.
-        injected = {
-            "engine_faults": None,
-            "worker_crashes": sum(s["restarts"] for s in
-                                  report.as_dict().get("shards", [])),
-            "delays": None,
-            "delay_total_s": None,
-        }
-    else:
-        injected = {
-            "engine_faults": stats.engine_faults,
-            "worker_crashes": stats.worker_crashes,
-            "delays": stats.delays,
-            "delay_total_s": stats.delay_total_s,
-        }
+    injected = {
+        "engine_faults": stats.engine_faults,
+        "worker_crashes": stats.worker_crashes,
+        "delays": stats.delays,
+        "delay_total_s": stats.delay_total_s,
+    }
     results = {
         "benchmark": "bench_serving_faults",
         "provenance": provenance(),
         "scenario": "smoke",
-        "execution": execution,
         "num_requests": num_requests,
         "availability": succeeded / num_requests,
         "availability_gate": AVAILABILITY_GATE,
@@ -656,19 +459,15 @@ def run_chaos_smoke(write: bool = True, execution: str = "threads") -> dict:
         "health": server.health().as_dict(),
     }
     if write:
-        path = (
-            FAULTS_MP_OUTPUT_PATH if execution == "processes"
-            else FAULTS_OUTPUT_PATH
-        )
-        path.write_text(json.dumps(results, indent=2) + "\n")
+        FAULTS_OUTPUT_PATH.write_text(json.dumps(results, indent=2) + "\n")
     return results
 
 
-def chaos_main(execution: str = "threads") -> None:
-    results = run_chaos_smoke(write=True, execution=execution)
+def chaos_main() -> None:
+    results = run_chaos_smoke(write=True)
     injected = results["injected"]
     serving = results["serving"]
-    print(f"chaos smoke [{execution}]: {results['num_requests']} requests, "
+    print(f"chaos smoke: {results['num_requests']} requests, "
           f"{injected['engine_faults']} injected engine faults, "
           f"{injected['worker_crashes']} worker crashes, "
           f"{injected['delays']} delays")
@@ -677,10 +476,7 @@ def chaos_main(execution: str = "threads") -> None:
           f"{serving['num_worker_restarts']} worker restarts")
     print(f"availability: {results['availability']:.1%} "
           f"(gate >= {AVAILABILITY_GATE:.0%})")
-    path = (
-        FAULTS_MP_OUTPUT_PATH if execution == "processes" else FAULTS_OUTPUT_PATH
-    )
-    print(f"wrote {path}")
+    print(f"wrote {FAULTS_OUTPUT_PATH}")
     if results["availability"] < AVAILABILITY_GATE:
         raise SystemExit(
             f"availability {results['availability']:.3f} is below the "
@@ -725,9 +521,8 @@ OVERLOAD_SCALES = {
 }
 
 
-def overload_output_path(scale: str, execution: str = "threads") -> Path:
-    mp = "_mp" if execution == "processes" else ""
-    return REPO_ROOT / f"BENCH_serving_overload{mp}{SCALES[scale]['suffix']}.json"
+def overload_output_path(scale: str) -> Path:
+    return REPO_ROOT / f"BENCH_serving_overload{SCALES[scale]['suffix']}.json"
 
 
 def _compile_overload_plan(scale: str):
@@ -749,6 +544,33 @@ def _compile_overload_plan(scale: str):
     return plan, time.perf_counter() - start
 
 
+def _measure_rps(plan, layer_name, activations):
+    """Closed-loop serving throughput over a fixed request mix.
+
+    Every worker is warmed first, so the timed window measures steady-state
+    serving, not cold start.  Every output is verified bit-identical before
+    the rate is returned.
+    """
+    layer = plan.layer(layer_name)
+    with Server(
+        plan, num_workers=NUM_WORKERS, max_batch=MAX_BATCH,
+        max_pending=len(activations) + 2 * NUM_WORKERS,
+    ) as server:
+        warmup = [
+            server.submit(activations[0])
+            for _ in range(2 * NUM_WORKERS)
+        ]
+        for request in warmup:
+            request.result(timeout=600.0)
+        start = time.perf_counter()
+        requests = [server.submit(act) for act in activations]
+        outputs = [request.result(timeout=600.0) for request in requests]
+        elapsed = time.perf_counter() - start
+    for activation, output in zip(activations, outputs):
+        assert np.array_equal(output, layer.weight @ activation)
+    return len(activations) / elapsed
+
+
 def _overload_activations(plan, layer_name, count, seed=9):
     k = plan.layer(layer_name).shape.k
     rng = np.random.default_rng(seed)
@@ -758,9 +580,7 @@ def _overload_activations(plan, layer_name, count, seed=9):
     ]
 
 
-def _run_overload_scenario(
-    plan, layer_name, execution, arrivals, deadlines, admission
-):
+def _run_overload_scenario(plan, layer_name, arrivals, deadlines, admission):
     """Drive one open-loop arrival schedule against a fresh server.
 
     ``arrivals`` is a merged, sorted list of ``(offset_s, priority)``; the
@@ -773,8 +593,7 @@ def _run_overload_scenario(
     activations = _overload_activations(plan, layer_name, len(arrivals))
     server = Server(
         plan, num_workers=NUM_WORKERS, max_batch=MAX_BATCH,
-        max_pending=OVERLOAD_MAX_PENDING, execution=execution,
-        admission_control=admission,
+        max_pending=OVERLOAD_MAX_PENDING, admission_control=admission,
     )
     priorities = sorted({priority for _, priority in arrivals})
     offered = {p: 0 for p in priorities}
@@ -858,9 +677,7 @@ def _run_overload_scenario(
     }
 
 
-def run_overload(
-    scale: str = "full", execution: str = "threads", write: bool = True
-) -> dict:
+def run_overload(scale: str = "full", write: bool = True) -> dict:
     """Capacity measurement, then the 2x-offered-load shed/no-shed pair.
 
     The shedded scenario is retried up to :data:`OVERLOAD_ATTEMPTS` times
@@ -871,8 +688,8 @@ def run_overload(
     overload = OVERLOAD_SCALES[scale]
     plan, compile_s = _compile_overload_plan(scale)
     layer_name = config["layer"] if scale == "full" else "layer0"
-    capacity_rps, _ = _measure_rps(
-        plan, layer_name, execution, NUM_WORKERS,
+    capacity_rps = _measure_rps(
+        plan, layer_name,
         _overload_activations(
             plan, layer_name, overload["capacity_requests"], seed=5
         ),
@@ -907,7 +724,7 @@ def run_overload(
     attempts = []
     for _ in range(OVERLOAD_ATTEMPTS):
         candidate = _run_overload_scenario(
-            plan, layer_name, execution, arrivals, deadlines,
+            plan, layer_name, arrivals, deadlines,
             admission=AdmissionController(
                 brownout_step=OVERLOAD_BROWNOUT_STEP
             ),
@@ -923,13 +740,12 @@ def run_overload(
         if shedded["p0_goodput_rps"] / capacity_rps >= OVERLOAD_GOODPUT_GATE:
             break
     unshedded = _run_overload_scenario(
-        plan, layer_name, execution, arrivals, deadlines, admission=False
+        plan, layer_name, arrivals, deadlines, admission=False
     )
     results = {
         "benchmark": "bench_serving_overload",
         "provenance": provenance(),
         "scale": scale,
-        "execution": execution,
         "model": plan.name,
         "layer": layer_name,
         "weight_bits": WEIGHT_BITS,
@@ -954,7 +770,7 @@ def run_overload(
         "unshedded_baseline": unshedded,
     }
     if write:
-        overload_output_path(scale, execution).write_text(
+        overload_output_path(scale).write_text(
             json.dumps(results, indent=2) + "\n"
         )
     return results
@@ -1007,15 +823,15 @@ def check_overload(results: dict, baseline: dict) -> list:
     return failures
 
 
-def overload_main(scale: str, execution: str, do_check: bool) -> None:
-    path = overload_output_path(scale, execution)
+def overload_main(scale: str, do_check: bool) -> None:
+    path = overload_output_path(scale)
     baseline = {}
     if do_check and path.exists():
         baseline = json.loads(path.read_text())
-    results = run_overload(scale=scale, execution=execution, write=True)
+    results = run_overload(scale=scale, write=True)
     shedded = results["shedded"]
     unshedded = results["unshedded_baseline"]
-    print(f"[{scale}/{execution}] {results['model']} {results['layer']}: "
+    print(f"[{scale}] {results['model']} {results['layer']}: "
           f"capacity {results['capacity_rps']:.1f} req/s, offered "
           f"{OVERLOAD_LOAD_FACTOR:.0f}x "
           f"(p0 {results['interactive_rate_rps']:.1f} + "
@@ -1039,7 +855,7 @@ def overload_main(scale: str, execution: str, do_check: bool) -> None:
             print(f"GATE FAILED: {failure}")
         if failures:
             raise SystemExit(1)
-        print(f"[{scale}/{execution}] all overload gates passed")
+        print(f"[{scale}] all overload gates passed")
 
 
 def _print_results(scale, results):
@@ -1093,38 +909,17 @@ def main() -> None:
         action="store_true",
         help="run the overload-resilience scenario (2x offered load, QoS "
              "lanes, adaptive shedding) and gate priority-0 goodput against "
-             "measured capacity; combine with --processes for the "
-             "process-sharded tier",
-    )
-    parser.add_argument(
-        "--processes",
-        type=int,
-        nargs="?",
-        const=0,
-        default=None,
-        metavar="N",
-        help="benchmark the process-sharded tier with N worker processes "
-             "(default: all cores) against the threaded tier; with "
-             "--faults smoke, runs the chaos gate under process execution",
+             "measured capacity",
     )
     args = parser.parse_args()
     if args.overload:
-        overload_main(
-            args.scale,
-            "processes" if args.processes is not None else "threads",
-            args.check,
-        )
+        overload_main(args.scale, args.check)
         return
     if args.faults == "smoke":
-        chaos_main(
-            execution="processes" if args.processes is not None else "threads"
-        )
+        chaos_main()
         return
     if args.model is not None:
         pipeline_main(args.scale, args.check)
-        return
-    if args.processes is not None:
-        mp_main(args.scale, args.processes, args.check)
         return
     baseline = {}
     if args.check and output_path(args.scale).exists():

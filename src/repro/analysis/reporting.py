@@ -113,7 +113,6 @@ def format_serving_report(report: "ServingReport") -> str:
         rows.append(("plan swaps (zero-downtime)", report.num_plan_swaps))
     if report.num_force_aborted:
         rows.append(("force-aborted at close", report.num_force_aborted))
-    rows.append(("execution tier", report.execution))
     rows.append(
         ("BLAS threads",
          "not set (no OpenBLAS)" if report.blas_threads is None
@@ -127,16 +126,12 @@ def format_serving_report(report: "ServingReport") -> str:
              f"{report.dispatch_s_total:.3f} s dispatch "
              f"({report.compute_fraction:.1%} compute)")
         )
-        if report.shm_fallbacks:
-            rows.append(("shm fallbacks (pickle transport)", report.shm_fallbacks))
         for shard in report.shards:
-            detail = (
+            rows.append((
+                f"shard[{shard.shard}]",
                 f"{shard.batches} batches / {shard.requests} reqs / "
-                f"{shard.utilization:.1%} util"
-            )
-            if shard.restarts:
-                detail += f" / {shard.restarts} restarts"
-            rows.append((f"shard[{shard.shard}]", detail))
+                f"{shard.utilization:.1%} util",
+            ))
     if report.pipeline_depth or report.num_model_requests:
         rows.append(("pipeline depth", report.pipeline_depth))
         rows.append(

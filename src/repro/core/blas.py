@@ -150,5 +150,5 @@ class BlasBudget:
 
 
 #: The budget of this process, shared by every :class:`~repro.serving.Server`
-#: and process-tier shard in it.
+#: in it.
 PROCESS_BUDGET = BlasBudget()

@@ -40,7 +40,7 @@ class ExactExecutor:
     """``weight @ activation`` in int64, computed through float64 BLAS.
 
     Built once per weight matrix at plan time and immutable afterwards, so
-    concurrent :meth:`execute` calls are safe.  It pickles as plain arrays.
+    concurrent :meth:`execute` calls are safe.
     """
 
     #: Name reported as the plan's kernel backend.
@@ -72,11 +72,6 @@ class ExactExecutor:
         self.kernel_bytes = int(self.weight.nbytes)
         #: Seconds spent building the executor.
         self.build_s = time.perf_counter() - start
-
-    def __setstate__(self, state: dict) -> None:
-        # Unpickled arrays come back writeable; keep replicas immutable too.
-        self.__dict__.update(state)
-        self.weight.setflags(write=False)
 
     def execute(self, activation: np.ndarray) -> np.ndarray:
         """``weight @ activation`` for an integer ``(K, M)`` activation."""

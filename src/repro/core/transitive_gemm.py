@@ -246,26 +246,6 @@ class TransitiveGemmEngine:
         self.fast = fast
         self._cache = _StaticScoreboardCache(scoreboard_cache_entries)
 
-    # ------------------------------------------------------------- pickling
-    def __getstate__(self) -> Dict[str, object]:
-        """Spawn-safe pickled form: configuration only, no caches or locks.
-
-        The LRU cache holds a ``threading.Lock`` (unpicklable) and
-        per-process state anyway; a process-sharded serving tier pickles the
-        engine alongside its :class:`GemmPlan` replicas, so the cache is
-        rebuilt empty in the child and warms up as the shard serves.
-        """
-        return {
-            "transrow_bits": self.transrow_bits,
-            "max_distance": self.max_distance,
-            "num_lanes": self.num_lanes,
-            "fast": self.fast,
-            "scoreboard_cache_entries": self._cache.max_entries,
-        }
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self.__init__(**state)  # type: ignore[misc]
-
     # ------------------------------------------------------------------ API
     def multiply(
         self,

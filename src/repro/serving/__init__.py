@@ -18,17 +18,12 @@ scoreboard* was designed for: compile once, serve forever.
   :class:`SubmitOptions` and the :class:`ModelRequest` handle returned by
   ``Server.submit(activation=...)`` (single forward pass or ``stream=N``
   autoregressive decode steps);
-* :mod:`repro.serving.batcher` — the thread tier's stage primitive, one
-  executor pass over a batch's concatenated columns, and the standalone
-  single-layer :class:`MicroBatcher`;
+* :mod:`repro.serving.batcher` — the server's stage primitive,
+  :meth:`MicroBatcher.run_stage`: one executor pass over a batch's
+  concatenated columns;
 * :mod:`repro.serving.server` — the supervised :class:`Server`: one worker
-  claim runs a batch of model requests through every stage, in two
-  execution tiers (``"threads"`` and the GIL-free ``"processes"``), with
+  thread's claim runs a batch of model requests through every stage, with
   worker restarts, :meth:`Server.health` and drain/abort shutdown;
-* :mod:`repro.serving.shm` / :mod:`repro.serving.process_pool` — the
-  process-sharded tier: shared-memory activation/result rings
-  (:class:`ShmRing`) and the :class:`ProcessWorkerPool` of plan-replica
-  worker processes;
 * :mod:`repro.serving.policy` — per-request deadlines, the
   :class:`RetryPolicy` applied around batch execution, and the
   overload-resilience pieces: the :class:`AdmissionController` behind
@@ -59,9 +54,7 @@ from .policy import (
 )
 from .faults import ArrivalSchedule, FaultInjector, FaultPlan, FaultStats
 from .report import ServingReport, ShardStats, StageStats, build_report, percentile
-from .server import EXECUTION_MODES, Server, ServerHealth
-from .shm import ArraySpec, ShmRing, cleanup_orphan_segments
-from .process_pool import ProcessWorkerPool, ShardResult
+from .server import Server, ServerHealth
 
 __all__ = [
     "CompileStats",
@@ -93,12 +86,6 @@ __all__ = [
     "StageStats",
     "build_report",
     "percentile",
-    "EXECUTION_MODES",
     "Server",
     "ServerHealth",
-    "ArraySpec",
-    "ShmRing",
-    "cleanup_orphan_segments",
-    "ProcessWorkerPool",
-    "ShardResult",
 ]

@@ -12,9 +12,6 @@ exposes two hook points wired to a :class:`FaultInjector`:
   latency) and may raise :class:`~repro.errors.InjectedFaultError`
   (transient, so the retry policy applies to that stage).
 
-In the process tier both hooks fire inside the shard, once per stage it
-executes.
-
 Faults come from two composable sources: a seeded **probabilistic** profile
 (per-hook rates drawn from one ``numpy`` generator, so a seed reproduces the
 exact fault sequence under deterministic scheduling) and a **scripted**
@@ -200,51 +197,6 @@ class FaultInjector:
         self._worker_crashes = 0
         self._delays = 0
         self._delay_total_s = 0.0
-
-    # ------------------------------------------------------------- pickling
-    def __getstate__(self):
-        """Spawn-safe pickled form (the hook lock is rebuilt on unpickle).
-
-        The numpy generator pickles with its stream position, so an injector
-        shipped to a worker process continues its draw sequence exactly where
-        the parent's copy stood at pickling time.
-        """
-        state = self.__dict__.copy()
-        state.pop("_lock", None)
-        return state
-
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-
-    def for_shard(
-        self, shard: int, dispatch_offset: int = 0, batch_offset: int = 0
-    ) -> "FaultInjector":
-        """Fresh injector for one worker-process shard.
-
-        Process shards cannot share the parent's injector (its counters live
-        in parent memory), so each shard gets a clone: same rates and
-        scripted plan, a seed decorrelated by shard index, and hook counters
-        pre-advanced by the offsets.  The offsets make scripted faults
-        fire-once across process restarts — the pool passes the number of
-        batches already dispatched to the shard, so a restarted shard does
-        not replay `worker_crashes_at` indices it already consumed.
-        """
-        if shard < 0:
-            raise ServingError(f"shard index must be >= 0, got {shard}")
-        if dispatch_offset < 0 or batch_offset < 0:
-            raise ServingError("fault hook offsets must be >= 0")
-        clone = FaultInjector(
-            engine_fault_rate=self.engine_fault_rate,
-            worker_crash_rate=self.worker_crash_rate,
-            latency_rate=self.latency_rate,
-            latency_s=self.latency_s,
-            plan=self.plan,
-            seed=self.seed + 7919 * shard,
-        )
-        clone._dispatch_calls = dispatch_offset
-        clone._batch_calls = batch_offset
-        return clone
 
     # -------------------------------------------------------------- hooks
     def on_dispatch(self, worker: str) -> None:

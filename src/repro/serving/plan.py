@@ -148,26 +148,6 @@ class ModelPlan:
             graph.validate_shapes(lambda name: self._layers[name].shape)
         self.graph = graph
 
-    # ------------------------------------------------------------- pickling
-    def __getstate__(self) -> Dict[str, object]:
-        """Spawn-safe pickled form of a compiled plan.
-
-        Drops the lazily-built scalar oracle and its lock (both per-process
-        concerns); the engine pickles as configuration only (cache rebuilt
-        empty) and every layer's executor pickles as plain arrays.  The
-        process-sharded serving tier ships exactly this state to each worker
-        process as its plan replica.
-        """
-        state = self.__dict__.copy()
-        state["_oracle"] = None
-        state.pop("_oracle_lock", None)
-        return state
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self.__dict__.update(state)
-        self._oracle = None
-        self._oracle_lock = threading.Lock()
-
     # ------------------------------------------------------------- lookups
     @property
     def name(self) -> str:

@@ -31,13 +31,11 @@ def percentile(values: Sequence[float], q: float) -> float:
 class ShardStats:
     """Per-worker utilization of one serving run.
 
-    In ``execution="processes"`` each entry is one worker *process* (shard);
-    in thread mode the server reports one synthetic entry per worker thread
-    so tooling can treat both modes uniformly.  ``compute_s`` is time inside
-    the engine pass; ``dispatch_s`` is everything else the shard's batches
-    cost (queue hand-off, shared-memory copies, result transport), so
-    ``compute_s / (compute_s + dispatch_s)`` is the shard's compute
-    efficiency and the spread of ``batches`` across shards shows load skew.
+    One entry per worker thread (``shard`` is its index).  ``compute_s`` is
+    time inside the executor passes; ``dispatch_s`` is everything else the
+    worker's claims cost (stacking, splitting, settling and accounting), so
+    ``compute_s / (compute_s + dispatch_s)`` is the worker's compute
+    efficiency and the spread of ``batches`` across workers shows load skew.
     """
 
     shard: int
@@ -45,17 +43,10 @@ class ShardStats:
     requests: int
     compute_s: float
     dispatch_s: float
-    restarts: int = 0
-    #: Batches that fell back to pickle transport (batch exceeded a ring
-    #: slot); always 0 in thread mode.
-    shm_fallbacks: int = 0
-    #: Zero-downtime plan swaps this shard absorbed (always 0 in thread mode,
-    #: where the swap replaces the shared plan instead of per-shard replicas).
-    plan_swaps: int = 0
 
     @property
     def utilization(self) -> float:
-        """Fraction of this shard's busy time spent inside the engine pass."""
+        """Fraction of this worker's busy time spent inside executor passes."""
         busy = self.compute_s + self.dispatch_s
         return self.compute_s / busy if busy > 0.0 else 0.0
 
@@ -67,9 +58,6 @@ class ShardStats:
             "compute_s": self.compute_s,
             "dispatch_s": self.dispatch_s,
             "utilization": self.utilization,
-            "restarts": self.restarts,
-            "shm_fallbacks": self.shm_fallbacks,
-            "plan_swaps": self.plan_swaps,
         }
 
 
@@ -149,18 +137,14 @@ class ServingReport:
     #: Offline-compilation statistics of the served plan (executor backend,
     #: executor build time and bytes); ``None`` for hand-built plans.
     compile_stats: Optional[CompileStats] = None
-    #: Execution tier the run used: ``"threads"`` or ``"processes"``.
-    execution: str = "threads"
-    #: Per-shard (worker) utilization; empty when the server predates shards.
+    #: Per-worker utilization, one entry per worker thread.
     shards: Tuple[ShardStats, ...] = ()
     #: Total seconds completed requests spent queued before dispatch.
     queue_wait_s_total: float = 0.0
-    #: Total seconds spent inside engine passes, summed across shards.
+    #: Total seconds spent inside executor passes, summed across workers.
     compute_s_total: float = 0.0
-    #: Total non-compute busy seconds (hand-off + transport) across shards.
+    #: Total non-compute busy seconds of the claims, summed across workers.
     dispatch_s_total: float = 0.0
-    #: Batches that fell back from shared-memory to pickle transport.
-    shm_fallbacks: int = 0
     #: Per-pipeline-stage breakdown (empty without whole-model requests).
     stages: Tuple[StageStats, ...] = ()
     #: Completed whole-model (pipelined) requests.
@@ -202,7 +186,7 @@ class ServingReport:
 
     @property
     def compute_fraction(self) -> float:
-        """Compute share of total shard busy time (1.0 = no overhead)."""
+        """Compute share of total worker busy time (1.0 = no overhead)."""
         busy = self.compute_s_total + self.dispatch_s_total
         return self.compute_s_total / busy if busy > 0.0 else 0.0
 
@@ -259,13 +243,11 @@ class ServingReport:
             str(priority): rps
             for priority, rps in sorted(self.goodput_by_priority.items())
         }
-        summary["execution"] = self.execution
         summary["blas_threads"] = self.blas_threads
         summary["queue_wait_s_total"] = self.queue_wait_s_total
         summary["compute_s_total"] = self.compute_s_total
         summary["dispatch_s_total"] = self.dispatch_s_total
         summary["compute_fraction"] = self.compute_fraction
-        summary["shm_fallbacks"] = self.shm_fallbacks
         if self.shards:
             summary["shards"] = [shard.as_dict() for shard in self.shards]
         if self.pipeline_depth or self.num_model_requests or self.stages:
@@ -301,7 +283,6 @@ def build_report(
     num_degraded: int = 0,
     num_worker_restarts: int = 0,
     compile_stats: Optional[CompileStats] = None,
-    execution: str = "threads",
     shards: Sequence[ShardStats] = (),
     stages: Sequence[StageStats] = (),
     model_latencies_s: Sequence[float] = (),
@@ -361,12 +342,10 @@ def build_report(
         attributed_cycles=attributed_cycles,
         attributed_energy=attributed_energy,
         compile_stats=compile_stats,
-        execution=execution,
         shards=tuple(shards),
         queue_wait_s_total=sum(queue_delays_s),
         compute_s_total=sum(shard.compute_s for shard in shards),
         dispatch_s_total=sum(shard.dispatch_s for shard in shards),
-        shm_fallbacks=sum(shard.shm_fallbacks for shard in shards),
         stages=tuple(stages),
         num_model_requests=len(model_latencies_s),
         num_model_failed=num_model_failed,

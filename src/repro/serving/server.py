@@ -59,17 +59,10 @@ layer:
   without dropping or reordering a single admitted request; a model request
   runs every stage on one plan, never on a mix of two.
 
-Two execution tiers share all of the above.  The default
-``execution="threads"`` runs each stage's executor on the worker thread;
-``execution="processes"`` instead pins each worker thread to a worker
-*process* holding its own plan replica
-(:class:`~repro.serving.process_pool.ProcessWorkerPool`), with activations
-and results crossing through shared-memory rings rather than pickle.  Both
-run a claim through the same stage primitive, :meth:`Server._run_stage`; the
-queue, claim, deadlines, retries, degraded fallback and supervision stay in
-the parent either way — a crashed shard process surfaces as a
-:class:`~repro.errors.WorkerCrashError`, takes the same requeue path as a
-crashed thread, and its shard is restarted on next dispatch.
+Each stage runs on the worker thread through one primitive,
+:meth:`~repro.serving.batcher.MicroBatcher.run_stage`: the executor is a
+float64 BLAS call that releases the GIL, so worker threads compute in
+parallel.
 
 Usage::
 
@@ -109,14 +102,9 @@ from .policy import (
     RetryPolicy,
     deadline_at,
 )
-from .process_pool import ProcessWorkerPool
 from .queue import RequestQueue
 from .report import ServingReport, ShardStats, StageStats, build_report
 from .request import CANCELLED, DONE, EXPIRED, FAILED, SHED
-from .shm import cleanup_orphan_segments
-
-#: Valid ``Server(execution=...)`` tiers.
-EXECUTION_MODES = ("threads", "processes")
 
 #: Exactly-representable-in-float bound for validating float activations.
 _FLOAT_EXACT_INT_BOUND = float(2**53)
@@ -173,8 +161,7 @@ class _WorkerSlot:
     crash_errors: List[BaseException] = field(default_factory=list)
     dead: bool = False
     finished: bool = False
-    # Thread-mode utilization counters (process mode tracks these per shard
-    # inside the pool instead).
+    # Utilization counters.
     batches: int = 0
     requests: int = 0
     compute_s: float = 0.0
@@ -238,10 +225,8 @@ class _Claim:
     after a crash is counted by the claim that settles it.
     """
 
-    def __init__(self, server: "Server", slot: _WorkerSlot,
-                 requests: List[ModelRequest]) -> None:
+    def __init__(self, server: "Server", requests: List[ModelRequest]) -> None:
         self.server = server
-        self.slot = slot
         # One plan for every stage: swap_plan waits for running claims.
         self.plan = server.plan
         self.live = list(requests)
@@ -383,8 +368,8 @@ class _Claim:
             try:
                 if isinstance(activation, list):
                     activation = np.concatenate(activation, axis=1)
-                output, compute_s = server._run_stage(
-                    self.slot, self.plan, layer, activation, len(self.live)
+                output, compute_s = server.batcher.run_stage(
+                    self.plan, layer, activation, len(self.live)
                 )
                 break
             except WorkerCrashError:
@@ -497,10 +482,6 @@ class ServerHealth:
     num_retried: int
     num_degraded: int
     num_worker_restarts: int
-    #: Execution tier of the server ("threads" or "processes").
-    execution: str = "threads"
-    #: Live worker *processes*; ``None`` in thread mode.
-    alive_shards: Optional[int] = None
     #: Requests shed post-admission (claim-time doomed + breaker-blocked).
     num_shed: int = 0
     #: Requests shed at admission time (brownout / doomed-at-submit).
@@ -534,8 +515,6 @@ class ServerHealth:
             "num_retried": self.num_retried,
             "num_degraded": self.num_degraded,
             "num_worker_restarts": self.num_worker_restarts,
-            "execution": self.execution,
-            "alive_shards": self.alive_shards,
             "num_shed": self.num_shed,
             "num_admission_shed": self.num_admission_shed,
             "breaker_state": self.breaker_state,
@@ -583,19 +562,6 @@ class Server:
     max_worker_restarts:
         Supervisor budget of worker restarts over the server's lifetime;
         defaults to ``2 * num_workers``.
-    execution:
-        ``"threads"`` (default) runs each stage on the worker threads
-        themselves; ``"processes"`` pins each worker thread to its own worker
-        *process* holding a plan replica, with activations and results
-        crossing through shared-memory rings — the tier that scales Python
-        compute past the GIL (see :mod:`repro.serving.process_pool`).
-    max_batch_columns:
-        Process mode only: ring slots are sized for one stage of up to this
-        many activation columns on the widest layer; larger claims fall back
-        to pickle transport (counted, never wrong).
-    start_method:
-        Process mode only: multiprocessing start method for the shards
-        (``"spawn"`` default; it is the threads-safe choice).
     """
 
     def __init__(
@@ -611,9 +577,6 @@ class Server:
         degraded_breaker: Union[CircuitBreaker, bool, None] = True,
         faults: Optional[FaultInjector] = None,
         max_worker_restarts: Optional[int] = None,
-        execution: str = "threads",
-        max_batch_columns: int = 64,
-        start_method: str = "spawn",
     ) -> None:
         if num_workers < 1:
             raise ServingError(f"num_workers must be positive, got {num_workers}")
@@ -623,17 +586,12 @@ class Server:
             raise ServingError(
                 f"max_worker_restarts must be >= 0, got {max_worker_restarts}"
             )
-        if execution not in EXECUTION_MODES:
-            raise ServingError(
-                f"execution must be one of {EXECUTION_MODES}, got '{execution}'"
-            )
         self.plan = plan
         self.num_workers = num_workers
         self.max_batch = max_batch
         self.retry_policy = retry_policy
         self.degraded_fallback = degraded_fallback
         self.faults = faults
-        self.execution = execution
         self.max_worker_restarts = (
             max_worker_restarts if max_worker_restarts is not None else 2 * num_workers
         )
@@ -651,21 +609,7 @@ class Server:
             self.breaker = degraded_breaker
         self.queue = RequestQueue(max_pending)
         self.queue.controller = self.admission
-        self._pool: Optional[ProcessWorkerPool] = None
-        if execution == "processes":
-            # Shards inject faults through their own decorrelated injector
-            # clones (the parent's counters are unreachable across the
-            # process boundary), so the parent-side hooks stay quiet here.
-            self._pool = ProcessWorkerPool(
-                plan,
-                num_shards=num_workers,
-                max_batch_columns=max_batch_columns,
-                faults=faults,
-                start_method=start_method,
-            )
-        self.batcher = MicroBatcher(
-            plan, faults=faults if self._pool is None else None
-        )
+        self.batcher = MicroBatcher(faults=faults)
         self._slots: List[_WorkerSlot] = []
         self._supervisor: Optional[threading.Thread] = None
         self._supervisor_cv = threading.Condition()
@@ -706,14 +650,6 @@ class Server:
             if self._started:
                 return self
             self._started = True
-            # Process tier: bring every shard up before the first request can
-            # be admitted, so submit latency never pays a process spawn.
-            if self._pool is not None:
-                # Reclaim /dev/shm space leaked by previous serving parents
-                # that died between creating rings and closing them.
-                cleanup_orphan_segments()
-                for index in range(self.num_workers):
-                    self._pool.ensure_shard(index)
             # Size BLAS against the workers before any of them can call it.
             self._blas_threads = PROCESS_BUDGET.acquire(self.num_workers)
             self._blas_workers = self.num_workers
@@ -746,10 +682,9 @@ class Server:
         still-queued requests are failed promptly with
         :class:`~repro.errors.ServingError` and only the claims already in
         flight finish.  ``timeout_s`` bounds the shutdown either way: if
-        workers are still running when it elapses, the server force-aborts —
-        shard processes are terminated, still-queued *and* still-in-flight
-        requests are failed (never requeued) and counted as
-        ``num_force_aborted`` in the report.
+        workers are still running when it elapses, the server force-aborts:
+        still-queued *and* still-in-flight requests are failed (never
+        requeued) and counted as ``num_force_aborted`` in the report.
         """
         if timeout_s is not None and timeout_s < 0.0:
             raise ServingError(f"timeout_s must be >= 0, got {timeout_s}")
@@ -809,13 +744,9 @@ class Server:
                 self._supervisor_stop = True
                 self._supervisor_cv.notify_all()
             self._supervisor.join()
-        if self._pool is not None:
-            # A timed-out drain terminates wedged shard processes quickly
-            # instead of waiting out the full join grace per process.
-            self._pool.close(join_timeout_s=0.2 if timed_out else None)
         forced: List[ModelRequest] = []
         if timed_out:
-            # Give workers unwedged by the shard teardown a moment to unwind,
+            # Give workers that are finishing a claim a moment to settle it,
             # then kill whatever is still held in flight.  Force-abort never
             # requeues: the requests fail with ServingError and are counted.
             grace_until = time.perf_counter() + 0.5
@@ -868,9 +799,7 @@ class Server:
 
         The server keeps admitting and queueing requests throughout; only
         *dispatch* pauses while in-flight claims drain to a plan-quiescent
-        point, then ``new_plan`` is installed — for the thread tier, or in
-        every shard process (process tier: replicas are re-pickled and
-        prewarmed, the shared-memory rings are kept) — and dispatch resumes.
+        point, then ``new_plan`` is installed and dispatch resumes.
         No admitted request is dropped or reordered; a claim runs every stage
         of its requests on the plan it started with, so each output is
         exactly one plan's ``run_model``: requests claimed before the swap
@@ -895,10 +824,7 @@ class Server:
             while self._inflight_batches:
                 self._swap_cv.wait()
         try:
-            if self._pool is not None:
-                self._pool.swap_plan(new_plan)
             self.plan = new_plan
-            self.batcher.plan = new_plan
             with self._lock:
                 self._plan_swaps += 1
         finally:
@@ -1196,10 +1122,7 @@ class Server:
                     self._swap_cv.wait()
                 self._inflight_batches += 1
             try:
-                if self.faults is not None and self._pool is None:
-                    # Thread tier injects dispatch faults here; the process
-                    # tier's equivalent fires inside the shard (and kills the
-                    # process).
+                if self.faults is not None:
                     self.faults.on_dispatch(slot.name)  # may raise: worker death
                 self._process_batch(slot, batch)
             finally:
@@ -1218,7 +1141,7 @@ class Server:
         for request in batch:
             ok = request.try_claim(claim_time, len(batch))
             (claimed if ok else unclaimed).append(request)
-        claim = _Claim(self, slot, claimed)
+        claim = _Claim(self, claimed)
         if claimed and self.admission is not None:
             for request in claimed:
                 self.admission.observe_wait(claim_time - request.submitted_at)
@@ -1230,39 +1153,13 @@ class Server:
             # the crash path and counted by the claim that settles them.
             self._account(unclaimed + claim.settled, claim)
             raise
-        if claimed and self._pool is None:
-            # Thread-mode utilization accounting (the pool tracks its own).
+        if claimed:
             busy_s = time.perf_counter() - claim_time
             slot.batches += len(claim.executions)
             slot.requests += sum(e.batch_size for e in claim.executions)
             slot.compute_s += claim.compute_s
             slot.dispatch_s += max(busy_s - claim.compute_s, 0.0)
         self._account(unclaimed + claim.settled, claim, claim.executions)
-
-    def _run_stage(
-        self,
-        slot: _WorkerSlot,
-        plan: ModelPlan,
-        layer: str,
-        activation: np.ndarray,
-        batch_size: int,
-    ) -> Tuple[np.ndarray, float]:
-        """One stage of a claim on this worker's tier: output and compute seconds.
-
-        Raises on failure, including :class:`~repro.errors.WorkerCrashError`
-        when the shard process died — which escapes the retry machinery so
-        the crash path requeues the claim and the supervisor restarts the
-        shard.
-        """
-        if self._pool is None:
-            return self.batcher.run_stage(plan, layer, activation, batch_size)
-        # A replacement worker thread lands here after a shard crash: bring
-        # the (dead) shard back up before dispatching to it.
-        self._pool.ensure_shard(slot.index)
-        result = self._pool.execute(
-            slot.index, layer, [activation], requests=batch_size
-        )
-        return result.outputs[0], result.compute_s
 
     def _collect_shed(self) -> None:
         shed = self.queue.take_shed()
@@ -1405,10 +1302,6 @@ class Server:
             num_retried=retried,
             num_degraded=degraded,
             num_worker_restarts=restarts,
-            execution=self.execution,
-            alive_shards=(
-                self._pool.alive_shards() if self._pool is not None else None
-            ),
             num_shed=shed,
             num_admission_shed=admission_shed,
             breaker_state=(
@@ -1426,21 +1319,7 @@ class Server:
         return PROCESS_BUDGET.threads if registered else self._blas_threads
 
     def _shard_stats(self) -> List[ShardStats]:
-        """Per-shard utilization: pool counters, or thread-slot equivalents."""
-        if self._pool is not None:
-            return [
-                ShardStats(
-                    shard=stat["shard"],
-                    batches=stat["batches"],
-                    requests=stat["requests"],
-                    compute_s=stat["compute_s"],
-                    dispatch_s=stat["dispatch_s"],
-                    restarts=stat["restarts"],
-                    shm_fallbacks=stat["shm_fallbacks"],
-                    plan_swaps=stat.get("plan_swaps", 0),
-                )
-                for stat in self._pool.shard_stats()
-            ]
+        """Per-worker utilization, one entry per worker slot."""
         with self._lock:
             return [
                 ShardStats(
@@ -1542,7 +1421,6 @@ class Server:
             num_degraded=degraded,
             num_worker_restarts=restarts,
             compile_stats=getattr(self.plan, "compile_stats", None),
-            execution=self.execution,
             shards=self._shard_stats(),
             stages=stages,
             model_latencies_s=[record.latency_s for record in model_done],
@@ -1582,10 +1460,7 @@ class Server:
             layer_records = [r for r in records if r.layer == spec.layer]
             layer_done = [r for r in layer_records if r.state == DONE]
             layer_batches = [b for b in batches if b.layer == spec.layer]
-            compute_s = sum(
-                b.compute_s if b.compute_s is not None else b.duration_s
-                for b in layer_batches
-            )
+            compute_s = sum(b.compute_s for b in layer_batches)
             latencies = [r.latency_s for r in layer_done]
             waits = [r.queue_delay_s for r in layer_done]
             stages.append(

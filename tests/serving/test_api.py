@@ -14,7 +14,6 @@ from repro.serving import (
     MicroBatcher,
     ModelGraph,
     ModelRequest,
-    ProcessWorkerPool,
     Server,
     StageSpec,
     SubmitOptions,
@@ -56,14 +55,8 @@ class TestKeywordOnlyConstructors:
             compile_workload(workload, None)
 
     def test_micro_batcher_rejects_positional_faults(self):
-        plan = _plan()
         with pytest.raises(TypeError):
-            MicroBatcher(plan, None)
-
-    def test_process_pool_rejects_positional_shards(self):
-        plan = _plan()
-        with pytest.raises(TypeError):
-            ProcessWorkerPool(plan, 2)
+            MicroBatcher(None)
 
 
 class TestDeprecationShims:

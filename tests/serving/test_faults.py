@@ -182,6 +182,37 @@ class TestRetryPath:
             server.close()
         assert server.report().num_failed == 1
 
+    def test_unretried_stage_fault_fails_every_member(self):
+        plan = _plan()
+        faults = FaultInjector(plan=FaultPlan(engine_faults_at=frozenset({1})))
+        acts = _activations(3, seed=13)
+        requests = [_raw_request(i, act) for i, act in enumerate(acts)]
+        server = _preloaded_server(
+            plan, requests, num_workers=1, max_batch=3,
+            retry_policy=None, degraded_fallback=False, faults=faults,
+        )
+        try:
+            # The error lands on every member of the claim; none is retried.
+            for request in requests:
+                with pytest.raises(InjectedFaultError):
+                    request.result(timeout=10.0)
+                assert request.state == FAILED
+            # The worker survived the failed claim and keeps serving.
+            act = _activations(1, seed=14)[0]
+            assert np.array_equal(
+                server.submit(act).result(timeout=10.0),
+                plan.layer("layer0").weight @ act,
+            )
+            health = server.health()
+            assert health.alive_workers == 1
+            assert health.num_worker_restarts == 0
+        finally:
+            server.close()
+        report = server.report()
+        assert report.num_failed == 3
+        assert report.num_retried == 0
+        assert report.num_degraded == 0
+
 
 class TestBatchPoisoning:
     def test_poisoned_request_fails_alone(self):

@@ -7,11 +7,9 @@ fast-path failure must trip the degraded-oracle circuit breaker to fast
 shedding instead of the ~35x slower oracle death spiral; ``swap_plan`` must
 install new weights with zero dropped requests; and the accounting must
 conserve — every admitted request reaches exactly one terminal state and is
-counted exactly once, in both execution tiers, under faults and overload.
+counted exactly once, under faults and overload.
 """
 
-import os
-import multiprocessing
 import random
 import threading
 import time
@@ -38,7 +36,6 @@ from repro.serving import (
     ModelGraph,
     RequestQueue,
     Server,
-    cleanup_orphan_segments,
     compile_workload,
 )
 from repro.serving.policy import RetryPolicy
@@ -99,10 +96,6 @@ def _wait_queue_empty(server, timeout=5.0):
     while len(server.queue) and time.perf_counter() < deadline:
         time.sleep(0.001)
     assert len(server.queue) == 0
-
-
-def _noop():
-    pass
 
 
 class TestPriorityLanes:
@@ -581,20 +574,14 @@ class TestServerOverload:
 
 
 class TestAccountingConservation:
-    @pytest.mark.parametrize("execution,count,timeout", [
-        ("threads", 36, 60.0),
-        ("processes", 16, 120.0),
-    ])
-    def test_every_admitted_request_is_counted_exactly_once(
-        self, execution, count, timeout
-    ):
+    def test_every_admitted_request_is_counted_exactly_once(self):
         plan = _plan()
         faults = FaultInjector(engine_fault_rate=0.15, seed=11)
         server = Server(
             plan, num_workers=2, max_batch=4, max_pending=12,
-            retry_policy=FAST_RETRIES, faults=faults, execution=execution,
+            retry_policy=FAST_RETRIES, faults=faults,
         )
-        acts = _acts(count, seed=29)
+        acts = _acts(36, seed=29)
         handles = []
         submit_sheds = 0
         submit_rejected = 0
@@ -622,7 +609,7 @@ class TestAccountingConservation:
                         "cancelled": 0, "failed": 0}
             for handle in handles:
                 try:
-                    handle.result(timeout=timeout)
+                    handle.result(timeout=60.0)
                     outcomes["done"] += 1
                 except DeadlineExceededError:
                     outcomes["expired"] += 1
@@ -651,23 +638,19 @@ class TestAccountingConservation:
 
 
 class TestPlanSwap:
-    @pytest.mark.parametrize("execution,timeout", [
-        ("threads", 30.0), ("processes", 120.0),
-    ])
-    def test_mid_traffic_swap_drops_nothing(self, execution, timeout):
+    def test_mid_traffic_swap_drops_nothing(self):
         served = _plan(seed=23)
         replacement = _plan(seed=23)  # same weights, distinct plan object
         expected = served.layer(LAYER).weight
         acts = _acts(16, seed=41)
-        server = Server(served, num_workers=2, max_batch=4, max_pending=64,
-                        execution=execution)
+        server = Server(served, num_workers=2, max_batch=4, max_pending=64)
         with server:
             before = [server.submit(act) for act in acts[:8]]
             server.swap_plan(replacement)
             after = [server.submit(act) for act in acts[8:]]
             for act, handle in zip(acts, before + after):
                 assert np.array_equal(
-                    handle.result(timeout=timeout), expected @ act
+                    handle.result(timeout=30.0), expected @ act
                 )
         report = server.report()
         assert report.num_plan_swaps == 1
@@ -676,8 +659,6 @@ class TestPlanSwap:
         assert report.num_requests == len(acts)
         assert report.num_failed == 0
         assert "plan swaps (zero-downtime)" in report.render()
-        if execution == "processes":
-            assert all(shard.plan_swaps == 1 for shard in report.shards)
 
     def test_swap_installs_new_weights(self):
         served = _plan(seed=23)
@@ -790,49 +771,3 @@ class TestForceAbortClose:
         server.start()
         server.close(timeout_s=5.0)  # a drained close never force-aborts
         assert server.report().num_force_aborted == 0
-
-
-class TestOrphanSegmentSweep:
-    def _dead_pid(self):
-        process = multiprocessing.get_context("spawn").Process(target=_noop)
-        process.start()
-        process.join()
-        return process.pid
-
-    def test_cleanup_unlinks_dead_owner_segments_only(self, tmp_path):
-        if not os.path.isdir("/dev/shm"):
-            pytest.skip("no /dev/shm on this platform")
-        orphan = f"/dev/shm/reproshm_{self._dead_pid()}_orphan_0"
-        live = f"/dev/shm/reproshm_{os.getpid()}_keep_0"
-        for path in (orphan, live):
-            with open(path, "wb") as handle:
-                handle.write(b"\x00" * 64)
-        try:
-            cleaned = cleanup_orphan_segments()
-            assert os.path.basename(orphan) in cleaned
-            assert not os.path.exists(orphan)
-            assert os.path.exists(live)  # our own segments are never touched
-        finally:
-            for path in (orphan, live):
-                if os.path.exists(path):
-                    os.unlink(path)
-
-    def test_process_server_start_sweeps_orphans(self):
-        if not os.path.isdir("/dev/shm"):
-            pytest.skip("no /dev/shm on this platform")
-        orphan = f"/dev/shm/reproshm_{self._dead_pid()}_orphan_1"
-        with open(orphan, "wb") as handle:
-            handle.write(b"\x00" * 64)
-        plan = _plan()
-        act = _acts(1)[0]
-        try:
-            with Server(plan, num_workers=1, max_batch=2, max_pending=4,
-                        execution="processes") as server:
-                assert not os.path.exists(orphan)
-                assert np.array_equal(
-                    server.submit(act).result(timeout=60.0),
-                    plan.layer(LAYER).weight @ act,
-                )
-        finally:
-            if os.path.exists(orphan):
-                os.unlink(orphan)

@@ -1,4 +1,4 @@
-"""RequestQueue admission control / coalescing and MicroBatcher semantics."""
+"""RequestQueue admission control / coalescing and the batched stage pass."""
 
 import time
 
@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from repro.errors import BackpressureError, ServingError
-from repro.serving import MicroBatcher, RequestQueue, compile_workload
-from repro.serving.request import DONE, FAILED, Request
+from repro.serving import ModelRequest, RequestQueue, Server, compile_workload
+from repro.serving.request import DONE, Request
 from repro.workloads import synthetic_gemm_workload
 
 
@@ -58,40 +58,32 @@ class TestRequestQueue:
 
 
 class TestMicroBatcher:
-    def _plan(self):
-        workload = synthetic_gemm_workload(num_layers=2, n=8, k=6, m=4, weight_bits=4)
-        return compile_workload(workload, seed=3)
+    """The batcher's stage primitive as a worker claim drives it."""
 
     def test_batch_outputs_match_per_request_matmul(self):
-        plan = self._plan()
-        batcher = MicroBatcher(plan)
-        requests = [_request(i, "layer0", cols=i + 1) for i in range(3)]
-        execution = batcher.execute(requests)
-        assert execution.batch_size == 3
-        assert execution.total_columns == 6
-        weight = plan.layer("layer0").weight
+        workload = synthetic_gemm_workload(num_layers=2, n=8, k=6, m=4, weight_bits=4)
+        plan = compile_workload(workload, seed=3, layer_names=["layer0"])
+        requests = [
+            ModelRequest(
+                i, model="raw", stages=("layer0",), num_steps=1,
+                activation=_request(i, "layer0", cols=i + 1).activation,
+                submitted_at=time.perf_counter(),
+            )
+            for i in range(3)
+        ]
+        server = Server(plan, num_workers=1, max_batch=3)
+        for request in requests:
+            server.queue.put(request)  # before start: one claim takes all three
+        with server.start():
+            weight = plan.layer("layer0").weight
+            for request in requests:
+                assert np.array_equal(
+                    request.result(timeout=10.0), weight @ request.activation
+                )
         for request in requests:
             assert request.state == DONE
             assert request.batch_size == 3
-            assert np.array_equal(request.result(), weight @ request.activation)
-
-    def test_mixed_layer_batch_rejected_and_empty_batch(self):
-        plan = self._plan()
-        batcher = MicroBatcher(plan)
-        with pytest.raises(ServingError):
-            batcher.execute([_request(0, "layer0"), _request(1, "layer1")])
-        with pytest.raises(ServingError):
-            batcher.execute([])
-
-    def test_engine_error_fails_every_request_without_raising(self):
-        plan = self._plan()
-        batcher = MicroBatcher(plan)
-        # wrong activation row count -> the engine pass fails; the error must
-        # land on the requests, not escape the worker
-        bad = [_request(0, "layer0", k=5), _request(1, "layer0", k=5)]
-        execution = batcher.execute(bad)
-        assert execution.op_counts is None
-        for request in bad:
-            assert request.state == FAILED
-            with pytest.raises(Exception):
-                request.result(timeout=0.1)
+        report = server.report()
+        assert report.num_batches == 1
+        assert report.max_batch_size == 3
+        assert report.total_columns == 6

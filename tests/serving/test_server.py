@@ -181,6 +181,71 @@ class TestServerLifecycle:
             )
 
 
+@pytest.fixture(scope="module")
+def plan():
+    """One layer, served as an implicit one-stage chain."""
+    workload = synthetic_gemm_workload(
+        num_layers=2, n=24, k=20, m=3, weight_bits=4
+    )
+    return compile_workload(workload, seed=3, layer_names=["layer0"])
+
+
+def _activations(plan, count, columns=3, seed=0):
+    rng = np.random.default_rng(seed)
+    k = plan.layer(plan.layer_names()[0]).shape.k
+    return [
+        rng.integers(-64, 64, size=(k, columns), dtype=np.int64)
+        for _ in range(count)
+    ]
+
+
+class TestWorkerStats:
+    def test_thread_mode_reports_per_worker_stats_too(self, plan):
+        acts = _activations(plan, 8, seed=4)
+        with Server(plan, num_workers=2, max_batch=4) as server:
+            for act in acts:
+                server.submit(act).result(timeout=60.0)
+        report = server.report()
+        assert len(report.shards) == 2
+        assert sum(shard.batches for shard in report.shards) == report.num_batches
+        assert sum(shard.requests for shard in report.shards) == 8
+
+
+class TestSubmitMany:
+    def test_batch_admission_serves_bit_identically(self, plan):
+        acts = _activations(plan, 10, seed=9)
+        with Server(plan, num_workers=2, max_batch=4) as server:
+            requests = server.submit_many(acts)
+            assert [r.request_id for r in requests] == list(range(10))
+            for request, act in zip(requests, acts):
+                expected = plan.layer("layer0").weight @ act
+                assert np.array_equal(request.result(timeout=60.0), expected)
+
+    def test_admission_is_all_or_nothing(self, plan):
+        acts = _activations(plan, 6, seed=10)
+        server = Server(plan, num_workers=1, max_pending=4)
+        # Not started: the queue must stay untouched while we probe admission.
+        server._started = True
+        with pytest.raises(BackpressureError):
+            server.submit_many(acts)
+        assert len(server.queue) == 0  # nothing partially admitted
+        assert server.queue.rejected == 6  # every member counted
+        admitted = server.submit_many(acts[:4])
+        assert len(server.queue) == 4
+        assert len(admitted) == 4
+
+    def test_validation_failures_admit_nothing(self, plan):
+        server = Server(plan, num_workers=1)
+        server._started = True
+        bad = [np.ones((3, 2), dtype=np.int64)]  # wrong k
+        good = _activations(plan, 1, seed=11)
+        with pytest.raises(ServingError):
+            server.submit_many(good + bad)
+        assert len(server.queue) == 0
+        with pytest.raises(ServingError):
+            server.submit_many([])
+
+
 class TestLlamaFcAcceptance:
     """ISSUE 2 acceptance: 64 concurrent requests on a LLaMA-7B FC plan.
 
