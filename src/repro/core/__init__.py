@@ -17,6 +17,7 @@ from .transitive_gemm import (
     GemmPlan,
     ScoreboardCacheInfo,
     TransitiveGemmEngine,
+    narrow_codes,
     transitive_gemm,
 )
 
@@ -32,5 +33,6 @@ __all__ = [
     "GemmPlan",
     "ScoreboardCacheInfo",
     "TransitiveGemmEngine",
+    "narrow_codes",
     "transitive_gemm",
 ]

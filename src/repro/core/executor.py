@@ -40,7 +40,13 @@ class ExactExecutor:
     """``weight @ activation`` in int64, computed through float64 BLAS.
 
     Built once per weight matrix at plan time and immutable afterwards, so
-    concurrent :meth:`execute` calls are safe.
+    concurrent :meth:`execute` calls are safe.  The weight may come in any
+    integer dtype — a plan hands over its narrow codes (int8 for INT4/INT8
+    layers) — and the executor keeps only its float64 copy: the codes are
+    converted straight to float64 and their magnitudes are taken in the
+    unsigned type of the same width, so no int64 ``(N, K)`` temporary is
+    built.  Callers that multiply the codes themselves must widen them
+    first: ``int8 @ int8`` wraps in numpy.
     """
 
     #: Name reported as the plan's kernel backend.
@@ -48,13 +54,19 @@ class ExactExecutor:
 
     def __init__(self, weight: np.ndarray) -> None:
         start = time.perf_counter()
-        weight = np.asarray(weight, dtype=np.int64)
-        magnitude = np.abs(weight)
+        weight = np.asarray(weight)
+        if weight.dtype.kind not in "iu":
+            weight = weight.astype(np.int64)
+        magnitude = _magnitude(weight)
         #: ``max_row sum|w|``: bounds every partial sum per unit of ``max|a|``.
-        self.row_bound = int(magnitude.sum(axis=1).max(initial=0))
+        # Summed in float64, which is exact below 2**53 and, since rounding
+        # is monotone, never lands below 2**53 when the exact sum does not:
+        # the range check below is exact even where an integer sum would wrap.
+        self.row_bound = int(magnitude.sum(axis=1, dtype=np.float64).max(initial=0))
         #: ``max|w|``: bounds every partial sum of a K block per unit of
         #: ``max|a|`` and block width.
         self.max_weight = int(magnitude.max(initial=0))
+        del magnitude  # free it before the float64 copy: a lower build peak
         if self.row_bound >= FLOAT64_EXACT:
             raise SimulationError(
                 f"weight row sums reach {self.row_bound}; float64 cannot run "
@@ -111,3 +123,15 @@ class ExactExecutor:
             product = (self.weight @ digit).astype(np.int64).view(np.uint64)
             total += product << np.uint64(shift)
         return total.view(np.int64)
+
+
+def _magnitude(codes: np.ndarray) -> np.ndarray:
+    """``|codes|`` without wrapping, in the unsigned type of the codes' width.
+
+    ``np.abs`` keeps a signed dtype, so it maps the type's most negative
+    value to itself (``-128`` for int8); read as unsigned it is ``2**(b-1)``.
+    """
+    magnitude = np.abs(codes)
+    if codes.dtype.kind == "i":
+        magnitude = magnitude.view(f"u{codes.dtype.itemsize}")
+    return magnitude

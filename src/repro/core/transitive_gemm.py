@@ -64,6 +64,31 @@ from .metrics import OpCounts, op_counts_from_result
 #: gathers stay within this budget.
 _FAST_BLOCK_BUDGET_BYTES = 64 * 1024 * 1024
 
+#: Signed code dtypes, narrowest first (see :func:`narrow_codes`).
+_CODE_DTYPES = (np.int8, np.int16, np.int32, np.int64)
+
+
+def narrow_codes(weight: np.ndarray) -> np.ndarray:
+    """``weight`` in the narrowest signed integer dtype holding its values.
+
+    The one place weight codes are narrowed: a plan pins them in this form
+    and the static-scoreboard cache fingerprints it, so equal values share a
+    cache entry whatever dtype they arrive in.  Returns ``weight`` itself
+    when it already has that dtype; non-integer arrays, and values no signed
+    64-bit type holds, are returned unchanged for the bit-slicer's range
+    check to reject.
+    """
+    weight = np.asarray(weight)
+    if weight.dtype.kind not in "iu":
+        return weight
+    lo = int(weight.min()) if weight.size else 0
+    hi = int(weight.max()) if weight.size else 0
+    for dtype in _CODE_DTYPES:
+        info = np.iinfo(dtype)
+        if info.min <= lo and hi <= info.max:
+            return weight.astype(dtype, copy=False)
+    return weight
+
 
 @dataclass
 class TransitiveGemmReport:
@@ -110,6 +135,10 @@ class GemmPlan:
     needs on its per-request hot path.
     """
 
+    #: The compiled weight codes, read-only, in the narrowest signed integer
+    #: dtype holding them (:func:`narrow_codes`: int8 for INT4/INT8 layers).
+    #: ``kernel`` keeps the only other copy, in float64.  Widen the codes
+    #: before multiplying them yourself: ``int8 @ int8`` wraps in numpy.
     weight: np.ndarray
     weight_bits: int
     transrow_bits: int
@@ -155,9 +184,10 @@ class BatchedGemmReport:
 class _StaticScoreboardCache:
     """LRU cache of (packed TransRows, merged OpCounts) per weight matrix.
 
-    The key fingerprints the weight bytes plus every parameter that affects
-    scoreboarding, so a hit is guaranteed to reproduce the exact chunk values
-    and operation counts of a fresh run.  This is the serving scenario of the
+    The key fingerprints the bytes of the narrowed weight codes
+    (:func:`narrow_codes`) plus every parameter that affects scoreboarding,
+    so a hit is guaranteed to reproduce the exact chunk values and operation
+    counts of a fresh run.  This is the serving scenario of the
     paper's *static* scoreboard: weights are fixed, activations stream by.
     """
 
@@ -268,7 +298,7 @@ class TransitiveGemmEngine:
             Keep the per-column-chunk scoreboard results (useful for tests and
             the design-space analysis, costly for large GEMMs).
         """
-        weight = np.asarray(weight)
+        weight = narrow_codes(weight)
         activation = np.asarray(activation, dtype=np.int64)
         if weight.ndim != 2 or activation.ndim != 2:
             raise SimulationError("weight and activation must both be 2-D matrices")
@@ -289,29 +319,33 @@ class TransitiveGemmEngine:
         """Precompute the static scoreboard of one weight matrix, offline.
 
         Bit-slices, packs and scoreboards the weights exactly once and returns
-        a :class:`GemmPlan` handle carrying the exact operation counts and the
+        a :class:`GemmPlan` handle carrying the weights as narrow read-only
+        codes (:func:`narrow_codes`), the exact operation counts and the
         layer's :class:`~repro.core.executor.ExactExecutor`.  Executions
         against the handle (:meth:`multiply_planned`, :meth:`multiply_many`)
         skip the per-call weight fingerprint and all weight-side work; the LRU
         cache is warmed as a side effect so plain :meth:`multiply` calls with
         the same weights also hit.
         """
-        # Pin the compiled weights: a caller-side mutation after plan() must
+        weight = np.asarray(weight)
+        codes = narrow_codes(weight)
+        # Pin the compiled codes: a caller-side mutation after plan() must
         # not desynchronise plan.weight from its counts and executor.
-        weight = np.array(weight, copy=True)
-        weight.setflags(write=False)
-        if weight.ndim != 2:
+        if np.may_share_memory(codes, weight):
+            codes = codes.copy()
+        codes.setflags(write=False)
+        if codes.ndim != 2:
             raise SimulationError("weight must be a 2-D matrix")
-        if weight.shape[1] == 0 or weight.shape[0] == 0:
+        if codes.shape[1] == 0 or codes.shape[0] == 0:
             raise SimulationError("cannot plan a weight matrix with a zero dimension")
-        _, counts, _ = self._packed_transrows_cached(weight, weight_bits)
+        _, counts, _ = self._packed_transrows_cached(codes, weight_bits)
         return GemmPlan(
-            weight=weight,
+            weight=codes,
             weight_bits=weight_bits,
             transrow_bits=self.transrow_bits,
             max_distance=self.max_distance,
             op_counts=counts,
-            kernel=ExactExecutor(weight),
+            kernel=ExactExecutor(codes),
         )
 
     def multiply_planned(

@@ -19,7 +19,12 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 import numpy as np
 
 from ..core.metrics import OpCounts
-from ..core.transitive_gemm import BatchedGemmReport, GemmPlan, TransitiveGemmEngine
+from ..core.transitive_gemm import (
+    BatchedGemmReport,
+    GemmPlan,
+    TransitiveGemmEngine,
+    narrow_codes,
+)
 from ..errors import ServingError
 from ..quant.schemes import SCHEME_REGISTRY
 from ..transarray.accelerator import (
@@ -95,7 +100,14 @@ class LayerPlan:
 
     @property
     def weight(self) -> np.ndarray:
-        """The compiled (read-only) weight matrix, pinned by the engine plan."""
+        """The compiled weight codes, pinned read-only by the engine plan.
+
+        Narrow (int8 for INT4/INT8 layers, see
+        :func:`~repro.core.transitive_gemm.narrow_codes`): widen them before
+        a reference product with a narrow activation, e.g.
+        ``layer.weight.astype(np.int64) @ activation`` — ``int8 @ int8``
+        wraps in numpy.
+        """
         return self.gemm_plan.weight
 
     @property
@@ -400,6 +412,8 @@ def compile_workload(
     per_layer_scheme: Dict[str, str] = {}
     compile_start = time.perf_counter()
     for shape in shapes:
+        # Every weight is narrowed (narrow_codes) as soon as it exists, so
+        # no int64 copy of a layer outlives this iteration.
         scheme_name = schemes.get(shape.name)
         if scheme_name is not None:
             # Mixed precision: quantize a float weight tensor through the
@@ -418,20 +432,20 @@ def compile_workload(
                     shape.n, shape.k, seed=int(rng.integers(0, 2**31))
                 )
             quantized = SCHEME_REGISTRY[scheme_name](source)
-            weight = np.asarray(quantized.values, dtype=np.int64)
+            weight = narrow_codes(np.asarray(quantized.values, dtype=np.int64))
             effective_bits = max(quantized.bits, _bits_needed(weight))
             shape = shape.with_precision(effective_bits)
             per_layer_scheme[shape.name] = scheme_name
         else:
             if weight_provider is not None:
-                weight = np.asarray(weight_provider(shape))
+                weight = narrow_codes(weight_provider(shape))
                 if weight.shape != (shape.n, shape.k):
                     raise ServingError(
                         f"weight provider returned shape {weight.shape} for "
                         f"layer '{shape.name}', expected {(shape.n, shape.k)}"
                     )
             else:
-                weight = workload.sample_weight(shape, rng)
+                weight = narrow_codes(workload.sample_weight(shape, rng))
         per_layer_bits[shape.name] = shape.weight_bits
         layer_start = time.perf_counter()
         gemm_plan = engine.plan(weight, shape.weight_bits)

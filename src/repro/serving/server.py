@@ -1066,12 +1066,23 @@ class Server:
         """Convert an activation to ``int64`` only when that is value-exact.
 
         ``np.asarray(x, dtype=np.int64)`` silently floors non-integral floats
-        (and wraps NaN/inf), which would serve a wrong-but-plausible output;
-        reject anything that is not an exact integer matrix instead.
+        (and wraps NaN/inf, and uint64 values from ``2**63`` up), which would
+        serve a wrong-but-plausible output; reject anything that is not an
+        exact int64 matrix instead.
         """
         if activation.dtype == np.int64:
             return activation
         if activation.dtype == bool or np.issubdtype(activation.dtype, np.integer):
+            if (
+                not np.can_cast(activation.dtype, np.int64)
+                and activation.size
+                and int(activation.max()) > np.iinfo(np.int64).max
+            ):
+                raise ServingError(
+                    f"activation for layer '{layer}' has {activation.dtype} "
+                    f"values past the int64 range; the executor computes in "
+                    f"int64"
+                )
             return activation.astype(np.int64)
         if np.issubdtype(activation.dtype, np.floating):
             if not np.all(np.isfinite(activation)):

@@ -75,6 +75,20 @@ class TestGemmPlan:
         engine.multiply(weight, activation, 4)
         assert engine.scoreboard_cache_info().hits >= 1
 
+    def test_narrow_codes_and_int64_values_share_one_cache_entry(self):
+        # The cache keys on the narrowed codes, so the dtype the same values
+        # arrive in does not matter.
+        rng = np.random.default_rng(2)
+        engine = TransitiveGemmEngine(transrow_bits=8)
+        weight = rng.integers(-8, 8, size=(10, 10), dtype=np.int64)
+        plan = engine.plan(weight.astype(np.int8), weight_bits=4)
+        activation = rng.integers(-4, 4, size=(10, 2), dtype=np.int64)
+        report = engine.multiply(weight, activation, 4)
+        info = engine.scoreboard_cache_info()
+        assert (info.hits, info.misses, info.entries) == (1, 1, 1)
+        assert np.array_equal(report.output, weight @ activation)
+        assert report.op_counts == plan.op_counts
+
     def test_plan_validation(self):
         rng = np.random.default_rng(3)
         engine = TransitiveGemmEngine(transrow_bits=8)

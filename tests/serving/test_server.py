@@ -180,6 +180,26 @@ class TestServerLifecycle:
                 weight @ np.ones((12, 1), dtype=np.int64),
             )
 
+    def test_submit_rejects_uint64_values_past_int64(self):
+        plan = self._plan()
+        weight = plan.layer("layer0").weight.astype(np.int64)
+        with Server(plan, num_workers=1) as server:
+            with pytest.raises(ServingError, match="int64 range"):
+                server.submit(np.full((12, 1), 2**63 + 5, dtype=np.uint64))
+            with pytest.raises(ServingError, match="int64 range"):
+                server.submit(np.full((12, 1), 2**64 - 1, dtype=np.uint64))
+            # uint64 values that fit int64 are served exactly.
+            top = np.full((12, 1), 2**50, dtype=np.uint64)
+            small = np.arange(12, dtype=np.uint64).reshape(12, 1)
+            handles = [server.submit(top), server.submit(small)]
+            assert np.array_equal(
+                handles[0].result(timeout=10.0),
+                weight @ np.full((12, 1), 2**50, dtype=np.int64),
+            )
+            assert np.array_equal(
+                handles[1].result(timeout=10.0), weight @ small.astype(np.int64)
+            )
+
 
 @pytest.fixture(scope="module")
 def plan():
