@@ -59,7 +59,6 @@ def format_serving_report(report: "ServingReport") -> str:
         ("requests expired (deadline)", report.num_expired),
         ("requests cancelled", report.num_cancelled),
         ("request retries", report.num_retried),
-        ("requests served degraded (oracle)", report.num_degraded),
         ("worker restarts", report.num_worker_restarts),
         ("activation columns", report.total_columns),
         ("wall time", f"{report.wall_s:.3f} s"),
@@ -104,11 +103,6 @@ def format_serving_report(report: "ServingReport") -> str:
     if report.goodput_by_priority:
         for priority, goodput in sorted(report.goodput_by_priority.items()):
             rows.append((f"goodput[p{priority}]", f"{goodput:.1f} req/s"))
-    if report.breaker_state != "disabled":
-        rows.append(
-            ("degraded-path breaker",
-             f"{report.breaker_state} ({report.breaker_trips} trips)")
-        )
     if report.num_plan_swaps:
         rows.append(("plan swaps (zero-downtime)", report.num_plan_swaps))
     if report.num_force_aborted:

@@ -49,9 +49,9 @@ class ShedError(ServingError):
 
     Unlike :class:`BackpressureError` (the queue is simply full), a shed is a
     *decision*: the admission controller judged the request doomed to miss its
-    deadline, its priority class is being browned out, or the degraded-path
-    circuit breaker is open.  ``retry_after_s`` is the server's hint for when
-    retrying is worth it — brownout, not cliff.
+    deadline or its priority class is being browned out.  ``retry_after_s``
+    is the server's hint for when retrying is worth it — brownout, not
+    cliff.
     """
 
     def __init__(self, message: str, retry_after_s: float = 0.0) -> None:
@@ -63,9 +63,9 @@ class TransientServingError(ServingError):
     """A serving failure expected to clear on its own (worth retrying).
 
     The server's :class:`~repro.serving.policy.RetryPolicy` retries batch
-    execution only on this subtree; every other error goes straight to the
-    degraded fallback (or the client) because re-running the same inputs
-    would fail the same way.
+    execution only on this subtree; every other error fails the claim's
+    requests at once because re-running the same inputs would fail the same
+    way.
     """
 
 

@@ -26,9 +26,8 @@ scoreboard* was designed for: compile once, serve forever.
   worker restarts, :meth:`Server.health` and drain/abort shutdown;
 * :mod:`repro.serving.policy` — per-request deadlines, the
   :class:`RetryPolicy` applied around batch execution, and the
-  overload-resilience pieces: the :class:`AdmissionController` behind
-  adaptive load shedding / QoS brownout and the :class:`CircuitBreaker`
-  guarding the degraded-oracle fallback;
+  overload-resilience piece: the :class:`AdmissionController` behind
+  adaptive load shedding / QoS brownout;
 * :mod:`repro.serving.faults` — the :class:`FaultInjector` chaos-testing
   harness (injected engine faults, worker crashes, artificial latency) and
   the seeded open-loop :class:`ArrivalSchedule` overload scenarios;
@@ -44,12 +43,8 @@ from .model_request import ModelRequest, SubmitOptions
 from .queue import RequestQueue
 from .batcher import BatchExecution, MicroBatcher
 from .policy import (
-    BREAKER_CLOSED,
-    BREAKER_HALF_OPEN,
-    BREAKER_OPEN,
     DEFAULT_RETRY_POLICY,
     AdmissionController,
-    CircuitBreaker,
     RetryPolicy,
 )
 from .faults import ArrivalSchedule, FaultInjector, FaultPlan, FaultStats
@@ -73,10 +68,6 @@ __all__ = [
     "DEFAULT_RETRY_POLICY",
     "RetryPolicy",
     "AdmissionController",
-    "CircuitBreaker",
-    "BREAKER_CLOSED",
-    "BREAKER_OPEN",
-    "BREAKER_HALF_OPEN",
     "ArrivalSchedule",
     "FaultInjector",
     "FaultPlan",

@@ -5,7 +5,7 @@ The batcher is the bridge between claimed requests and the compiled plan.
 one layer's executor over an already concatenated activation matrix (every
 column of a claimed batch), firing the optional
 :class:`~repro.serving.faults.FaultInjector` hook first, and raises on
-failure so the server's retry policy and degraded fallback see the error.
+failure so the server's retry policy sees the error.
 The server calls it once per graph stage of a claim.  Outputs are
 bit-identical to serving each request alone: the executor multiplies the
 concatenated columns against weights shared by construction.

@@ -10,8 +10,8 @@ finishes or stops early.
 
 Everything that held for single-layer requests holds here too: a deadline
 stops the chain at the next stage boundary, ``cancel()`` abandons the
-remaining stages, stage failures (including exhausted retries and degraded
-fallback errors) surface from :meth:`ModelRequest.result`.  A finished
+remaining stages, stage failures (including exhausted retries) surface
+from :meth:`ModelRequest.result`.  A finished
 handle keeps the input and each decode step's final output, never the
 intermediate stage outputs.
 """

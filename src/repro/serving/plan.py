@@ -11,7 +11,6 @@ artifact the online server executes requests against.
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -139,8 +138,6 @@ class ModelPlan:
         self.engine = engine
         self.accelerator = accelerator
         self.compile_stats = compile_stats
-        self._oracle: Optional[TransitiveGemmEngine] = None
-        self._oracle_lock = threading.Lock()
         self._attributions: Dict[Tuple[str, int], Optional[RequestAttribution]] = {}
         self._layers: Dict[str, LayerPlan] = {}
         for layer in layers:
@@ -276,37 +273,6 @@ class ModelPlan:
             )
         return self._attributions[key]
 
-    # ----------------------------------------------------- degraded fallback
-    def run_degraded(self, layer_name: str, activation: np.ndarray) -> np.ndarray:
-        """Execute one activation through the exact scalar oracle.
-
-        The serving fault-tolerance fallback: when a stage of a claim keeps
-        failing on the fast path, the server re-runs each request alone
-        through the scalar reference implementation (``fast=False``, no executor, no
-        shared caches) — the slowest but most independent execution path in
-        the repo, and bit-identical to the planned path by the engine's core
-        invariant.  A batch-poisoning request then fails alone instead of
-        failing its whole batch, and a (hypothetically) faulty executor
-        cannot poison the fallback.
-        """
-        layer = self.layer(layer_name)
-        report = self._scalar_oracle().multiply(
-            layer.weight, activation, layer.gemm_plan.weight_bits
-        )
-        return report.output
-
-    def _scalar_oracle(self) -> TransitiveGemmEngine:
-        """Lazily-built scalar engine matching the plan's compile parameters."""
-        with self._oracle_lock:
-            if self._oracle is None:
-                self._oracle = TransitiveGemmEngine(
-                    transrow_bits=self.engine.transrow_bits,
-                    max_distance=self.engine.max_distance,
-                    num_lanes=self.engine.num_lanes,
-                    fast=False,
-                    scoreboard_cache_entries=0,
-                )
-            return self._oracle
 
 def _bits_needed(values: np.ndarray) -> int:
     """Smallest signed two's-complement width holding every value."""

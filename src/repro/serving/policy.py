@@ -1,4 +1,4 @@
-"""Deadline arithmetic, retry policy, admission control and circuit breaking.
+"""Deadline arithmetic, retry policy and admission control.
 
 The purely-functional / small-state pieces of the fault-tolerance and
 overload-resilience layers live here so they can be unit-tested (and reasoned
@@ -9,26 +9,21 @@ about) without a running server:
 * :class:`RetryPolicy` — capped exponential backoff with jitter, applied by
   the server around each stage of a claim, retrying only
   :class:`~repro.errors.TransientServingError` failures (anything else would
-  deterministically fail again, so it goes straight to the degraded fallback);
+  deterministically fail again, so it fails the claim at once);
 * :class:`AdmissionController` — EWMA queue-wait and per-layer compute
   estimates driving adaptive load shedding: deadline-doomed requests are shed
   at admission and at batch-claim time, and low-priority lanes brown out
   progressively as the queue fills, each shed carrying a retry-after hint in
-  its :class:`~repro.errors.ShedError`;
-* :class:`CircuitBreaker` — a closed/open/half-open breaker around the
-  degraded scalar-oracle fallback, so sustained fast-path failure trips to
-  fast shedding instead of the ~35x slower oracle compounding the overload.
+  its :class:`~repro.errors.ShedError`.
 """
 
 from __future__ import annotations
 
 import random
 import threading
-import time
-from collections import deque
 from dataclasses import dataclass
 from math import isfinite
-from typing import Callable, Deque, Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from ..errors import ServingError, ShedError, TransientServingError
 
@@ -298,145 +293,3 @@ class AdmissionController:
             )
         return None
 
-
-#: Circuit-breaker states.
-BREAKER_CLOSED = "closed"
-BREAKER_OPEN = "open"
-BREAKER_HALF_OPEN = "half_open"
-
-
-class CircuitBreaker:
-    """Closed/open/half-open breaker around the degraded-oracle fallback.
-
-    The scalar oracle is exact but ~35x slower than the compiled fast path;
-    under sustained overload, routing every failing batch through it is a
-    textbook retry/fallback death spiral.  The breaker watches fast-path
-    outcomes: a batch that exhausts its retries records a **failure**, a
-    batch that completes on the fast path records a **success**.
-
-    * ``closed`` — fallback allowed.  Trips ``open`` when either
-      ``failure_threshold`` *consecutive* failures accumulate, or the
-      failure rate over the sliding ``window_s`` window reaches
-      ``failure_rate`` with at least ``min_samples`` outcomes (the
-      load-rate criterion).
-    * ``open`` — the fallback is skipped entirely: failing batches are shed
-      fast with :class:`~repro.errors.ShedError` carrying the remaining
-      cooldown as the retry-after hint.
-    * ``half_open`` — after ``cooldown_s``, exactly one failing batch is let
-      through to the oracle as a probe; another failure re-opens, while any
-      fast-path success closes the breaker immediately (from any state —
-      the condition being guarded is fast-path health).
-
-    ``clock`` is injectable for deterministic state-machine tests.
-    """
-
-    def __init__(
-        self,
-        *,
-        failure_threshold: int = 5,
-        failure_rate: float = 0.5,
-        min_samples: int = 20,
-        window_s: float = 1.0,
-        cooldown_s: float = 0.05,
-        clock: Callable[[], float] = time.perf_counter,
-    ) -> None:
-        if failure_threshold < 1:
-            raise ServingError(
-                f"failure_threshold must be >= 1, got {failure_threshold}"
-            )
-        if not 0.0 < failure_rate <= 1.0:
-            raise ServingError(f"failure_rate must be in (0, 1], got {failure_rate}")
-        if min_samples < 1:
-            raise ServingError(f"min_samples must be >= 1, got {min_samples}")
-        if window_s <= 0.0 or cooldown_s < 0.0:
-            raise ServingError("window_s must be positive and cooldown_s >= 0")
-        self.failure_threshold = failure_threshold
-        self.failure_rate = failure_rate
-        self.min_samples = min_samples
-        self.window_s = window_s
-        self.cooldown_s = cooldown_s
-        self._clock = clock
-        self._lock = threading.Lock()
-        self._state = BREAKER_CLOSED
-        self._consecutive_failures = 0
-        self._opened_at = 0.0
-        self._events: Deque[Tuple[float, bool]] = deque()
-        self.trips = 0
-
-    # ------------------------------------------------------------- internals
-    def _prune(self, now: float) -> None:
-        while self._events and now - self._events[0][0] > self.window_s:
-            self._events.popleft()
-
-    def _window_rate(self) -> Tuple[int, float]:
-        total = len(self._events)
-        if not total:
-            return 0, 0.0
-        failures = sum(1 for _, failed in self._events if failed)
-        return total, failures / total
-
-    # ------------------------------------------------------------ transitions
-    def record_success(self) -> None:
-        """A fast-path batch completed: the guarded condition is healthy."""
-        now = self._clock()
-        with self._lock:
-            self._consecutive_failures = 0
-            self._events.append((now, False))
-            self._prune(now)
-            if self._state != BREAKER_CLOSED:
-                self._state = BREAKER_CLOSED
-
-    def record_failure(self) -> None:
-        """A batch exhausted its retries (fallback demand)."""
-        now = self._clock()
-        with self._lock:
-            self._consecutive_failures += 1
-            self._events.append((now, True))
-            self._prune(now)
-            if self._state == BREAKER_HALF_OPEN:
-                # The probe failed: back to fast shedding for a new cooldown.
-                self._state = BREAKER_OPEN
-                self._opened_at = now
-                self.trips += 1
-                return
-            if self._state != BREAKER_CLOSED:
-                return
-            total, rate = self._window_rate()
-            if self._consecutive_failures >= self.failure_threshold or (
-                total >= self.min_samples and rate >= self.failure_rate
-            ):
-                self._state = BREAKER_OPEN
-                self._opened_at = now
-                self.trips += 1
-
-    def allow(self) -> bool:
-        """Whether a failing batch may take the degraded fallback right now.
-
-        In ``open`` state this also drives the timed transition to
-        ``half_open``: the first call after the cooldown is the probe.
-        """
-        now = self._clock()
-        with self._lock:
-            if self._state == BREAKER_CLOSED:
-                return True
-            if self._state == BREAKER_OPEN:
-                if now - self._opened_at >= self.cooldown_s:
-                    self._state = BREAKER_HALF_OPEN
-                    return True
-                return False
-            # Half-open: one probe is already in flight; shed the rest.
-            return False
-
-    # ------------------------------------------------------------ monitoring
-    @property
-    def state(self) -> str:
-        with self._lock:
-            return self._state
-
-    def retry_after_s(self) -> float:
-        """Remaining cooldown (the shed hint); 0 unless the breaker is open."""
-        now = self._clock()
-        with self._lock:
-            if self._state != BREAKER_OPEN:
-                return 0.0
-            return max(self.cooldown_s - (now - self._opened_at), 0.0)

@@ -116,7 +116,6 @@ class ServingReport:
     num_expired: int
     num_cancelled: int
     num_retried: int
-    num_degraded: int
     num_worker_restarts: int
     total_columns: int
     wall_s: float
@@ -159,16 +158,12 @@ class ServingReport:
     #: Pipeline stages a model-level request passes through (0 = no graph).
     pipeline_depth: int = 0
     #: Requests terminated by the overload-control layer without compute:
-    #: claim-time doomed sheds plus circuit-breaker sheds.
+    #: the ones doomed at claim time.
     num_shed: int = 0
     #: Requests shed synchronously at submission (the client got a
     #: :class:`~repro.errors.ShedError` before the queue ever saw them —
     #: accounted like ``num_rejected``, outside ``num_requests``).
     num_admission_shed: int = 0
-    #: Degraded-path circuit breaker: times it tripped open, and its state
-    #: when the report was built ("disabled" when no breaker is configured).
-    breaker_trips: int = 0
-    breaker_state: str = "disabled"
     #: Zero-downtime plan swaps performed during the run.
     num_plan_swaps: int = 0
     #: Requests force-aborted by ``close(timeout_s=...)`` past its deadline.
@@ -206,7 +201,6 @@ class ServingReport:
             "num_expired": self.num_expired,
             "num_cancelled": self.num_cancelled,
             "num_retried": self.num_retried,
-            "num_degraded": self.num_degraded,
             "num_worker_restarts": self.num_worker_restarts,
             "total_columns": self.total_columns,
             "wall_s": self.wall_s,
@@ -233,8 +227,6 @@ class ServingReport:
             summary["compile_stats"] = self.compile_stats.as_dict()
         summary["num_shed"] = self.num_shed
         summary["num_admission_shed"] = self.num_admission_shed
-        summary["breaker_trips"] = self.breaker_trips
-        summary["breaker_state"] = self.breaker_state
         summary["num_plan_swaps"] = self.num_plan_swaps
         summary["num_force_aborted"] = self.num_force_aborted
         summary["num_deadline_met"] = self.num_deadline_met
@@ -280,7 +272,6 @@ def build_report(
     num_expired: int = 0,
     num_cancelled: int = 0,
     num_retried: int = 0,
-    num_degraded: int = 0,
     num_worker_restarts: int = 0,
     compile_stats: Optional[CompileStats] = None,
     shards: Sequence[ShardStats] = (),
@@ -290,8 +281,6 @@ def build_report(
     pipeline_depth: int = 0,
     num_shed: int = 0,
     num_admission_shed: int = 0,
-    breaker_trips: int = 0,
-    breaker_state: str = "disabled",
     num_plan_swaps: int = 0,
     num_force_aborted: int = 0,
     num_deadline_met: int = 0,
@@ -317,7 +306,6 @@ def build_report(
         num_expired=num_expired,
         num_cancelled=num_cancelled,
         num_retried=num_retried,
-        num_degraded=num_degraded,
         num_worker_restarts=num_worker_restarts,
         total_columns=total_columns,
         wall_s=wall_s,
@@ -366,8 +354,6 @@ def build_report(
         pipeline_depth=pipeline_depth,
         num_shed=num_shed,
         num_admission_shed=num_admission_shed,
-        breaker_trips=breaker_trips,
-        breaker_state=breaker_state,
         num_plan_swaps=num_plan_swaps,
         num_force_aborted=num_force_aborted,
         num_deadline_met=num_deadline_met,

@@ -70,7 +70,6 @@ class Request:
         self.finished_at: Optional[float] = None
         self.batch_size: int = 0
         self.retries: int = 0
-        self.degraded: bool = False
         self.attribution: Optional[RequestAttribution] = None
         self.state = PENDING
         self._output: Optional[np.ndarray] = None
@@ -191,10 +190,9 @@ class Request:
     def shed(self, error: BaseException, now: Optional[float] = None) -> bool:
         """Terminate the request without computing it (overload shedding).
 
-        Used by the admission controller (a queued request judged doomed to
-        miss its deadline at claim time) and by the degraded-path circuit
-        breaker (a claimed batch whose slow fallback is tripped open).  The
-        waiting client re-raises ``error`` — conventionally a
+        Used by the admission controller for a queued request judged doomed
+        to miss its deadline at claim time.  The waiting client re-raises
+        ``error`` — conventionally a
         :class:`~repro.errors.ShedError` carrying a retry-after hint.
         """
         return self._settle(

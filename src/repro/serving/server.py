@@ -25,11 +25,11 @@ The claim keeps the fault-tolerance layer at stage granularity:
   with :class:`~repro.errors.DeadlineExceededError` and never computed, and
   the claim checks deadlines and ``ModelRequest.cancel()`` between stages,
   computing no further stage for a request that stopped;
-* **retries & degraded mode** — a stage that fails transiently is retried
-  under the :class:`~repro.serving.policy.RetryPolicy` without re-running
-  the stages before it; when retries are exhausted (or the failure is not
-  transient) each request is re-run alone through the exact scalar oracle
-  (``fast=False``) for that stage, so one poisoned request fails alone;
+* **retries** — a stage that fails transiently is retried under the
+  :class:`~repro.serving.policy.RetryPolicy` without re-running the stages
+  before it; when retries are exhausted (or the failure is not transient)
+  every live request of the claim fails with that error and the worker
+  goes on serving;
 * **supervision & health** — a supervisor thread restarts workers whose loop
   an exception escaped (their claimed requests are requeued from stage 0
   first), up to a restart budget, and :meth:`Server.health` exposes live
@@ -49,11 +49,6 @@ layer:
   deadline-doomed work at admission and at claim time and browns out
   low-priority lanes as the queue fills, raising
   :class:`~repro.errors.ShedError` with a retry-after hint;
-* **degraded-path circuit breaker** — a
-  :class:`~repro.serving.policy.CircuitBreaker` (default on) around the
-  scalar-oracle fallback: sustained fast-path failure trips it open and
-  failing stages are shed fast instead of compounding the overload through
-  the ~35x slower oracle;
 * **zero-downtime plan swap** — :meth:`Server.swap_plan` waits for in-flight
   claims to finish and installs a shape-compatible new plan (weight update)
   without dropping or reordering a single admitted request; a model request
@@ -88,7 +83,7 @@ import numpy as np
 
 from ..core.blas import PROCESS_BUDGET
 from ..energy.breakdown import EnergyBreakdown
-from ..errors import DeadlineExceededError, ServingError, ShedError, WorkerCrashError
+from ..errors import DeadlineExceededError, ServingError, WorkerCrashError
 from ..transarray.accelerator import RequestAttribution
 from .batcher import BatchExecution, MicroBatcher
 from .faults import FaultInjector
@@ -98,7 +93,6 @@ from .plan import ModelPlan
 from .policy import (
     DEFAULT_RETRY_POLICY,
     AdmissionController,
-    CircuitBreaker,
     RetryPolicy,
     deadline_at,
 )
@@ -132,7 +126,6 @@ class _RequestRecord(NamedTuple):
     latency_s: float
     queue_delay_s: float
     retries: int
-    degraded: bool
     attribution: Optional[RequestAttribution]
     priority: int = 0
     #: Completed (state ``done``) inside its deadline budget (trivially true
@@ -184,7 +177,6 @@ def _stage_record(
     started_at: Optional[float],
     finished_at: float,
     retries: int = 0,
-    degraded: bool = False,
     attribution: Optional[RequestAttribution] = None,
 ) -> _RequestRecord:
     """The accounting record of one stage of ``request``.
@@ -205,7 +197,6 @@ def _stage_record(
             started_at - submitted_at if started_at is not None else 0.0
         ),
         retries=retries,
-        degraded=degraded,
         attribution=attribution,
         priority=request.priority,
         deadline_met=(
@@ -219,10 +210,10 @@ class _Claim:
     """One worker claim: a batch of model requests run through every stage.
 
     It holds the live requests in column order, one entry per executor pass
-    (the requests it served) and, per request, the stages that degraded or
-    stopped it.  Only the requests the claim itself settles are handed to
-    the server's accounting, once, when the claim ends — a request requeued
-    after a crash is counted by the claim that settles it.
+    (the requests it served) and, per request, the stage that stopped it.
+    Only the requests the claim itself settles are handed to the server's
+    accounting, once, when the claim ends — a request requeued after a crash
+    is counted by the claim that settles it.
     """
 
     def __init__(self, server: "Server", requests: List[ModelRequest]) -> None:
@@ -256,16 +247,19 @@ class _Claim:
                 values = self._stop_at_boundary(values, spec.layer, queued_at)
                 if not self.live:
                     return
-                values[spec.layer] = self._run_stage(
+                output = self._run_stage(
                     spec.layer, values[spec.source], queued_at
                 )
+                if output is None:
+                    return
+                values[spec.layer] = output
                 queued_at = time.perf_counter()
             step_input = self._finish_step(values[stages[-1].layer], step)
             step += 1
 
     def records(self, request: ModelRequest) -> List[_RequestRecord]:
-        """Stage records of a request: its executor passes, then the stages
-        that degraded or stopped it."""
+        """Stage records of a request: its executor passes, then the stage
+        that stopped it."""
         return [
             _stage_record(
                 request, layer, DONE, queued_at, started_at, finished_at,
@@ -354,11 +348,12 @@ class _Claim:
 
     # --------------------------------------------------------------- stages
     def _run_stage(self, layer: str, activation: _Columns,
-                   queued_at: Optional[float]) -> np.ndarray:
-        """One stage for every live request, under retries and the fallback.
+                   queued_at: Optional[float]) -> Optional[np.ndarray]:
+        """One stage for every live request, under the retry policy.
 
         ``activation`` holds every live column, or one matrix per request
-        for the first stage, which stacks them.
+        for the first stage, which stacks them.  Returns ``None`` when the
+        stage failed for good and settled every live request.
         """
         server = self.server
         started_at = time.perf_counter()
@@ -379,9 +374,8 @@ class _Claim:
             except Exception as error:  # noqa: BLE001 - resilience boundary
                 policy = server.retry_policy
                 if policy is None or not policy.should_retry(error, attempt):
-                    return self._stage_failed(
-                        layer, activation, error, queued_at, started_at, retries
-                    )
+                    self._stage_failed(layer, error, queued_at, started_at, retries)
+                    return None
                 retries += 1
                 for request in self.live:
                     request.retries += 1
@@ -390,8 +384,6 @@ class _Claim:
                 delay = policy.backoff_s(attempt)
                 if delay > 0.0:
                     time.sleep(delay)
-        if server.breaker is not None:
-            server.breaker.record_success()
         if server.admission is not None:
             server.admission.observe_batch(layer, len(self.live), compute_s)
         finished_at = time.perf_counter()
@@ -410,56 +402,14 @@ class _Claim:
         )
         return output
 
-    def _stage_failed(self, layer: str, activation: _Columns,
-                      error: BaseException, queued_at: Optional[float],
-                      started_at: float, retries: int) -> np.ndarray:
-        """A stage that exhausted its retries: fail, shed or degrade.
-
-        Returns the stage output over every live column; columns of requests
-        that stopped here are zero and dropped at the next boundary.
-        """
-        server = self.server
-        breaker = server.breaker
-        if breaker is not None:
-            breaker.record_failure()
-        if not server.degraded_fallback:
-            for request in self.live:
-                self._stop(request, FAILED, error, layer, queued_at, started_at, retries)
-        elif breaker is not None and not breaker.allow():
-            retry_after = breaker.retry_after_s()
-            for request in self.live:
-                self._stop(request, SHED, ShedError(
-                    f"request {request.request_id} ('{layer}') shed: the "
-                    f"degraded-fallback circuit breaker is open after "
-                    f"sustained fast-path failures ({error}); retry in "
-                    f"~{max(retry_after, 1e-3) * 1e3:.0f} ms",
-                    retry_after_s=retry_after,
-                ), layer, queued_at, started_at, retries)
-        offsets = self._offsets()
-        width = sum(request.columns for request in self.live)
-        output = np.zeros((self.plan.layer(layer).shape.n, width), dtype=np.int64)
-        for index, (request, offset) in enumerate(zip(self.live, offsets)):
-            if request.done():
-                continue
-            columns = slice(offset, offset + request.columns)
-            part = (
-                activation[index] if isinstance(activation, list)
-                else activation[:, columns]
-            )
-            # Each request alone through the exact oracle: a batch-poisoning
-            # request fails by itself and its neighbours still complete.
-            try:
-                output[:, columns] = self.plan.run_degraded(layer, part)
-            except Exception as failure:  # noqa: BLE001 - per-request failure
-                self._stop(request, FAILED, failure, layer, queued_at, started_at, retries)
-                continue
-            request.degraded = True
-            self.logs[request].append(_stage_record(
-                request, layer, DONE, queued_at, started_at, time.perf_counter(),
-                retries, degraded=True,
-                attribution=self.plan.attribute(layer, request.columns),
-            ))
-        return output
+    def _stage_failed(self, layer: str, error: BaseException,
+                      queued_at: Optional[float], started_at: float,
+                      retries: int) -> None:
+        """A stage that exhausted its retries: every live request fails
+        with ``error`` and the claim ends."""
+        for request in self.live:
+            self._stop(request, FAILED, error, layer, queued_at, started_at, retries)
+        self.live = []
 
 
 @dataclass(frozen=True)
@@ -480,14 +430,11 @@ class ServerHealth:
     num_expired: int
     num_cancelled: int
     num_retried: int
-    num_degraded: int
     num_worker_restarts: int
-    #: Requests shed post-admission (claim-time doomed + breaker-blocked).
+    #: Requests shed post-admission (doomed at claim time).
     num_shed: int = 0
     #: Requests shed at admission time (brownout / doomed-at-submit).
     num_admission_shed: int = 0
-    #: Degraded-path circuit-breaker state ("disabled" when not configured).
-    breaker_state: str = "disabled"
     #: Zero-downtime plan swaps completed so far.
     num_plan_swaps: int = 0
     #: OpenBLAS threads in force for the server's BLAS calls (live while it
@@ -513,11 +460,9 @@ class ServerHealth:
             "num_expired": self.num_expired,
             "num_cancelled": self.num_cancelled,
             "num_retried": self.num_retried,
-            "num_degraded": self.num_degraded,
             "num_worker_restarts": self.num_worker_restarts,
             "num_shed": self.num_shed,
             "num_admission_shed": self.num_admission_shed,
-            "breaker_state": self.breaker_state,
             "num_plan_swaps": self.num_plan_swaps,
             "blas_threads": self.blas_threads,
         }
@@ -543,19 +488,13 @@ class Server:
         raise :class:`~repro.errors.BackpressureError`.
     retry_policy:
         Backoff policy for transient stage failures; ``None`` disables
-        retries entirely (failures go straight to the degraded fallback).
-    degraded_fallback:
-        Re-run each request of a failed stage alone through the exact scalar
-        oracle before giving up (default on).
+        retries entirely.  A stage that exhausts its retries, or fails with
+        an error that is not transient, fails every live request of its
+        claim with that error.
     admission_control:
         Adaptive load shedding: ``True`` (default) installs a default
         :class:`~repro.serving.policy.AdmissionController`, ``False`` turns
         shedding off, or pass a configured controller instance.
-    degraded_breaker:
-        Circuit breaker guarding the degraded-oracle fallback: ``True``
-        (default) installs a default
-        :class:`~repro.serving.policy.CircuitBreaker`, ``False`` disables
-        it, or pass a configured breaker instance.
     faults:
         Optional :class:`~repro.serving.faults.FaultInjector` for chaos
         testing; the default injects nothing.
@@ -572,9 +511,7 @@ class Server:
         max_batch: int = 8,
         max_pending: int = 128,
         retry_policy: Optional[RetryPolicy] = DEFAULT_RETRY_POLICY,
-        degraded_fallback: bool = True,
         admission_control: Union[AdmissionController, bool, None] = True,
-        degraded_breaker: Union[CircuitBreaker, bool, None] = True,
         faults: Optional[FaultInjector] = None,
         max_worker_restarts: Optional[int] = None,
     ) -> None:
@@ -590,7 +527,6 @@ class Server:
         self.num_workers = num_workers
         self.max_batch = max_batch
         self.retry_policy = retry_policy
-        self.degraded_fallback = degraded_fallback
         self.faults = faults
         self.max_worker_restarts = (
             max_worker_restarts if max_worker_restarts is not None else 2 * num_workers
@@ -601,12 +537,6 @@ class Server:
             self.admission = None
         else:
             self.admission = admission_control
-        if degraded_breaker is True:
-            self.breaker: Optional[CircuitBreaker] = CircuitBreaker()
-        elif degraded_breaker is False or degraded_breaker is None:
-            self.breaker = None
-        else:
-            self.breaker = degraded_breaker
         self.queue = RequestQueue(max_pending)
         self.queue.controller = self.admission
         self.batcher = MicroBatcher(faults=faults)
@@ -625,7 +555,6 @@ class Server:
         self._implicit_graph: Optional[ModelGraph] = None
         self._expired = 0
         self._cancelled = 0
-        self._degraded = 0
         self._retry_events = 0
         self._shed = 0
         self._admission_sheds = 0
@@ -1268,8 +1197,6 @@ class Server:
                     self._cancelled += 1
                 elif record.state == SHED:
                     self._shed += 1
-                if record.degraded:
-                    self._degraded += 1
 
     @staticmethod
     def _record(request: ModelRequest) -> _RequestRecord:
@@ -1281,7 +1208,7 @@ class Server:
         )
         return _stage_record(
             request, request.layer, request.state, None, request.started_at,
-            finished_at, request.retries, request.degraded, request.attribution,
+            finished_at, request.retries, request.attribution,
         )
 
     # ------------------------------------------------------------ monitoring
@@ -1295,7 +1222,6 @@ class Server:
             closed = self._closed
             expired = self._expired
             cancelled = self._cancelled
-            degraded = self._degraded
             retried = self._retry_events
             shed = self._shed
             admission_shed = self._admission_sheds
@@ -1311,13 +1237,9 @@ class Server:
             num_expired=expired,
             num_cancelled=cancelled,
             num_retried=retried,
-            num_degraded=degraded,
             num_worker_restarts=restarts,
             num_shed=shed,
             num_admission_shed=admission_shed,
-            breaker_state=(
-                self.breaker.state if self.breaker is not None else "disabled"
-            ),
             num_plan_swaps=plan_swaps,
             blas_threads=self._blas_threads_now(),
         )
@@ -1365,7 +1287,6 @@ class Server:
         cancelled = sum(1 for record in records if record.state == CANCELLED)
         shed = sum(1 for record in records if record.state == SHED)
         retried = sum(record.retries for record in records)
-        degraded = sum(1 for record in done if record.degraded)
         met = [record for record in done if record.deadline_met]
         met_by_priority: Dict[int, int] = {}
         for record in met:
@@ -1429,7 +1350,6 @@ class Server:
             num_expired=expired,
             num_cancelled=cancelled,
             num_retried=retried,
-            num_degraded=degraded,
             num_worker_restarts=restarts,
             compile_stats=getattr(self.plan, "compile_stats", None),
             shards=self._shard_stats(),
@@ -1439,10 +1359,6 @@ class Server:
             pipeline_depth=pipeline_depth,
             num_shed=shed,
             num_admission_shed=admission_sheds,
-            breaker_trips=self.breaker.trips if self.breaker is not None else 0,
-            breaker_state=(
-                self.breaker.state if self.breaker is not None else "disabled"
-            ),
             num_plan_swaps=plan_swaps,
             num_force_aborted=force_aborted,
             num_deadline_met=len(met),

@@ -576,10 +576,12 @@ class TestPlannedParity:
         plan = compile_workload(workload, seed=7, quant_schemes={"layer1": "olive-8"})
         assert plan.compile_stats.per_layer_scheme == {"layer1": "olive-8"}
         act = np.random.default_rng(8).integers(-128, 128, size=(20, 3))
+        oracle = TransitiveGemmEngine(fast=False)
         for name in ("layer0", "layer1"):
             layer = plan.layer(name)
             assert np.array_equal(plan.run(name, act), layer.weight @ act)
-            assert np.array_equal(plan.run(name, act), plan.run_degraded(name, act))
+            scalar = oracle.multiply(layer.weight, act, layer.gemm_plan.weight_bits)
+            assert np.array_equal(plan.run(name, act), scalar.output)
 
 
 def _tiny_llama_block():

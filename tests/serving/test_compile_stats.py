@@ -1,4 +1,4 @@
-"""Serving-side executor plumbing: compile stats, reports, degraded bypass."""
+"""Serving-side executor plumbing: compile stats and reports."""
 
 import os
 import subprocess
@@ -10,7 +10,7 @@ import pytest
 
 import repro
 
-from repro.core import ExactExecutor
+from repro.core import ExactExecutor, TransitiveGemmEngine
 from repro.serving import CompileStats, Server, compile_workload
 from repro.workloads import synthetic_gemm_workload
 
@@ -90,34 +90,12 @@ class TestServingReport:
         plan = compile_workload(_workload(num_layers=1))
         rng = np.random.default_rng(1)
         act = rng.integers(-8, 8, size=(20, 3), dtype=np.int64)
-        planned = plan.run("layer0", act)
-        degraded = plan.run_degraded("layer0", act)
-        assert np.array_equal(planned, degraded)
-        assert np.array_equal(planned, plan.layer("layer0").weight @ act)
-
-
-class TestDegradedBypass:
-    def test_degraded_fallback_never_touches_the_executor(self, monkeypatch):
-        # Booby-trap the executor: if the degraded path ran it, it would blow
-        # up — the oracle must stay fully independent.
-        plan = compile_workload(_workload(num_layers=1))
         layer = plan.layer("layer0")
-
-        def boom(self, activation):
-            raise AssertionError("degraded path executed the executor")
-
-        monkeypatch.setattr(ExactExecutor, "execute", boom)
-        rng = np.random.default_rng(2)
-        act = rng.integers(-8, 8, size=(20, 2), dtype=np.int64)
-        output = plan.run_degraded("layer0", act)
-        assert np.array_equal(output, layer.weight @ act)
-        with pytest.raises(AssertionError):
-            plan.run("layer0", act)  # the planned path *does* use it
-
-    def test_scalar_oracle_engine_is_scalar(self):
-        plan = compile_workload(_workload(num_layers=1))
-        oracle = plan._scalar_oracle()
-        assert oracle.fast is False
+        planned = plan.run("layer0", act)
+        oracle = TransitiveGemmEngine(fast=False)
+        scalar = oracle.multiply(layer.weight, act, layer.gemm_plan.weight_bits)
+        assert np.array_equal(planned, scalar.output)
+        assert np.array_equal(planned, layer.weight @ act)
 
 
 _NUMPY_ONLY_SCRIPT = """

@@ -1,10 +1,11 @@
-"""Chaos suite: injected engine faults, worker crashes, degraded fallback.
+"""Chaos suite: injected engine faults, worker crashes, exhausted retries.
 
 The acceptance contract: with seeded injected faults, every non-injected
 request still completes **bit-identically** to ``weight @ activation`` (via
-retry or the scalar-oracle degraded fallback), killed workers restart within
-the supervision budget, and every fault-tolerance event is accounted in
-``ServingReport`` / ``Server.health()``.
+retry), a stage that exhausts its retries fails every live member of its
+claim with the fault, killed workers restart within the supervision budget,
+and every fault-tolerance event is accounted in ``ServingReport`` /
+``Server.health()``.
 """
 
 import time
@@ -27,7 +28,7 @@ from repro.serving import (
     compile_workload,
 )
 from repro.serving.model_request import ModelRequest
-from repro.serving.request import DONE, FAILED
+from repro.serving.request import FAILED
 from repro.workloads import synthetic_gemm_workload
 
 #: Zero-sleep policy so retry-path tests stay fast.
@@ -127,16 +128,14 @@ class TestRetryPath:
         assert report.num_requests == 4
         assert report.num_failed == 0
         assert report.num_retried >= 4  # the whole batch retried once
-        assert report.num_degraded == 0
         assert faults.stats().engine_faults == 1
 
-    def test_exhausted_retries_fall_back_to_degraded_oracle(self):
+    def test_exhausted_retries_fail_every_member(self):
         plan = _plan()
-        # More scripted faults than the policy has attempts: the fast path
-        # never succeeds for the first batch, so it must degrade.
+        # More scripted faults than the policy has attempts: the stage never
+        # succeeds for the first claim, so every member fails with the fault.
         faults = FaultInjector(plan=FaultPlan(engine_faults_at=frozenset(range(1, 9))))
-        activations = _activations(3)
-        requests = [_raw_request(i, act) for i, act in enumerate(activations)]
+        requests = [_raw_request(i, act) for i, act in enumerate(_activations(3))]
         server = _preloaded_server(
             plan,
             requests,
@@ -148,20 +147,22 @@ class TestRetryPath:
             faults=faults,
         )
         try:
-            weight = plan.layer("layer0").weight
-            for request, activation in zip(requests, activations):
-                assert np.array_equal(
-                    request.result(timeout=10.0), weight @ activation
-                )
-                assert request.degraded
+            for request in requests:
+                with pytest.raises(InjectedFaultError):
+                    request.result(timeout=10.0)
+                assert request.state == FAILED
+                assert request.retries == 1
         finally:
             server.close()
         report = server.report()
-        assert report.num_failed == 0
-        assert report.num_degraded == 3
-        assert report.num_retried >= 3
+        assert report.num_requests == 0
+        assert report.num_failed == 3
+        assert report.num_retried == 3  # one retry, carried by each member
+        assert faults.stats().engine_faults == 2  # both attempts, no third pass
 
     def test_degraded_disabled_fails_the_batch(self):
+        # No degraded fallback exists: a lone request whose stage exhausts its
+        # retries fails with the fault and is accounted as failed.
         plan = _plan()
         faults = FaultInjector(plan=FaultPlan(engine_faults_at=frozenset(range(1, 9))))
         requests = [_raw_request(0, np.ones((10, 1), dtype=np.int64))]
@@ -172,7 +173,6 @@ class TestRetryPath:
             retry_policy=RetryPolicy(
                 max_attempts=2, backoff_base_s=0.0, backoff_max_s=0.0
             ),
-            degraded_fallback=False,
             faults=faults,
         )
         try:
@@ -180,6 +180,7 @@ class TestRetryPath:
                 requests[0].result(timeout=10.0)
         finally:
             server.close()
+        assert requests[0].state == FAILED
         assert server.report().num_failed == 1
 
     def test_unretried_stage_fault_fails_every_member(self):
@@ -189,7 +190,7 @@ class TestRetryPath:
         requests = [_raw_request(i, act) for i, act in enumerate(acts)]
         server = _preloaded_server(
             plan, requests, num_workers=1, max_batch=3,
-            retry_policy=None, degraded_fallback=False, faults=faults,
+            retry_policy=None, faults=faults,
         )
         try:
             # The error lands on every member of the claim; none is retried.
@@ -210,38 +211,6 @@ class TestRetryPath:
             server.close()
         report = server.report()
         assert report.num_failed == 3
-        assert report.num_retried == 0
-        assert report.num_degraded == 0
-
-
-class TestBatchPoisoning:
-    def test_poisoned_request_fails_alone(self):
-        plan = _plan()
-        good_activations = _activations(3)
-        poisoned = _raw_request(99, np.ones((7, 1), dtype=np.int64))  # wrong K
-        requests = [_raw_request(i, act) for i, act in enumerate(good_activations)]
-        # Poison the middle of the batch so the coalesced engine pass fails.
-        batch = requests[:1] + [poisoned] + requests[1:]
-        server = _preloaded_server(
-            plan, batch, num_workers=1, max_batch=8, retry_policy=FAST_RETRIES
-        )
-        try:
-            weight = plan.layer("layer0").weight
-            for request, activation in zip(requests, good_activations):
-                assert np.array_equal(
-                    request.result(timeout=10.0), weight @ activation
-                )
-            with pytest.raises(SimulationError):
-                poisoned.result(timeout=10.0)
-        finally:
-            server.close()
-        assert poisoned.state == FAILED
-        assert all(request.state == DONE for request in requests)
-        report = server.report()
-        assert report.num_requests == 3
-        assert report.num_failed == 1
-        assert report.num_degraded == 3  # survivors were served by the oracle
-        # the shape error is not transient, so no retry was attempted
         assert report.num_retried == 0
 
 
@@ -372,7 +341,7 @@ class TestSeededChaos:
         assert report.num_failed == 0  # availability: every request completed
         assert report.num_expired == 0 and report.num_cancelled == 0
         stats = faults.stats()
-        # Every injected engine fault was absorbed by a retry or the oracle.
+        # Every injected engine fault was absorbed by a retry.
         if stats.engine_faults:
-            assert report.num_retried > 0 or report.num_degraded > 0
+            assert report.num_retried > 0
         assert report.as_dict()["num_retried"] == report.num_retried

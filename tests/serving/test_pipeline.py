@@ -4,9 +4,9 @@ A compiled multi-layer LLaMA block (five chained GEMM stages) served
 end-to-end must be bit-identical to running ``engine.multiply_planned`` per
 layer sequentially, including under a worker kill (the claim's requests are
 requeued and still complete).  One worker claim runs a batch of model
-requests through every stage; deadlines, cancellation, retries, the
-degraded fallback and crash requeue work at stage granularity inside it,
-and the report carries per-stage breakdowns.
+requests through every stage; deadlines, cancellation, retries, exhausted
+retries and crash requeue work at stage granularity inside it, and the
+report carries per-stage breakdowns.
 """
 
 import gc
@@ -24,13 +24,13 @@ from hypothesis import strategies as st
 from repro.errors import (
     BackpressureError,
     DeadlineExceededError,
+    InjectedFaultError,
     RequestCancelledError,
     ServingError,
     ShedError,
     WorkerCrashError,
 )
 from repro.serving import (
-    CircuitBreaker,
     FaultInjector,
     FaultPlan,
     ModelGraph,
@@ -38,6 +38,7 @@ from repro.serving import (
     Server,
     compile_workload,
 )
+from repro.serving.request import DONE, FAILED
 from repro.workloads import LlamaConfig, llama_block_gemms, resnet_stack_gemms
 
 TINY = LlamaConfig("tiny-llama", hidden_size=32, intermediate_size=48,
@@ -412,34 +413,76 @@ class TestWholeChainClaim:
         assert faults.stats().batch_hooks == 6
         report = server.report()
         assert report.num_retried == 1
-        assert report.num_degraded == 0
         assert report.num_requests == 5
 
-    def test_exhausted_retries_degrade_per_request_and_trip_breaker(self):
+    def test_exhausted_retries_fail_the_claim_at_that_stage(self):
         plan = _block_plan()
         acts = _activations(plan, 2, seed=47, cols=2)
         # Every attempt at o_proj (hook calls 3-5) fails.
         faults = FaultInjector(plan=FaultPlan(engine_faults_at={3, 4, 5}))
-        breaker = CircuitBreaker(failure_threshold=1, cooldown_s=0.0)
         server = Server(plan, num_workers=1, max_batch=4, max_pending=8,
-                        retry_policy=FAST_RETRIES, faults=faults,
-                        degraded_breaker=breaker)
+                        retry_policy=FAST_RETRIES, faults=faults)
         log = _StageLog(server)
         with server:
             handles = server.submit_many(acts)
-            for act, handle in zip(acts, handles):
-                assert np.array_equal(handle.result(timeout=30.0), plan.run_model(act))
-                assert handle.degraded
-        # Later stages went back to the fast path with both requests.
-        assert log.calls[-2:] == [("gate_proj", 4), ("down_proj", 4)]
+            for handle in handles:
+                with pytest.raises(InjectedFaultError):
+                    handle.result(timeout=30.0)
+                assert handle.steps_completed == 0
+        # o_proj ran its three attempts; no later stage ran.
+        assert log.calls == [
+            ("qkv_proj", 4), ("attn_score", 4),
+            ("o_proj", 4), ("o_proj", 4), ("o_proj", 4),
+        ]
+        records = Counter((record.layer, record.state) for record in server._records)
+        assert records == {
+            ("qkv_proj", DONE): 2, ("attn_score", DONE): 2, ("o_proj", FAILED): 2,
+        }
         report = server.report()
-        assert report.breaker_trips == 1
-        assert report.num_degraded == 2
+        assert report.num_failed == 2
+        assert report.num_model_failed == 2
+        assert report.num_model_requests == 0
         assert report.num_retried == 4  # two retries for each request
         by_layer = {stage.layer: stage for stage in report.stages}
-        assert by_layer["o_proj"].requests == 2
-        assert by_layer["o_proj"].batches == 0  # served by the oracle
-        assert by_layer["gate_proj"].batches == 1
+        assert by_layer["o_proj"].requests == 0
+        assert by_layer["o_proj"].batches == 0
+        assert by_layer["gate_proj"].batches == 0
+
+    def test_failed_decode_step_fails_only_the_longer_stream(self):
+        plan = _block_plan()
+        acts = _activations(plan, 3, seed=59)
+        # Hooks 1-5 are the plug, 6-10 the shared claim's first step; every
+        # attempt at the second step's qkv_proj (hooks 11-13) fails.
+        faults = FaultInjector(plan=FaultPlan(engine_faults_at={11, 12, 13}))
+        server = Server(plan, num_workers=1, max_batch=4, max_pending=8,
+                        retry_policy=FAST_RETRIES, faults=faults)
+        log = _StageLog(server)
+        with server:
+            plug = _plug(server, log, acts[0])
+            short = server.submit(acts[1], stream=1)
+            longer = server.submit(acts[2], stream=2)
+            log.hold.set()
+            plug.result(timeout=30.0)
+            assert np.array_equal(short.result(timeout=30.0), plan.run_model(acts[1]))
+            with pytest.raises(InjectedFaultError):
+                longer.outputs(timeout=30.0)
+        assert longer.state == FAILED
+        assert longer.steps_completed == 1
+        # Both shared the first step; the second ran qkv_proj three times.
+        assert log.calls[5:] == [(layer, 2) for layer in STAGES] + [
+            ("qkv_proj", 1)
+        ] * 3
+        report = server.report()
+        admitted = 3
+        assert report.num_model_requests == 2
+        assert report.num_model_failed == 1
+        assert report.num_model_requests + report.num_model_failed == admitted
+        # Per stage: one record per executor pass each request rode, plus
+        # the failed stage of the longer stream.
+        assert report.num_requests == 3 * len(STAGES)
+        assert report.num_failed == 1
+        assert report.num_expired == report.num_cancelled == report.num_shed == 0
+        assert report.num_retried == 2
 
     def test_worker_crash_mid_chain_requeues_from_stage_zero(self):
         plan = _block_plan()
