@@ -5,8 +5,8 @@ Compiles one layer into a :class:`~repro.serving.ModelPlan` (the compiled
 plan carries one exact float64-BLAS executor per layer), then measures:
 
 * **batched serving**: concurrent single-column requests through the
-  thread-pool server and micro-batcher — throughput and p50/p95/p99 latency
-  under concurrent load;
+  thread-pool server, batched per worker claim — throughput and
+  p50/p95/p99 latency under concurrent load;
 * **sequential baseline**: the repo's pre-serving API, one ``engine.multiply``
   call per request against the warm static-scoreboard LRU cache.
 
@@ -140,7 +140,7 @@ def _compile_plan(scale: str):
 
 
 def bench_serving(plan, layer_name):
-    """Concurrent single-column requests through the micro-batcher."""
+    """Concurrent single-column requests through the batching server."""
     layer = plan.layer(layer_name)
     rng = np.random.default_rng(7)
     activations = [

@@ -31,7 +31,7 @@ import time
 
 import numpy as np
 
-from repro.serving import Server, SubmitOptions, compile_workload
+from repro.serving import Server, compile_workload
 from repro.workloads import LlamaConfig, llama_block_gemms
 
 #: Small stand-in block (hidden 96, intermediate 160) so the demo compiles fast.
@@ -71,7 +71,7 @@ def main() -> None:
         for _ in range(NUM_REQUESTS)
     ]
     outputs = [None] * NUM_REQUESTS
-    options = SubmitOptions(deadline_s=600.0)
+    deadline_s = 600.0
 
     print(f"Serving {NUM_REQUESTS} concurrent model requests through the "
           f"{len(plan.graph)}-stage pipeline ({NUM_WORKERS} workers)...")
@@ -79,7 +79,7 @@ def main() -> None:
                 max_pending=NUM_REQUESTS) as server:
 
         def client(index: int) -> None:
-            request = server.submit(activations[index], options=options)
+            request = server.submit(activations[index], deadline_s=deadline_s)
             outputs[index] = request.result(timeout=600.0)
 
         threads = [

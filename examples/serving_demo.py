@@ -7,9 +7,9 @@ static-scoreboarded once, offline, and each layer gets an exact float64-BLAS
 executor (its backend is printed) — then spins up the thread-pool server and
 fires concurrent model-level requests at it from client threads.  A
 single-layer plan serves as an implicit one-stage pipeline, so
-``server.submit(activation)`` needs no layer name.  The micro-batcher
-coalesces concurrent activations into single engine passes; every output is
-checked bit-exact against ``weight @ activation`` before the
+``server.submit(activation)`` needs no layer name.  Each worker claims up to
+``max_batch`` queued requests and runs their concatenated activations in one
+executor pass; every output is checked bit-exact against ``weight @ activation`` before the
 :class:`~repro.serving.ServingReport` (including the per-stage pipeline
 rows) is printed.
 
@@ -23,7 +23,7 @@ import time
 
 import numpy as np
 
-from repro.serving import Server, SubmitOptions, compile_workload
+from repro.serving import Server, compile_workload
 from repro.workloads import llama_fc_gemms
 
 MODEL = "llama1-7b"
@@ -57,7 +57,7 @@ def main() -> None:
 
     # Generous per-request deadline: requests that cannot be served in time
     # are expired rather than left to queue forever.
-    options = SubmitOptions(deadline_s=600.0)
+    deadline_s = 600.0
 
     print(f"Serving {NUM_REQUESTS} concurrent single-token model requests "
           f"({NUM_WORKERS} workers, max_batch={MAX_BATCH})...")
@@ -65,7 +65,7 @@ def main() -> None:
                 max_pending=NUM_REQUESTS) as server:
 
         def client(index: int) -> None:
-            request = server.submit(activations[index], options=options)
+            request = server.submit(activations[index], deadline_s=deadline_s)
             outputs[index] = request.result(timeout=600.0)
 
         threads = [

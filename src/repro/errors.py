@@ -74,7 +74,7 @@ class DeadlineExceededError(ServingError):
 
 
 class RequestCancelledError(ServingError):
-    """Raised from ``Request.result()`` after a client cancelled the request."""
+    """Raised from ``ModelRequest.result()`` after a client cancelled it."""
 
 
 class WorkerCrashError(ServingError):

@@ -12,18 +12,16 @@ scoreboard* was designed for: compile once, serve forever.
 * :mod:`repro.serving.graph` — the :class:`ModelGraph` of declared
   inter-layer dataflow that turns a bag of compiled layers into a servable
   pipeline (``graph="chain"`` at compile time for the common case);
-* :mod:`repro.serving.request` / :mod:`repro.serving.queue` — future-style
-  requests and the bounded admission-controlled queue;
-* :mod:`repro.serving.model_request` — the model-level client surface:
-  :class:`SubmitOptions` and the :class:`ModelRequest` handle returned by
-  ``Server.submit(activation=...)`` (single forward pass or ``stream=N``
-  autoregressive decode steps);
-* :mod:`repro.serving.batcher` — the server's stage primitive,
-  :meth:`MicroBatcher.run_stage`: one executor pass over a batch's
-  concatenated columns;
+* :mod:`repro.serving.request` — the :class:`ModelRequest` handle returned
+  by ``Server.submit(activation=...)`` (single forward pass or ``stream=N``
+  autoregressive decode steps), the one request type from submission to
+  settle;
+* :mod:`repro.serving.queue` — the bounded admission-controlled
+  :class:`RequestQueue` with QoS priority lanes and one batch rule;
 * :mod:`repro.serving.server` — the supervised :class:`Server`: one worker
-  thread's claim runs a batch of model requests through every stage, with
-  worker restarts, :meth:`Server.health` and drain/abort shutdown;
+  thread's claim runs a batch of model requests through every stage, one
+  ``ModelPlan.run`` pass per stage, with worker restarts,
+  :meth:`Server.health` and drain/abort shutdown;
 * :mod:`repro.serving.policy` — per-request deadlines, the
   :class:`RetryPolicy` applied around batch execution, and the
   overload-resilience piece: the :class:`AdmissionController` behind
@@ -38,10 +36,8 @@ scoreboard* was designed for: compile once, serve forever.
 
 from .plan import CompileStats, LayerPlan, ModelPlan, compile_workload
 from .graph import INPUT, ModelGraph, StageSpec
-from .request import Request
-from .model_request import ModelRequest, SubmitOptions
+from .request import ModelRequest
 from .queue import RequestQueue
-from .batcher import BatchExecution, MicroBatcher
 from .policy import (
     DEFAULT_RETRY_POLICY,
     AdmissionController,
@@ -59,12 +55,8 @@ __all__ = [
     "INPUT",
     "ModelGraph",
     "StageSpec",
-    "Request",
     "ModelRequest",
-    "SubmitOptions",
     "RequestQueue",
-    "BatchExecution",
-    "MicroBatcher",
     "DEFAULT_RETRY_POLICY",
     "RetryPolicy",
     "AdmissionController",

@@ -139,14 +139,16 @@ class AdmissionController:
     The controller watches what the server actually measures — per-layer
     engine-pass seconds per request (:meth:`observe_batch`) and queue wait
     (:meth:`observe_wait`) — and turns the estimates into two shedding
-    decisions, both *conservative by construction*: a layer with fewer than
-    ``min_samples`` observations is never shed as doomed, so a cold server
-    behaves exactly like one without a controller.
+    decisions, both *conservative by construction*: a request whose chain
+    has a layer with fewer than ``min_samples`` observations is never shed
+    as doomed, so a cold server behaves exactly like one without a
+    controller.
 
     * **doomed shedding** — a request whose remaining deadline budget is
       smaller than the expected cost of serving it cannot succeed; admitting
       (or claiming) it only wastes compute that deadline-meeting requests
-      needed.  At admission the expected cost is queue wait + compute; at
+      needed.  The compute is the whole chain's: every stage, every decode
+      step.  At admission the expected cost is queue wait + compute; at
       claim time the wait is already paid, so only compute counts.
     * **priority brownout** — as the queue fills past per-class watermarks,
       lower-priority lanes are shed first: class ``p >= 1`` sheds when the
@@ -242,16 +244,20 @@ class AdmissionController:
             return 1.0
         return max(self.brownout_floor, 1.0 - self.brownout_step * priority)
 
+    def chain_estimate_s(self, request) -> Optional[float]:
+        """Compute estimate of a request's whole chain: the per-request
+        estimates of every stage, times its decode steps.  ``None`` (never
+        shed as doomed) while any stage is below ``min_samples``."""
+        estimates = [self.estimate_s(layer) for layer in request.stages]
+        if None in estimates:
+            return None
+        return sum(estimates) * request.num_steps
+
     def admission_check(
-        self,
-        layer: str,
-        deadline_at_: Optional[float],
-        priority: int,
-        now: float,
-        depth: int,
-        capacity: int,
+        self, request, now: float, depth: int, capacity: int
     ) -> Optional[ShedError]:
         """Shed decision at submission; ``None`` admits the request."""
+        priority = request.priority
         if priority > 0 and depth >= capacity * self.brownout_watermark(priority):
             hint = max(self.wait_ewma_s, 1e-3)
             return ShedError(
@@ -261,15 +267,15 @@ class AdmissionController:
                 f"~{hint * 1e3:.0f} ms or resubmit at a higher priority",
                 retry_after_s=hint,
             )
-        if deadline_at_ is not None:
-            estimate = self.estimate_s(layer)
+        if request.deadline_at is not None:
+            estimate = self.chain_estimate_s(request)
             if estimate is not None:
-                budget = deadline_at_ - now
+                budget = request.deadline_at - now
                 expected = self.wait_ewma_s + estimate * self.headroom
                 if expected > budget:
                     return ShedError(
-                        f"request for layer '{layer}' shed at admission: "
-                        f"expected queue wait + compute "
+                        f"request {request.request_id} ('{request.model}') "
+                        f"shed at admission: expected queue wait + compute "
                         f"(~{expected * 1e3:.2f} ms) exceeds its "
                         f"{budget * 1e3:.2f} ms deadline budget; retry with "
                         f"a larger deadline or when the backlog drains",
@@ -279,17 +285,16 @@ class AdmissionController:
 
     def claim_check(self, request, now: float) -> Optional[ShedError]:
         """Shed decision at batch-claim time (wait already paid)."""
-        estimate = self.estimate_s(request.layer)
+        estimate = self.chain_estimate_s(request)
         if estimate is None:
             return None
         remaining = remaining_s(request.deadline_at, now)
         if estimate * self.headroom > remaining:
             return ShedError(
-                f"request {request.request_id} ('{request.layer}') shed at "
+                f"request {request.request_id} ('{request.model}') shed at "
                 f"claim time: ~{estimate * 1e3:.2f} ms of compute cannot fit "
                 f"the {remaining * 1e3:.2f} ms of deadline budget left; "
                 f"retry with a larger deadline",
                 retry_after_s=max(estimate, 0.0),
             )
         return None
-

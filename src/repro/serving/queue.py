@@ -6,18 +6,17 @@ the client sheds load instead of piling unbounded latency onto every request
 behind it.
 
 Queued work is organised into **priority lanes**: one lane per QoS class
-(``Request.priority``; 0 is the most urgent, larger values are bulk).
-Workers drain the queue through :meth:`RequestQueue.next_batch`, which always
-serves the highest-priority non-empty lane first, so interactive traffic
-overtakes bulk traffic instead of FIFO-starving behind it.  *Within* a lane
-requests are ordered earliest-deadline-first (EDF); requests without a
-deadline keep strict FIFO order among themselves (submission sequence breaks
-deadline ties, so a lane with no deadlines degenerates to the classic FIFO
-queue).  After popping the head, :meth:`next_batch` coalesces up to
-``max_batch - 1`` more requests bound for the *same layer* — first from the
-head's own lane, then riding lower-priority lanes along — preserving each
-lane's relative order for everything it skips.  A server's model requests
-all enter at the model's first stage, so any of them batch together.
+(``ModelRequest.priority``; 0 is the most urgent, larger values are bulk).
+*Within* a lane requests are ordered earliest-deadline-first (EDF); requests
+without a deadline keep strict FIFO order among themselves (submission
+sequence breaks deadline ties, so a lane with no deadlines degenerates to the
+classic FIFO queue).  Workers drain the queue through
+:meth:`RequestQueue.next_batch`, which has one batch rule: the first
+``max_batch`` live requests in (priority lane, EDF key, admission sequence)
+order.  Interactive traffic therefore overtakes bulk traffic instead of
+FIFO-starving behind it, and bulk work fills whatever room an interactive
+batch leaves.  Every request enters at the model's first stage, so any of
+them batch together.
 
 Deadline enforcement happens at dispatch: while scanning for a batch,
 :meth:`next_batch` *sheds* every already-expired request it encounters —
@@ -26,8 +25,8 @@ client unblocks immediately — and silently drops requests the client already
 cancelled.  When an :class:`~repro.serving.policy.AdmissionController` is
 attached, the same scan also sheds requests that are *doomed* — still live
 but with less deadline budget left than the controller's compute estimate
-for their layer — with :class:`~repro.errors.ShedError`, so the engine never
-burns compute on work that cannot meet its deadline.  Shed requests are
+for their whole chain — with :class:`~repro.errors.ShedError`, so the engine
+never burns compute on work that cannot meet its deadline.  Shed requests are
 parked on an internal list the server collects through :meth:`take_shed` for
 accounting; none of them ever reaches the engine.  :meth:`close` wakes every
 blocked :meth:`next_batch` waiter under the condition variable, so worker
@@ -42,16 +41,16 @@ from bisect import insort
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..errors import BackpressureError, ServingError
-from .request import Request
+from .request import ModelRequest
 
 #: Lane entry: (deadline key, admission sequence, request).  ``inf`` stands
 #: for "no deadline", so EDF ordering degrades to FIFO (by sequence) when no
 #: request in the lane carries one.
-_Entry = Tuple[float, int, Request]
+_Entry = Tuple[float, int, ModelRequest]
 
 
 class RequestQueue:
-    """Thread-safe bounded queue of pending :class:`Request` objects."""
+    """Thread-safe bounded queue of pending :class:`ModelRequest` objects."""
 
     def __init__(self, max_pending: int) -> None:
         if max_pending < 1:
@@ -62,7 +61,7 @@ class RequestQueue:
         self._seq = 0
         self._condition = threading.Condition()
         self._closed = False
-        self._shed: List[Request] = []
+        self._shed: List[ModelRequest] = []
         #: Optional :class:`~repro.serving.policy.AdmissionController`; when
         #: set, the dispatch scan sheds deadline-doomed requests through it.
         self.controller = None
@@ -73,7 +72,7 @@ class RequestQueue:
         self.shed_doomed = 0
 
     # ------------------------------------------------------------- internals
-    def _insert(self, request: Request) -> None:
+    def _insert(self, request: ModelRequest) -> None:
         """Place a request into its lane at its EDF position (lock held)."""
         if request.queue_seq is None:
             self._seq += 1
@@ -87,7 +86,7 @@ class RequestQueue:
         return sorted(p for p, lane in self._lanes.items() if lane)
 
     # -------------------------------------------------------------- client
-    def put(self, request: Request) -> None:
+    def put(self, request: ModelRequest) -> None:
         """Admit a request, or raise :class:`BackpressureError` if full."""
         with self._condition:
             if self._closed:
@@ -101,7 +100,7 @@ class RequestQueue:
             self._insert(request)
             self._condition.notify()
 
-    def put_many(self, requests: List[Request]) -> None:
+    def put_many(self, requests: List[ModelRequest]) -> None:
         """Admit a batch of requests atomically, taking the lock once.
 
         All-or-nothing admission: either the whole batch fits under
@@ -127,7 +126,7 @@ class RequestQueue:
                 self._insert(request)
             self._condition.notify(len(requests))
 
-    def requeue(self, requests: Iterable[Request]) -> None:
+    def requeue(self, requests: Iterable[ModelRequest]) -> None:
         """Return admitted-but-unexecuted requests to their queue positions.
 
         Crash recovery: a dead worker's in-flight batch goes back in at its
@@ -144,87 +143,43 @@ class RequestQueue:
     # -------------------------------------------------------------- worker
     def next_batch(
         self, max_batch: int, timeout: Optional[float] = None
-    ) -> Optional[List[Request]]:
-        """Pop the next same-layer micro-batch, waiting up to ``timeout``.
+    ) -> Optional[List[ModelRequest]]:
+        """Pop the next batch of up to ``max_batch`` requests, waiting up to
+        ``timeout`` for the first.
 
         Returns ``None`` when the wait times out or the queue is closed and
-        drained.  The head is the first live request of the highest-priority
-        non-empty lane; the batch is the head plus up to ``max_batch - 1``
-        same-layer requests coalesced first from the head's lane and then
-        from lower-priority lanes (bulk work rides along with interactive
-        batches, never the other way around).  Skipped requests keep their
-        relative order.  Expired, cancelled and deadline-doomed requests
-        encountered during the scan are shed (see module docstring) and
-        never returned.
+        drained.  The batch is the first ``max_batch`` live requests in
+        (priority lane, EDF key, admission sequence) order.  Expired,
+        cancelled and deadline-doomed requests encountered on the way are
+        shed (see module docstring) and never returned.
         """
         if max_batch < 1:
             raise ServingError(f"max_batch must be positive, got {max_batch}")
         with self._condition:
             while True:
-                head = self._pop_live_head()
-                if head is not None:
-                    break
+                batch = self._pop_live(max_batch)
+                if batch:
+                    return batch
                 if self._closed:
                     return None
                 if not self._condition.wait(timeout):
                     return None
-            batch = [head]
-            if max_batch > 1 and self._size:
-                now = time.perf_counter()
-                for priority in self._lane_priorities():
-                    if priority < head.priority or len(batch) >= max_batch:
-                        continue
-                    self._coalesce_from_lane(
-                        priority, head.layer, batch, max_batch, now
-                    )
-            return batch
 
-    def _coalesce_from_lane(
-        self,
-        priority: int,
-        layer: str,
-        batch: List[Request],
-        max_batch: int,
-        now: float,
-    ) -> None:
-        """Move same-layer live requests from one lane into ``batch``.
-
-        Scans the lane in EDF order until the batch fills; everything the
-        scan skips keeps its position, and dead requests it encounters are
-        shed exactly as :meth:`_pop_live_head` would.  Lock held.
-        """
-        lane = self._lanes.get(priority)
-        if not lane:
-            return
-        keep: List[_Entry] = []
-        for index, entry in enumerate(lane):
-            if len(batch) >= max_batch:
-                keep.extend(lane[index:])
-                break
-            request = entry[2]
-            if self._shed_if_dead(request, now):
-                self._size -= 1
-                continue
-            if request.layer == layer:
-                batch.append(request)
-                self._size -= 1
-            else:
-                keep.append(entry)
-        self._lanes[priority] = keep
-
-    def _pop_live_head(self) -> Optional[Request]:
-        """Pop the first live request in priority order, shedding dead ones."""
+    def _pop_live(self, count: int) -> List[ModelRequest]:
+        """Pop up to ``count`` live requests in priority order, shedding the
+        dead ones on the way (lock held)."""
         now = time.perf_counter()
+        batch: List[ModelRequest] = []
         for priority in self._lane_priorities():
             lane = self._lanes[priority]
-            while lane:
-                entry = lane.pop(0)
+            while lane and len(batch) < count:
+                request = lane.pop(0)[2]
                 self._size -= 1
-                if not self._shed_if_dead(entry[2], now):
-                    return entry[2]
-        return None
+                if not self._shed_if_dead(request, now):
+                    batch.append(request)
+        return batch
 
-    def _shed_if_dead(self, request: Request, now: float) -> bool:
+    def _shed_if_dead(self, request: ModelRequest, now: float) -> bool:
         """Shed a cancelled/expired/doomed request; holds the condition lock."""
         if request.done():
             # Cancelled (or otherwise finished) while queued: the client was
@@ -244,17 +199,17 @@ class RequestQueue:
                 return True
         return False
 
-    def take_shed(self) -> List[Request]:
+    def take_shed(self) -> List[ModelRequest]:
         """Hand the accumulated shed requests to the caller (and forget them)."""
         with self._condition:
             shed = self._shed
             self._shed = []
             return shed
 
-    def drain_pending(self) -> List[Request]:
+    def drain_pending(self) -> List[ModelRequest]:
         """Remove and return every queued request (abortive shutdown)."""
         with self._condition:
-            drained: List[Request] = []
+            drained: List[ModelRequest] = []
             for priority in sorted(self._lanes):
                 drained.extend(entry[2] for entry in self._lanes[priority])
                 self._lanes[priority] = []

@@ -1,35 +1,35 @@
-"""Request objects exchanged between clients, the queue and the workers.
+"""The model request: one handle from ``Server.submit()`` to settle.
 
-A request carries one activation matrix bound for one compiled layer; the
-server queues its subclass
-:class:`~repro.serving.model_request.ModelRequest`, whose layer is the
-model's first stage.  The submitting thread gets the request back
-immediately (future-style) and blocks on :meth:`Request.result` only when it
-needs the output; the worker that executes it fulfils or fails the request
-and stamps the timestamps the latency accounting is built from.
+A :class:`ModelRequest` is the client's future-style handle for one
+activation routed through *every* stage of a compiled model's
+:class:`~repro.serving.graph.ModelGraph` (optionally for several
+autoregressive decode steps).  It is also the unit the server queues: a
+worker claims a batch of model requests, runs their concatenated columns
+through every stage back to back, and settles each request once its chain
+finishes or stops early.  The submitting thread gets the handle back at once
+and blocks on :meth:`ModelRequest.result` only when it needs the output.
 
 Requests are also where the fault-tolerance state machine lives.  Alongside
-the original ``pending → running → done|failed`` path there are three
-terminal states that end a request *without computing it*: ``expired`` (its
-deadline elapsed before dispatch — the queue sheds it, or the worker skips it
-at claim time), ``cancelled`` (the client abandoned it via
-:meth:`Request.cancel`) and ``shed`` (the overload-control layer decided not
-to spend compute on it — see :meth:`Request.shed`).  All transitions go
-through one per-request lock, so
-a client cancelling races safely against a worker claiming: exactly one side
-wins, and work claimed by a worker is never also cancelled.
+the ``pending → running → done|failed`` path there are three terminal states
+that end a request *without computing it*: ``expired`` (its deadline
+elapsed — the queue sheds it before dispatch, or the claim stops it at the
+next stage boundary), ``cancelled`` (the client abandoned it via
+:meth:`ModelRequest.cancel`) and ``shed`` (the overload-control layer decided
+not to spend compute on it — see :meth:`ModelRequest.shed`).  All transitions
+go through one per-request lock, so a client cancelling races safely against
+a worker claiming: exactly one side wins.  A finished handle keeps the input
+and each decode step's final output, never the intermediate stage outputs.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ..errors import DeadlineExceededError, RequestCancelledError, ServingError
-from ..transarray.accelerator import RequestAttribution
 
 #: Request lifecycle states.
 PENDING = "pending"
@@ -41,22 +41,27 @@ CANCELLED = "cancelled"
 SHED = "shed"
 
 
-class Request:
-    """One in-flight activation request against a compiled layer."""
+class ModelRequest:
+    """One whole-model request (future-style client handle).
+
+    ``layer`` is the model's first stage, the layer the request enters at.
+    """
 
     def __init__(
         self,
         request_id: int,
-        layer: str,
+        model: str,
+        stages: Tuple[str, ...],
+        num_steps: int,
         activation: np.ndarray,
         submitted_at: float,
         deadline_at: Optional[float] = None,
         priority: int = 0,
     ) -> None:
-        if priority < 0:
-            raise ServingError(f"priority must be >= 0, got {priority}")
         self.request_id = request_id
-        self.layer = layer
+        self.model = model
+        self.stages = stages
+        self.num_steps = num_steps
         self.activation = activation
         self.submitted_at = submitted_at
         self.deadline_at = deadline_at
@@ -68,20 +73,36 @@ class Request:
         self.queue_seq: Optional[int] = None
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None
-        self.batch_size: int = 0
         self.retries: int = 0
-        self.attribution: Optional[RequestAttribution] = None
         self.state = PENDING
         self._output: Optional[np.ndarray] = None
         self._error: Optional[BaseException] = None
+        self._step_outputs: List[np.ndarray] = []
+        self._cancel_requested = False
         self._done = threading.Event()
         self._state_lock = threading.Lock()
 
     # ------------------------------------------------------------ client API
     @property
+    def layer(self) -> str:
+        """The first stage, where the request enters the model."""
+        return self.stages[0]
+
+    @property
     def columns(self) -> int:
         """Activation columns carried by the request."""
         return int(self.activation.shape[1])
+
+    @property
+    def pipeline_depth(self) -> int:
+        """Number of pipeline stages one decode step passes through."""
+        return len(self.stages)
+
+    @property
+    def steps_completed(self) -> int:
+        """Decode steps whose final output is already available."""
+        with self._state_lock:
+            return len(self._step_outputs)
 
     def done(self) -> bool:
         """Whether the request has reached a terminal state."""
@@ -96,28 +117,23 @@ class Request:
         return now >= self.deadline_at
 
     def cancel(self) -> bool:
-        """Abandon a still-queued request so it is never computed.
+        """Abandon the rest of the pipeline.
 
-        Returns ``True`` if this call won the race and cancelled the request;
-        ``False`` if a worker already claimed it (or it already finished) —
-        in that case the request proceeds normally and :meth:`result` stays
-        authoritative.
+        Returns ``True`` if the cancellation takes effect: a queued request
+        is cancelled at once, a running one at its next stage boundary (or
+        instead of completing).  ``False`` once the request has settled.
         """
         with self._state_lock:
-            if self.state != PENDING:
+            if self._done.is_set():
                 return False
-            self._settle_locked(
-                CANCELLED,
-                RequestCancelledError(
-                    f"request {self.request_id} ('{self.layer}') was "
-                    f"cancelled by the client before execution"
-                ),
-                time.perf_counter(),
-            )
-        return True
+            if self.state == RUNNING:
+                self._cancel_requested = True
+                return True
+            self._settle_locked(CANCELLED, self._cancel_error(), time.perf_counter())
+            return True
 
     def result(self, timeout: Optional[float] = None) -> np.ndarray:
-        """Block until the output is available and return it.
+        """Block until the last decode step's output is available; return it.
 
         Raises the worker-side error if the request failed (including
         :class:`~repro.errors.DeadlineExceededError` /
@@ -134,6 +150,16 @@ class Request:
         assert self._output is not None
         return self._output
 
+    def outputs(self, timeout: Optional[float] = None) -> List[np.ndarray]:
+        """Block for completion and return every decode step's final output.
+
+        For ``stream=1`` submissions this is a one-element list; the error
+        contract of :meth:`result` (the last step's output) applies.
+        """
+        self.result(timeout)
+        with self._state_lock:
+            return list(self._step_outputs)
+
     @property
     def latency_s(self) -> float:
         """Submit-to-finish wall-clock latency."""
@@ -141,15 +167,8 @@ class Request:
             raise ServingError(f"request {self.request_id} has not finished")
         return self.finished_at - self.submitted_at
 
-    @property
-    def queue_delay_s(self) -> float:
-        """Time spent queued before a worker picked the request up."""
-        if self.started_at is None:
-            raise ServingError(f"request {self.request_id} has not started")
-        return self.started_at - self.submitted_at
-
-    # ------------------------------------------------------------ worker API
-    def try_claim(self, started_at: float, batch_size: int) -> bool:
+    # ------------------------------------------------------------ server API
+    def try_claim(self, started_at: float) -> bool:
         """Atomically transition ``pending → running`` for execution.
 
         Returns ``False`` without claiming when the request was cancelled,
@@ -164,7 +183,6 @@ class Request:
                 self._expire_locked(started_at)
                 return False
             self.started_at = started_at
-            self.batch_size = batch_size
             self.state = RUNNING
             return True
 
@@ -200,27 +218,19 @@ class Request:
         )
 
     def reset_for_retry(self) -> bool:
-        """Return a claimed-but-unexecuted request to ``pending``.
+        """Return a crashed claim's request to ``pending`` for stage 0.
 
-        Used by crash recovery: a worker that died between claiming and
-        completing a batch leaves its requests ``running``; resetting them
-        lets the survivors requeue and re-claim the work.
+        Used by crash recovery: a worker that died mid-claim leaves its
+        requests ``running``; resetting them lets the survivors requeue and
+        re-claim the work from the first stage.
         """
         with self._state_lock:
             if self._done.is_set():
                 return False
             self.state = PENDING
             self.started_at = None
-            self.batch_size = 0
+            self._step_outputs = []
             return True
-
-    def fulfil(self, output: np.ndarray, finished_at: float) -> None:
-        """Deliver the output and wake the waiting client."""
-        with self._state_lock:
-            if self._done.is_set():
-                return
-            self._output = output
-            self._settle_locked(DONE, None, finished_at)
 
     def fail(self, error: BaseException, finished_at: float) -> bool:
         """Record a worker-side failure and wake the waiting client.
@@ -230,6 +240,34 @@ class Request:
         sweep can tell which requests it actually killed).
         """
         return self._settle(FAILED, error, finished_at)
+
+    def _cancel_pending(self) -> bool:
+        with self._state_lock:
+            return self._cancel_requested
+
+    def _finish_step(self, output: np.ndarray) -> None:
+        with self._state_lock:
+            self._step_outputs.append(output)
+
+    def _complete(self, finished_at: float) -> bool:
+        """Terminal transition once the last step finished; a cancel the
+        client asked for meanwhile wins.  Returns whether this call settled
+        the request."""
+        with self._state_lock:
+            if self._done.is_set():
+                return False
+            if self._cancel_requested:
+                self._settle_locked(CANCELLED, self._cancel_error(), finished_at)
+            else:
+                self._output = self._step_outputs[-1]
+                self._settle_locked(DONE, None, finished_at)
+            return True
+
+    def _cancel_error(self) -> RequestCancelledError:
+        return RequestCancelledError(
+            f"model request {self.request_id} ('{self.model}') was "
+            f"cancelled by the client"
+        )
 
     def _settle(
         self, state: str, error: Optional[BaseException], now: float

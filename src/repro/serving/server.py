@@ -4,7 +4,7 @@ The server owns the bounded :class:`~repro.serving.queue.RequestQueue`, a pool
 of supervised worker threads draining it, and the accounting that becomes
 the :class:`~repro.serving.report.ServingReport`.  Clients
 :meth:`Server.submit` activations and receive future-style
-:class:`~repro.serving.model_request.ModelRequest` handles; admission control
+:class:`~repro.serving.request.ModelRequest` handles; admission control
 rejects work beyond ``max_pending`` with
 :class:`~repro.errors.BackpressureError`.
 
@@ -54,10 +54,10 @@ layer:
   without dropping or reordering a single admitted request; a model request
   runs every stage on one plan, never on a mix of two.
 
-Each stage runs on the worker thread through one primitive,
-:meth:`~repro.serving.batcher.MicroBatcher.run_stage`: the executor is a
-float64 BLAS call that releases the GIL, so worker threads compute in
-parallel.
+Each stage of a claim is one call of the plan's
+:meth:`~repro.serving.plan.ModelPlan.run` on the worker thread, after the
+fault injector's per-batch hook: the executor is a float64 BLAS call that
+releases the GIL, so worker threads compute in parallel.
 
 Usage::
 
@@ -82,13 +82,12 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 import numpy as np
 
 from ..core.blas import PROCESS_BUDGET
+from ..core.metrics import OpCounts
 from ..energy.breakdown import EnergyBreakdown
 from ..errors import DeadlineExceededError, ServingError, WorkerCrashError
 from ..transarray.accelerator import RequestAttribution
-from .batcher import BatchExecution, MicroBatcher
 from .faults import FaultInjector
 from .graph import INPUT, ModelGraph
-from .model_request import ModelRequest, SubmitOptions
 from .plan import ModelPlan
 from .policy import (
     DEFAULT_RETRY_POLICY,
@@ -98,7 +97,7 @@ from .policy import (
 )
 from .queue import RequestQueue
 from .report import ServingReport, ShardStats, StageStats, build_report
-from .request import CANCELLED, DONE, EXPIRED, FAILED, SHED
+from .request import CANCELLED, DONE, EXPIRED, FAILED, SHED, ModelRequest
 
 #: Exactly-representable-in-float bound for validating float activations.
 _FLOAT_EXACT_INT_BOUND = float(2**53)
@@ -131,6 +130,17 @@ class _RequestRecord(NamedTuple):
     #: Completed (state ``done``) inside its deadline budget (trivially true
     #: for completions without a deadline) — the goodput numerator.
     deadline_met: bool = False
+
+
+class _BatchExecution(NamedTuple):
+    """Bookkeeping record of one executor pass (one stage of a claim)."""
+
+    layer: str
+    #: Requests whose columns the pass carried.
+    batch_size: int
+    op_counts: Optional[OpCounts]
+    #: Fault hook + executor time; per-stage occupancy accounting reads it.
+    compute_s: float
 
 
 @dataclass(frozen=True)
@@ -229,7 +239,7 @@ class _Claim:
             request: [] for request in requests
         }
         self.settled: List[ModelRequest] = []
-        self.executions: List[BatchExecution] = []
+        self.executions: List[_BatchExecution] = []
         self.compute_s = 0.0
 
     def run(self) -> None:
@@ -363,9 +373,13 @@ class _Claim:
             try:
                 if isinstance(activation, list):
                     activation = np.concatenate(activation, axis=1)
-                output, compute_s = server.batcher.run_stage(
-                    self.plan, layer, activation, len(self.live)
-                )
+                # Timed from before the fault hook, so injected latency
+                # counts as compute.
+                pass_started = time.perf_counter()
+                if server.faults is not None:
+                    server.faults.on_batch(layer, len(self.live))
+                output = self.plan.run(layer, activation)
+                compute_s = time.perf_counter() - pass_started
                 break
             except WorkerCrashError:
                 # Not a stage failure: the worker crash path requeues the
@@ -388,12 +402,9 @@ class _Claim:
             server.admission.observe_batch(layer, len(self.live), compute_s)
         finished_at = time.perf_counter()
         self.compute_s += compute_s
-        self.executions.append(BatchExecution(
+        self.executions.append(_BatchExecution(
             layer=layer,
             batch_size=len(self.live),
-            total_columns=int(activation.shape[1]),
-            started_at=started_at,
-            finished_at=finished_at,
             op_counts=self.plan.layer(layer).op_counts,
             compute_s=compute_s,
         ))
@@ -539,7 +550,6 @@ class Server:
             self.admission = admission_control
         self.queue = RequestQueue(max_pending)
         self.queue.controller = self.admission
-        self.batcher = MicroBatcher(faults=faults)
         self._slots: List[_WorkerSlot] = []
         self._supervisor: Optional[threading.Thread] = None
         self._supervisor_cv = threading.Condition()
@@ -550,7 +560,7 @@ class Server:
         self._closed = False
         self._next_id = 0
         self._records: List[_RequestRecord] = []
-        self._batches: List[BatchExecution] = []
+        self._batches: List[_BatchExecution] = []
         self._model_records: List[_ModelRecord] = []
         self._implicit_graph: Optional[ModelGraph] = None
         self._expired = 0
@@ -793,31 +803,27 @@ class Server:
         deadline_s: Optional[float] = None,
         *,
         model: Optional[str] = None,
-        stream: Optional[int] = None,
-        priority: Optional[int] = None,
-        options: Optional[SubmitOptions] = None,
+        stream: int = 1,
+        priority: int = 0,
     ) -> ModelRequest:
         """Admit one request against the compiled model.
 
         ``submit(activation)`` runs the activation through every stage of
         the plan's :class:`~repro.serving.graph.ModelGraph` and returns a
-        :class:`~repro.serving.model_request.ModelRequest` handle.
+        :class:`~repro.serving.request.ModelRequest` handle.
         ``deadline_s`` bounds the whole chain, ``model=`` optionally names
         the plan being targeted (validated), ``stream=N`` runs ``N``
         autoregressive decode steps (step ``t``'s output feeds step
-        ``t + 1``), ``priority=`` picks the QoS class (0 = interactive, the
-        default; larger = bulk traffic that interactive work overtakes and
-        the admission controller browns out first), and ``options=`` bundles
-        all of them as a :class:`~repro.serving.model_request.SubmitOptions`
-        (explicit keywords win).  The activation's shape and dtype are
-        validated up front.  Raises :class:`~repro.errors.BackpressureError`
+        ``t + 1``; a streamable graph is required), and ``priority=`` picks
+        the QoS class (0 = interactive, the default; larger = bulk traffic
+        that interactive work overtakes and the admission controller browns
+        out first).  The activation's shape and dtype are validated up
+        front.  Raises :class:`~repro.errors.BackpressureError`
         when the queue is full and :class:`~repro.errors.ShedError` when the
         admission controller judges the request doomed or browns out its
         priority class.
         """
-        return self._admit(
-            [activation], deadline_s, model, stream, priority, options
-        )[0]
+        return self._admit([activation], deadline_s, model, stream, priority)[0]
 
     def submit_many(
         self,
@@ -825,9 +831,8 @@ class Server:
         deadline_s: Optional[float] = None,
         *,
         model: Optional[str] = None,
-        stream: Optional[int] = None,
-        priority: Optional[int] = None,
-        options: Optional[SubmitOptions] = None,
+        stream: int = 1,
+        priority: int = 0,
     ) -> List[ModelRequest]:
         """Admit a batch of requests atomically (all-or-nothing admission).
 
@@ -840,23 +845,18 @@ class Server:
         activations = list(activations)
         if not activations:
             raise ServingError("submit_many needs at least one activation")
-        return self._admit(
-            activations, deadline_s, model, stream, priority, options
-        )
+        return self._admit(activations, deadline_s, model, stream, priority)
 
     def _admit(
         self,
         activations: List[np.ndarray],
         deadline_s: Optional[float],
         model: Optional[str],
-        stream: Optional[int],
-        priority: Optional[int],
-        options: Optional[SubmitOptions],
+        stream: int,
+        priority: int,
     ) -> List[ModelRequest]:
         """Validate, shed-check and enqueue model requests as one unit."""
-        graph, deadline_s, steps, qos = self._resolve_submit(
-            deadline_s, model, stream, priority, options
-        )
+        graph = self._resolve_submit(model, stream, priority)
         with self._lock:
             self._check_accepting()
             first_id = self._next_id
@@ -865,37 +865,31 @@ class Server:
         requests = [
             self._make_request(
                 first_id + offset, graph, activation, submitted_at,
-                deadline_s, steps, qos,
+                deadline_s, stream, priority,
             )
             for offset, activation in enumerate(activations)
         ]
-        self._admission_shed_check(
-            requests[0].layer, requests[0].deadline_at, qos, count=len(requests)
-        )
+        self._admission_shed_check(requests)
         self.queue.put_many(requests)  # may raise BackpressureError
         return requests
 
-    def _admission_shed_check(
-        self,
-        layer: str,
-        deadline_at_: Optional[float],
-        priority: int,
-        count: int = 1,
-    ) -> None:
+    def _admission_shed_check(self, requests: List[ModelRequest]) -> None:
         """Consult the admission controller before enqueueing new work.
 
-        Raises the controller's :class:`~repro.errors.ShedError` (counted as
-        ``count`` admission sheds — a ``submit_many`` batch sheds as a unit).
+        The requests share one chain, deadline and priority, so the first
+        one decides for all; a shed raises the controller's
+        :class:`~repro.errors.ShedError`, counted once per request (a
+        ``submit_many`` batch sheds as a unit).
         """
         if self.admission is None:
             return
         error = self.admission.admission_check(
-            layer, deadline_at_, priority, time.perf_counter(),
+            requests[0], time.perf_counter(),
             len(self.queue), self.queue.max_pending,
         )
         if error is not None:
             with self._lock:
-                self._admission_sheds += count
+                self._admission_sheds += len(requests)
             raise error
 
     def _pipeline_graph(self) -> ModelGraph:
@@ -915,29 +909,20 @@ class Server:
         return self._implicit_graph
 
     def _resolve_submit(
-        self,
-        deadline_s: Optional[float],
-        model: Optional[str],
-        stream: Optional[int],
-        priority: Optional[int],
-        options: Optional[SubmitOptions],
-    ) -> Tuple[ModelGraph, Optional[float], int, int]:
-        """Validate model-level submit parameters against the plan."""
-        opts = options if options is not None else SubmitOptions()
-        if deadline_s is None:
-            deadline_s = opts.deadline_s
-        steps = stream if stream is not None else opts.stream
-        qos = priority if priority is not None else opts.priority
-        if steps < 1:
-            raise ServingError(f"stream must be >= 1 decode steps, got {steps}")
-        if qos < 0:
-            raise ServingError(f"priority must be >= 0, got {qos}")
+        self, model: Optional[str], stream: int, priority: int
+    ) -> ModelGraph:
+        """Validate model-level submit parameters against the plan; return
+        the graph the requests flow through."""
+        if stream < 1:
+            raise ServingError(f"stream must be >= 1 decode steps, got {stream}")
+        if priority < 0:
+            raise ServingError(f"priority must be >= 0, got {priority}")
         if model is not None and model != self.plan.name:
             raise ServingError(
                 f"this server serves model '{self.plan.name}', not '{model}'"
             )
         graph = self._pipeline_graph()
-        if steps > 1:
+        if stream > 1:
             first = self.plan.layer(graph.stages[0].layer).shape
             last = self.plan.layer(graph.stages[-1].layer).shape
             if last.n != first.k:
@@ -947,7 +932,7 @@ class Server:
                     f"the first stage ('{first.name}') consumes {first.k}-row "
                     f"inputs, so step outputs cannot feed the next step"
                 )
-        return graph, deadline_s, steps, qos
+        return graph
 
     def _check_accepting(self) -> None:
         """Reject submissions outside the started-and-open window (locked)."""
@@ -1079,7 +1064,7 @@ class Server:
         claimed: List[ModelRequest] = []
         unclaimed: List[ModelRequest] = []
         for request in batch:
-            ok = request.try_claim(claim_time, len(batch))
+            ok = request.try_claim(claim_time)
             (claimed if ok else unclaimed).append(request)
         claim = _Claim(self, claimed)
         if claimed and self.admission is not None:
@@ -1158,7 +1143,7 @@ class Server:
         self,
         requests: List[ModelRequest],
         claim: Optional[_Claim] = None,
-        executions: Iterable[BatchExecution] = (),
+        executions: Iterable[_BatchExecution] = (),
     ) -> None:
         """Write the records of settled requests, once, with a claim's stages.
 
@@ -1208,7 +1193,7 @@ class Server:
         )
         return _stage_record(
             request, request.layer, request.state, None, request.started_at,
-            finished_at, request.retries, request.attribution,
+            finished_at, request.retries,
         )
 
     # ------------------------------------------------------------ monitoring
@@ -1370,7 +1355,7 @@ class Server:
     def _stage_stats(
         graph: ModelGraph,
         records: List[_RequestRecord],
-        batches: List[BatchExecution],
+        batches: List[_BatchExecution],
         wall_s: float,
     ) -> List[StageStats]:
         """Per-pipeline-stage breakdown from the per-layer accounting.

@@ -11,12 +11,10 @@ import repro.serving as serving
 from repro.errors import ServingError
 from repro.serving import (
     INPUT,
-    MicroBatcher,
     ModelGraph,
     ModelRequest,
     Server,
     StageSpec,
-    SubmitOptions,
     compile_workload,
 )
 from repro.workloads import synthetic_gemm_workload
@@ -35,9 +33,8 @@ class TestExports:
             assert hasattr(serving, name), name
 
     def test_redesigned_surface_is_exported(self):
-        for name in ("compile_workload", "Server", "SubmitOptions",
-                     "ModelRequest", "ModelGraph", "StageSpec", "INPUT",
-                     "StageStats"):
+        for name in ("compile_workload", "Server", "ModelRequest",
+                     "ModelGraph", "StageSpec", "INPUT", "StageStats"):
             assert name in serving.__all__
 
 
@@ -53,10 +50,6 @@ class TestKeywordOnlyConstructors:
         )
         with pytest.raises(TypeError):
             compile_workload(workload, None)
-
-    def test_micro_batcher_rejects_positional_faults(self):
-        with pytest.raises(TypeError):
-            MicroBatcher(None)
 
 
 class TestDeprecationShims:
@@ -88,23 +81,22 @@ class TestSubmitValidation:
             with pytest.raises(ServingError, match="not streamable"):
                 server.submit(activation, stream=2)
 
-    def test_options_bundle_and_explicit_keywords_win(self):
+    def test_invalid_stream_and_priority_are_rejected_before_queueing(self):
         plan = _plan()
         activation = np.ones((8, 1), dtype=np.int64)
-        options = SubmitOptions(stream=3)
-        with Server(plan, num_workers=1, max_batch=4) as server:
-            streamed = server.submit(activation, options=options)
-            assert len(streamed.outputs(timeout=10.0)) == 3
-            single = server.submit(activation, stream=1, options=options)
-            assert len(single.outputs(timeout=10.0)) == 1
-
-    def test_submit_options_validation(self):
-        with pytest.raises(ServingError):
-            SubmitOptions(stream=0)
-        options = SubmitOptions(deadline_s=1.0, stream=2)
-        assert options.deadline_s == 1.0
-        with pytest.raises(Exception):
-            options.stream = 5  # frozen
+        server = Server(plan, num_workers=1, max_batch=2)
+        with server:
+            rejected = server.health().num_rejected
+            for submit in (
+                lambda: server.submit(activation, stream=0),
+                lambda: server.submit(activation, priority=-1),
+                lambda: server.submit_many([activation], stream=0),
+            ):
+                with pytest.raises(ServingError, match="must be >= "):
+                    submit()
+                assert len(server.queue) == 0
+                assert server.health().num_rejected == rejected
+        assert server.report().num_requests == 0
 
 
 class TestModelGraphContract:

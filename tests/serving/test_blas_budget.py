@@ -179,13 +179,13 @@ class TestServers:
     def test_force_abort_restores(self, fake):
         server = Server(_plan(), num_workers=1, max_batch=1, max_pending=4)
         release = threading.Event()
-        run_stage = server.batcher.run_stage
+        run = server.plan.run
 
         def wedged(*args):
             release.wait(10.0)
-            return run_stage(*args)
+            return run(*args)
 
-        server.batcher.run_stage = wedged
+        server.plan.run = wedged
         try:
             server.start()
             handle = server.submit(_act())

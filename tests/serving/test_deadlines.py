@@ -11,9 +11,9 @@ from repro.errors import (
     RequestCancelledError,
     ServingError,
 )
-from repro.serving import RequestQueue, Server, compile_workload
+from repro.serving import ModelRequest, RequestQueue, Server, compile_workload
 from repro.serving.policy import RetryPolicy, deadline_at, remaining_s
-from repro.serving.request import CANCELLED, EXPIRED, Request
+from repro.serving.request import CANCELLED, EXPIRED
 from repro.workloads import synthetic_gemm_workload
 
 
@@ -24,9 +24,11 @@ def _plan(**kwargs):
 
 def _request(request_id, layer="layer0", k=10, cols=1, deadline_at_=None):
     activation = np.arange(k * cols, dtype=np.int64).reshape(k, cols)
-    return Request(
+    return ModelRequest(
         request_id,
-        layer,
+        "synthetic",
+        (layer,),
+        1,
         activation,
         submitted_at=time.perf_counter(),
         deadline_at=deadline_at_,
@@ -34,12 +36,12 @@ def _request(request_id, layer="layer0", k=10, cols=1, deadline_at_=None):
 
 
 class _Gate:
-    """Blocks the server's stage execution until released."""
+    """Blocks the served plan's stage passes until released."""
 
     def __init__(self, server):
         self.event = threading.Event()
-        self._original = server.batcher.run_stage
-        server.batcher.run_stage = self._gated
+        self._original = server.plan.run
+        server.plan.run = self._gated
 
     def _gated(self, *args):
         assert self.event.wait(10.0)

@@ -23,11 +23,11 @@ from repro.errors import (
 from repro.serving import (
     FaultInjector,
     FaultPlan,
+    ModelRequest,
     RetryPolicy,
     Server,
     compile_workload,
 )
-from repro.serving.model_request import ModelRequest
 from repro.serving.request import FAILED
 from repro.workloads import synthetic_gemm_workload
 

@@ -27,12 +27,13 @@ from repro.serving import (
     ArrivalSchedule,
     FaultInjector,
     ModelGraph,
+    ModelRequest,
     RequestQueue,
     Server,
     compile_workload,
 )
 from repro.serving.policy import RetryPolicy
-from repro.serving.request import DONE, EXPIRED, SHED, Request
+from repro.serving.request import SHED
 from repro.workloads import synthetic_gemm_workload
 
 LAYER = "layer0"
@@ -56,11 +57,14 @@ def _acts(count, k=10, cols=1, seed=3):
     ]
 
 
-def _request(request_id, layer=LAYER, deadline_at_=None, priority=0, k=10):
+def _request(request_id, stages=(LAYER,), deadline_at_=None, priority=0,
+             k=10, num_steps=1):
     activation = np.arange(k, dtype=np.int64).reshape(k, 1)
-    return Request(
+    return ModelRequest(
         request_id,
-        layer,
+        "synthetic",
+        stages,
+        num_steps,
         activation,
         submitted_at=time.perf_counter(),
         deadline_at=deadline_at_,
@@ -69,12 +73,12 @@ def _request(request_id, layer=LAYER, deadline_at_=None, priority=0, k=10):
 
 
 class _Gate:
-    """Blocks the server's stage execution until released."""
+    """Blocks the served plan's stage passes until released."""
 
     def __init__(self, server):
         self.event = threading.Event()
-        self._original = server.batcher.run_stage
-        server.batcher.run_stage = self._gated
+        self._original = server.plan.run
+        server.plan.run = self._gated
 
     def _gated(self, *args):
         assert self.event.wait(10.0)
@@ -123,29 +127,27 @@ class TestPriorityLanes:
 
     def test_bulk_rides_interactive_batch_not_vice_versa(self):
         queue = RequestQueue(max_pending=8)
-        head = _request(1, layer="layer0", priority=0)
-        bulk_same = _request(2, layer="layer0", priority=1)
-        bulk_other = _request(3, layer="layer1", priority=1)
-        queue.put(bulk_same)
-        queue.put(bulk_other)
-        queue.put(head)
-        batch = queue.next_batch(3)
-        # The interactive head leads; same-layer bulk rides along; the
-        # other-layer bulk request keeps its lane position.
-        assert batch == [head, bulk_same]
+        head = _request(1, priority=0)
+        bulk = [_request(2, priority=1), _request(3, priority=1)]
+        interactive = _request(4, priority=0)
+        for request in (*bulk, head, interactive):
+            queue.put(request)
+        # Both interactive requests lead; bulk fills the room they leave and
+        # the bulk request that does not fit keeps its lane position.
+        assert queue.next_batch(3) == [head, interactive, bulk[0]]
         assert queue.depths() == {1: 1}
-        assert queue.next_batch(3) == [bulk_other]
+        assert queue.next_batch(3) == [bulk[1]]
 
     def test_interactive_head_wins_even_against_full_bulk_lane(self):
         queue = RequestQueue(max_pending=8)
-        bulk = [_request(index, layer="layer0", priority=1) for index in range(2)]
-        interactive = _request(9, layer="layer1", priority=0)
+        bulk = [_request(index, priority=1) for index in range(3)]
+        interactive = _request(9, priority=0)
         for request in bulk:
             queue.put(request)
         queue.put(interactive)
-        # Head selection is by priority, not by biggest coalescible batch.
-        assert queue.next_batch(4) == [interactive]
-        assert queue.next_batch(4) == bulk
+        # The batch is taken in priority order, not by admission order.
+        assert queue.next_batch(2) == [interactive, bulk[0]]
+        assert queue.next_batch(4) == bulk[1:]
 
     def test_requeue_restores_original_position(self):
         queue = RequestQueue(max_pending=8)
@@ -216,12 +218,13 @@ class TestAdmissionController:
         controller = AdmissionController()
         now = time.perf_counter()
         # p1 watermark is 75%: depth 75/100 sheds, 74 does not.
-        error = controller.admission_check(LAYER, None, 1, now, 75, 100)
+        bulk = _request(1, priority=1)
+        error = controller.admission_check(bulk, now, 75, 100)
         assert isinstance(error, ShedError)
         assert error.retry_after_s > 0.0
-        assert controller.admission_check(LAYER, None, 1, now, 74, 100) is None
+        assert controller.admission_check(bulk, now, 74, 100) is None
         # Priority 0 is only ever limited by the hard admission bound.
-        assert controller.admission_check(LAYER, None, 0, now, 100, 100) is None
+        assert controller.admission_check(_request(2), now, 100, 100) is None
 
     def test_ewma_estimates(self):
         controller = AdmissionController(min_samples=3)
@@ -239,13 +242,16 @@ class TestAdmissionController:
         cold = AdmissionController(min_samples=3)
         now = time.perf_counter()
         # A cold controller never dooms: behaves like no controller at all.
-        assert cold.admission_check(LAYER, now + 0.001, 0, now, 0, 100) is None
+        tight = _request(1, deadline_at_=now + 0.001)
+        assert cold.admission_check(tight, now, 0, 100) is None
         warm = AdmissionController(min_samples=1)
         warm.observe_batch(LAYER, 1, 0.1)
-        error = warm.admission_check(LAYER, now + 0.01, 0, now, 0, 100)
+        doomed = _request(2, deadline_at_=now + 0.01)
+        error = warm.admission_check(doomed, now, 0, 100)
         assert isinstance(error, ShedError)
         assert error.retry_after_s >= 0.1
-        assert warm.admission_check(LAYER, now + 1.0, 0, now, 0, 100) is None
+        roomy = _request(3, deadline_at_=now + 1.0)
+        assert warm.admission_check(roomy, now, 0, 100) is None
 
     def test_claim_check_uses_remaining_budget_only(self):
         controller = AdmissionController(min_samples=1)
@@ -257,6 +263,25 @@ class TestAdmissionController:
         assert controller.claim_check(roomy, now) is None
         no_deadline = _request(3)
         assert controller.claim_check(no_deadline, now) is None
+
+    def test_doomed_checks_price_the_whole_chain(self):
+        controller = AdmissionController(min_samples=1)
+        controller.observe_batch("layer0", 1, 0.001)
+        now = time.perf_counter()
+        # Stage 1 unobserved: no estimate, so no doomed shedding at all.
+        cold = _request(1, stages=("layer0", "layer1"), deadline_at_=now + 0.02)
+        assert controller.chain_estimate_s(cold) is None
+        assert controller.admission_check(cold, now, 0, 100) is None
+        controller.observe_batch("layer1", 1, 0.1)
+        # ~1 ms + ~100 ms of chain cannot fit a 20 ms budget, although
+        # stage 0 alone would.
+        doomed = _request(2, stages=("layer0", "layer1"), deadline_at_=now + 0.02)
+        assert controller.chain_estimate_s(doomed) == pytest.approx(0.101)
+        assert isinstance(controller.admission_check(doomed, now, 0, 100), ShedError)
+        assert isinstance(controller.claim_check(doomed, now), ShedError)
+        # Decode steps multiply the chain.
+        streamed = _request(3, stages=("layer0", "layer1"), num_steps=3)
+        assert controller.chain_estimate_s(streamed) == pytest.approx(0.303)
 
 
 class TestRetryPolicySeeding:
@@ -400,6 +425,30 @@ class TestServerOverload:
         assert report.num_admission_shed == 0
         assert server.health().num_shed == 1
         assert "requests shed (overload)" in report.render()
+
+    def test_two_stage_doom_sheds_at_admission_and_claim(self):
+        plan = _plan(num_layers=2, k=12, graph="chain")
+
+        def primed():
+            controller = AdmissionController(min_samples=1)
+            controller.observe_batch("layer0", 1, 0.001)  # ~1 ms per request
+            controller.observe_batch("layer1", 1, 0.1)  # ~100 ms per request
+            return controller
+
+        act = np.ones((12, 1), dtype=np.int64)
+        # Stage 0 alone fits a 20 ms budget; the chain does not.
+        with Server(plan, num_workers=1, admission_control=primed()) as server:
+            with pytest.raises(ShedError, match="shed at admission"):
+                server.submit(act, deadline_s=0.02)
+            assert len(server.queue) == 0
+        assert server.report().num_admission_shed == 1
+        server = Server(plan, num_workers=1, admission_control=False)
+        server.queue.controller = primed()
+        with server:
+            handle = server.submit(act, deadline_s=0.02)
+            with pytest.raises(ShedError, match="shed at claim time"):
+                handle.result(timeout=10.0)
+        assert server.report().num_shed == 1
 
 
 class TestAccountingConservation:

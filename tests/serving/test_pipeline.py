@@ -170,17 +170,17 @@ class TestPipelineDeadlinesAndCancel:
         server = Server(plan, num_workers=1, max_batch=1, max_pending=4)
         ran = []
         with server:
-            original = server.batcher.run_stage
+            original = plan.run
 
-            def slow_first_stage(served, layer, *args):
+            def slow_first_stage(layer, activation):
                 ran.append(layer)
-                output = original(served, layer, *args)
+                output = original(layer, activation)
                 if layer == "qkv_proj":
                     # Let the model deadline lapse before stage 1.
                     time.sleep(0.15)
                 return output
 
-            server.batcher.run_stage = slow_first_stage
+            plan.run = slow_first_stage
             request = server.submit(activation, deadline_s=0.05)
             with pytest.raises(DeadlineExceededError):
                 request.result(timeout=10.0)
@@ -195,13 +195,13 @@ class TestPipelineDeadlinesAndCancel:
         server = Server(plan, num_workers=1, max_batch=1, max_pending=4)
         gate = threading.Event()
         with server:
-            original = server.batcher.run_stage
+            original = plan.run
 
             def gated(*args):
                 assert gate.wait(10.0)
                 return original(*args)
 
-            server.batcher.run_stage = gated
+            plan.run = gated
             first = server.submit(acts[0])
             second = server.submit(acts[1])
             assert second.cancel() is True
@@ -293,11 +293,13 @@ STAGES = ("qkv_proj", "attn_score", "o_proj", "gate_proj", "down_proj")
 
 
 class _StageLog:
-    """Wraps the thread tier's stage primitive and records every pass.
+    """Wraps the served plan's ``run`` and records every stage pass.
 
-    ``calls`` holds ``(layer, columns)`` per executor pass (failed attempts
-    included); ``before``/``after`` run around a pass with its layer and
-    1-based call index; passes wait while ``hold`` is cleared.
+    ``calls`` holds ``(layer, columns)`` per pass that reached the plan
+    (attempts a fault-hook failure stopped first are not included);
+    ``before``/``after`` run around a pass with its layer and 1-based call
+    index; passes wait while ``hold`` is cleared.  :meth:`restore` unwraps
+    the plan so references computed through it go unrecorded.
     """
 
     def __init__(self, server, before=None, after=None):
@@ -306,18 +308,22 @@ class _StageLog:
         self.after = after
         self.hold = threading.Event()
         self.hold.set()
-        self._original = server.batcher.run_stage
-        server.batcher.run_stage = self
+        self._plan = server.plan
+        self._original = self._plan.run
+        self._plan.run = self
 
-    def __call__(self, plan, layer, activation, batch_size):
+    def __call__(self, layer, activation):
         assert self.hold.wait(10.0)
         self.calls.append((layer, activation.shape[1]))
         if self.before is not None:
             self.before(layer, len(self.calls))
-        output = self._original(plan, layer, activation, batch_size)
+        output = self._original(layer, activation)
         if self.after is not None:
             self.after(layer, len(self.calls))
         return output
+
+    def restore(self):
+        del self._plan.run
 
 
 def _plug(server, log, activation):
@@ -352,9 +358,9 @@ class TestWholeChainClaim:
             plug.result(timeout=30.0)
             with pytest.raises(DeadlineExceededError, match="gate_proj"):
                 doomed.result(timeout=30.0)
-            assert np.array_equal(
-                survivor.result(timeout=30.0), plan.run_model(acts[2])
-            )
+            output = survivor.result(timeout=30.0)
+        log.restore()
+        assert np.array_equal(output, plan.run_model(acts[2]))
         # The expired request's columns left the claim before gate_proj.
         assert log.calls[5:] == [
             ("qkv_proj", 2), ("attn_score", 2), ("o_proj", 2),
@@ -386,7 +392,9 @@ class TestWholeChainClaim:
             plug.result(timeout=30.0)
             with pytest.raises(RequestCancelledError):
                 handles["victim"].result(timeout=30.0)
-            assert np.array_equal(other.result(timeout=30.0), plan.run_model(acts[2]))
+            output = other.result(timeout=30.0)
+        log.restore()
+        assert np.array_equal(output, plan.run_model(acts[2]))
         assert cancels == [True]
         assert log.calls[5:] == [
             ("qkv_proj", 2), ("attn_score", 2), ("o_proj", 1),
@@ -405,11 +413,11 @@ class TestWholeChainClaim:
         log = _StageLog(server)
         with server:
             output = server.submit(activation).result(timeout=30.0)
+        log.restore()
         assert np.array_equal(output, plan.run_model(activation))
-        # o_proj failed once and ran again; no earlier stage re-ran.
-        assert [layer for layer, _ in log.calls] == [
-            "qkv_proj", "attn_score", "o_proj", "o_proj", "gate_proj", "down_proj",
-        ]
+        # o_proj's hook failed once and the stage ran again; no earlier
+        # stage re-ran.
+        assert [layer for layer, _ in log.calls] == list(STAGES)
         assert faults.stats().batch_hooks == 6
         report = server.report()
         assert report.num_retried == 1
@@ -429,11 +437,9 @@ class TestWholeChainClaim:
                 with pytest.raises(InjectedFaultError):
                     handle.result(timeout=30.0)
                 assert handle.steps_completed == 0
-        # o_proj ran its three attempts; no later stage ran.
-        assert log.calls == [
-            ("qkv_proj", 4), ("attn_score", 4),
-            ("o_proj", 4), ("o_proj", 4), ("o_proj", 4),
-        ]
+        # o_proj's hook failed all three attempts; no later stage ran.
+        assert log.calls == [("qkv_proj", 4), ("attn_score", 4)]
+        assert faults.stats().batch_hooks == 5
         records = Counter((record.layer, record.state) for record in server._records)
         assert records == {
             ("qkv_proj", DONE): 2, ("attn_score", DONE): 2, ("o_proj", FAILED): 2,
@@ -463,15 +469,17 @@ class TestWholeChainClaim:
             longer = server.submit(acts[2], stream=2)
             log.hold.set()
             plug.result(timeout=30.0)
-            assert np.array_equal(short.result(timeout=30.0), plan.run_model(acts[1]))
+            output = short.result(timeout=30.0)
             with pytest.raises(InjectedFaultError):
                 longer.outputs(timeout=30.0)
+        log.restore()
+        assert np.array_equal(output, plan.run_model(acts[1]))
         assert longer.state == FAILED
         assert longer.steps_completed == 1
-        # Both shared the first step; the second ran qkv_proj three times.
-        assert log.calls[5:] == [(layer, 2) for layer in STAGES] + [
-            ("qkv_proj", 1)
-        ] * 3
+        # Both shared the first step; the second step's qkv_proj hook failed
+        # all three attempts, so no pass of it reached the plan.
+        assert log.calls[5:] == [(layer, 2) for layer in STAGES]
+        assert faults.stats().batch_hooks == 13
         report = server.report()
         admitted = 3
         assert report.num_model_requests == 2
@@ -499,13 +507,15 @@ class TestWholeChainClaim:
         log = _StageLog(server, before=crash)
         with server:
             handles = server.submit_many(acts)
-            for act, handle in zip(acts, handles):
-                assert np.array_equal(handle.result(timeout=30.0), plan.run_model(act))
+            outputs = [handle.result(timeout=30.0) for handle in handles]
             deadline = time.perf_counter() + 10.0
             while (server.health().num_worker_restarts < 1
                    and time.perf_counter() < deadline):
                 time.sleep(0.005)
             assert server.health().num_worker_restarts == 1
+        log.restore()
+        for act, output in zip(acts, outputs):
+            assert np.array_equal(output, plan.run_model(act))
         assert [layer for layer, _ in log.calls] == list(STAGES[:4]) + list(STAGES)
         report = server.report()
         # Stage records of the crashed claim were never written.
@@ -546,13 +556,14 @@ class TestWholeChainClaim:
             ]
             log.hold.set()
             plug.result(timeout=30.0)
-            for act, handle, steps in zip(acts[1:], handles, (3, 1, 2)):
-                token = act
-                outputs = handle.outputs(timeout=30.0)
-                assert len(outputs) == steps
-                for produced in outputs:
-                    token = plan.run_model(token)
-                    assert np.array_equal(produced, token)
+            streams = [handle.outputs(timeout=30.0) for handle in handles]
+        log.restore()
+        for act, outputs, steps in zip(acts[1:], streams, (3, 1, 2)):
+            token = act
+            assert len(outputs) == steps
+            for produced in outputs:
+                token = plan.run_model(token)
+                assert np.array_equal(produced, token)
         widths = [columns for _, columns in log.calls[5:]]
         assert widths == [3] * 5 + [2] * 5 + [1] * 5
 
@@ -561,17 +572,18 @@ class TestWholeChainClaim:
         activation = _activations(plan, 1, seed=55)[0]
         stage_outputs = []
         server = Server(plan, num_workers=1, max_batch=4)
-        original = server.batcher.run_stage
+        original = plan.run
 
-        def keep_refs(served, layer, *args):
-            output, compute_s = original(served, layer, *args)
+        def keep_refs(*args):
+            output = original(*args)
             stage_outputs.append(weakref.ref(output))
-            return output, compute_s
+            return output
 
-        server.batcher.run_stage = keep_refs
+        plan.run = keep_refs
         with server:
             handle = server.submit(activation)
             result = handle.result(timeout=30.0)
+        del plan.run
         gc.collect()
         assert len(stage_outputs) == len(STAGES)
         # The handle keeps its own copy of the final output and nothing of

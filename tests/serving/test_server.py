@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 from repro.errors import BackpressureError, ServingError
-from repro.serving import RequestQueue, Server, compile_workload
-from repro.serving.request import PENDING, Request
+from repro.serving import ModelRequest, RequestQueue, Server, compile_workload
+from repro.serving.request import PENDING
 from repro.transarray import TransitiveArrayAccelerator
 from repro.workloads import synthetic_gemm_workload
 
@@ -106,13 +106,13 @@ class TestServerLifecycle:
         plan = self._plan()
         server = Server(plan, num_workers=1, max_batch=1, max_pending=1)
         gate = threading.Event()
-        original = server.batcher.run_stage
+        original = plan.run
 
-        def gated_run_stage(*args):
+        def gated_run(*args):
             gate.wait(10.0)
             return original(*args)
 
-        server.batcher.run_stage = gated_run_stage
+        plan.run = gated_run
         activation = np.ones((12, 1), dtype=np.int64)
         try:
             server.start()
@@ -140,11 +140,12 @@ class TestServerLifecycle:
 
     def test_rejected_request_is_never_marked_running(self):
         queue = RequestQueue(max_pending=1)
-        admitted = Request(
-            0, "layer0", np.ones((12, 1), dtype=np.int64), time.perf_counter()
-        )
-        rejected = Request(
-            1, "layer0", np.ones((12, 1), dtype=np.int64), time.perf_counter()
+        admitted, rejected = (
+            ModelRequest(
+                request_id, "synthetic", ("layer0",), 1,
+                np.ones((12, 1), dtype=np.int64), time.perf_counter(),
+            )
+            for request_id in range(2)
         )
         queue.put(admitted)
         with pytest.raises(BackpressureError):
