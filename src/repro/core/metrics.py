@@ -116,6 +116,19 @@ class OpCounts:
             else float("inf")
         )
 
+    def repeated(self, times: int) -> "OpCounts":
+        """Counts of running the same TransRow bag ``times`` times."""
+        return OpCounts(
+            width=self.width,
+            total_transrows=self.total_transrows * times,
+            zero_rows=self.zero_rows * times,
+            pr_ops=self.pr_ops * times,
+            fr_ops=self.fr_ops * times,
+            tr_ops=self.tr_ops * times,
+            outlier_ops=self.outlier_ops * times,
+            set_bits=self.set_bits * times,
+        )
+
     def merge(self, other: "OpCounts") -> "OpCounts":
         """Combine counts of two TransRow bags (e.g. two sub-tiles)."""
         if other.width != self.width:

@@ -30,7 +30,8 @@ scoreboard* was designed for: compile once, serve forever.
   harness (injected engine faults, worker crashes, artificial latency) and
   the seeded open-loop :class:`ArrivalSchedule` overload scenarios;
 * :mod:`repro.serving.report` — throughput / latency-percentile / energy /
-  fault-tolerance accounting rendered by
+  fault-tolerance accounting, kept in fixed memory as
+  :class:`ServingTotals` and rendered by
   :func:`repro.analysis.format_serving_report`.
 """
 
@@ -44,7 +45,7 @@ from .policy import (
     RetryPolicy,
 )
 from .faults import ArrivalSchedule, FaultInjector, FaultPlan, FaultStats
-from .report import ServingReport, ShardStats, StageStats, build_report, percentile
+from .report import ServingReport, ServingTotals, ShardStats, StageStats, build_report
 from .server import Server, ServerHealth
 
 __all__ = [
@@ -65,10 +66,10 @@ __all__ = [
     "FaultPlan",
     "FaultStats",
     "ServingReport",
+    "ServingTotals",
     "ShardStats",
     "StageStats",
     "build_report",
-    "percentile",
     "Server",
     "ServerHealth",
 ]

@@ -92,6 +92,8 @@ class ModelGraph:
                 )
             seen.append(spec.layer)
         self._stages: Tuple[StageSpec, ...] = tuple(specs)
+        # One tuple per graph: every request of the model shares it.
+        self._layers: Tuple[str, ...] = tuple(spec.layer for spec in specs)
 
     # ---------------------------------------------------------- constructors
     @classmethod
@@ -108,7 +110,7 @@ class ModelGraph:
     @property
     def layers(self) -> Tuple[str, ...]:
         """Stage layer names, in execution order."""
-        return tuple(spec.layer for spec in self._stages)
+        return self._layers
 
     def stage(self, index: int) -> StageSpec:
         """Look up one stage by pipeline position."""

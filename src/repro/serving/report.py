@@ -1,30 +1,220 @@
 """Serving-side statistics: latency percentiles, throughput, energy.
 
-The report is assembled by the server after (or during) a serving run from
-the completed requests and executed batches.
+The server folds every settled request into one :class:`ServingTotals` as
+it goes: exact integer counters, exact float sums and log-bucketed
+:class:`LatencyHistogram` s whose size does not depend on the traffic.  The
+report is assembled from a snapshot of those totals after (or during) a
+serving run, in time independent of how many requests it has served.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+import math
+from array import array
+from collections import defaultdict
+from dataclasses import dataclass, field, fields
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.metrics import OpCounts
 from ..energy.breakdown import EnergyBreakdown
-from ..errors import ServingError
+from ..transarray.accelerator import RequestAttribution
 from .plan import CompileStats
+from .request import CANCELLED, DONE, EXPIRED, FAILED, SHED, ModelRequest
+
+#: Energy components summed in place by :meth:`ServingTotals.add_stage`.
+_ENERGY_FIELDS = tuple(f.name for f in fields(EnergyBreakdown))
 
 
-def percentile(values: Sequence[float], q: float) -> float:
-    """``q``-th percentile of a non-empty sample (``numpy.percentile`` with
-    library-typed validation errors)."""
-    if not values:
-        raise ServingError("cannot take a percentile of an empty sample")
-    if not 0.0 <= q <= 100.0:
-        raise ServingError(f"percentile must be in [0, 100], got {q}")
-    return float(np.percentile(values, q))
+class LatencyHistogram:
+    """Log-bucketed histogram of latencies in fixed memory.
+
+    Bucket ``i`` holds the samples in ``[LOW_S * GROWTH**i, LOW_S *
+    GROWTH**(i + 1))`` and stands for one value within ``(GROWTH - 1) /
+    (GROWTH + 1)``, under 1 %, of each of them, so a quantile is within 1 %
+    of the sample at its rank.  Samples below ``LOW_S`` or from ``HIGH_S`` on
+    share the edge buckets; every reported value is clamped into the exact
+    range of the samples.  The count and the exact sum ride along for the
+    mean.
+    """
+
+    GROWTH = 1.02
+    LOW_S = 1e-9
+    HIGH_S = 1e6
+    NUM_BUCKETS = math.ceil(math.log(HIGH_S / LOW_S) / math.log(GROWTH))
+    _SCALE = 1.0 / math.log(GROWTH)
+
+    __slots__ = ("counts", "count", "total", "low", "high")
+
+    def __init__(self) -> None:
+        self.counts = array("q", bytes(8 * self.NUM_BUCKETS))
+        self.count = 0
+        self.total = 0.0
+        self.low = math.inf
+        self.high = -math.inf
+
+    def add(self, value: float) -> None:
+        """Count one sample."""
+        index = (
+            min(int(math.log(value / self.LOW_S) * self._SCALE), self.NUM_BUCKETS - 1)
+            if value > self.LOW_S else 0
+        )
+        self.counts[index] += 1
+        self.count += 1
+        self.total += value
+        if value < self.low:
+            self.low = value
+        if value > self.high:
+            self.high = value
+
+    @property
+    def mean(self) -> float:
+        return self.total / self.count if self.count else 0.0
+
+    def percentile(self, q: float) -> float:
+        """The ``q``-th percentile, within 1 % of the sample at rank
+        ``floor(q / 100 * (count - 1))`` (numpy's ``method="lower"``);
+        0.0 when empty."""
+        if not self.count:
+            return 0.0
+        rank = math.floor((self.count - 1) * (q / 100.0))
+        cumulative = np.cumsum(np.frombuffer(self.counts, dtype=np.int64))
+        index = int(np.searchsorted(cumulative, rank, side="right"))
+        value = self.LOW_S * self.GROWTH ** index * (2.0 * self.GROWTH / (self.GROWTH + 1.0))
+        return min(max(value, self.low), self.high)
+
+
+class StageTotals:
+    """What :class:`ServingTotals` keeps per pipeline stage (layer)."""
+
+    __slots__ = ("passes", "compute_s", "queue_delay_s", "latency")
+
+    def __init__(self) -> None:
+        #: Executor passes and their summed fault-hook + executor seconds.
+        self.passes = 0
+        self.compute_s = 0.0
+        #: Queue delay and latency of the stage's completed requests.
+        self.queue_delay_s = 0.0
+        self.latency = LatencyHistogram()
+
+
+class ServingTotals:
+    """Every figure a :class:`ServingReport` needs, in fixed memory.
+
+    A *stage request* is one model request at one stage: a completed
+    executor pass (state ``done``), or the stage where the request stopped
+    early in any other state.  A request that never reached a stage counts
+    at its first one.  Each is added once, through :meth:`add_stage`; its
+    latency runs from when the stage became runnable (the request's
+    submission for its first stage, the previous stage's finish for the
+    others).  Sums are accumulated in the order the stage requests settle.
+    """
+
+    def __init__(self) -> None:
+        #: Stage requests per state, and per ``(layer, state)``.
+        self.states: Dict[str, int] = defaultdict(int)
+        self.layer_states: Dict[Tuple[str, str], int] = defaultdict(int)
+        self.retries = 0
+        #: Activation columns of the completed stage requests.
+        self.columns = 0
+        #: Completed stage requests inside their deadline, per priority.
+        self.deadline_met: Dict[int, int] = defaultdict(int)
+        self.queue_delay_s = 0.0
+        self.latency = LatencyHistogram()
+        #: Earliest stage-runnable and latest settle instant: ``wall_s``.
+        self.first_submit = math.inf
+        self.last_finish = -math.inf
+        self.stages: Dict[str, StageTotals] = defaultdict(StageTotals)
+        #: Executor passes: count, summed and largest batch size.
+        self.passes = 0
+        self.batch_size_sum = 0
+        self.batch_size_max = 0
+        #: Executor passes per distinct layer ``OpCounts``.
+        self.op_passes: Dict[OpCounts, int] = defaultdict(int)
+        self.attributed_cycles: Optional[int] = None
+        self.attributed_energy: Optional[EnergyBreakdown] = None
+        #: Model requests per state; latency of the completed ones.
+        self.model_states: Dict[str, int] = defaultdict(int)
+        self.model_latency = LatencyHistogram()
+
+    def add_stage(
+        self,
+        request: ModelRequest,
+        layer: str,
+        state: str,
+        queued_at: Optional[float],
+        started_at: Optional[float],
+        finished_at: float,
+        retries: int = 0,
+        attribution: Optional[RequestAttribution] = None,
+    ) -> None:
+        """Count one stage request of ``request``.
+
+        ``queued_at`` is ``None`` for the first stage of the first step,
+        which was runnable from submission on; ``started_at`` is ``None``
+        for a stage that never ran.
+        """
+        submitted_at = request.submitted_at if queued_at is None else queued_at
+        self.states[state] += 1
+        self.layer_states[layer, state] += 1
+        self.retries += retries
+        if submitted_at < self.first_submit:
+            self.first_submit = submitted_at
+        if finished_at > self.last_finish:
+            self.last_finish = finished_at
+        if state != DONE:
+            return
+        latency_s = finished_at - submitted_at
+        queue_delay_s = started_at - submitted_at if started_at is not None else 0.0
+        self.columns += request.columns
+        if request.deadline_at is None or finished_at <= request.deadline_at:
+            self.deadline_met[request.priority] += 1
+        self.queue_delay_s += queue_delay_s
+        self.latency.add(latency_s)
+        stage = self.stages[layer]
+        stage.queue_delay_s += queue_delay_s
+        stage.latency.add(latency_s)
+        if attribution is not None:
+            if self.attributed_energy is None:
+                self.attributed_cycles = 0
+                self.attributed_energy = EnergyBreakdown()
+            self.attributed_cycles += attribution.cycles
+            energy, charge = self.attributed_energy, attribution.energy
+            for name in _ENERGY_FIELDS:
+                setattr(energy, name, getattr(energy, name) + getattr(charge, name))
+
+    def add_pass(self, layer: str, batch_size: int, compute_s: float,
+                 op_counts: Optional[OpCounts]) -> None:
+        """Count one executor pass over ``batch_size`` requests."""
+        self.passes += 1
+        self.batch_size_sum += batch_size
+        if batch_size > self.batch_size_max:
+            self.batch_size_max = batch_size
+        stage = self.stages[layer]
+        stage.passes += 1
+        stage.compute_s += compute_s
+        if op_counts is not None:
+            self.op_passes[op_counts] += 1
+
+    def add_model(self, request: ModelRequest) -> None:
+        """Count one settled model request."""
+        self.model_states[request.state] += 1
+        if request.state == DONE:
+            self.model_latency.add(request.latency_s)
+
+    @property
+    def wall_s(self) -> float:
+        """First stage-runnable instant to last settle (0.0 before any)."""
+        return self.last_finish - self.first_submit if self.states else 0.0
+
+    def op_counts(self) -> Optional[OpCounts]:
+        """Summed ``OpCounts`` of every executor pass."""
+        total: Optional[OpCounts] = None
+        for counts, passes in self.op_passes.items():
+            scaled = counts.repeated(passes)
+            total = scaled if total is None else total.merge(scaled)
+        return total
 
 
 @dataclass(frozen=True)
@@ -105,7 +295,8 @@ class ServingReport:
 
     Latencies are wall-clock submit-to-finish seconds; ``throughput_rps`` is
     completed requests over the span from the first submission to the last
-    completion.  ``attributed_cycles`` / ``attributed_energy`` are only
+    completion.  Counts, sums and means are exact; the latency percentiles
+    come from :class:`LatencyHistogram` s, within 1 %.  ``attributed_cycles`` / ``attributed_energy`` are only
     populated when the plan was compiled with an accelerator cycle model.
     """
 
@@ -258,106 +449,101 @@ class ServingReport:
 
 def build_report(
     workload: str,
-    latencies_s: List[float],
-    queue_delays_s: List[float],
-    wall_s: float,
-    total_columns: int,
-    num_failed: int,
-    num_rejected: int,
-    batch_sizes: List[int],
-    requests_per_layer: Dict[str, int],
-    op_counts: Optional[OpCounts],
-    attributed_cycles: Optional[int],
-    attributed_energy: Optional[EnergyBreakdown],
-    num_expired: int = 0,
-    num_cancelled: int = 0,
-    num_retried: int = 0,
+    totals: ServingTotals,
+    layers: Sequence[str] = (),
+    *,
+    num_rejected: int = 0,
     num_worker_restarts: int = 0,
     compile_stats: Optional[CompileStats] = None,
     shards: Sequence[ShardStats] = (),
-    stages: Sequence[StageStats] = (),
-    model_latencies_s: Sequence[float] = (),
-    num_model_failed: int = 0,
-    pipeline_depth: int = 0,
-    num_shed: int = 0,
     num_admission_shed: int = 0,
     num_plan_swaps: int = 0,
     num_force_aborted: int = 0,
-    num_deadline_met: int = 0,
-    deadline_met_by_priority: Optional[Dict[int, int]] = None,
     blas_threads: Optional[int] = None,
 ) -> ServingReport:
-    """Assemble a :class:`ServingReport` from raw serving-run samples.
+    """Assemble a :class:`ServingReport` from a snapshot of serving totals.
 
-    ``latencies_s`` may be empty (a run whose every request failed — or a
-    monitoring poll before any finished — still needs a well-formed report);
-    the latency and throughput figures are zero in that case.
+    ``layers`` names the pipeline stages in order (empty without a model
+    graph).  A run whose every request failed — or a monitoring poll before
+    any finished — still gets a well-formed report, with zero latency and
+    throughput figures.  Counts and sums are exact; percentiles are
+    histogram values within 1 %.
     """
+    wall_s = totals.wall_s
     wall = max(wall_s, 1e-12)
-    goodput_by_priority = {
-        priority: count / wall
-        for priority, count in sorted((deadline_met_by_priority or {}).items())
-    }
+    states, latency = totals.states, totals.latency
+    stages = []
+    for index, layer in enumerate(layers):
+        stage = totals.stages.get(layer) or StageTotals()
+        done = stage.latency.count
+        stages.append(StageStats(
+            stage=index,
+            layer=layer,
+            requests=done,
+            batches=stage.passes,
+            compute_s=stage.compute_s,
+            queue_wait_mean_s=stage.queue_delay_s / done if done else 0.0,
+            latency_mean_s=stage.latency.mean,
+            latency_p95_s=stage.latency.percentile(95.0),
+            occupancy=stage.compute_s / wall,
+        ))
+    num_deadline_met = sum(totals.deadline_met.values())
+    model_done = totals.model_latency.count
     return ServingReport(
         workload=workload,
-        num_requests=len(latencies_s),
-        num_failed=num_failed,
+        num_requests=latency.count,
+        num_failed=states.get(FAILED, 0),
         num_rejected=num_rejected,
-        num_expired=num_expired,
-        num_cancelled=num_cancelled,
-        num_retried=num_retried,
+        num_expired=states.get(EXPIRED, 0),
+        num_cancelled=states.get(CANCELLED, 0),
+        num_retried=totals.retries,
         num_worker_restarts=num_worker_restarts,
-        total_columns=total_columns,
+        total_columns=totals.columns,
         wall_s=wall_s,
-        throughput_rps=len(latencies_s) / wall,
-        throughput_cols_per_s=total_columns / wall,
-        latency_mean_s=(
-            sum(latencies_s) / len(latencies_s) if latencies_s else 0.0
-        ),
-        latency_p50_s=percentile(latencies_s, 50.0) if latencies_s else 0.0,
-        latency_p95_s=percentile(latencies_s, 95.0) if latencies_s else 0.0,
-        latency_p99_s=percentile(latencies_s, 99.0) if latencies_s else 0.0,
+        throughput_rps=latency.count / wall,
+        throughput_cols_per_s=totals.columns / wall,
+        latency_mean_s=latency.mean,
+        latency_p50_s=latency.percentile(50.0),
+        latency_p95_s=latency.percentile(95.0),
+        latency_p99_s=latency.percentile(99.0),
         queue_delay_mean_s=(
-            sum(queue_delays_s) / len(queue_delays_s) if queue_delays_s else 0.0
+            totals.queue_delay_s / latency.count if latency.count else 0.0
         ),
-        num_batches=len(batch_sizes),
+        num_batches=totals.passes,
         mean_batch_size=(
-            sum(batch_sizes) / len(batch_sizes) if batch_sizes else 0.0
+            totals.batch_size_sum / totals.passes if totals.passes else 0.0
         ),
-        max_batch_size=max(batch_sizes) if batch_sizes else 0,
-        requests_per_layer=requests_per_layer,
-        op_counts=op_counts,
-        attributed_cycles=attributed_cycles,
-        attributed_energy=attributed_energy,
+        max_batch_size=totals.batch_size_max,
+        requests_per_layer={
+            layer: count
+            for (layer, state), count in totals.layer_states.items()
+            if state == DONE
+        },
+        op_counts=totals.op_counts(),
+        attributed_cycles=totals.attributed_cycles,
+        attributed_energy=totals.attributed_energy,
         compile_stats=compile_stats,
         shards=tuple(shards),
-        queue_wait_s_total=sum(queue_delays_s),
+        queue_wait_s_total=totals.queue_delay_s,
         compute_s_total=sum(shard.compute_s for shard in shards),
         dispatch_s_total=sum(shard.dispatch_s for shard in shards),
         stages=tuple(stages),
-        num_model_requests=len(model_latencies_s),
-        num_model_failed=num_model_failed,
-        model_latency_mean_s=(
-            sum(model_latencies_s) / len(model_latencies_s)
-            if model_latencies_s
-            else 0.0
-        ),
-        model_latency_p50_s=(
-            percentile(list(model_latencies_s), 50.0) if model_latencies_s else 0.0
-        ),
-        model_latency_p95_s=(
-            percentile(list(model_latencies_s), 95.0) if model_latencies_s else 0.0
-        ),
-        model_latency_p99_s=(
-            percentile(list(model_latencies_s), 99.0) if model_latencies_s else 0.0
-        ),
-        pipeline_depth=pipeline_depth,
-        num_shed=num_shed,
+        num_model_requests=model_done,
+        num_model_failed=sum(totals.model_states.values()) - model_done,
+        model_latency_mean_s=totals.model_latency.mean,
+        model_latency_p50_s=totals.model_latency.percentile(50.0),
+        model_latency_p95_s=totals.model_latency.percentile(95.0),
+        model_latency_p99_s=totals.model_latency.percentile(99.0),
+        pipeline_depth=len(layers),
+        num_shed=states.get(SHED, 0),
         num_admission_shed=num_admission_shed,
         num_plan_swaps=num_plan_swaps,
         num_force_aborted=num_force_aborted,
         num_deadline_met=num_deadline_met,
         goodput_rps=num_deadline_met / wall,
-        goodput_by_priority=goodput_by_priority,
+        goodput_by_priority={
+            priority: count / wall
+            for priority, count in sorted(totals.deadline_met.items())
+        },
         blas_threads=blas_threads,
     )

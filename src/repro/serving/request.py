@@ -17,8 +17,11 @@ next stage boundary), ``cancelled`` (the client abandoned it via
 :meth:`ModelRequest.cancel`) and ``shed`` (the overload-control layer decided
 not to spend compute on it — see :meth:`ModelRequest.shed`).  All transitions
 go through one per-request lock, so a client cancelling races safely against
-a worker claiming: exactly one side wins.  A finished handle keeps the input
-and each decode step's final output, never the intermediate stage outputs.
+a worker claiming: exactly one side wins.  A settled handle keeps only what
+its client can still read: each decode step's final output (or the error)
+and a few scalars.  It drops its input when it settles and never holds an
+intermediate stage output, so a server's memory does not grow with the
+handles its clients keep.
 """
 
 from __future__ import annotations
@@ -39,6 +42,9 @@ FAILED = "failed"
 EXPIRED = "expired"
 CANCELLED = "cancelled"
 SHED = "shed"
+
+#: States a request never leaves.
+SETTLED = frozenset({DONE, FAILED, EXPIRED, CANCELLED, SHED})
 
 
 class ModelRequest:
@@ -62,7 +68,10 @@ class ModelRequest:
         self.model = model
         self.stages = stages
         self.num_steps = num_steps
-        self.activation = activation
+        #: The input, until the request settles.
+        self.activation: Optional[np.ndarray] = activation
+        #: Activation columns carried by the request.
+        self.columns = int(activation.shape[1])
         self.submitted_at = submitted_at
         self.deadline_at = deadline_at
         #: QoS class: 0 is the most urgent lane, larger values are bulk.
@@ -79,19 +88,17 @@ class ModelRequest:
         self._error: Optional[BaseException] = None
         self._step_outputs: List[np.ndarray] = []
         self._cancel_requested = False
-        self._done = threading.Event()
         self._state_lock = threading.Lock()
+        # Held from construction until the request settles; a waiter takes
+        # it and hands it straight back, so every waiter wakes in turn.
+        self._settled = threading.Lock()
+        self._settled.acquire()
 
     # ------------------------------------------------------------ client API
     @property
     def layer(self) -> str:
         """The first stage, where the request enters the model."""
         return self.stages[0]
-
-    @property
-    def columns(self) -> int:
-        """Activation columns carried by the request."""
-        return int(self.activation.shape[1])
 
     @property
     def pipeline_depth(self) -> int:
@@ -106,7 +113,7 @@ class ModelRequest:
 
     def done(self) -> bool:
         """Whether the request has reached a terminal state."""
-        return self._done.is_set()
+        return self.state in SETTLED
 
     def expired(self, now: Optional[float] = None) -> bool:
         """Whether the request's deadline has elapsed (``False`` without one)."""
@@ -124,7 +131,7 @@ class ModelRequest:
         instead of completing).  ``False`` once the request has settled.
         """
         with self._state_lock:
-            if self._done.is_set():
+            if self.state in SETTLED:
                 return False
             if self.state == RUNNING:
                 self._cancel_requested = True
@@ -140,11 +147,15 @@ class ModelRequest:
         :class:`~repro.errors.RequestCancelledError` for shed requests), and
         :class:`~repro.errors.ServingError` if ``timeout`` elapses first.
         """
-        if not self._done.wait(timeout):
-            raise ServingError(
-                f"request {self.request_id} ('{self.layer}') did not complete "
-                f"within {timeout}s"
-            )
+        if self.state not in SETTLED:
+            if not self._settled.acquire(
+                timeout=-1 if timeout is None else max(timeout, 0.0)
+            ):
+                raise ServingError(
+                    f"request {self.request_id} ('{self.layer}') did not "
+                    f"complete within {timeout}s"
+                )
+            self._settled.release()
         if self._error is not None:
             raise self._error
         assert self._output is not None
@@ -225,7 +236,7 @@ class ModelRequest:
         re-claim the work from the first stage.
         """
         with self._state_lock:
-            if self._done.is_set():
+            if self.state in SETTLED:
                 return False
             self.state = PENDING
             self.started_at = None
@@ -254,7 +265,7 @@ class ModelRequest:
         client asked for meanwhile wins.  Returns whether this call settled
         the request."""
         with self._state_lock:
-            if self._done.is_set():
+            if self.state in SETTLED:
                 return False
             if self._cancel_requested:
                 self._settle_locked(CANCELLED, self._cancel_error(), finished_at)
@@ -275,7 +286,7 @@ class ModelRequest:
         """Terminal transition from any live state; ``False`` if already
         settled (exactly one caller wins)."""
         with self._state_lock:
-            if self._done.is_set():
+            if self.state in SETTLED:
                 return False
             self._settle_locked(state, error, now)
             return True
@@ -283,7 +294,9 @@ class ModelRequest:
     def _settle_locked(
         self, state: str, error: Optional[BaseException], now: float
     ) -> None:
-        self.state = state
         self._error = error
         self.finished_at = now
-        self._done.set()
+        # After the outcome: done() and result() read the state unlocked.
+        self.state = state
+        self.activation = None
+        self._settled.release()

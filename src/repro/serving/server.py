@@ -74,18 +74,16 @@ Usage::
 
 from __future__ import annotations
 
+import copy
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from ..core.blas import PROCESS_BUDGET
-from ..core.metrics import OpCounts
-from ..energy.breakdown import EnergyBreakdown
 from ..errors import DeadlineExceededError, ServingError, WorkerCrashError
-from ..transarray.accelerator import RequestAttribution
 from .faults import FaultInjector
 from .graph import INPUT, ModelGraph
 from .plan import ModelPlan
@@ -96,7 +94,7 @@ from .policy import (
     deadline_at,
 )
 from .queue import RequestQueue
-from .report import ServingReport, ShardStats, StageStats, build_report
+from .report import ServingReport, ServingTotals, ShardStats, build_report
 from .request import CANCELLED, DONE, EXPIRED, FAILED, SHED, ModelRequest
 
 #: Exactly-representable-in-float bound for validating float activations.
@@ -105,53 +103,6 @@ _FLOAT_EXACT_INT_BOUND = float(2**53)
 #: A claim's columns: one matrix, or one per request before the first
 #: stage stacks them.
 _Columns = Union[np.ndarray, List[np.ndarray]]
-
-
-class _RequestRecord(NamedTuple):
-    """Scalar accounting snapshot of one stage of a finished model request.
-
-    The server keeps these instead of the request objects so a long-running
-    ("serve forever") process never pins activation/output arrays in its
-    accounting state.  ``submitted_at`` is when the stage became runnable:
-    the model request's submission for its first stage, the previous stage's
-    finish for the others.
-    """
-
-    layer: str
-    columns: int
-    state: str
-    submitted_at: float
-    finished_at: float
-    latency_s: float
-    queue_delay_s: float
-    retries: int
-    attribution: Optional[RequestAttribution]
-    priority: int = 0
-    #: Completed (state ``done``) inside its deadline budget (trivially true
-    #: for completions without a deadline) — the goodput numerator.
-    deadline_met: bool = False
-
-
-class _BatchExecution(NamedTuple):
-    """Bookkeeping record of one executor pass (one stage of a claim)."""
-
-    layer: str
-    #: Requests whose columns the pass carried.
-    batch_size: int
-    op_counts: Optional[OpCounts]
-    #: Fault hook + executor time; per-stage occupancy accounting reads it.
-    compute_s: float
-
-
-@dataclass(frozen=True)
-class _ModelRecord:
-    """Scalar accounting snapshot of a finished whole-model request."""
-
-    state: str
-    latency_s: float
-    steps: int
-    priority: int = 0
-    deadline_met: bool = False
 
 
 @dataclass
@@ -164,7 +115,7 @@ class _WorkerSlot:
     crash_errors: List[BaseException] = field(default_factory=list)
     dead: bool = False
     finished: bool = False
-    # Utilization counters.
+    # Utilization counters, updated under the server lock with its totals.
     batches: int = 0
     requests: int = 0
     compute_s: float = 0.0
@@ -179,51 +130,14 @@ class _WorkerSlot:
         return self.thread is not None and self.thread.is_alive()
 
 
-def _stage_record(
-    request: ModelRequest,
-    layer: str,
-    state: str,
-    queued_at: Optional[float],
-    started_at: Optional[float],
-    finished_at: float,
-    retries: int = 0,
-    attribution: Optional[RequestAttribution] = None,
-) -> _RequestRecord:
-    """The accounting record of one stage of ``request``.
-
-    ``queued_at`` is ``None`` for the first stage of the first step, which
-    was runnable from submission on; ``started_at`` is ``None`` for a stage
-    that never ran.
-    """
-    submitted_at = request.submitted_at if queued_at is None else queued_at
-    return _RequestRecord(
-        layer=layer,
-        columns=request.columns,
-        state=state,
-        submitted_at=submitted_at,
-        finished_at=finished_at,
-        latency_s=finished_at - submitted_at,
-        queue_delay_s=(
-            started_at - submitted_at if started_at is not None else 0.0
-        ),
-        retries=retries,
-        attribution=attribution,
-        priority=request.priority,
-        deadline_met=(
-            state == DONE
-            and (request.deadline_at is None or finished_at <= request.deadline_at)
-        ),
-    )
-
-
 class _Claim:
     """One worker claim: a batch of model requests run through every stage.
 
     It holds the live requests in column order, one entry per executor pass
     (the requests it served) and, per request, the stage that stopped it.
-    Only the requests the claim itself settles are handed to the server's
-    accounting, once, when the claim ends — a request requeued after a crash
-    is counted by the claim that settles it.
+    Only the requests the claim itself settles reach the server's totals,
+    once, when the claim ends — a request requeued after a crash is counted
+    by the claim that settles it.
     """
 
     def __init__(self, server: "Server", requests: List[ModelRequest]) -> None:
@@ -232,14 +146,14 @@ class _Claim:
         self.plan = server.plan
         self.live = list(requests)
         #: Per executor pass: layer, queued/started/finished instants,
-        #: retries, and the requests whose columns it carried.
+        #: retries, compute seconds and the requests whose columns it carried.
         self.passes: List[Tuple[str, Optional[float], float, float, int,
-                                Tuple[ModelRequest, ...]]] = []
-        self.logs: Dict[ModelRequest, List[_RequestRecord]] = {
-            request: [] for request in requests
-        }
+                                float, Tuple[ModelRequest, ...]]] = []
+        #: Per request settled early: layer, state, queued/started/finished
+        #: instants and retries of the stage that stopped it.
+        self.stops: Dict[ModelRequest, Tuple[str, str, Optional[float],
+                                             Optional[float], float, int]] = {}
         self.settled: List[ModelRequest] = []
-        self.executions: List[_BatchExecution] = []
         self.compute_s = 0.0
 
     def run(self) -> None:
@@ -267,18 +181,20 @@ class _Claim:
             step_input = self._finish_step(values[stages[-1].layer], step)
             step += 1
 
-    def records(self, request: ModelRequest) -> List[_RequestRecord]:
-        """Stage records of a request: its executor passes, then the stage
-        that stopped it."""
-        return [
-            _stage_record(
-                request, layer, DONE, queued_at, started_at, finished_at,
-                retries, attribution=self.plan.attribute(layer, request.columns),
-            )
-            for layer, queued_at, started_at, finished_at, retries, members
-            in self.passes
-            if request in members
-        ] + self.logs[request]
+    def account(self, totals: ServingTotals) -> None:
+        """Add each request the claim settled to ``totals``: its executor
+        passes, then the stage that stopped it."""
+        for request in self.settled:
+            for layer, queued_at, started_at, finished_at, retries, _, members in self.passes:
+                if request in members:
+                    totals.add_stage(
+                        request, layer, DONE, queued_at, started_at, finished_at,
+                        retries, self.plan.attribute(layer, request.columns),
+                    )
+            stop = self.stops.get(request)
+            if stop is not None:
+                totals.add_stage(request, *stop)
+            totals.add_model(request)
 
     # -------------------------------------------------------------- columns
     def _keep(self, values: Dict[str, _Columns], keep: List[bool]) -> Dict[str, _Columns]:
@@ -314,9 +230,7 @@ class _Claim:
         now = time.perf_counter()
         if request._settle(state, error, now):
             self.settled.append(request)
-            self.logs[request].append(_stage_record(
-                request, layer, state, queued_at, started_at, now, retries
-            ))
+            self.stops[request] = (layer, state, queued_at, started_at, now, retries)
 
     def _stop_at_boundary(self, values: Dict[str, _Columns], layer: str,
                           queued_at: Optional[float]) -> Dict[str, _Columns]:
@@ -402,15 +316,8 @@ class _Claim:
             server.admission.observe_batch(layer, len(self.live), compute_s)
         finished_at = time.perf_counter()
         self.compute_s += compute_s
-        self.executions.append(_BatchExecution(
-            layer=layer,
-            batch_size=len(self.live),
-            op_counts=self.plan.layer(layer).op_counts,
-            compute_s=compute_s,
-        ))
-        self.passes.append(
-            (layer, queued_at, started_at, finished_at, retries, tuple(self.live))
-        )
+        self.passes.append((layer, queued_at, started_at, finished_at, retries,
+                            compute_s, tuple(self.live)))
         return output
 
     def _stage_failed(self, layer: str, error: BaseException,
@@ -559,14 +466,10 @@ class Server:
         self._started = False
         self._closed = False
         self._next_id = 0
-        self._records: List[_RequestRecord] = []
-        self._batches: List[_BatchExecution] = []
-        self._model_records: List[_ModelRecord] = []
+        #: Everything report() and health() count, in fixed memory.
+        self._totals = ServingTotals()
         self._implicit_graph: Optional[ModelGraph] = None
-        self._expired = 0
-        self._cancelled = 0
         self._retry_events = 0
-        self._shed = 0
         self._admission_sheds = 0
         self._force_aborted = 0
         self._plan_swaps = 0
@@ -1076,15 +979,11 @@ class Server:
         except BaseException:
             # A crash: the requests still live are requeued from stage 0 by
             # the crash path and counted by the claim that settles them.
-            self._account(unclaimed + claim.settled, claim)
+            self._account(unclaimed, claim)
             raise
-        if claimed:
-            busy_s = time.perf_counter() - claim_time
-            slot.batches += len(claim.executions)
-            slot.requests += sum(e.batch_size for e in claim.executions)
-            slot.compute_s += claim.compute_s
-            slot.dispatch_s += max(busy_s - claim.compute_s, 0.0)
-        self._account(unclaimed + claim.settled, claim, claim.executions)
+        # A claim that ran no request costs its worker nothing.
+        self._account(unclaimed, claim, slot if claimed else None,
+                      time.perf_counter() - claim_time)
 
     def _collect_shed(self) -> None:
         shed = self.queue.take_shed()
@@ -1141,60 +1040,38 @@ class Server:
     # ------------------------------------------------------------ accounting
     def _account(
         self,
-        requests: List[ModelRequest],
+        unstaged: List[ModelRequest],
         claim: Optional[_Claim] = None,
-        executions: Iterable[_BatchExecution] = (),
+        slot: Optional[_WorkerSlot] = None,
+        busy_s: float = 0.0,
     ) -> None:
-        """Write the records of settled requests, once, with a claim's stages.
+        """Fold settled requests into the totals, once, in one locked update.
 
-        A request's stage records come from the claim that settled it; one
-        that never reached a stage counts as its first stage.
+        ``unstaged`` requests settled without reaching a stage and count at
+        their first one; a claim's settled requests count the stages they
+        ran.  With ``slot``, the claim finished: its executor passes and
+        ``busy_s`` of worker time count too.
         """
-        records: List[_RequestRecord] = []
-        models: List[_ModelRecord] = []
-        for request in requests:
-            log = (
-                claim.records(request)
-                if claim is not None and request in claim.logs else []
-            )
-            records.extend(log or [self._record(request)])
-            models.append(_ModelRecord(
-                state=request.state,
-                latency_s=request.latency_s,
-                steps=request.steps_completed,
-                priority=request.priority,
-                deadline_met=(
-                    request.state == DONE
-                    and (
-                        request.deadline_at is None
-                        or request.finished_at <= request.deadline_at
-                    )
-                ),
-            ))
         with self._lock:
-            self._batches.extend(executions)
-            self._records.extend(records)
-            self._model_records.extend(models)
-            for record in records:
-                if record.state == EXPIRED:
-                    self._expired += 1
-                elif record.state == CANCELLED:
-                    self._cancelled += 1
-                elif record.state == SHED:
-                    self._shed += 1
-
-    @staticmethod
-    def _record(request: ModelRequest) -> _RequestRecord:
-        """The first-stage record of a request that settled outside a stage."""
-        finished_at = (
-            request.finished_at
-            if request.finished_at is not None
-            else time.perf_counter()
-        )
-        return _stage_record(
-            request, request.layer, request.state, None, request.started_at,
-            finished_at, request.retries,
-        )
+            totals = self._totals
+            for request in unstaged:
+                totals.add_stage(
+                    request, request.layer, request.state, None,
+                    request.started_at, request.finished_at, request.retries,
+                )
+                totals.add_model(request)
+            if claim is None:
+                return
+            claim.account(totals)
+            if slot is None:
+                return
+            for layer, _, _, _, _, compute_s, members in claim.passes:
+                totals.add_pass(layer, len(members), compute_s,
+                                claim.plan.layer(layer).op_counts)
+                slot.requests += len(members)
+            slot.batches += len(claim.passes)
+            slot.compute_s += claim.compute_s
+            slot.dispatch_s += max(busy_s - claim.compute_s, 0.0)
 
     # ------------------------------------------------------------ monitoring
     def health(self) -> ServerHealth:
@@ -1205,10 +1082,11 @@ class Server:
         with self._lock:
             started = self._started
             closed = self._closed
-            expired = self._expired
-            cancelled = self._cancelled
+            states = self._totals.states
+            expired = states.get(EXPIRED, 0)
+            cancelled = states.get(CANCELLED, 0)
+            shed = states.get(SHED, 0)
             retried = self._retry_events
-            shed = self._shed
             admission_shed = self._admission_sheds
             plan_swaps = self._plan_swaps
         return ServerHealth(
@@ -1236,10 +1114,20 @@ class Server:
             registered = self._blas_workers > 0
         return PROCESS_BUDGET.threads if registered else self._blas_threads
 
-    def _shard_stats(self) -> List[ShardStats]:
-        """Per-worker utilization, one entry per worker slot."""
+    # ------------------------------------------------------------ reporting
+    def report(self) -> ServingReport:
+        """Build the serving report from every request settled so far.
+
+        Well-formed even before any request finishes (all-zero throughput and
+        percentiles), so health/monitoring code can poll it safely.  Takes
+        one snapshot of the totals and worker counters, so the counts it
+        reports always agree with each other.
+        """
+        with self._supervisor_cv:
+            restarts = self._restarts_used
         with self._lock:
-            return [
+            totals = copy.deepcopy(self._totals)
+            shards = [
                 ShardStats(
                     shard=slot.index,
                     batches=slot.batches,
@@ -1249,147 +1137,20 @@ class Server:
                 )
                 for slot in self._slots
             ]
-
-    # ------------------------------------------------------------ reporting
-    def report(self) -> ServingReport:
-        """Build the serving report from every request completed so far.
-
-        Well-formed even before any request finishes (all-zero throughput and
-        percentiles), so health/monitoring code can poll it safely.
-        """
-        with self._supervisor_cv:
-            restarts = self._restarts_used
-        with self._lock:
-            records = list(self._records)
-            batches = list(self._batches)
-            model_records = list(self._model_records)
             admission_sheds = self._admission_sheds
             plan_swaps = self._plan_swaps
             force_aborted = self._force_aborted
-        done = [record for record in records if record.state == DONE]
-        failed = sum(1 for record in records if record.state == FAILED)
-        expired = sum(1 for record in records if record.state == EXPIRED)
-        cancelled = sum(1 for record in records if record.state == CANCELLED)
-        shed = sum(1 for record in records if record.state == SHED)
-        retried = sum(record.retries for record in records)
-        met = [record for record in done if record.deadline_met]
-        met_by_priority: Dict[int, int] = {}
-        for record in met:
-            met_by_priority[record.priority] = (
-                met_by_priority.get(record.priority, 0) + 1
-            )
-
-        requests_per_layer: Dict[str, int] = {}
-        for record in done:
-            requests_per_layer[record.layer] = (
-                requests_per_layer.get(record.layer, 0) + 1
-            )
-
-        op_counts = None
-        for execution in batches:
-            if execution.op_counts is None:
-                continue
-            op_counts = (
-                execution.op_counts
-                if op_counts is None
-                else op_counts.merge(execution.op_counts)
-            )
-
-        attributed_cycles: Optional[int] = None
-        attributed_energy: Optional[EnergyBreakdown] = None
-        attributions = [
-            record.attribution for record in done if record.attribution is not None
-        ]
-        if attributions:
-            attributed_cycles = sum(attribution.cycles for attribution in attributions)
-            attributed_energy = EnergyBreakdown()
-            for attribution in attributions:
-                attributed_energy = attributed_energy.merge(attribution.energy)
-
-        wall_s = (
-            max(record.finished_at for record in records)
-            - min(record.submitted_at for record in records)
-            if records
-            else 0.0
-        )
-        stages: List[StageStats] = []
-        pipeline_depth = 0
         graph = self.plan.graph or self._implicit_graph
-        if graph is not None:
-            pipeline_depth = len(graph)
-            stages = self._stage_stats(graph, records, batches, wall_s)
-        model_done = [r for r in model_records if r.state == DONE]
         return build_report(
-            workload=self.plan.name,
-            latencies_s=[record.latency_s for record in done],
-            queue_delays_s=[record.queue_delay_s for record in done],
-            wall_s=wall_s,
-            total_columns=sum(record.columns for record in done),
-            num_failed=failed,
+            self.plan.name,
+            totals,
+            graph.layers if graph is not None else (),
             num_rejected=self.queue.rejected,
-            batch_sizes=[execution.batch_size for execution in batches],
-            requests_per_layer=requests_per_layer,
-            op_counts=op_counts,
-            attributed_cycles=attributed_cycles,
-            attributed_energy=attributed_energy,
-            num_expired=expired,
-            num_cancelled=cancelled,
-            num_retried=retried,
             num_worker_restarts=restarts,
             compile_stats=getattr(self.plan, "compile_stats", None),
-            shards=self._shard_stats(),
-            stages=stages,
-            model_latencies_s=[record.latency_s for record in model_done],
-            num_model_failed=len(model_records) - len(model_done),
-            pipeline_depth=pipeline_depth,
-            num_shed=shed,
+            shards=shards,
             num_admission_shed=admission_sheds,
             num_plan_swaps=plan_swaps,
             num_force_aborted=force_aborted,
-            num_deadline_met=len(met),
-            deadline_met_by_priority=met_by_priority,
             blas_threads=self._blas_threads_now(),
         )
-
-    @staticmethod
-    def _stage_stats(
-        graph: ModelGraph,
-        records: List[_RequestRecord],
-        batches: List[_BatchExecution],
-        wall_s: float,
-    ) -> List[StageStats]:
-        """Per-pipeline-stage breakdown from the per-layer accounting.
-
-        Stages map 1:1 to layers in a model graph, so the stage's requests
-        are the records against its layer and its compute time is the summed
-        executor time of that layer's stage passes, timed inside the claims.
-        ``occupancy`` divides by the run's wall-clock: with every worker
-        busy the stage occupancies sum toward the worker count.
-        """
-        wall = max(wall_s, 1e-12)
-        stages: List[StageStats] = []
-        for index, spec in enumerate(graph.stages):
-            layer_records = [r for r in records if r.layer == spec.layer]
-            layer_done = [r for r in layer_records if r.state == DONE]
-            layer_batches = [b for b in batches if b.layer == spec.layer]
-            compute_s = sum(b.compute_s for b in layer_batches)
-            latencies = [r.latency_s for r in layer_done]
-            waits = [r.queue_delay_s for r in layer_done]
-            stages.append(
-                StageStats(
-                    stage=index,
-                    layer=spec.layer,
-                    requests=len(layer_done),
-                    batches=len(layer_batches),
-                    compute_s=compute_s,
-                    queue_wait_mean_s=sum(waits) / len(waits) if waits else 0.0,
-                    latency_mean_s=(
-                        sum(latencies) / len(latencies) if latencies else 0.0
-                    ),
-                    latency_p95_s=(
-                        float(np.percentile(latencies, 95.0)) if latencies else 0.0
-                    ),
-                    occupancy=compute_s / wall,
-                )
-            )
-        return stages

@@ -440,8 +440,7 @@ class TestWholeChainClaim:
         # o_proj's hook failed all three attempts; no later stage ran.
         assert log.calls == [("qkv_proj", 4), ("attn_score", 4)]
         assert faults.stats().batch_hooks == 5
-        records = Counter((record.layer, record.state) for record in server._records)
-        assert records == {
+        assert server._totals.layer_states == {
             ("qkv_proj", DONE): 2, ("attn_score", DONE): 2, ("o_proj", FAILED): 2,
         }
         report = server.report()

@@ -114,14 +114,16 @@ class TestClaimBatch:
         workload = synthetic_gemm_workload(num_layers=2, n=8, k=6, m=4, weight_bits=4)
         plan = compile_workload(workload, seed=3, layer_names=["layer0"])
         requests = [_request(i, "layer0", cols=i + 1) for i in range(3)]
+        # A settled request drops its input: keep our own.
+        inputs = [request.activation for request in requests]
         server = Server(plan, num_workers=1, max_batch=3)
         for request in requests:
             server.queue.put(request)  # before start: one claim takes all three
         with server.start():
             weight = plan.layer("layer0").weight
-            for request in requests:
+            for request, activation in zip(requests, inputs):
                 assert np.array_equal(
-                    request.result(timeout=10.0), weight @ request.activation
+                    request.result(timeout=10.0), weight @ activation
                 )
         for request in requests:
             assert request.state == DONE
