@@ -8,7 +8,7 @@ the scoreboard to extract per-lane execution trees.
 """
 
 from .graph import HasseGraph, hasse_graph
-from .forest import Forest, ForestCandidate, Tree, build_balanced_forest
+from .forest import Forest, ForestCandidate, Tree, balance_lanes, build_balanced_forest
 
 __all__ = [
     "HasseGraph",
@@ -16,5 +16,6 @@ __all__ = [
     "Forest",
     "ForestCandidate",
     "Tree",
+    "balance_lanes",
     "build_balanced_forest",
 ]

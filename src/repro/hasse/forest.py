@@ -4,8 +4,9 @@ After scoreboarding decides which nodes execute and which prefixes are valid,
 every executed node must receive exactly one prefix and one lane so that the
 ``T`` parallel lanes of the TransArray each process an independent tree.  The
 paper balances the trees with a round-robin-like traversal supervised by a
-simple workload counter; :func:`build_balanced_forest` implements that greedy
-balancing.
+simple workload counter; :func:`balance_lanes` implements that greedy
+balancing over plain lists and :func:`build_balanced_forest` wraps it into
+per-lane trees.
 """
 
 from __future__ import annotations
@@ -92,9 +93,54 @@ class Forest:
         return max(loads) / mean if mean else 1.0
 
 
-def _node_workload(candidate: ForestCandidate) -> int:
+def _node_workload(count: int) -> int:
     """Workload contribution of one node: its TransRows, or 1 relay step."""
-    return max(candidate.count, 1)
+    return max(count, 1)
+
+
+def balance_lanes(
+    indices: Sequence[int],
+    counts: Sequence[int],
+    candidates: Sequence[Sequence[int]],
+    num_lanes: int,
+) -> Tuple[List[int], List[int]]:
+    """The workload-counter lane balancing of Fig. 5 step 5, over plain lists.
+
+    ``indices`` lists the executed nodes in Hamming order, ``counts`` their
+    TransRow counts (0 for relays) and ``candidates`` their allowed prefixes.
+    Each node joins the placed candidate prefix whose lane is least loaded
+    (ties go to the smaller prefix); a node whose only candidate is node 0
+    roots a new tree on the least-loaded lane (ties go to the lower lane).
+    Returns the chosen prefix and the lane of every node, in input order.
+    """
+    lane_loads = [0] * num_lanes
+    lane_of: Dict[int, int] = {}
+    prefixes: List[int] = []
+    lanes: List[int] = []
+    for index, count, options in zip(indices, counts, candidates):
+        chosen = lane = -1
+        rootable = False
+        for prefix in options:
+            if prefix == 0:
+                rootable = True
+                continue
+            prefix_lane = lane_of.get(prefix)
+            if prefix_lane is None:
+                continue
+            if chosen < 0 or (lane_loads[prefix_lane], prefix) < (lane_loads[lane], chosen):
+                chosen, lane = prefix, prefix_lane
+        if chosen < 0:
+            if not rootable:
+                raise ScoreboardError(
+                    f"node {index} has no placed prefix among {tuple(options)}"
+                )
+            chosen = 0
+            lane = min(range(num_lanes), key=lane_loads.__getitem__)
+        lane_loads[lane] += _node_workload(count)
+        lane_of[index] = lane
+        prefixes.append(chosen)
+        lanes.append(lane)
+    return prefixes, lanes
 
 
 def build_balanced_forest(
@@ -105,53 +151,38 @@ def build_balanced_forest(
     """Greedily assign every executed node a prefix and a lane.
 
     Nodes are visited in Hamming order so a node's candidate prefixes have
-    already been placed.  A node whose only candidate is node 0 roots a new
-    tree on the least-loaded lane; any other node joins the tree of whichever
-    candidate prefix currently has the lightest lane, mirroring the paper's
-    workload-counter supervision (Fig. 5 step 5).
+    already been placed, and :func:`balance_lanes` picks each node's prefix
+    and lane; this wrapper groups the result into trees.
     """
     num_lanes = num_lanes if num_lanes is not None else graph.width
     if num_lanes < 1:
         raise ScoreboardError(f"num_lanes must be >= 1, got {num_lanes}")
-
-    by_index = {candidate.index: candidate for candidate in nodes}
-    if 0 in by_index:
+    if any(candidate.index == 0 for candidate in nodes):
         raise ScoreboardError("node 0 never executes and cannot join the forest")
 
     ordered = sorted(nodes, key=lambda c: (graph.level(c.index), c.index))
-    lane_loads = [0] * num_lanes
+    prefixes, lanes = balance_lanes(
+        [c.index for c in ordered],
+        [c.count for c in ordered],
+        [c.candidates for c in ordered],
+        num_lanes,
+    )
     trees: List[Tree] = []
     tree_of_node: Dict[int, Tree] = {}
-    node_prefix: Dict[int, int] = {}
-    node_lane: Dict[int, int] = {}
-
-    for candidate in ordered:
-        workload = _node_workload(candidate)
-        usable = [p for p in candidate.candidates if p == 0 or p in tree_of_node]
-        if not usable:
-            raise ScoreboardError(
-                f"node {candidate.index} has no placed prefix among {candidate.candidates}"
-            )
-        non_root = [p for p in usable if p != 0]
-        if non_root:
-            chosen = min(non_root, key=lambda p: (lane_loads[tree_of_node[p].lane], p))
-            tree = tree_of_node[chosen]
-        else:
-            chosen = 0
-            lane = min(range(num_lanes), key=lambda i: (lane_loads[i], i))
+    for candidate, prefix, lane in zip(ordered, prefixes, lanes):
+        if prefix == 0:
             tree = Tree(root=candidate.index, lane=lane)
             trees.append(tree)
+        else:
+            tree = tree_of_node[prefix]
         tree.nodes.append(candidate.index)
-        tree.workload += workload
-        lane_loads[tree.lane] += workload
+        tree.workload += _node_workload(candidate.count)
         tree_of_node[candidate.index] = tree
-        node_prefix[candidate.index] = chosen
-        node_lane[candidate.index] = tree.lane
 
     return Forest(
         width=graph.width,
         num_lanes=num_lanes,
         trees=trees,
-        node_prefix=node_prefix,
-        node_lane=node_lane,
+        node_prefix={c.index: p for c, p in zip(ordered, prefixes)},
+        node_lane={c.index: lane for c, lane in zip(ordered, lanes)},
     )

@@ -14,8 +14,9 @@ prefixes, which live one level down), so batching introduces no reordering.
 Two consumption styles are offered:
 
 * :func:`run_scoreboard_batch` returns the raw state arrays plus per-chunk /
-  merged :class:`~repro.core.metrics.OpCounts`-compatible tallies — all the
-  fast GEMM engine and the density sweeps need, at array speed.
+  merged :class:`~repro.core.metrics.OpCounts`-compatible tallies and
+  per-chunk balanced-forest lane loads — all the fast GEMM engine, the
+  density sweeps and the accelerator's sampled profile need.
 * :func:`run_scoreboards_batched` additionally rebuilds full per-chunk
   :class:`~repro.scoreboard.algorithm.ScoreboardResult` objects (balanced
   forest included) that are **bit-for-bit identical** to what
@@ -25,12 +26,13 @@ Two consumption styles are offered:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..errors import ScoreboardError
-from ..hasse import build_balanced_forest
+from ..hasse import balance_lanes, build_balanced_forest
 from ..hasse.forest import ForestCandidate
 from ..hasse.graph import HasseGraph, hasse_graph
 from .algorithm import ExecutedNode, OutlierNode, ScoreboardResult, UNREACHED
@@ -164,6 +166,35 @@ class BatchedScoreboard:
             "outlier_ops": (outliers * popcounts[None, :]).sum(axis=1),
             "set_bits": (self.counts * popcounts[None, :]).sum(axis=1),
         }
+
+    def lane_node_counts(self, num_lanes: int) -> List[List[int]]:
+        """Executed nodes on each lane of every chunk's balanced forest.
+
+        Equal to ``lane_ppe_loads()`` of each chunk's ``ScoreboardResult``,
+        but computed by one :func:`~repro.hasse.balance_lanes` pass per chunk
+        over plain lists: no result, candidate or forest object is built.
+        """
+        order = np.asarray(hasse_graph(self.width).hamming_order(include_zero=False))
+        executed = (self.executed_present | self.relay)[:, order]
+        eff_zero = ((self.counts > 0) & (self.distance < self.max_distance)).tolist()
+        counts = self.counts.tolist()
+        parents = self.relay_parent.tolist()
+        prefixes = _sorted_prefixes(self.width)
+        loads: List[List[int]] = []
+        for chunk in range(self.num_chunks):
+            nodes = order[executed[chunk]].tolist()
+            chunk_counts, chunk_parents, chunk_eff = counts[chunk], parents[chunk], eff_zero[chunk]
+            _, lanes = balance_lanes(
+                nodes,
+                [chunk_counts[node] for node in nodes],
+                [_forest_candidates(node, chunk_parents, chunk_eff, prefixes) for node in nodes],
+                num_lanes,
+            )
+            per_lane = [0] * num_lanes
+            for lane in lanes:
+                per_lane[lane] += 1
+            loads.append(per_lane)
+        return loads
 
     def total_op_count_fields(self) -> Dict[str, int]:
         """Merged tallies over every chunk, as plain ints."""
@@ -310,6 +341,31 @@ def batched_total_op_counts(
 
 
 # --------------------------------------------------------------------- exact
+@lru_cache(maxsize=None)
+def _sorted_prefixes(width: int) -> Tuple[Tuple[int, ...], ...]:
+    """Every node's direct prefixes, ascending, indexed by node."""
+    graph = hasse_graph(width)
+    return tuple(tuple(sorted(graph.direct_prefixes(node))) for node in range(graph.num_nodes))
+
+
+def _forest_candidates(
+    node: int,
+    parents: Sequence[int],
+    eff_zero: Sequence[bool],
+    prefixes: Sequence[Tuple[int, ...]],
+) -> Tuple[int, ...]:
+    """Prefixes an executed ``node`` may adopt in the balanced forest.
+
+    Its backward-pass chain parent if it has one; otherwise every direct
+    prefix with effective distance 0 (node 0, or a present node that still
+    propagates), which is what a distance-1 node may adopt.
+    """
+    parent = parents[node]
+    if parent >= 0:
+        return (parent,)
+    return tuple(p for p in prefixes[node] if p == 0 or eff_zero[p])
+
+
 def run_scoreboards_batched(
     values: Union[np.ndarray, Sequence[Sequence[int]]],
     width: int,
@@ -361,6 +417,7 @@ def _reconstruct_result(
     counts_list = counts_row.tolist()
     relay_list = relay_row.tolist()
     parent_list = parent_row.tolist()
+    prefixes = _sorted_prefixes(width)
 
     counts: Dict[int, int] = {
         int(v): counts_list[v] for v in np.nonzero(counts_row)[0]
@@ -376,13 +433,7 @@ def _reconstruct_result(
         if count > 0 and distance_list[idx] >= batch.max_distance:
             outliers.append(OutlierNode(index=idx, count=count))
             continue
-        if parent_list[idx] >= 0:
-            candidates: Tuple[int, ...] = (parent_list[idx],)
-        else:
-            candidates = tuple(
-                p for p in sorted(graph.direct_prefixes(idx))
-                if p == 0 or eff_zero_list[p]
-            )
+        candidates = _forest_candidates(idx, parent_list, eff_zero_list, prefixes)
         if not candidates:  # pragma: no cover - unreachable, mirrors scalar guard
             if count > 0:
                 outliers.append(OutlierNode(index=idx, count=count))

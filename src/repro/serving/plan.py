@@ -317,8 +317,9 @@ def compile_workload(
         Transformer block); the full workload is compiled by default.
     accelerator:
         Optional :class:`~repro.transarray.TransitiveArrayAccelerator`; when
-        given, every compiled layer is also profiled through the cycle/energy
-        model so the server can attribute per-request costs.
+        given, every compiled layer's weight codes are also profiled through
+        the cycle/energy model, in compile order, so the server can attribute
+        per-request costs.
     seed:
         RNG seed for synthetic weight sampling.
     graph:
@@ -416,7 +417,10 @@ def compile_workload(
         layer_start = time.perf_counter()
         gemm_plan = engine.plan(weight, shape.weight_bits)
         per_layer_compile_s[shape.name] = time.perf_counter() - layer_start
-        profile = accelerator.simulate_gemm(shape) if accelerator is not None else None
+        profile = (
+            accelerator.simulate_gemm(shape, weight=weight)
+            if accelerator is not None else None
+        )
         layers.append(
             LayerPlan(shape=shape, gemm_plan=gemm_plan, profile=profile)
         )

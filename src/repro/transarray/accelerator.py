@@ -24,7 +24,6 @@ from ..energy.sram import sram_energy_per_byte_pj
 from ..errors import SimulationError
 from ..baselines.base import Accelerator, PerformanceReport, WorkloadLike, as_workload
 from ..bitslice.packing import pack_transrow_chunks
-from ..scoreboard.batched import run_scoreboards_batched
 from ..scoreboard.static import StaticScoreboard
 from ..workloads.gemm import GemmShape
 from .tiling import TilingPlan, plan_tiling
@@ -93,10 +92,12 @@ class TransitiveArrayAccelerator(Accelerator):
         weights are generated otherwise (Sec. 5.9 shows real data is slightly
         *better*, so synthetic data is the conservative choice).
     fast:
-        Scoreboard every sampled sub-tile of a GEMM in one batched array pass
-        (:func:`repro.scoreboard.batched.run_scoreboards_batched`) instead of
-        one scalar run per sample.  Reports are identical either way; the
+        Profile every sampled sub-tile of a GEMM from one batched array pass
+        (:meth:`TransArrayUnit.profile_subtiles`: ``OpCounts`` and lane loads
+        read straight from the scoreboard state arrays) instead of one scalar
+        scoreboard run per sample.  Reports are identical either way; the
         flag only trades the scalar reference path for the vectorized one.
+        Static mode ignores it.
     """
 
     def __init__(
@@ -150,15 +151,21 @@ class TransitiveArrayAccelerator(Accelerator):
         padded[: tile.shape[0], : tile.shape[1]] = tile
         return padded
 
-    def _profile_gemm(self, shape: GemmShape, plan: TilingPlan) -> SubTileReport:
-        """Mean sub-tile profile over the sampled sub-tiles of one GEMM."""
-        weight = None
-        if self.weight_provider is not None:  # fetched and validated once per GEMM
-            weight = np.asarray(self.weight_provider(shape))
+    def _profile_gemm(
+        self, shape: GemmShape, plan: TilingPlan, weight: Optional[np.ndarray] = None
+    ) -> SubTileReport:
+        """Mean sub-tile profile over the sampled sub-tiles of one GEMM.
+
+        Sub-tiles are drawn from ``weight`` if given, else from the weight
+        provider's matrix, else synthetically.
+        """
+        if weight is None and self.weight_provider is not None:
+            weight = self.weight_provider(shape)  # fetched once per GEMM
+        if weight is not None:
+            weight = np.asarray(weight)
             if weight.shape != (shape.n, shape.k):
                 raise SimulationError(
-                    f"weight provider returned shape {weight.shape}, "
-                    f"expected {(shape.n, shape.k)}"
+                    f"weight has shape {weight.shape}, expected {(shape.n, shape.k)}"
                 )
         tiles = [self._sample_weight_tile(shape, plan, weight)
                  for _ in range(self.samples_per_gemm)]
@@ -169,6 +176,8 @@ class TransitiveArrayAccelerator(Accelerator):
             np.concatenate(tiles), shape.weight_bits, self.config.transrow_bits
         )[0, :, ::-1]
         samples = packed.reshape(self.samples_per_gemm, -1).astype(np.int64)
+        if self.scoreboard_mode == "dynamic" and self.fast:
+            return self._mean_report(self.unit.profile_subtiles(samples))
         bags = samples.tolist()
         if self.scoreboard_mode == "static":
             static = StaticScoreboard(
@@ -179,17 +188,6 @@ class TransitiveArrayAccelerator(Accelerator):
             static.fit(samples.ravel().tolist())
             reports = [self.unit.profile_subtile(values, static_scoreboard=static)
                        for values in bags]
-        elif self.fast:
-            # One batched array pass scoreboards every sample; the rebuilt
-            # per-sample results are exactly what the scalar runs would give.
-            results = run_scoreboards_batched(
-                samples,
-                width=self.config.transrow_bits,
-                max_distance=self.config.max_prefix_distance,
-                num_lanes=self.config.lanes,
-            )
-            reports = [self.unit.profile_subtile(values, result=result)
-                       for values, result in zip(bags, results)]
         else:
             reports = [self.unit.profile_subtile(values) for values in bags]
         return self._mean_report(reports)
@@ -235,10 +233,17 @@ class TransitiveArrayAccelerator(Accelerator):
             per_gemm_cycles=per_gemm,
         )
 
-    def simulate_gemm(self, shape: GemmShape) -> GemmProfile:
-        """Simulate one GEMM and return the detailed profile."""
+    def simulate_gemm(
+        self, shape: GemmShape, weight: Optional[np.ndarray] = None
+    ) -> GemmProfile:
+        """Simulate one GEMM and return the detailed profile.
+
+        ``weight`` is the GEMM's ``(n, k)`` integer weight matrix; when given,
+        the sampled sub-tiles come from it instead of the weight provider or
+        the synthetic draw.
+        """
         plan = plan_tiling(shape, self.config)
-        mean_report = self._profile_gemm(shape, plan)
+        mean_report = self._profile_gemm(shape, plan, weight)
 
         # Steady-state compute: every (weight sub-tile, input block) pair costs
         # the slower of the PPE/APE stages; dynamic scoreboarding runs once per

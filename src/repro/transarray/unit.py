@@ -10,24 +10,30 @@ result into the output tile.  Two entry points are provided:
   bit-exact against ``weight_tile @ act_tile``; used by integration tests.
 * :meth:`TransArrayUnit.profile_subtile` — statistics-only profiling of one
   TransRow population, returning the cycle and buffer-traffic estimate the
-  accelerator-level simulator scales up to full GEMMs.
+  accelerator-level simulator scales up to full GEMMs; the scalar reference.
+* :meth:`TransArrayUnit.profile_subtiles` — the same dynamic-scoreboard
+  reports for many populations at once, read straight from one batched
+  scoreboard pass (the accelerator's sampled-profile path).
+
+Both dynamic entry points price a sub-tile through one helper,
+``_dynamic_report``, from its ``OpCounts`` and per-lane node counts.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
 from ..bitslice.packing import pack_transrow_chunks
 from ..bitslice.slicer import bit_plane_weights
 from ..config import TransArrayConfig
-from ..core.metrics import OpCounts, op_counts_from_result
+from ..core.metrics import OpCounts, op_counts_from_result, op_counts_from_static_outcome
 from ..errors import SimulationError
 from ..hasse.graph import hasse_graph
-from ..scoreboard.algorithm import ScoreboardResult
+from ..scoreboard.batched import run_scoreboard_batch
 from ..scoreboard.dynamic import DynamicScoreboard
 from ..scoreboard.static import StaticScoreboard
 from .pe import AccumulationPE, PrefixPE
@@ -72,58 +78,72 @@ class TransArrayUnit:
         self,
         values: Sequence[int],
         static_scoreboard: Optional[StaticScoreboard] = None,
-        result: Optional[ScoreboardResult] = None,
     ) -> SubTileReport:
         """Profile one TransRow population (no data movement, statistics only).
 
         With ``static_scoreboard`` the shared SI is applied (SI misses and all)
         and the scoreboard stage costs nothing at run time; otherwise the
-        dynamic scoreboard is modelled.  A caller that already scoreboarded
-        ``values`` (e.g. through the batched fast path) may pass the
-        ``result`` to skip the redundant dynamic run; the report is identical.
+        dynamic scoreboard is run and modelled.
         """
+        if static_scoreboard is None:
+            result = self.scoreboard.process(values).result
+            return self._dynamic_report(op_counts_from_result(result), result.lane_ppe_loads())
         lanes = self.config.lanes
-        if static_scoreboard is not None:
-            outcome = static_scoreboard.apply(values)
-            from ..core.metrics import op_counts_from_static_outcome
-
-            counts = op_counts_from_static_outcome(outcome, values)
-            ppe_steps = outcome.pr_nodes + outcome.tr_steps + outcome.outlier_adds
-            ape_steps = counts.total_transrows - counts.zero_rows
-            scoreboard_cycles = 0
-            ppe_cycles = math.ceil(ppe_steps / lanes) if ppe_steps else 0
-            ape_cycles = math.ceil(ape_steps / lanes) if ape_steps else 0
-        else:
-            if result is None:
-                result = self.scoreboard.process(values).result
-            counts = op_counts_from_result(result)
-            scoreboard_cycles = self.scoreboard.cycles(len(values))
-            ppe_cycles, ape_cycles = self._stage_cycles(result)
-        buffer_bytes = self._buffer_traffic(counts)
+        outcome = static_scoreboard.apply(values)
+        counts = op_counts_from_static_outcome(outcome, values)
+        ppe_steps = outcome.pr_nodes + outcome.tr_steps + outcome.outlier_adds
+        ape_steps = counts.total_transrows - counts.zero_rows
         return SubTileReport(
             op_counts=counts,
-            scoreboard_cycles=scoreboard_cycles,
-            ppe_cycles=ppe_cycles,
-            ape_cycles=ape_cycles,
-            buffer_bytes=buffer_bytes,
+            scoreboard_cycles=0,
+            ppe_cycles=math.ceil(ppe_steps / lanes) if ppe_steps else 0,
+            ape_cycles=math.ceil(ape_steps / lanes) if ape_steps else 0,
+            buffer_bytes=self._buffer_traffic(counts),
         )
 
-    def _stage_cycles(self, result: ScoreboardResult):
-        """Per-stage cycle counts from a dynamic scoreboard result.
+    def profile_subtiles(
+        self, bags: Union[np.ndarray, Sequence[Sequence[int]]]
+    ) -> List[SubTileReport]:
+        """Dynamic-scoreboard profiles of many TransRow bags in one array pass.
 
+        Equal to ``[self.profile_subtile(bag) for bag in bags]``: one batched
+        scoreboard run gives every bag's ``OpCounts`` and balanced-forest lane
+        loads straight from its state arrays, without building per-bag
+        ``ScoreboardResult`` or forest objects.
+        """
+        scoreboard = self.scoreboard
+        batch = run_scoreboard_batch(
+            bags, width=scoreboard.width, max_distance=scoreboard.max_distance
+        )
+        fields = {key: column.tolist() for key, column in batch.op_count_fields().items()}
+        lane_loads = batch.lane_node_counts(scoreboard.num_lanes)
+        return [
+            self._dynamic_report(
+                OpCounts(width=scoreboard.width,
+                         **{key: column[bag] for key, column in fields.items()}),
+                loads,
+            )
+            for bag, loads in enumerate(lane_loads)
+        ]
+
+    def _dynamic_report(self, counts: OpCounts, ppe_loads: Sequence[int]) -> SubTileReport:
+        """One dynamically scoreboarded sub-tile's cycles and traffic.
+
+        ``ppe_loads`` is the executed-node count on each balanced-forest lane.
         The PPE stage is tree-constrained, so its cost is the heaviest lane's
-        node count (plus outlier adds spread across lanes).  The APE stage only
-        reads partial sums from the prefix buffer through the crossbar and can
-        therefore distribute TransRows evenly: it costs ``n / T`` cycles for
-        ``n`` non-zero TransRows, the "constantly n cycles" of Sec. 4.6.
+        node count plus the outliers' adds spread across lanes.  The APE stage
+        only reads partial sums from the prefix buffer through the crossbar and
+        can therefore distribute TransRows evenly: it costs ``n / T`` cycles
+        for ``n`` non-zero TransRows, the "constantly n cycles" of Sec. 4.6.
         """
         lanes = self.config.lanes
-        ppe_loads = result.lane_ppe_loads()
-        outlier_ppe = sum(o.popcount for o in result.outliers)
-        nonzero_rows = result.total_transrows - result.zero_rows
-        ppe_cycles = (max(ppe_loads) if ppe_loads else 0) + math.ceil(outlier_ppe / lanes)
-        ape_cycles = math.ceil(nonzero_rows / lanes)
-        return ppe_cycles, ape_cycles
+        return SubTileReport(
+            op_counts=counts,
+            scoreboard_cycles=self.scoreboard.cycles(counts.total_transrows),
+            ppe_cycles=max(ppe_loads) + math.ceil(counts.outlier_ops / lanes),
+            ape_cycles=math.ceil((counts.total_transrows - counts.zero_rows) / lanes),
+            buffer_bytes=self._buffer_traffic(counts),
+        )
 
     def _buffer_traffic(self, counts: OpCounts) -> Dict[str, float]:
         """Per-buffer traffic (bytes) of one sub-tile for the energy model.

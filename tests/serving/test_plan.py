@@ -6,10 +6,13 @@ import pytest
 from repro.core import TransitiveGemmEngine
 from repro.errors import ServingError, SimulationError, WorkloadError
 from repro.serving import compile_workload
+from repro.transarray import TransitiveArrayAccelerator
 from repro.workloads import (
     GemmShape,
     GemmWorkload,
+    LlamaConfig,
     attention_gemms,
+    llama_block_gemms,
     resnet18_gemms,
     synthetic_gemm_workload,
 )
@@ -144,6 +147,34 @@ class TestCompileWorkload:
         plan_a = compile_workload(workload, seed=99)
         plan_b = compile_workload(workload, seed=99)
         assert np.array_equal(plan_a.layer("layer1").weight, plan_b.layer("layer1").weight)
+
+    @pytest.mark.parametrize("source", ["synthetic", "provider", "quant_schemes"])
+    def test_accelerator_profiles_the_compiled_weights(self, source):
+        config = LlamaConfig("tiny", hidden_size=64, intermediate_size=96,
+                             num_attention_heads=1, num_key_value_heads=1, num_layers=1)
+        workload = llama_block_gemms(config.name, config=config, weight_bits=4)
+        kwargs = {}
+        if source == "provider":
+            kwargs["weight_provider"] = lambda s: np.full((s.n, s.k), 3, dtype=np.int64)
+        elif source == "quant_schemes":
+            kwargs["quant_schemes"] = {"qkv_proj": "transarray-int4", "down_proj": "olive-8"}
+        plan = compile_workload(
+            workload, seed=3, accelerator=TransitiveArrayAccelerator(seed=8), **kwargs
+        )
+        replay = TransitiveArrayAccelerator(seed=8)
+        synthetic = TransitiveArrayAccelerator(seed=8)
+        for name in plan.layer_names():
+            layer = plan.layer(name)
+            assert layer.profile == replay.simulate_gemm(layer.shape, weight=layer.weight), name
+            if source == "provider":  # all-3 weights price nothing like a random draw
+                assert layer.profile != synthetic.simulate_gemm(layer.shape), name
+
+    def test_simulate_gemm_rejects_a_misshaped_weight(self):
+        shape = GemmShape("fc", 16, 24, 2, weight_bits=4)
+        with pytest.raises(SimulationError):
+            TransitiveArrayAccelerator().simulate_gemm(
+                shape, weight=np.zeros((24, 16), dtype=np.int8)
+            )
 
     def test_duplicate_layer_names_rejected(self):
         shape = GemmShape("dup", 4, 4, 4, 4, 8)

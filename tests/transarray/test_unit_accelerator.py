@@ -1,5 +1,7 @@
 """Integration tests: TransArray unit execution and accelerator-level simulation."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,13 @@ from hypothesis import strategies as st
 from repro.config import TransArrayConfig
 from repro.core.metrics import OpCounts
 from repro.errors import SimulationError
-from repro.scoreboard import StaticScoreboard
+from repro.hasse import balance_lanes, hasse_graph
+from repro.scoreboard import (
+    DynamicScoreboard,
+    StaticScoreboard,
+    run_scoreboard,
+    run_scoreboard_batch,
+)
 from repro.transarray import TransArrayUnit, TransitiveArrayAccelerator
 from repro.workloads import GemmShape, GemmWorkload
 from repro.workloads.llama import LlamaConfig, llama_block_gemms
@@ -137,6 +145,90 @@ class TestAccelerator:
         assert report.cycles == sum(report.per_gemm_cycles.values())
 
 
+@st.composite
+def _bag_batches(draw):
+    """A width, lane count and max distance, plus bags of TransRows to profile.
+
+    Bags may be empty or all zero; values are drawn from a small pool so
+    duplicates, relays and (at small distances) outliers all occur.
+    """
+    width = draw(st.integers(min_value=1, max_value=8))
+    lanes = draw(st.integers(min_value=1, max_value=8))
+    max_distance = draw(st.integers(min_value=1, max_value=5))
+    pool = draw(st.lists(st.integers(0, (1 << width) - 1), min_size=1, max_size=24))
+    bag = st.one_of(
+        st.lists(st.sampled_from(pool), max_size=48),
+        st.lists(st.just(0), max_size=8),
+    )
+    return width, lanes, max_distance, draw(st.lists(bag, min_size=1, max_size=4))
+
+
+def _check_workload_counter_rule(indices, counts, candidates, num_lanes, prefixes, lanes):
+    """Each node took the rule's choice given the lane loads placed before it."""
+    loads = [0] * num_lanes
+    lane_of = {}
+    for index, count, options, prefix, lane in zip(
+        indices, counts, candidates, prefixes, lanes
+    ):
+        placed = [p for p in options if p in lane_of]
+        if placed:  # the placed prefix on the lightest lane, smaller prefix on ties
+            best = min(placed, key=lambda p: (loads[lane_of[p]], p))
+            assert (prefix, lane) == (best, lane_of[best]), index
+        else:  # a new tree on the lightest lane, lower lane on ties
+            assert 0 in options
+            assert (prefix, lane) == (0, loads.index(min(loads))), index
+        loads[lane] += max(count, 1)  # a relay still costs one step
+        lane_of[index] = lane
+
+
+class TestArrayProfile:
+    """The accelerator's array-built reports against the scalar oracle."""
+
+    @given(_bag_batches())
+    @settings(max_examples=150, deadline=None)
+    def test_array_reports_equal_the_scalar_oracle(self, case):
+        width, lanes, max_distance, bags = case
+        unit = TransArrayUnit(TransArrayConfig(transrow_bits=width,
+                                               max_prefix_distance=max_distance))
+        unit.scoreboard = DynamicScoreboard(width, max_distance, num_lanes=lanes)
+        reports = unit.profile_subtiles(bags)
+        assert reports == [unit.profile_subtile(bag) for bag in bags]
+        lane_loads = run_scoreboard_batch(bags, width, max_distance).lane_node_counts(lanes)
+        for bag, report, loads in zip(bags, reports, lane_loads):
+            result = run_scoreboard(bag, width, max_distance, num_lanes=lanes)
+            assert loads == result.lane_ppe_loads()
+            # Pin the pricing itself, which both paths share.
+            outlier_adds = sum(outlier.popcount for outlier in result.outliers)
+            nonzero = len(bag) - bag.count(0)
+            assert report.ppe_cycles == (
+                max(result.lane_ppe_loads()) + math.ceil(outlier_adds / width)
+            )
+            assert report.ape_cycles == math.ceil(nonzero / width)
+            assert report.op_counts.outlier_ops == outlier_adds
+
+    @given(
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=1, max_value=8),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_lane_core_follows_the_workload_counter_rule(self, width, lanes, data):
+        graph = hasse_graph(width)
+        order = graph.hamming_order(include_zero=False)
+        indices = data.draw(st.lists(st.sampled_from(order), unique=True, max_size=40))
+        indices.sort(key=order.index)
+        counts, candidates = [], []
+        for position, index in enumerate(indices):
+            counts.append(data.draw(st.integers(min_value=0, max_value=3)))
+            placed = [p for p in graph.direct_prefixes(index) if p in indices[:position]]
+            options = data.draw(st.lists(st.sampled_from(placed), unique=True)) if placed else []
+            if not options or data.draw(st.booleans()):
+                options.append(0)
+            candidates.append(tuple(options))
+        prefixes, assigned = balance_lanes(indices, counts, candidates, lanes)
+        _check_workload_counter_rule(indices, counts, candidates, lanes, prefixes, assigned)
+
+
 def _decode_block_shapes():
     """The hidden-256 / intermediate-704 INT4 decode block, one column."""
     config = LlamaConfig(
@@ -204,8 +296,9 @@ _ENERGY_FIELDS = (
 class TestSimulateGemmGolden:
     """Pinned sampled-profile outputs: sampling and packing must not drift."""
 
-    def test_decode_block_seed_1(self):
-        accelerator = TransitiveArrayAccelerator(seed=1)
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_decode_block_seed_1(self, fast):
+        accelerator = TransitiveArrayAccelerator(seed=1, fast=fast)
         shapes = _decode_block_shapes()
         assert [shape.name for shape in shapes] == list(_DECODE_GOLDEN)
         for shape in shapes:
