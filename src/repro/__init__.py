@@ -7,7 +7,7 @@ The library exposes four layers:
 * the paper's contribution in functional form — :mod:`repro.core`, whose
   compiled plans serve through one exact float64-BLAS executor per layer;
 * the architectural simulator — :mod:`repro.transarray`, :mod:`repro.baselines`,
-  :mod:`repro.memory`, :mod:`repro.energy`;
+  :mod:`repro.energy`;
 * the evaluation harness — :mod:`repro.workloads`, :mod:`repro.analysis`.
 
 Quickstart::
@@ -32,7 +32,6 @@ from .config import (
     default_baseline_configs,
 )
 from .core import (
-    BatchedGemmReport,
     GemmPlan,
     NodeType,
     OpCounts,
@@ -78,7 +77,6 @@ __all__ = [
     "DRAMConfig",
     "TransArrayConfig",
     "default_baseline_configs",
-    "BatchedGemmReport",
     "GemmPlan",
     "NodeType",
     "OpCounts",

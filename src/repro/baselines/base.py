@@ -13,7 +13,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Union
+from typing import Dict, Union
 
 from ..config import CLOCK_FREQUENCY_HZ, BaselinePEConfig, DRAMConfig
 from ..energy.breakdown import EnergyBreakdown
@@ -46,11 +46,6 @@ class PerformanceReport:
     def energy_nj(self) -> float:
         """Total energy in nanojoules."""
         return self.energy.total_nj
-
-    @property
-    def macs_per_cycle(self) -> float:
-        """Achieved effective MAC throughput."""
-        return self.macs / self.cycles if self.cycles else 0.0
 
     def speedup_over(self, other: "PerformanceReport") -> float:
         """This design's speedup relative to ``other`` on the same workload."""

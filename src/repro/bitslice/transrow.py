@@ -58,10 +58,6 @@ class TransRow:
         """The 0/1 vector of the TransRow, MSB (input row 0) first."""
         return unpack_uint_to_bits(np.array([self.value]), self.width)[0]
 
-    def selected_input_rows(self) -> List[int]:
-        """Indices of the input rows this TransRow accumulates."""
-        return [j for j, bit in enumerate(self.bits) if bit]
-
 
 def extract_transrows(
     weight_tile: np.ndarray,

@@ -13,7 +13,6 @@ from .metrics import OpCounts, op_counts_from_result, op_counts_from_static_outc
 from .classification import NodeType, classify_nodes, classification_percentages
 from .executor import ExactExecutor
 from .transitive_gemm import (
-    BatchedGemmReport,
     GemmPlan,
     ScoreboardCacheInfo,
     TransitiveGemmEngine,
@@ -28,7 +27,6 @@ __all__ = [
     "NodeType",
     "classify_nodes",
     "classification_percentages",
-    "BatchedGemmReport",
     "ExactExecutor",
     "GemmPlan",
     "ScoreboardCacheInfo",

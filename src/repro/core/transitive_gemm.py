@@ -29,9 +29,8 @@ On top of both, :meth:`TransitiveGemmEngine.plan` compiles a weight matrix
 **once, offline** into a :class:`GemmPlan`: its scoreboard's exact operation
 counts plus an :class:`~repro.core.executor.ExactExecutor`.  Because
 transitive reuse only re-associates integer additions, planned execution
-(:meth:`TransitiveGemmEngine.multiply_planned`,
-:meth:`TransitiveGemmEngine.multiply_many`) computes the product through that
-executor — exact float64 BLAS — and carries the plan's operation counts; it
+(:meth:`TransitiveGemmEngine.multiply_planned`) computes the product through
+that executor — exact float64 BLAS — and carries the plan's operation counts; it
 is bit-identical to the scalar oracle.
 """
 
@@ -41,7 +40,7 @@ import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -56,7 +55,7 @@ from ..scoreboard.batched import (
     results_from_batch,
     run_scoreboard_batch,
 )
-from .executor import ExactExecutor
+from .executor import ExactExecutor, as_exact_int64
 from .metrics import OpCounts, op_counts_from_result
 
 #: Soft cap (bytes) on the fast path's per-block scratch arrays; chunks are
@@ -129,10 +128,9 @@ class GemmPlan:
     once, and the merged :class:`~repro.core.metrics.OpCounts` are pinned in
     this handle next to ``kernel``, the layer's
     :class:`~repro.core.executor.ExactExecutor`.  Online execution against
-    the plan (:meth:`TransitiveGemmEngine.multiply_planned` and
-    :meth:`TransitiveGemmEngine.multiply_many`) skips weight fingerprinting,
-    bit-slicing and scoreboarding entirely, which is what a serving runtime
-    needs on its per-request hot path.
+    the plan (:meth:`TransitiveGemmEngine.multiply_planned`) skips weight
+    fingerprinting, bit-slicing and scoreboarding entirely, which is what a
+    serving runtime needs on its per-request hot path.
     """
 
     #: The compiled weight codes, read-only, in the narrowest signed integer
@@ -155,30 +153,6 @@ class GemmPlan:
     def k(self) -> int:
         """Reduction dimension (weight columns / activation rows)."""
         return int(self.weight.shape[1])
-
-
-@dataclass(eq=False)
-class BatchedGemmReport:
-    """Result of one micro-batched multi-activation execution.
-
-    ``outputs[i]`` is ``weight @ activations[i]`` for the plan's weight; all
-    activations were folded into a single engine pass, so the scoreboard work
-    (captured by ``op_counts``, which depends only on the weights) was spent
-    once for the whole batch.
-    """
-
-    outputs: List[np.ndarray]
-    op_counts: OpCounts
-
-    @property
-    def batch_size(self) -> int:
-        """Number of coalesced activations."""
-        return len(self.outputs)
-
-    @property
-    def total_columns(self) -> int:
-        """Total activation columns across the batch."""
-        return sum(int(out.shape[1]) for out in self.outputs)
 
 
 class _StaticScoreboardCache:
@@ -299,7 +273,7 @@ class TransitiveGemmEngine:
             the design-space analysis, costly for large GEMMs).
         """
         weight = narrow_codes(weight)
-        activation = np.asarray(activation, dtype=np.int64)
+        activation = as_exact_int64(activation)
         if weight.ndim != 2 or activation.ndim != 2:
             raise SimulationError("weight and activation must both be 2-D matrices")
         if weight.shape[1] != activation.shape[0]:
@@ -322,10 +296,10 @@ class TransitiveGemmEngine:
         a :class:`GemmPlan` handle carrying the weights as narrow read-only
         codes (:func:`narrow_codes`), the exact operation counts and the
         layer's :class:`~repro.core.executor.ExactExecutor`.  Executions
-        against the handle (:meth:`multiply_planned`, :meth:`multiply_many`)
-        skip the per-call weight fingerprint and all weight-side work; the LRU
-        cache is warmed as a side effect so plain :meth:`multiply` calls with
-        the same weights also hit.
+        against the handle (:meth:`multiply_planned`) skip the per-call
+        weight fingerprint and all weight-side work; the LRU cache is warmed
+        as a side effect so plain :meth:`multiply` calls with the same
+        weights also hit.
         """
         weight = np.asarray(weight)
         codes = narrow_codes(weight)
@@ -359,7 +333,7 @@ class TransitiveGemmEngine:
         plan's operation counts.
         """
         self._check_plan(plan)
-        activation = np.asarray(activation, dtype=np.int64)
+        activation = as_exact_int64(activation)
         if activation.ndim != 2:
             raise SimulationError("activation must be a 2-D matrix")
         if activation.shape[0] != plan.k:
@@ -369,44 +343,6 @@ class TransitiveGemmEngine:
             )
         output = plan.kernel.execute(activation)
         return TransitiveGemmReport(output=output, op_counts=plan.op_counts)
-
-    def multiply_many(
-        self, plan: GemmPlan, activations: Sequence[np.ndarray]
-    ) -> BatchedGemmReport:
-        """Serve a micro-batch of activations in one engine pass.
-
-        The activations are concatenated along their column axis, executed as
-        a single planned GEMM (see :meth:`multiply_planned`) and split back, so each output equals
-        ``plan.weight @ activations[i]`` bit-exactly while the weight-side
-        work is spent once for the whole batch.
-        """
-        self._check_plan(plan)
-        if not activations:
-            raise SimulationError("multiply_many needs at least one activation")
-        arrays: List[np.ndarray] = []
-        for index, activation in enumerate(activations):
-            activation = np.asarray(activation, dtype=np.int64)
-            if activation.ndim != 2:
-                raise SimulationError(
-                    f"activation {index} must be a 2-D matrix, got {activation.ndim}-D"
-                )
-            if activation.shape[0] != plan.k:
-                raise SimulationError(
-                    f"activation {index} has {activation.shape[0]} rows, "
-                    f"plan expects {plan.k}"
-                )
-            arrays.append(activation)
-        stacked = arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=1)
-        report = self.multiply_planned(plan, stacked)
-        outputs: List[np.ndarray] = []
-        offset = 0
-        for activation in arrays:
-            cols = activation.shape[1]
-            # Copy each slice: handing out views would alias every request's
-            # output to one shared batch array (and pin its full allocation).
-            outputs.append(report.output[:, offset: offset + cols].copy())
-            offset += cols
-        return BatchedGemmReport(outputs=outputs, op_counts=report.op_counts)
 
     def _check_plan(self, plan: GemmPlan) -> None:
         if (

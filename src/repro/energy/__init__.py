@@ -1,7 +1,7 @@
 """Area and energy models at the 28 nm node used by the paper's evaluation."""
 
 from .energy_model import EnergyParameters, OperationEnergyTable
-from .sram import sram_access_energy_pj, sram_leakage_mw
+from .sram import sram_access_energy_pj
 from .area import AreaModel, AreaReport, transarray_area_report, baseline_area_report
 from .breakdown import EnergyBreakdown
 
@@ -9,7 +9,6 @@ __all__ = [
     "EnergyParameters",
     "OperationEnergyTable",
     "sram_access_energy_pj",
-    "sram_leakage_mw",
     "AreaModel",
     "AreaReport",
     "transarray_area_report",

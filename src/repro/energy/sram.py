@@ -3,9 +3,8 @@
 The paper uses Cacti 7.0 at 28 nm for buffer area and power.  Cacti itself is
 not available offline, so this module provides an analytic substitute whose
 per-access energy grows with the square root of capacity (bit-line/word-line
-length scaling) and whose leakage grows linearly with capacity.  The anchor
-points are public 28 nm Cacti numbers for small scratchpads (a 8 KB SRAM costs
-roughly 5 pJ per 32-byte access; leakage is roughly 1 mW per 64 KB).
+length scaling).  The anchor point is a public 28 nm Cacti number for small
+scratchpads: a 8 KB SRAM costs roughly 5 pJ per 32-byte access.
 """
 
 from __future__ import annotations
@@ -18,9 +17,6 @@ from ..errors import ConfigurationError
 _ANCHOR_CAPACITY_BYTES = 8 * 1024
 _ANCHOR_ACCESS_BYTES = 32
 _ANCHOR_ENERGY_PJ = 5.0
-
-#: Leakage of the anchor macro family (mW per 64 KB at 28 nm).
-_LEAKAGE_MW_PER_64KB = 1.0
 
 
 def sram_access_energy_pj(capacity_bytes: int, access_bytes: int) -> float:
@@ -42,10 +38,3 @@ def sram_access_energy_pj(capacity_bytes: int, access_bytes: int) -> float:
 def sram_energy_per_byte_pj(capacity_bytes: int) -> float:
     """Per-byte access energy of a macro (convenience for traffic-based costing)."""
     return sram_access_energy_pj(capacity_bytes, access_bytes=1)
-
-
-def sram_leakage_mw(capacity_bytes: int) -> float:
-    """Leakage power (mW) of a macro of the given capacity."""
-    if capacity_bytes <= 0:
-        raise ConfigurationError("SRAM capacity must be positive")
-    return _LEAKAGE_MW_PER_64KB * capacity_bytes / (64 * 1024)

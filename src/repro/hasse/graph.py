@@ -71,7 +71,6 @@ class HasseGraph:
         self._hamming_order = [node for level in self._levels for node in level]
         self._order_cache: dict = {}
         self._prefix_tables: List[np.ndarray] = []
-        self._suffix_tables: List[np.ndarray] = []
         self._reuse_tables: Tuple[np.ndarray, np.ndarray] = self._build_reuse_tables()
         self._initialised = True
 
@@ -167,25 +166,6 @@ class HasseGraph:
                 self._prefix_tables.append(np.array(rows, dtype=np.int64))
         return self._prefix_tables[level - 1]
 
-    def suffix_index_table(self, level: int) -> np.ndarray:
-        """Direct suffixes of every level-``level`` node as one dense array.
-
-        Cached ``(C(width, level), width - level)`` int64 array, rows in
-        ascending suffix value order; do not mutate.
-        """
-        if level < 0 or level >= self.width:
-            raise ConfigurationError(
-                f"suffix table level {level} out of range for width {self.width}"
-            )
-        if not self._suffix_tables:
-            for lvl in range(self.width):
-                rows = [
-                    sorted(self.direct_suffixes(node))
-                    for node in self._levels[lvl]
-                ]
-                self._suffix_tables.append(np.array(rows, dtype=np.int64))
-        return self._suffix_tables[level]
-
     def reuse_parent_table(self) -> Tuple[np.ndarray, np.ndarray]:
         """Per-node prefix-reuse parent and consumed bit position.
 
@@ -238,10 +218,6 @@ class HasseGraph:
         return node ^ prefix
 
     # ------------------------------------------------------------------ misc
-    def top_node(self) -> int:
-        """The all-ones node at the highest level."""
-        return self.num_nodes - 1
-
     def max_parallelism(self) -> Tuple[int, int]:
         """(level, parallelism) of the widest level — C(width, width//2)."""
         level = self.width // 2

@@ -10,7 +10,6 @@ quantization error onto the published FP16 perplexity anchors.
 
 from .quantizer import (
     QuantizedTensor,
-    dequantize,
     group_quantize,
     quantization_mse,
     quantize,
@@ -34,7 +33,6 @@ from .accuracy import (
 
 __all__ = [
     "QuantizedTensor",
-    "dequantize",
     "group_quantize",
     "quantization_mse",
     "quantize",

@@ -88,11 +88,6 @@ def group_quantize(tensor: np.ndarray, bits: int, group_size: int = 128) -> Quan
     return QuantizedTensor(values=values, scales=scales_full, bits=bits)
 
 
-def dequantize(quantized: QuantizedTensor) -> np.ndarray:
-    """Float reconstruction of a quantized tensor."""
-    return quantized.dequantized
-
-
 def quantization_mse(original: np.ndarray, quantized: QuantizedTensor) -> float:
     """Relative mean-squared quantization error (the accuracy-proxy input).
 

@@ -19,14 +19,6 @@ from .batched import (
     scoreboard_from_counts,
 )
 from .info import ScoreboardInfo, SIEntry
-from .entry import (
-    EntryLayout,
-    ScoreboardEntryFields,
-    decode_entry,
-    encode_entry,
-    prefix_translator,
-    suffix_translator,
-)
 from .sorter import bitonic_stage_count, sort_by_popcount, sorter_cycles
 from .static import StaticScoreboard, StaticTileOutcome
 from .dynamic import DynamicScoreboard, DynamicTileOutcome
@@ -43,12 +35,6 @@ __all__ = [
     "scoreboard_from_counts",
     "ScoreboardInfo",
     "SIEntry",
-    "EntryLayout",
-    "ScoreboardEntryFields",
-    "decode_entry",
-    "encode_entry",
-    "prefix_translator",
-    "suffix_translator",
     "bitonic_stage_count",
     "sort_by_popcount",
     "sorter_cycles",

@@ -128,14 +128,6 @@ class ScoreboardResult:
             loads[node.lane] += 1
         return loads
 
-    def lane_ape_loads(self) -> List[int]:
-        """Per-lane count of APE accumulations (one per non-relay TransRow)."""
-        loads = [0] * self.num_lanes
-        for node in self.nodes.values():
-            if not node.is_relay:
-                loads[node.lane] += node.count
-        return loads
-
 
 def _validate_inputs(values: Sequence[int], width: int, max_distance: int) -> None:
     if width < 1 or width > 16:

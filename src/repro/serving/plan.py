@@ -18,12 +18,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 import numpy as np
 
 from ..core.metrics import OpCounts
-from ..core.transitive_gemm import (
-    BatchedGemmReport,
-    GemmPlan,
-    TransitiveGemmEngine,
-    narrow_codes,
-)
+from ..core.transitive_gemm import GemmPlan, TransitiveGemmEngine, narrow_codes
 from ..errors import ServingError
 from ..quant.schemes import SCHEME_REGISTRY
 from ..transarray.accelerator import (
@@ -233,13 +228,6 @@ class ModelPlan:
         layer = self.layer(layer_name)
         report = self.engine.multiply_planned(layer.gemm_plan, activation)
         return report.output
-
-    def run_batch(
-        self, layer_name: str, activations: Sequence[np.ndarray]
-    ) -> BatchedGemmReport:
-        """Execute a micro-batch of activations against one compiled layer."""
-        layer = self.layer(layer_name)
-        return self.engine.multiply_many(layer.gemm_plan, activations)
 
     def run_model(self, activation: np.ndarray) -> np.ndarray:
         """Run one activation through every graph stage, sequentially.

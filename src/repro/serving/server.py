@@ -83,7 +83,13 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from ..core.blas import PROCESS_BUDGET
-from ..errors import DeadlineExceededError, ServingError, WorkerCrashError
+from ..core.executor import as_exact_int64
+from ..errors import (
+    DeadlineExceededError,
+    ServingError,
+    SimulationError,
+    WorkerCrashError,
+)
 from .faults import FaultInjector
 from .graph import INPUT, ModelGraph
 from .plan import ModelPlan
@@ -96,9 +102,6 @@ from .policy import (
 from .queue import RequestQueue
 from .report import ServingReport, ServingTotals, ShardStats, build_report
 from .request import CANCELLED, DONE, EXPIRED, FAILED, SHED, ModelRequest
-
-#: Exactly-representable-in-float bound for validating float activations.
-_FLOAT_EXACT_INT_BOUND = float(2**53)
 
 #: A claim's columns: one matrix, or one per request before the first
 #: stage stacks them.
@@ -867,59 +870,19 @@ class Server:
                 f"activation for layer '{layer}' must be ({k}, m>=1), "
                 f"got {activation.shape}"
             )
+        try:
+            activation = as_exact_int64(activation)
+        except SimulationError as error:
+            raise ServingError(f"activation for layer '{layer}': {error}") from error
         return ModelRequest(
             request_id=request_id,
             model=self.plan.name,
             stages=graph.layers,
             num_steps=steps,
-            activation=self._validate_activation_values(layer, activation),
+            activation=activation,
             submitted_at=submitted_at,
             deadline_at=deadline_at(submitted_at, deadline_s),
             priority=priority,
-        )
-
-    @staticmethod
-    def _validate_activation_values(layer: str, activation: np.ndarray) -> np.ndarray:
-        """Convert an activation to ``int64`` only when that is value-exact.
-
-        ``np.asarray(x, dtype=np.int64)`` silently floors non-integral floats
-        (and wraps NaN/inf, and uint64 values from ``2**63`` up), which would
-        serve a wrong-but-plausible output; reject anything that is not an
-        exact int64 matrix instead.
-        """
-        if activation.dtype == np.int64:
-            return activation
-        if activation.dtype == bool or np.issubdtype(activation.dtype, np.integer):
-            if (
-                not np.can_cast(activation.dtype, np.int64)
-                and activation.size
-                and int(activation.max()) > np.iinfo(np.int64).max
-            ):
-                raise ServingError(
-                    f"activation for layer '{layer}' has {activation.dtype} "
-                    f"values past the int64 range; the executor computes in "
-                    f"int64"
-                )
-            return activation.astype(np.int64)
-        if np.issubdtype(activation.dtype, np.floating):
-            if not np.all(np.isfinite(activation)):
-                raise ServingError(
-                    f"activation for layer '{layer}' contains non-finite values"
-                )
-            if np.any(activation != np.trunc(activation)) or np.any(
-                np.abs(activation) > _FLOAT_EXACT_INT_BOUND
-            ):
-                raise ServingError(
-                    f"activation for layer '{layer}' has dtype "
-                    f"{activation.dtype} with values that are not exactly "
-                    f"representable as int64; quantize it explicitly instead "
-                    f"of relying on silent truncation"
-                )
-            return activation.astype(np.int64)
-        raise ServingError(
-            f"activation for layer '{layer}' has unsupported dtype "
-            f"{activation.dtype}; expected an integer (or exactly integral "
-            f"float) matrix"
         )
 
     # -------------------------------------------------------------- workers

@@ -1,17 +1,17 @@
 """The Transitive Array architecture model (paper Sec. 4, Figs. 7-8).
 
-The package models one TransArray unit — dispatcher, Benes distribution
-network, distributed prefix buffer, PPE/APE arrays, three-stage pipeline — and
-the six-unit accelerator that executes full GEMM workloads through tiling and
-(dynamic or static) scoreboarding.
+The package models one TransArray unit — dispatcher, distributed prefix
+buffer, PPE/APE arrays — and the six-unit accelerator that prices full GEMM
+workloads through tiling and (dynamic or static) scoreboarding.  The
+accelerator prices the three-stage pipeline fill and DRAM traffic inline
+(:mod:`repro.transarray.accelerator`); the VPU (:mod:`repro.transarray.vpu`)
+models the nonlinear glue of attention.
 """
 
 from .tiling import SubTile, TileShape, TilingPlan, plan_tiling
-from .benes import BenesNetwork
 from .prefix_buffer import DistributedPrefixBuffer
 from .pe import AccumulationPE, PrefixPE
 from .dispatcher import Dispatcher, DispatchRecord
-from .pipeline import PipelineEstimate, pipeline_cycles
 from .unit import SubTileReport, TransArrayUnit
 from .accelerator import GemmProfile, RequestAttribution, TransitiveArrayAccelerator
 
@@ -20,14 +20,11 @@ __all__ = [
     "TileShape",
     "TilingPlan",
     "plan_tiling",
-    "BenesNetwork",
     "DistributedPrefixBuffer",
     "AccumulationPE",
     "PrefixPE",
     "Dispatcher",
     "DispatchRecord",
-    "PipelineEstimate",
-    "pipeline_cycles",
     "SubTileReport",
     "TransArrayUnit",
     "GemmProfile",

@@ -11,7 +11,6 @@ Full-Result-reuse dispatches that skip the PPE entirely.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
 
 from ..errors import ScoreboardError
 from ..scoreboard.info import ScoreboardInfo
@@ -29,15 +28,6 @@ class DispatchRecord:
     node_type: NodeType
     source_row: int
     bit_level: int
-
-    @property
-    def input_rows(self) -> Tuple[int, ...]:
-        """Input-row indices addressed by the TranSparsity bits (MSB = row 0)."""
-        width = max(self.transrow.bit_length(), self.transparsity.bit_length(), 1)
-        return tuple(
-            i for i in range(width)
-            if self.transparsity & (1 << (width - 1 - i))
-        )
 
 
 class Dispatcher:
@@ -84,10 +74,6 @@ class Dispatcher:
             source_row=source_row,
             bit_level=bit_level,
         )
-
-    def dispatch_all(self, transrows: Sequence[Tuple[int, int, int]]) -> List[DispatchRecord]:
-        """Dispatch ``(value, source_row, bit_level)`` tuples in order."""
-        return [self.dispatch(value, row, level) for value, row, level in transrows]
 
     def reset(self) -> None:
         """Forget which nodes were computed (new sub-tile, same SI)."""

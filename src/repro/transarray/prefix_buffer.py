@@ -10,12 +10,24 @@ conflicts that arise when several simultaneous requests target the same bank.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Sequence
 
 import numpy as np
 
 from ..errors import SimulationError
-from ..memory.buffer import BufferAccessCounter
+
+
+@dataclass
+class BufferAccessCounter:
+    """Read/write byte counters of the prefix buffer."""
+
+    read_bytes: int = 0
+    write_bytes: int = 0
+
+    @property
+    def total_bytes(self) -> int:
+        """Total traffic through the buffer."""
+        return self.read_bytes + self.write_bytes
 
 
 @dataclass

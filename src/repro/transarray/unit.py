@@ -30,6 +30,7 @@ import numpy as np
 from ..bitslice.packing import pack_transrow_chunks
 from ..bitslice.slicer import bit_plane_weights
 from ..config import TransArrayConfig
+from ..core.executor import as_exact_int64
 from ..core.metrics import OpCounts, op_counts_from_result, op_counts_from_static_outcome
 from ..errors import SimulationError
 from ..hasse.graph import hasse_graph
@@ -38,7 +39,6 @@ from ..scoreboard.dynamic import DynamicScoreboard
 from ..scoreboard.static import StaticScoreboard
 from .pe import AccumulationPE, PrefixPE
 from .prefix_buffer import DistributedPrefixBuffer
-from .pipeline import PipelineEstimate, pipeline_cycles
 
 
 @dataclass
@@ -185,7 +185,7 @@ class TransArrayUnit:
         from .dispatcher import Dispatcher
 
         weight_tile = np.asarray(weight_tile)
-        act_tile = np.asarray(act_tile, dtype=np.int64)
+        act_tile = as_exact_int64(act_tile)
         width = self.config.transrow_bits
         if weight_tile.ndim != 2 or weight_tile.shape[1] != width:
             raise SimulationError(
@@ -259,13 +259,3 @@ class TransArrayUnit:
             if mask & (1 << bit):
                 total = total + act_tile[width - 1 - bit]
         return total
-
-    # ----------------------------------------------------------- pipeline
-    def pipeline_estimate(self, report: SubTileReport, num_subtiles: int) -> PipelineEstimate:
-        """Steady-state pipeline estimate for a stream of similar sub-tiles."""
-        return pipeline_cycles(
-            scoreboard_cycles=report.scoreboard_cycles,
-            ppe_cycles=report.ppe_cycles,
-            ape_cycles=report.ape_cycles,
-            num_subtiles=num_subtiles,
-        )

@@ -18,7 +18,6 @@ from .resnet import (
 )
 from .attention import attention_gemms
 from .synthetic import (
-    gaussian_weight_matrix,
     outlier_weight_matrix,
     quantized_activation_matrix,
     random_binary_matrix,
@@ -41,7 +40,6 @@ __all__ = [
     "resnet18_gemms",
     "resnet_stack_gemms",
     "attention_gemms",
-    "gaussian_weight_matrix",
     "outlier_weight_matrix",
     "quantized_activation_matrix",
     "random_binary_matrix",

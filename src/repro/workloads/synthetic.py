@@ -67,14 +67,6 @@ def random_transrow_values(count: int, width: int, seed: Optional[int] = None) -
     return _rng(seed).integers(0, 1 << width, size=count, dtype=np.int64)
 
 
-def gaussian_weight_matrix(rows: int, cols: int, std: float = 0.02,
-                           seed: Optional[int] = None) -> np.ndarray:
-    """Float weight matrix with the Gaussian profile typical of trained DNNs."""
-    if rows < 1 or cols < 1:
-        raise WorkloadError("matrix dimensions must be positive")
-    return _rng(seed).normal(0.0, std, size=(rows, cols))
-
-
 def outlier_weight_matrix(rows: int, cols: int, std: float = 0.02,
                           outlier_fraction: float = 0.01, outlier_scale: float = 10.0,
                           seed: Optional[int] = None) -> np.ndarray:

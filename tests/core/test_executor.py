@@ -284,7 +284,8 @@ class TestAlgebra:
     @settings(max_examples=100, deadline=None)
     @given(_operands())
     def test_columns_are_independent(self, operands):
-        # multiply_many relies on it: each column may pick its own digit count.
+        # The server relies on it when it stacks a claim's columns: each
+        # column may pick its own digit count.
         weight, activation = operands
         executor = ExactExecutor(weight)
         whole = executor.execute(activation)
@@ -466,6 +467,55 @@ class TestInputs:
         assert mismatches == []
 
 
+#: Activations no int64 matrix holds exactly: ``np.asarray(a, dtype=np.int64)``
+#: would floor the first, and turn the other three into ``-2**63``.
+_INEXACT = {
+    "half": np.full((3, 1), 1.5),
+    "nan": np.full((3, 1), np.nan),
+    "inf": np.full((3, 1), np.inf),
+    "uint64-2**63": np.full((3, 1), 2 ** 63, dtype=np.uint64),
+}
+
+_ENTRY_POINTS = (
+    "execute", "multiply_planned", "multiply-fast", "multiply-scalar", "ModelPlan.run",
+)
+
+
+@pytest.fixture(scope="module")
+def all_ones_entry_points():
+    """Every library entry point that multiplies an activation, on one 2x3
+    all-ones weight, as ``name -> (activation -> output)``."""
+    weight = np.ones((2, 3), dtype=np.int64)
+    engine = TransitiveGemmEngine(transrow_bits=4)
+    gemm_plan = engine.plan(weight, 4)
+    model = compile_workload(
+        synthetic_gemm_workload(num_layers=1, n=2, k=3, m=1, weight_bits=4),
+        weight_provider=lambda shape: np.ones((shape.n, shape.k), dtype=np.int64),
+    )
+    scalar = TransitiveGemmEngine(transrow_bits=4, fast=False)
+    return {
+        "execute": ExactExecutor(weight).execute,
+        "multiply_planned": lambda a: engine.multiply_planned(gemm_plan, a).output,
+        "multiply-fast": lambda a: engine.multiply(weight, a, 4).output,
+        "multiply-scalar": lambda a: scalar.multiply(weight, a, 4).output,
+        "ModelPlan.run": lambda a: model.run("layer0", a),
+    }
+
+
+class TestValueExactConversion:
+    @pytest.mark.parametrize("entry", _ENTRY_POINTS)
+    @pytest.mark.parametrize("value", list(_INEXACT))
+    def test_inexact_activation_is_refused(self, all_ones_entry_points, entry, value):
+        with pytest.raises(SimulationError):
+            all_ones_entry_points[entry](_INEXACT[value])
+
+    @pytest.mark.parametrize("entry", _ENTRY_POINTS)
+    def test_integral_floats_are_served_exactly(self, all_ones_entry_points, entry):
+        activation = np.array([[1.0, -4.0], [2.0, 0.0], [float(2 ** 52), 7.0]])
+        expected = np.array([[3 + 2 ** 52, 3], [3 + 2 ** 52, 3]], dtype=np.int64)
+        assert np.array_equal(all_ones_entry_points[entry](activation), expected)
+
+
 class TestPlannedParity:
     @pytest.mark.parametrize("columns", [1, 3, 16])
     @pytest.mark.parametrize("bits", [2, 4, 8])
@@ -551,25 +601,6 @@ class TestPlannedParity:
         plan = engine.plan(_signed(4, 5, 6, seed=23), 4)
         with pytest.raises(SimulationError):
             engine.multiply_planned(plan, np.zeros(shape, dtype=np.int64))
-
-    @pytest.mark.parametrize("batch", ["empty", "mismatched"])
-    def test_bad_batches_are_rejected(self, batch):
-        engine = TransitiveGemmEngine(transrow_bits=4)
-        plan = engine.plan(_signed(4, 5, 6, seed=24), 4)
-        acts = [] if batch == "empty" else [np.zeros((6, 1)), np.zeros((5, 1))]
-        with pytest.raises(SimulationError):
-            engine.multiply_many(plan, acts)
-
-    def test_multiply_many_splits_the_batch_back(self):
-        engine = TransitiveGemmEngine(transrow_bits=4)
-        weight = _signed(4, 16, 12, seed=5)
-        plan = engine.plan(weight, 4)
-        rng = np.random.default_rng(6)
-        acts = [rng.integers(-64, 64, size=(12, m)) for m in (1, 3, 2)]
-        batched = engine.multiply_many(plan, acts)
-        for output, act in zip(batched.outputs, acts):
-            assert np.array_equal(output, weight @ act)
-        assert batched.op_counts == plan.op_counts
 
     def test_mixed_precision_layer(self):
         workload = synthetic_gemm_workload(num_layers=2, n=24, k=20, m=3, weight_bits=4)

@@ -1,4 +1,4 @@
-"""Tests for the area/energy models and the memory substrate."""
+"""Tests for the area/energy models and the hardware configs."""
 
 import pytest
 
@@ -10,11 +10,9 @@ from repro.energy import (
     OperationEnergyTable,
     baseline_area_report,
     sram_access_energy_pj,
-    sram_leakage_mw,
     transarray_area_report,
 )
-from repro.errors import ConfigurationError, SimulationError
-from repro.memory import DoubleBuffer, DRAMModel, SRAMBuffer
+from repro.errors import ConfigurationError
 
 
 class TestArea:
@@ -55,7 +53,6 @@ class TestEnergyModels:
         large = sram_access_energy_pj(512 * 1024, 32)
         assert large > small
         assert sram_access_energy_pj(8 * 1024, 64) == pytest.approx(2 * small)
-        assert sram_leakage_mw(128 * 1024) == pytest.approx(2.0)
         with pytest.raises(ConfigurationError):
             sram_access_energy_pj(0, 32)
 
@@ -74,37 +71,6 @@ class TestEnergyModels:
 
 
 class TestMemory:
-    def test_sram_buffer_capacity_enforced(self):
-        buffer = SRAMBuffer("weight", 1024)
-        buffer.fill(512)
-        assert buffer.resident_bytes == 512
-        with pytest.raises(SimulationError):
-            buffer.fill(2048)
-        buffer.read(100)
-        buffer.write(50)
-        assert buffer.counter.total_bytes == 512 + 150
-        buffer.reset()
-        assert buffer.counter.total_bytes == 0
-
-    def test_double_buffer_overlap(self):
-        assert DoubleBuffer.overlap(100, 40) == 100
-        assert DoubleBuffer.overlap(40, 100) == 100
-        with pytest.raises(SimulationError):
-            DoubleBuffer.overlap(-1, 0)
-        double = DoubleBuffer("psum", 24 * 1024)
-        double.ping.fill(1000)
-        assert double.total_traffic_bytes == 1000
-
-    def test_dram_model_cycles_and_energy(self):
-        dram = DRAMModel(DRAMConfig(bandwidth_bytes_per_cycle=64, energy_pj_per_byte=20))
-        dram.record(weight_bytes=640, input_bytes=64)
-        assert dram.traffic.total_bytes == 704
-        assert dram.total_transfer_cycles == 11
-        assert dram.dynamic_energy_nj() == pytest.approx(704 * 20 / 1000)
-        assert dram.static_energy_nj(1e-3) > 0
-        with pytest.raises(SimulationError):
-            dram.record(weight_bytes=-1)
-
     def test_dram_config_validation(self):
         with pytest.raises(ConfigurationError):
             DRAMConfig(bandwidth_bytes_per_cycle=0)

@@ -1,25 +1,16 @@
-"""Tests for SI tables, entry bit-field encoding/translators and the sorter."""
+"""Tests for SI tables and the sorter."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.errors import ScoreboardError
 from repro.scoreboard import (
-    EntryLayout,
-    ScoreboardEntryFields,
     ScoreboardInfo,
     bitonic_stage_count,
-    decode_entry,
-    encode_entry,
-    prefix_translator,
     run_scoreboard,
     sort_by_popcount,
     sorter_cycles,
-    suffix_translator,
 )
-from repro.scoreboard.entry import prefix_bitmap_from_nodes, suffix_bitmap_from_nodes
 
 
 class TestScoreboardInfo:
@@ -52,77 +43,6 @@ class TestScoreboardInfo:
         for entries in lanes.values():
             popcounts = [bin(e.transrow).count("1") for e in entries]
             assert popcounts == sorted(popcounts)
-
-
-class TestEntryEncoding:
-    def test_layout_widths_for_4bit(self):
-        layout = EntryLayout(width=4)
-        assert layout.node_bits == 4
-        assert layout.prefix_bitmap_bits == 16
-        assert layout.suffix_bitmap_bits == 4
-        assert layout.lane_bits == 2
-        assert layout.total_bits == 34
-
-    def test_table_bytes_for_8bit(self):
-        layout = EntryLayout(width=8)
-        assert layout.table_bytes() == (256 * layout.total_bits + 7) // 8
-
-    def test_encode_decode_roundtrip(self):
-        layout = EntryLayout(width=4)
-        fields = ScoreboardEntryFields(
-            node=10, count=3, prefix_bitmaps=(0b0010, 0, 0b1000, 0),
-            suffix_bitmap=0b0101, lane=2,
-        )
-        assert decode_entry(encode_entry(fields, layout), layout) == fields
-
-    def test_encode_rejects_overflow(self):
-        layout = EntryLayout(width=4)
-        with pytest.raises(ScoreboardError):
-            encode_entry(ScoreboardEntryFields(16, 0, (0, 0, 0, 0), 0, 0), layout)
-        with pytest.raises(ScoreboardError):
-            encode_entry(ScoreboardEntryFields(1, 256, (0, 0, 0, 0), 0, 0), layout)
-
-    @given(st.integers(min_value=0, max_value=2**32 - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_roundtrip_property(self, seed):
-        rng = np.random.default_rng(seed)
-        layout = EntryLayout(width=8)
-        node = int(rng.integers(0, 256))
-        fields = ScoreboardEntryFields(
-            node=node,
-            count=int(rng.integers(0, 256)),
-            prefix_bitmaps=tuple(int(rng.integers(0, 256)) for _ in range(4)),
-            suffix_bitmap=int(rng.integers(0, 256)),
-            lane=int(rng.integers(0, 8)),
-        )
-        assert decode_entry(encode_entry(fields, layout), layout) == fields
-
-
-class TestTranslators:
-    def test_paper_figure6_prefix_example(self):
-        # Node 10 (1010) with prefix bitmap 0010 decodes to prefix 8 (1000).
-        assert prefix_translator(0b1010, 0b0010, 4) == [0b1000]
-
-    def test_paper_figure6_suffix_example(self):
-        # Node 10 (1010) with suffix bitmap 0101 decodes to suffixes 11 and 14.
-        assert sorted(suffix_translator(0b1010, 0b0101, 4)) == [0b1011, 0b1110]
-
-    def test_prefix_translator_rejects_clear_bit(self):
-        with pytest.raises(ScoreboardError):
-            prefix_translator(0b1010, 0b0001, 4)
-
-    def test_suffix_translator_rejects_set_bit(self):
-        with pytest.raises(ScoreboardError):
-            suffix_translator(0b1010, 0b0010, 4)
-
-    def test_bitmap_encoding_roundtrip(self):
-        node = 0b1010
-        prefixes = [0b0010, 0b1000]
-        bitmap = prefix_bitmap_from_nodes(node, prefixes, 4)
-        assert sorted(prefix_translator(node, bitmap, 4)) == sorted(prefixes)
-        suffixes = [0b1011, 0b1110]
-        bitmap = suffix_bitmap_from_nodes(node, suffixes, 4)
-        assert sorted(suffix_translator(node, bitmap, 4)) == sorted(suffixes)
 
 
 class TestSorter:

@@ -2,6 +2,7 @@
 warning-free model-level submit, submit validation and the ModelGraph
 contract."""
 
+import importlib
 import warnings
 
 import numpy as np
@@ -19,6 +20,13 @@ from repro.serving import (
 )
 from repro.workloads import synthetic_gemm_workload
 
+#: Every package whose ``__all__`` is the public surface.
+_PACKAGES = (
+    "repro", "repro.core", "repro.transarray", "repro.scoreboard",
+    "repro.energy", "repro.workloads", "repro.quant", "repro.bitslice",
+    "repro.hasse", "repro.analysis", "repro.baselines", "repro.serving",
+)
+
 
 def _plan(num_layers=1, n=8, k=8, **kwargs):
     workload = synthetic_gemm_workload(
@@ -29,8 +37,12 @@ def _plan(num_layers=1, n=8, k=8, **kwargs):
 
 class TestExports:
     def test_all_names_import(self):
-        for name in serving.__all__:
-            assert hasattr(serving, name), name
+        for package in _PACKAGES:
+            module = importlib.import_module(package)
+            names = module.__all__
+            assert len(names) == len(set(names)), package
+            for name in names:
+                assert hasattr(module, name), f"{package}.{name}"
 
     def test_redesigned_surface_is_exported(self):
         for name in ("compile_workload", "Server", "ModelRequest",

@@ -54,21 +54,6 @@ class TestGemmPlan:
             assert np.array_equal(report.output, weight @ activation)
             assert report.op_counts == engine.multiply(weight, activation, 4).op_counts
 
-    def test_multiply_many_splits_outputs(self):
-        rng = np.random.default_rng(1)
-        engine = TransitiveGemmEngine(transrow_bits=8)
-        weight = rng.integers(-128, 128, size=(31, 22), dtype=np.int64)
-        plan = engine.plan(weight, weight_bits=8)
-        activations = [
-            rng.integers(-64, 64, size=(22, cols), dtype=np.int64)
-            for cols in (1, 4, 2, 7)
-        ]
-        report = engine.multiply_many(plan, activations)
-        assert report.batch_size == 4
-        assert report.total_columns == 14
-        for activation, output in zip(activations, report.outputs):
-            assert np.array_equal(output, weight @ activation)
-
     def test_plan_warms_the_lru_cache(self):
         rng = np.random.default_rng(2)
         engine = TransitiveGemmEngine(transrow_bits=8)
@@ -101,8 +86,6 @@ class TestGemmPlan:
             engine.plan(np.zeros(3), weight_bits=4)  # not 2-D
         with pytest.raises(SimulationError):
             engine.multiply_planned(plan, np.zeros((5, 2), dtype=np.int64))  # bad k
-        with pytest.raises(SimulationError):
-            engine.multiply_many(plan, [])
         other = TransitiveGemmEngine(transrow_bits=4)
         with pytest.raises(SimulationError):
             other.multiply_planned(plan, np.zeros((6, 1), dtype=np.int64))

@@ -1,23 +1,16 @@
-"""Tests for the TransArray building blocks: tiling, Benes, buffers, PEs, VPU."""
-
-import itertools
-import random
+"""Tests for the TransArray building blocks: tiling, prefix buffer, PEs, VPU."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.config import TransArrayConfig
 from repro.errors import SimulationError
 from repro.transarray import (
     AccumulationPE,
-    BenesNetwork,
     DistributedPrefixBuffer,
     PrefixPE,
     plan_tiling,
 )
-from repro.transarray.pipeline import pipeline_cycles
 from repro.transarray.vpu import VectorProcessingUnit, VPUConfig
 from repro.workloads import GemmShape
 
@@ -51,41 +44,6 @@ class TestTiling:
         assert plan.dram_total_bytes == (
             plan.dram_weight_bytes + plan.dram_input_bytes + plan.dram_output_bytes
         )
-
-
-class TestBenesNetwork:
-    def test_stage_count_matches_formula(self):
-        assert BenesNetwork(8).num_stages == 5
-        assert BenesNetwork(8).num_switches == 20
-        assert BenesNetwork(16).latency_cycles == 7
-
-    def test_size_must_be_power_of_two(self):
-        with pytest.raises(SimulationError):
-            BenesNetwork(6)
-        with pytest.raises(SimulationError):
-            BenesNetwork(1)
-
-    def test_all_size4_permutations_route(self):
-        net = BenesNetwork(4)
-        for perm in itertools.permutations(range(4)):
-            assert net.verify(list(perm))
-
-    def test_identity_and_reversal_size8(self):
-        net = BenesNetwork(8)
-        assert net.verify(list(range(8)))
-        assert net.verify(list(reversed(range(8))))
-
-    def test_non_permutation_rejected(self):
-        with pytest.raises(SimulationError):
-            BenesNetwork(4).route([0, 0, 1, 2])
-
-    @given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([8, 16]))
-    @settings(max_examples=60, deadline=None)
-    def test_random_permutations_are_non_blocking(self, seed, size):
-        rng = random.Random(seed)
-        permutation = list(range(size))
-        rng.shuffle(permutation)
-        assert BenesNetwork(size).verify(permutation)
 
 
 class TestPrefixBuffer:
@@ -153,17 +111,6 @@ class TestProcessingElements:
 
 
 class TestPipelineAndVPU:
-    def test_pipeline_bottleneck_and_fill(self):
-        estimate = pipeline_cycles(10, 40, 32, num_subtiles=100)
-        assert estimate.bottleneck_cycles == 40
-        assert estimate.bottleneck_stage == "ppe"
-        assert estimate.fill_cycles == 42
-        assert estimate.total_cycles == 42 + 100 * 40
-
-    def test_pipeline_rejects_negative(self):
-        with pytest.raises(SimulationError):
-            pipeline_cycles(-1, 1, 1, 1)
-
     def test_vpu_softmax_rows_sum_to_one(self):
         vpu = VectorProcessingUnit()
         probs = vpu.softmax(np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]]))
