@@ -35,7 +35,8 @@ chained multi-stage plan (full: the five-stage LLaMA-7B block of
 :func:`~repro.workloads.llama_block_gemms`; smoke: a synthetic four-stage
 chain) served as concurrent model requests — each worker claim runs a
 batch of them through every stage — against the staged baseline
-(``plan.run_model``, one request at a time).  Writes
+(``plan.run_model``, one request at a time).  Each side repeats the same
+32 requests over a fixed wall-clock window and is compared by rate.  Writes
 ``BENCH_serving_pipeline.json`` (or ``_smoke``); the ``--check`` speedup
 gate is core-count aware — pipelined serving must reach 1.3x the staged
 baseline on >= 2 cores, and is recorded ungated on a single core, where
@@ -246,7 +247,9 @@ def test_batched_serving_2x_sequential():
 
 # ------------------------------------------------------ whole-model pipeline
 PIPELINE_NUM_REQUESTS = 32
-PIPELINE_STAGED_SAMPLE = 8
+#: Each side repeats its round of requests until this much wall time has
+#: passed, so one rate is not read off a millisecond of work.
+PIPELINE_WINDOW_S = 1.0
 
 
 def pipeline_output_path(scale: str) -> Path:
@@ -273,15 +276,30 @@ def _compile_pipeline_plan(scale: str):
     return plan, time.perf_counter() - start
 
 
+def _windowed_rate(serve_round) -> tuple:
+    """Repeat ``serve_round()`` (one round of ``PIPELINE_NUM_REQUESTS``
+    requests) until ``PIPELINE_WINDOW_S`` has elapsed; return the request
+    rate over the whole window and the number of rounds."""
+    rounds = 0
+    start = time.perf_counter()
+    while True:
+        serve_round()
+        rounds += 1
+        elapsed = time.perf_counter() - start
+        if elapsed >= PIPELINE_WINDOW_S:
+            return rounds * PIPELINE_NUM_REQUESTS / elapsed, rounds
+
+
 def run_pipeline(scale: str = "full", write: bool = True) -> dict:
     """Pipelined whole-model serving vs the staged sequential baseline.
 
     The staged baseline runs ``plan.run_model`` one request at a time — the
     same per-stage executor calls the server makes, with no batching and
-    one thread.  The pipelined measurement serves concurrent model requests,
-    so worker claims batch them through every stage on both workers; every
-    output is bit-verified against the staged reference before rates are
-    reported.
+    one thread.  The pipelined measurement serves the same requests
+    concurrently, so worker claims batch them through every stage on both
+    workers.  Each side repeats its round of requests over a fixed
+    wall-clock window, and every served output is bit-verified against the
+    staged reference.
     """
     cpu_count = os.cpu_count() or 1
     plan, compile_s = _compile_pipeline_plan(scale)
@@ -292,33 +310,37 @@ def run_pipeline(scale: str = "full", write: bool = True) -> dict:
     ]
     # Reference pass doubles as warm-up for the engine LRU caches.
     expected = [plan.run_model(act) for act in activations]
-    start = time.perf_counter()
-    for activation in activations[:PIPELINE_STAGED_SAMPLE]:
-        plan.run_model(activation)
-    staged_rps = PIPELINE_STAGED_SAMPLE / (time.perf_counter() - start)
+
+    def staged_round():
+        for activation in activations:
+            plan.run_model(activation)
+
+    staged_rps, staged_rounds = _windowed_rate(staged_round)
 
     with Server(plan, num_workers=NUM_WORKERS, max_batch=MAX_BATCH,
                 max_pending=PIPELINE_NUM_REQUESTS) as server:
         server.submit(activations[0]).result(timeout=600.0)  # warm workers
-        start = time.perf_counter()
-        requests = [server.submit(act) for act in activations]
-        outputs = [request.result(timeout=600.0) for request in requests]
-        elapsed = time.perf_counter() - start
-    for output, reference in zip(outputs, expected):
-        assert np.array_equal(output, reference)
+
+        def pipelined_round():
+            requests = [server.submit(act) for act in activations]
+            for request, reference in zip(requests, expected):
+                assert np.array_equal(request.result(timeout=600.0), reference)
+
+        pipelined_rps, pipelined_rounds = _windowed_rate(pipelined_round)
     report = server.report()
-    pipelined_rps = PIPELINE_NUM_REQUESTS / elapsed
     results = {
         "benchmark": "bench_serving_pipeline",
         "provenance": provenance(),
         "scale": scale,
         "bit_identical": True,  # asserted above against plan.run_model
         "model": plan.name,
-        "stages": [spec.layer for spec in plan.graph.stages],
+        "stages": list(plan.graph.layers),
         "pipeline_depth": len(plan.graph),
         "weight_bits": WEIGHT_BITS,
         "num_requests": PIPELINE_NUM_REQUESTS,
-        "staged_sample": PIPELINE_STAGED_SAMPLE,
+        "window_s": PIPELINE_WINDOW_S,
+        "staged_rounds": staged_rounds,
+        "pipelined_rounds": pipelined_rounds,
         "max_batch": MAX_BATCH,
         "num_workers": NUM_WORKERS,
         "cpu_count": cpu_count,
@@ -373,8 +395,10 @@ def pipeline_main(scale: str, do_check: bool) -> None:
     print(f"[{scale}] {results['model']}: {results['pipeline_depth']}-stage "
           f"pipeline ({' -> '.join(results['stages'])}) on "
           f"{results['cpu_count']} cores")
-    print(f"staged   : {results['staged_rps']:.1f} req/s (plan.run_model)")
+    print(f"staged   : {results['staged_rps']:.1f} req/s (plan.run_model, "
+          f"{results['staged_rounds']} rounds)")
     print(f"pipelined: {results['pipelined_rps']:.1f} req/s "
+          f"({results['pipelined_rounds']} rounds) "
           f"-> {results['speedup_vs_staged']:.2f}x "
           f"(gate {'none (single core)' if gate is None else f'{gate:.1f}x'})")
     for stage in results["serving"].get("pipeline", {}).get("stages", []):

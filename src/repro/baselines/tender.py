@@ -9,8 +9,6 @@ reference only.  Like Olive it cannot run attention layers online.
 
 from __future__ import annotations
 
-import math
-
 from ..config import DRAMConfig, default_baseline_configs
 from ..energy.energy_model import EnergyParameters
 from ..errors import SimulationError

@@ -10,11 +10,11 @@ dataflow is numerically lossless.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
-from ..errors import BitSliceError
+from ..errors import BitSliceError, SimulationError
+from ..exact import as_exact_int64
 
 
 def _validate_signed_range(matrix: np.ndarray, bits: int) -> None:
@@ -145,10 +145,14 @@ def sliced_gemm(weight: np.ndarray, activation: np.ndarray, bits: int) -> np.nda
     binary-plane GEMM scaled by the plane weight.  The result is exactly equal
     to the integer product; the function exists so tests can assert that the
     accumulation-reordering performed by the Transitive Array is lossless
-    (paper Sec. 2.1).
+    (paper Sec. 2.1).  An activation that is not exactly an int64 matrix
+    (non-integral, NaN, inf, uint64 past int64) raises :class:`BitSliceError`.
     """
     weight = np.asarray(weight)
-    activation = np.asarray(activation, dtype=np.int64)
+    try:
+        activation = as_exact_int64(activation)
+    except SimulationError as error:
+        raise BitSliceError(str(error)) from error
     planes = bit_slice(weight, bits)
     if activation.ndim != 2 or activation.shape[0] != weight.shape[1]:
         raise BitSliceError(

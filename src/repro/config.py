@@ -8,7 +8,7 @@ exposed as properties so a configuration can never be internally inconsistent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigurationError
 

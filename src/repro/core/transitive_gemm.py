@@ -55,7 +55,8 @@ from ..scoreboard.batched import (
     results_from_batch,
     run_scoreboard_batch,
 )
-from .executor import ExactExecutor, as_exact_int64
+from ..exact import as_exact_int64
+from .executor import ExactExecutor
 from .metrics import OpCounts, op_counts_from_result
 
 #: Soft cap (bytes) on the fast path's per-block scratch arrays; chunks are

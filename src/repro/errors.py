@@ -80,8 +80,9 @@ class RequestCancelledError(ServingError):
 class WorkerCrashError(ServingError):
     """An (injected) failure that escapes a serving worker's loop entirely.
 
-    Raised by the fault injector to kill worker threads; the server's
-    supervisor detects the death and restarts the worker within its budget.
+    Raised by the fault injector to crash worker threads; the crashed
+    worker requeues its claim and restarts its loop within the server's
+    restart budget.
     """
 
 

@@ -12,8 +12,8 @@ plain bit-sparsity execution (one add per set bit).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from dataclasses import dataclass
+from typing import Iterable, Optional, Sequence, Set
 
 from ..errors import ScoreboardError
 from .algorithm import ScoreboardResult, run_scoreboard

@@ -9,18 +9,18 @@ scoreboard* was designed for: compile once, serve forever.
   by one exact float64-BLAS executor — optionally per-layer mixed
   precision via ``quant_schemes=`` — with :class:`CompileStats` recording
   what that cost);
-* :mod:`repro.serving.graph` — the :class:`ModelGraph` of declared
-  inter-layer dataflow that turns a bag of compiled layers into a servable
-  pipeline (``graph="chain"`` at compile time for the common case);
+* :mod:`repro.serving.graph` — the :class:`ModelGraph`, the layer chain
+  that turns a bag of compiled layers into a servable model
+  (``graph="chain"`` at compile time);
 * :mod:`repro.serving.request` — the :class:`ModelRequest` handle returned
   by ``Server.submit(activation=...)`` (single forward pass or ``stream=N``
   autoregressive decode steps), the one request type from submission to
   settle;
 * :mod:`repro.serving.queue` — the bounded admission-controlled
   :class:`RequestQueue` with QoS priority lanes and one batch rule;
-* :mod:`repro.serving.server` — the supervised :class:`Server`: one worker
-  thread's claim runs a batch of model requests through every stage, one
-  ``ModelPlan.run`` pass per stage, with worker restarts,
+* :mod:`repro.serving.server` — the :class:`Server`: one worker thread's
+  claim runs a batch of model requests through every stage, one
+  ``ModelPlan.run`` pass per stage, with in-thread worker restarts,
   :meth:`Server.health` and drain/abort shutdown;
 * :mod:`repro.serving.policy` — per-request deadlines, the
   :class:`RetryPolicy` applied around batch execution, and the
@@ -36,7 +36,7 @@ scoreboard* was designed for: compile once, serve forever.
 """
 
 from .plan import CompileStats, LayerPlan, ModelPlan, compile_workload
-from .graph import INPUT, ModelGraph, StageSpec
+from .graph import ModelGraph
 from .request import ModelRequest
 from .queue import RequestQueue
 from .policy import (
@@ -53,9 +53,7 @@ __all__ = [
     "LayerPlan",
     "ModelPlan",
     "compile_workload",
-    "INPUT",
     "ModelGraph",
-    "StageSpec",
     "ModelRequest",
     "RequestQueue",
     "DEFAULT_RETRY_POLICY",

@@ -6,7 +6,8 @@ exposes two hook points wired to a :class:`FaultInjector`:
 * :meth:`FaultInjector.on_dispatch` — called by a worker after it pops a
   batch of model requests, before it runs the claim; may raise
   :class:`~repro.errors.WorkerCrashError`, which escapes the worker loop and
-  kills the thread (the supervisor must detect and restart it);
+  crashes the worker (it requeues its claim and restarts its loop in its
+  own thread, while the restart budget lasts);
 * :meth:`FaultInjector.on_batch` — called immediately before each stage's
   executor pass of a claim (once per attempt); may sleep (artificial
   latency) and may raise :class:`~repro.errors.InjectedFaultError`
@@ -203,7 +204,8 @@ class FaultInjector:
         """Worker hook: called after a batch is popped, before execution.
 
         Raising here models a worker dying *while holding work*: the server
-        requeues the claimed requests and the supervisor restarts the thread.
+        requeues the claimed requests and the worker restarts its loop in its
+        own thread, while the restart budget lasts.
         """
         with self._lock:
             self._dispatch_calls += 1

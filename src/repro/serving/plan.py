@@ -192,13 +192,13 @@ class ModelPlan:
     def input_dim(self) -> int:
         """Activation height the model-level input must have (graph required)."""
         graph = self._require_graph()
-        return self._layers[graph.stages[0].layer].shape.k
+        return self._layers[graph.layers[0]].shape.k
 
     @property
     def output_dim(self) -> int:
         """Row count of the final stage's output (graph required)."""
         graph = self._require_graph()
-        return self._layers[graph.stages[-1].layer].shape.n
+        return self._layers[graph.layers[-1]].shape.n
 
     @property
     def streamable(self) -> bool:
@@ -239,12 +239,9 @@ class ModelPlan:
         makes the same per-stage executor calls over the concatenated
         columns of several requests.
         """
-        graph = self._require_graph()
-        outputs: Dict[str, np.ndarray] = {}
-        for spec in graph.stages:
-            source = activation if spec.reads_input else outputs[spec.source]
-            outputs[spec.layer] = self.run(spec.layer, source)
-        return outputs[graph.stages[-1].layer]
+        for layer in self._require_graph():
+            activation = self.run(layer, activation)
+        return activation
 
     def attribute(self, layer_name: str, columns: int) -> Optional[RequestAttribution]:
         """Accelerator cycles/energy for a request, if profiles were compiled.
@@ -311,11 +308,11 @@ def compile_workload(
     seed:
         RNG seed for synthetic weight sampling.
     graph:
-        Inter-layer dataflow for whole-model serving: an explicit
-        :class:`~repro.serving.graph.ModelGraph`, or the string ``"chain"``
-        to pipe the compiled layers in order (each stage consumes the
-        previous stage's output).  Without a graph the plan serves
-        single-layer requests only.
+        The layer chain for whole-model serving: a
+        :class:`~repro.serving.graph.ModelGraph` of compiled layer names, or
+        the string ``"chain"`` to pipe every compiled layer in order (each
+        stage consumes the previous stage's output).  Without a graph the
+        plan serves single-layer requests only.
     quant_schemes:
         Per-layer mixed precision: maps layer names to quant scheme names
         from :data:`repro.quant.schemes.SCHEME_REGISTRY` (e.g.

@@ -1,7 +1,7 @@
 """Thread-pool serving runtime over a compiled :class:`ModelPlan`.
 
 The server owns the bounded :class:`~repro.serving.queue.RequestQueue`, a pool
-of supervised worker threads draining it, and the accounting that becomes
+of worker threads draining it, and the accounting that becomes
 the :class:`~repro.serving.report.ServingReport`.  Clients
 :meth:`Server.submit` activations and receive future-style
 :class:`~repro.serving.request.ModelRequest` handles; admission control
@@ -30,10 +30,10 @@ The claim keeps the fault-tolerance layer at stage granularity:
   before it; when retries are exhausted (or the failure is not transient)
   every live request of the claim fails with that error and the worker
   goes on serving;
-* **supervision & health** — a supervisor thread restarts workers whose loop
-  an exception escaped (their claimed requests are requeued from stage 0
-  first), up to a restart budget, and :meth:`Server.health` exposes live
-  liveness/counter state for monitoring;
+* **worker restarts & health** — a worker whose loop an exception escaped
+  requeues its claimed requests from stage 0 and restarts its loop in its
+  own thread, up to a restart budget, and :meth:`Server.health` exposes
+  live liveness/counter state for monitoring;
 * **fault injection** — an optional
   :class:`~repro.serving.faults.FaultInjector` hooks each claim's dispatch
   and each stage's executor pass, powering the chaos test suite.
@@ -77,13 +77,13 @@ from __future__ import annotations
 import copy
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from ..core.blas import PROCESS_BUDGET
-from ..core.executor import as_exact_int64
+from ..exact import as_exact_int64
 from ..errors import (
     DeadlineExceededError,
     ServingError,
@@ -91,7 +91,7 @@ from ..errors import (
     WorkerCrashError,
 )
 from .faults import FaultInjector
-from .graph import INPUT, ModelGraph
+from .graph import ModelGraph
 from .plan import ModelPlan
 from .policy import (
     DEFAULT_RETRY_POLICY,
@@ -110,14 +110,11 @@ _Columns = Union[np.ndarray, List[np.ndarray]]
 
 @dataclass
 class _WorkerSlot:
-    """One supervised worker position in the pool (thread may be replaced)."""
+    """One worker thread of the pool and the claim it holds."""
 
     index: int
     thread: Optional[threading.Thread] = None
     inflight: Optional[List[ModelRequest]] = None
-    crash_errors: List[BaseException] = field(default_factory=list)
-    dead: bool = False
-    finished: bool = False
     # Utilization counters, updated under the server lock with its totals.
     batches: int = 0
     requests: int = 0
@@ -161,27 +158,21 @@ class _Claim:
 
     def run(self) -> None:
         """Every decode step, every stage, until no request is live."""
-        stages = self.server._pipeline_graph().stages
+        layers = self.server._pipeline_graph().layers
         # The first stage pass stacks the inputs, inside its failure handling.
-        step_input: _Columns = [
-            request.activation for request in self.live
-        ]
+        columns: Optional[_Columns] = [request.activation for request in self.live]
         queued_at: Optional[float] = None
         step = 0
         while self.live:
-            values = {INPUT: step_input}
-            for spec in stages:
-                values = self._stop_at_boundary(values, spec.layer, queued_at)
+            for layer in layers:
+                columns = self._stop_at_boundary(columns, layer, queued_at)
                 if not self.live:
                     return
-                output = self._run_stage(
-                    spec.layer, values[spec.source], queued_at
-                )
-                if output is None:
+                columns = self._run_stage(layer, columns, queued_at)
+                if columns is None:
                     return
-                values[spec.layer] = output
                 queued_at = time.perf_counter()
-            step_input = self._finish_step(values[stages[-1].layer], step)
+            columns = self._finish_step(columns, step)
             step += 1
 
     def account(self, totals: ServingTotals) -> None:
@@ -200,23 +191,20 @@ class _Claim:
             totals.add_model(request)
 
     # -------------------------------------------------------------- columns
-    def _keep(self, values: Dict[str, _Columns], keep: List[bool]) -> Dict[str, _Columns]:
+    def _keep(self, columns: _Columns, keep: List[bool]) -> _Columns:
         """Drop the columns of requests that left the claim."""
         if all(keep):
-            return values
-        columns = np.concatenate([
-            np.arange(offset, offset + request.columns)
-            for request, offset, kept in zip(self.live, self._offsets(), keep)
-            if kept
-        ] or [np.arange(0)])
+            return columns
+        if isinstance(columns, list):
+            columns = [part for part, kept in zip(columns, keep) if kept]
+        else:
+            columns = columns[:, np.concatenate([
+                np.arange(offset, offset + request.columns)
+                for request, offset, kept in zip(self.live, self._offsets(), keep)
+                if kept
+            ] or [np.arange(0)])]
         self.live = [r for r, kept in zip(self.live, keep) if kept]
-        return {
-            name: (
-                value[:, columns] if isinstance(value, np.ndarray)
-                else [part for part, kept in zip(value, keep) if kept]
-            )
-            for name, value in values.items()
-        }
+        return columns
 
     def _offsets(self) -> List[int]:
         offsets, offset = [], 0
@@ -235,8 +223,8 @@ class _Claim:
             self.settled.append(request)
             self.stops[request] = (layer, state, queued_at, started_at, now, retries)
 
-    def _stop_at_boundary(self, values: Dict[str, _Columns], layer: str,
-                          queued_at: Optional[float]) -> Dict[str, _Columns]:
+    def _stop_at_boundary(self, columns: _Columns, layer: str,
+                          queued_at: Optional[float]) -> _Columns:
         """Before ``layer``: drop requests cancelled, expired or settled elsewhere."""
         now = time.perf_counter()
         keep = []
@@ -252,7 +240,7 @@ class _Claim:
                     f"stage '{layer}'"
                 ), layer, queued_at, None)
             keep.append(not request.done())
-        return self._keep(values, keep)
+        return self._keep(columns, keep)
 
     def _finish_step(self, output: np.ndarray, step: int) -> np.ndarray:
         """Hand each request its step output; settle the ones that are done.
@@ -271,7 +259,7 @@ class _Claim:
             if not more and request._complete(now):
                 self.settled.append(request)
             keep.append(more)
-        return self._keep({INPUT: output}, keep)[INPUT]
+        return self._keep(output, keep)
 
     # --------------------------------------------------------------- stages
     def _run_stage(self, layer: str, activation: _Columns,
@@ -420,8 +408,8 @@ class Server:
         Optional :class:`~repro.serving.faults.FaultInjector` for chaos
         testing; the default injects nothing.
     max_worker_restarts:
-        Supervisor budget of worker restarts over the server's lifetime;
-        defaults to ``2 * num_workers``.
+        Budget of worker restarts over the server's lifetime; defaults to
+        ``2 * num_workers``.
     """
 
     def __init__(
@@ -461,9 +449,6 @@ class Server:
         self.queue = RequestQueue(max_pending)
         self.queue.controller = self.admission
         self._slots: List[_WorkerSlot] = []
-        self._supervisor: Optional[threading.Thread] = None
-        self._supervisor_cv = threading.Condition()
-        self._supervisor_stop = False
         self._restarts_used = 0
         self._lock = threading.Lock()
         self._started = False
@@ -488,7 +473,7 @@ class Server:
 
     # ------------------------------------------------------------ lifecycle
     def start(self) -> "Server":
-        """Spin up the worker pool and supervisor (idempotent until close)."""
+        """Spin up the worker pool (idempotent until close)."""
         with self._lock:
             if self._closed:
                 raise ServingError("server has been closed")
@@ -502,22 +487,13 @@ class Server:
             # full worker list when it snapshots for joining.
             for index in range(self.num_workers):
                 slot = _WorkerSlot(index=index)
-                self._spawn_worker(slot)
+                slot.thread = threading.Thread(
+                    target=self._worker_entry, args=(slot,), name=slot.name,
+                    daemon=True,
+                )
+                slot.thread.start()
                 self._slots.append(slot)
-            self._supervisor = threading.Thread(
-                target=self._supervise, name="serving-supervisor", daemon=True
-            )
-            self._supervisor.start()
         return self
-
-    def _spawn_worker(self, slot: _WorkerSlot) -> None:
-        slot.thread = threading.Thread(
-            target=self._worker_entry,
-            args=(slot,),
-            name=slot.name,
-            daemon=True,
-        )
-        slot.thread.start()
 
     def close(self, drain: bool = True, timeout_s: Optional[float] = None) -> None:
         """Stop admitting requests and shut the pool down.
@@ -566,29 +542,15 @@ class Server:
                     ),
                     now,
                 )
-        # Join workers, re-snapshotting: the supervisor may still replace a
-        # worker that crashes while draining, so loop until no thread in any
-        # slot is alive (or the shutdown deadline fires).
+        # Join each worker once (a crashed worker restarts in its own
+        # thread, so no thread is ever replaced), until the deadline fires.
         deadline = time.perf_counter() + timeout_s if timeout_s is not None else None
-        timed_out = False
-        while True:
-            threads = [slot.thread for slot in self._slots if slot.alive]
-            if not threads:
-                break
-            if deadline is None:
-                for thread in threads:
-                    thread.join()
-            else:
-                remaining = deadline - time.perf_counter()
-                if remaining <= 0.0:
-                    timed_out = True
-                    break
-                threads[0].join(min(remaining, 0.05))
-        if self._supervisor is not None:
-            with self._supervisor_cv:
-                self._supervisor_stop = True
-                self._supervisor_cv.notify_all()
-            self._supervisor.join()
+        for slot in self._slots:
+            slot.thread.join(
+                None if deadline is None
+                else max(deadline - time.perf_counter(), 0.0)
+            )
+        timed_out = any(slot.alive for slot in self._slots)
         forced: List[ModelRequest] = []
         if timed_out:
             # Give workers that are finishing a claim a moment to settle it,
@@ -829,8 +791,8 @@ class Server:
             )
         graph = self._pipeline_graph()
         if stream > 1:
-            first = self.plan.layer(graph.stages[0].layer).shape
-            last = self.plan.layer(graph.stages[-1].layer).shape
+            first = self.plan.layer(graph.layers[0]).shape
+            last = self.plan.layer(graph.layers[-1]).shape
             if last.n != first.k:
                 raise ServingError(
                     f"model '{self.plan.name}' is not streamable: the final "
@@ -858,7 +820,7 @@ class Server:
         priority: int,
     ) -> ModelRequest:
         """Validate one activation and wrap it into a queue-ready request."""
-        layer = graph.stages[0].layer
+        layer = graph.layers[0]
         k = self.plan.layer(layer).shape.k
         activation = np.asarray(activation)
         if activation.ndim != 2:
@@ -887,12 +849,33 @@ class Server:
 
     # -------------------------------------------------------------- workers
     def _worker_entry(self, slot: _WorkerSlot) -> None:
-        try:
-            self._worker_loop(slot)
-        except BaseException as error:  # noqa: BLE001 - supervised crash path
-            self._report_crash(slot, error)
-        else:
-            slot.finished = True
+        """Serve until the queue closes and drains.
+
+        When an exception escapes the loop (a worker crash), the restart is
+        counted first, then the claim's unsettled requests are requeued from
+        stage 0, and the loop restarts in this thread — while the server is
+        open and the restart budget lasts; otherwise the worker exits.  An
+        interrupt or exit requeues the claim too, then stops the worker.
+        """
+        while True:
+            try:
+                self._worker_loop(slot)
+                return
+            except BaseException as error:  # worker crash path
+                crashed = isinstance(error, Exception)
+                with self._lock:
+                    restart = (crashed and not self._closed
+                               and self._restarts_used < self.max_worker_restarts)
+                    if restart:
+                        self._restarts_used += 1
+                inflight, slot.inflight = slot.inflight, None
+                revived = [r for r in inflight or [] if r.reset_for_retry()]
+                if revived:
+                    self.queue.requeue(revived)
+                if not crashed:
+                    raise
+                if not restart:
+                    return
 
     def _worker_loop(self, slot: _WorkerSlot) -> None:
         while True:
@@ -953,53 +936,6 @@ class Server:
         if shed:
             self._account(shed)
 
-    def _report_crash(self, slot: _WorkerSlot, error: BaseException) -> None:
-        """Worker-death path: salvage in-flight work, then wake the supervisor."""
-        inflight, slot.inflight = slot.inflight, None
-        if inflight:
-            revived = [
-                request
-                for request in inflight
-                if not request.done() and request.reset_for_retry()
-            ]
-            if revived:
-                self.queue.requeue(revived)
-        with self._supervisor_cv:
-            slot.crash_errors.append(error)
-            self._supervisor_cv.notify_all()
-
-    # ----------------------------------------------------------- supervisor
-    def _supervise(self) -> None:
-        """Restart crashed workers until the budget or the server runs out."""
-        while True:
-            with self._supervisor_cv:
-                crashed = [
-                    slot
-                    for slot in self._slots
-                    if slot.crash_errors and not slot.dead
-                ]
-                if not crashed:
-                    if self._supervisor_stop:
-                        return
-                    self._supervisor_cv.wait()
-                    continue
-                restartable: List[_WorkerSlot] = []
-                for slot in crashed:
-                    slot.crash_errors.clear()
-                    with self._lock:
-                        closed = self._closed
-                    if closed or self._restarts_used >= self.max_worker_restarts:
-                        slot.dead = True
-                        continue
-                    self._restarts_used += 1
-                    restartable.append(slot)
-            for slot in restartable:
-                # The crash was reported from the dying thread itself; let it
-                # finish unwinding before its slot gets a replacement.
-                if slot.thread is not None:
-                    slot.thread.join()
-                self._spawn_worker(slot)
-
     # ------------------------------------------------------------ accounting
     def _account(
         self,
@@ -1039,10 +975,9 @@ class Server:
     # ------------------------------------------------------------ monitoring
     def health(self) -> ServerHealth:
         """Live liveness and fault-tolerance counters (safe to poll anytime)."""
-        with self._supervisor_cv:
+        with self._lock:
             alive_workers = sum(1 for slot in self._slots if slot.alive)
             restarts = self._restarts_used
-        with self._lock:
             started = self._started
             closed = self._closed
             states = self._totals.states
@@ -1086,9 +1021,8 @@ class Server:
         one snapshot of the totals and worker counters, so the counts it
         reports always agree with each other.
         """
-        with self._supervisor_cv:
-            restarts = self._restarts_used
         with self._lock:
+            restarts = self._restarts_used
             totals = copy.deepcopy(self._totals)
             shards = [
                 ShardStats(

@@ -30,7 +30,7 @@ import numpy as np
 from ..bitslice.packing import pack_transrow_chunks
 from ..bitslice.slicer import bit_plane_weights
 from ..config import TransArrayConfig
-from ..core.executor import as_exact_int64
+from ..exact import as_exact_int64
 from ..core.metrics import OpCounts, op_counts_from_result, op_counts_from_static_outcome
 from ..errors import SimulationError
 from ..hasse.graph import hasse_graph

@@ -132,6 +132,23 @@ class TestSlicedGemm:
         with pytest.raises(BitSliceError):
             sliced_gemm(np.zeros((2, 3), dtype=np.int64), np.zeros((4, 2), dtype=np.int64), 4)
 
+    @pytest.mark.parametrize(
+        "value", [1.5, np.nan, np.inf, -np.inf, np.uint64(2**63)],
+        ids=["1.5", "nan", "inf", "-inf", "uint64-2**63"],
+    )
+    def test_inexact_activation_rejected(self, value):
+        # np.asarray(..., dtype=np.int64) would floor 1.5 and wrap the rest.
+        act = np.full((3, 1), value, dtype=np.asarray(value).dtype)
+        with pytest.raises(BitSliceError):
+            sliced_gemm(np.ones((2, 3), dtype=np.int64), act, 4)
+
+    def test_integral_float_activation_is_exact(self):
+        weight = np.array([[1, -2, 3], [-4, 5, -6]], dtype=np.int64)
+        act = np.array([[2.0**52], [-3.0], [7.0]])
+        np.testing.assert_array_equal(
+            sliced_gemm(weight, act, 4), weight @ act.astype(np.int64)
+        )
+
     @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=2, max_value=8))
     @settings(max_examples=30, deadline=None)
     def test_lossless_property(self, seed, bits):

@@ -644,8 +644,8 @@ def _run_stages(plan, x: np.ndarray):
     exact (wrapped) model output."""
     inputs, widths = [], []
     stage_input = x
-    for spec in plan.graph.stages:
-        layer = plan.layer(spec.layer)
+    for name in plan.graph.layers:
+        layer = plan.layer(name)
         inputs.append(stage_input)
         widths.append(_widths(layer.gemm_plan.kernel, stage_input))
         stage_input = _reference(layer.weight, stage_input)
@@ -660,7 +660,7 @@ class TestChainedBlock:
         plan = compile_workload(_tiny_llama_block(), seed=601, graph="chain")
         x = np.random.default_rng(9).integers(-128, 128, size=(32, 4))
         _, widths, expected = _run_stages(plan, x)
-        ks = [plan.layer(spec.layer).shape.k for spec in plan.graph.stages]
+        ks = [plan.layer(name).shape.k for name in plan.graph.layers]
         assert widths[:-1] == [[k] for k in ks[:-1]]
         assert len(widths[-1]) >= 2 and sum(widths[-1]) == ks[-1]
         assert np.array_equal(plan.run_model(x), expected)
@@ -672,9 +672,9 @@ class TestChainedBlock:
         plan = compile_workload(_tiny_llama_block(), seed=601, graph="chain")
         x = 8 * np.random.default_rng(9).integers(-128, 128, size=(32, 4))
         inputs, widths, expected = _run_stages(plan, x)
-        ks = [plan.layer(spec.layer).shape.k for spec in plan.graph.stages]
+        ks = [plan.layer(name).shape.k for name in plan.graph.layers]
         assert widths[:-1] == [[k] for k in ks[:-1]]
-        kernel = plan.layer(plan.graph.stages[-1].layer).gemm_plan.kernel
+        kernel = plan.layer(plan.graph.layers[-1]).gemm_plan.kernel
         assert kernel.max_weight * int(np.abs(inputs[-1]).max()) >= FLOAT64_EXACT
         assert len(widths[-1]) >= 2 and set(widths[-1]) == {ks[-1]}
         assert np.array_equal(plan.run_model(x), expected)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.core import (
     NodeType,
-    OpCounts,
     classification_percentages,
     classify_nodes,
     op_counts_from_result,

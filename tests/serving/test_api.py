@@ -11,14 +11,12 @@ import pytest
 import repro.serving as serving
 from repro.errors import ServingError
 from repro.serving import (
-    INPUT,
     ModelGraph,
     ModelRequest,
     Server,
-    StageSpec,
     compile_workload,
 )
-from repro.workloads import synthetic_gemm_workload
+from repro.workloads import GemmShape, GemmWorkload, synthetic_gemm_workload
 
 #: Every package whose ``__all__`` is the public surface.
 _PACKAGES = (
@@ -46,7 +44,7 @@ class TestExports:
 
     def test_redesigned_surface_is_exported(self):
         for name in ("compile_workload", "Server", "ModelRequest",
-                     "ModelGraph", "StageSpec", "INPUT", "StageStats"):
+                     "ModelGraph", "StageStats"):
             assert name in serving.__all__
 
 
@@ -115,11 +113,9 @@ class TestModelGraphContract:
     def test_chain_wires_each_stage_to_the_previous(self):
         graph = ModelGraph.chain(["a", "b", "c"])
         assert graph.layers == ("a", "b", "c")
-        assert graph.stages[0].source == INPUT
-        assert graph.stages[1].source == "a"
-        assert graph.stages[2].source == "b"
+        assert list(graph) == ["a", "b", "c"]
         assert len(graph) == 3
-        assert "a -> b -> c" in graph.describe() or "a" in graph.describe()
+        assert graph.describe() == "input -> a -> b -> c"
 
     def test_bare_strings_wire_as_chain(self):
         assert ModelGraph(["x", "y"]) == ModelGraph.chain(["x", "y"])
@@ -129,10 +125,6 @@ class TestModelGraphContract:
             ModelGraph([])
         with pytest.raises(ServingError):
             ModelGraph(["a", "a"])  # duplicate stage
-        with pytest.raises(ServingError):
-            ModelGraph([StageSpec("a", source="b"), StageSpec("b")])
-        with pytest.raises(ServingError):
-            ModelGraph([StageSpec(INPUT)])
 
     def test_compile_rejects_unknown_graph_layers(self):
         workload = synthetic_gemm_workload(
@@ -147,8 +139,28 @@ class TestModelGraphContract:
         workload = synthetic_gemm_workload(
             num_layers=2, n=6, k=8, m=1, weight_bits=4
         )  # 6-row outputs cannot feed an 8-row reduction
-        with pytest.raises(ServingError):
+        with pytest.raises(ServingError, match="dimensionally inconsistent"):
             compile_workload(workload, seed=3, graph="chain")
+
+    def test_compile_chain_names_the_mismatched_link(self):
+        # Layer i's output height must equal layer i+1's k at every link,
+        # not only the first; heights may change along the chain.
+        workload = GemmWorkload("links", [
+            GemmShape("a", n=6, k=8, m=1, weight_bits=4),
+            GemmShape("b", n=8, k=6, m=1, weight_bits=4),
+            GemmShape("c", n=8, k=6, m=1, weight_bits=4),
+        ])
+        with pytest.raises(
+            ServingError,
+            match=r"stage 2 \('c'\) expects activations of height 6 but "
+                  r"'b' produces 8; the declared dataflow is dimensionally "
+                  r"inconsistent",
+        ):
+            compile_workload(workload, seed=3, graph="chain")
+        plan = compile_workload(
+            workload, seed=3, graph=ModelGraph.chain(["a", "b"])
+        )
+        assert (plan.input_dim, plan.output_dim) == (8, 8)
 
     def test_compile_rejects_unknown_graph_string(self):
         workload = synthetic_gemm_workload(

@@ -3,11 +3,12 @@
 The acceptance contract: with seeded injected faults, every non-injected
 request still completes **bit-identically** to ``weight @ activation`` (via
 retry), a stage that exhausts its retries fails every live member of its
-claim with the fault, killed workers restart within the supervision budget,
+claim with the fault, killed workers restart within the restart budget,
 and every fault-tolerance event is accounted in ``ServingReport`` /
 ``Server.health()``.
 """
 
+import threading
 import time
 
 import numpy as np
@@ -239,6 +240,11 @@ class TestWorkerSupervision:
             assert health.alive_workers == 1
             assert health.num_worker_restarts == 1
             assert health.healthy
+            # The worker restarted in its own thread: no other thread serves.
+            assert [
+                thread.name for thread in threading.enumerate()
+                if thread.name.startswith("serving-")
+            ] == ["serving-worker-0"]
         finally:
             server.close()
         report = server.report()
@@ -278,6 +284,60 @@ class TestWorkerSupervision:
         finally:
             server.close()
         assert server.report().num_failed == 0
+
+    def test_last_worker_dying_for_good_fails_its_requests_at_close(self):
+        # The only worker crashes on its first claim with no restart budget
+        # left: it requeues the claim and exits, so close() finds every
+        # request still queued and fails it.
+        faults = FaultInjector(plan=FaultPlan(worker_crashes_at={1}))
+        server = Server(_plan(), num_workers=1, max_batch=2,
+                        admission_control=False, faults=faults,
+                        max_worker_restarts=0)
+        with server:
+            handles = server.submit_many(_activations(3))
+            deadline = time.perf_counter() + 10.0
+            while (server.health().alive_workers
+                   and time.perf_counter() < deadline):
+                time.sleep(0.005)
+            health = server.health()
+            assert health.alive_workers == 0 and not health.healthy
+            assert health.num_worker_restarts == 0
+            assert len(server.queue) == 3
+        for handle in handles:
+            with pytest.raises(ServingError, match="server closed before"):
+                handle.result(timeout=10.0)
+            assert handle.state == FAILED
+        report = server.report()
+        assert report.num_failed == 3
+        assert len(handles) == (
+            report.num_requests + report.num_expired + report.num_cancelled
+            + report.num_shed + report.num_failed
+        )
+        assert report.num_worker_restarts == 0
+        assert server.health().alive_workers == 0
+        assert faults.stats().worker_crashes == 1
+
+    @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_exit_in_a_worker_requeues_its_claim_and_stops_it(self):
+        # SystemExit is not a crash: the worker requeues what it holds and
+        # stops, using no restart.
+        class ExitOnDispatch:
+            def on_dispatch(self, worker):
+                raise SystemExit
+
+        server = Server(_plan(), num_workers=1, max_batch=2,
+                        admission_control=False, faults=ExitOnDispatch())
+        with server:
+            handle = server.submit(_activations(1)[0])
+            deadline = time.perf_counter() + 10.0
+            while (server.health().alive_workers
+                   and time.perf_counter() < deadline):
+                time.sleep(0.005)
+            assert server.health().alive_workers == 0
+            assert server.health().num_worker_restarts == 0
+            assert len(server.queue) == 1 and not handle.done()
+        with pytest.raises(ServingError, match="server closed before"):
+            handle.result(timeout=10.0)
 
     def test_health_before_start_and_after_close(self):
         server = Server(_plan(), num_workers=2)

@@ -53,14 +53,11 @@ def _block_plan(**kwargs):
 def _sequential_reference(plan, activation):
     """Per-layer sequential execution via ``multiply_planned`` — the
     non-pipelined ground truth the server must match bit-for-bit."""
-    outputs = {}
-    for spec in plan.graph.stages:
-        source = activation if spec.reads_input else outputs[spec.source]
-        layer = plan.layer(spec.layer)
-        outputs[spec.layer] = plan.engine.multiply_planned(
-            layer.gemm_plan, source
+    for name in plan.graph.layers:
+        activation = plan.engine.multiply_planned(
+            plan.layer(name).gemm_plan, activation
         ).output
-    return outputs[plan.graph.stages[-1].layer]
+    return activation
 
 
 def _activations(plan, count, seed=3, cols=1):
@@ -148,12 +145,8 @@ class TestPipelineFaults:
             requests = [server.submit(act) for act in activations]
             outputs = [r.result(timeout=60.0) for r in requests]
             assert server.faults.stats().worker_crashes == 1
-            # The supervisor restarts asynchronously; wait for it while the
-            # server is still open (restarts after close() are skipped).
-            deadline = time.perf_counter() + 10.0
-            while (server.health().num_worker_restarts < 1
-                   and time.perf_counter() < deadline):
-                time.sleep(0.005)
+            # The crashed worker counts its restart before it requeues the
+            # claim, so every result implies the count.
             assert server.health().num_worker_restarts == 1
         for activation, output in zip(activations, outputs):
             assert np.array_equal(output, _sequential_reference(plan, activation))
