@@ -17,7 +17,9 @@ the repo-wide two-tier pattern (see ``bench_perf_gemm.py``):
 ``--check`` gates the fresh run: the paper's headline bands (per scale) and
 a drift bound against the checked-in baseline JSON of the same scale — the
 simulators are deterministic, so any geomean moving more than a few percent
-means a model change that must be re-baselined deliberately.
+means a model change that must be re-baselined deliberately.  A ``--check``
+run writes the git-ignored sibling ``BENCH_<name>.check.json`` and leaves
+the baseline as it is; a plain run re-records the baseline.
 
 Run as a script (``python benchmarks/bench_fig10_fc_layers.py [--scale smoke]
 [--check]``) or through pytest (``pytest benchmarks/bench_fig10_fc_layers.py``,
@@ -33,7 +35,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from provenance import provenance  # noqa: E402
+from provenance import provenance, write_results  # noqa: E402
 from repro.analysis import fc_layer_comparison, format_table, geomean  # noqa: E402
 from repro.analysis.comparison import geomean_speedup  # noqa: E402
 
@@ -128,7 +130,7 @@ def run(scale: str = "full", write: bool = True) -> dict:
         },
     }
     if write:
-        output_path(scale).write_text(json.dumps(results, indent=2) + "\n")
+        write_results(output_path(scale), results)
     return results
 
 
@@ -232,9 +234,9 @@ def main() -> None:
     baseline = {}
     if args.check and output_path(args.scale).exists():
         baseline = json.loads(output_path(args.scale).read_text())
-    results = run(scale=args.scale, write=True)
+    results = run(scale=args.scale, write=False)
     _print_results(args.scale, results)
-    print(f"wrote {output_path(args.scale)}")
+    print(f"wrote {write_results(output_path(args.scale), results, args.check)}")
     if args.check:
         failures = check(args.scale, results, baseline)
         for failure in failures:

@@ -9,7 +9,7 @@ are visible separately from the simulated results.
 import numpy as np
 
 from repro.bitslice import binary_weight_matrix
-from repro.core import TransitiveGemmEngine
+from repro.core import TransitiveGemmEngine, scalar_multiply
 from repro.scoreboard import run_scoreboard
 from repro.transarray import TransArrayUnit
 
@@ -41,8 +41,7 @@ def test_functional_transitive_gemm_scalar_oracle(benchmark):
     rng = np.random.default_rng(2)
     weight = rng.integers(-128, 128, size=(32, 64), dtype=np.int64)
     act = rng.integers(-128, 128, size=(64, 16), dtype=np.int64)
-    engine = TransitiveGemmEngine(transrow_bits=8, fast=False)
-    report = benchmark(engine.multiply, weight, act, 8)
+    report = benchmark(scalar_multiply, weight, act, 8, transrow_bits=8)
     assert (report.output == weight @ act).all()
 
 

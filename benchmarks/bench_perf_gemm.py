@@ -3,7 +3,8 @@
 
 Two measurements anchor the performance trajectory of the engine:
 
-* ``speedup_1024``: fast path vs the scalar oracle (T=8, 4-bit weights) —
+* ``speedup_1024``: the engine's batched path vs the scalar oracle
+  (:func:`repro.core.scalar_multiply`; T=8, 4-bit weights) —
   the acceptance gate is a >= 10x speedup;
 * ``llama_fc_4096``: the fast path and the compiled plan on a LLaMA-7B-style
   FC layer (8-bit weights): cold, warm static-scoreboard cache, and the
@@ -21,9 +22,11 @@ Two scales share the harness (``--scale``):
 ``--check`` additionally gates the fresh run: absolute floors (fast >= 10x
 scalar, planned >= the scale's factor over the warm fast path) plus a
 generous regression bound against the checked-in baseline JSON of the same
-scale, and exits non-zero on any failure.  Every result is checked bit-exact
-against NumPy at every scale, and every written JSON records where it was
-measured (cores, BLAS, numpy/scipy versions, git SHA).
+scale, and exits non-zero on any failure; it writes the git-ignored sibling
+``BENCH_<name>.check.json`` and leaves the baseline as it is, which only a
+plain run re-records.  Every result is checked bit-exact against NumPy at
+every scale, and every written JSON records where it was measured (cores,
+BLAS, numpy/scipy versions, git SHA).
 
 Run as a script (``python benchmarks/bench_perf_gemm.py [--scale smoke]
 [--check]``) or through pytest (``pytest benchmarks/bench_perf_gemm.py``,
@@ -42,8 +45,8 @@ import sys
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from provenance import provenance  # noqa: E402
-from repro.core import TransitiveGemmEngine  # noqa: E402
+from provenance import provenance, write_results  # noqa: E402
+from repro.core import TransitiveGemmEngine, scalar_multiply  # noqa: E402
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -98,19 +101,20 @@ def bench_speedup(shape):
     weight, activation = _random_gemm(rng, n, k, m, weight_bits=4)
     expected = weight @ activation
 
-    fast = TransitiveGemmEngine(transrow_bits=8, max_distance=4, fast=True)
+    fast = TransitiveGemmEngine(transrow_bits=8, max_distance=4)
     fast.multiply(weight, activation, 4)  # warm-up: lattice tables + cache fill
     fast_cached_s, report = _time(lambda: fast.multiply(weight, activation, 4),
                                   repeats=3)
     uncached = TransitiveGemmEngine(
-        transrow_bits=8, max_distance=4, fast=True, scoreboard_cache_entries=0
+        transrow_bits=8, max_distance=4, scoreboard_cache_entries=0
     )
     uncached.multiply(weight, activation, 4)  # warm-up without caching
     fast_s, fast_report = _time(lambda: uncached.multiply(weight, activation, 4),
                                 repeats=3)
 
-    scalar = TransitiveGemmEngine(transrow_bits=8, max_distance=4, fast=False)
-    scalar_s, scalar_report = _time(lambda: scalar.multiply(weight, activation, 4))
+    scalar_s, scalar_report = _time(lambda: scalar_multiply(
+        weight, activation, 4, transrow_bits=8, max_distance=4
+    ))
 
     assert np.array_equal(report.output, expected)
     assert np.array_equal(fast_report.output, expected)
@@ -136,7 +140,7 @@ def bench_llama_fc(shape):
     weight, activation = _random_gemm(rng, n, k, m, weight_bits=8)
     expected = weight @ activation
 
-    engine = TransitiveGemmEngine(transrow_bits=8, max_distance=4, fast=True)
+    engine = TransitiveGemmEngine(transrow_bits=8, max_distance=4)
     cold_s, report = _time(lambda: engine.multiply(weight, activation, 8))
     new_activation = rng.integers(-128, 128, size=(k, m), dtype=np.int64)
     warm_s, warm_report = _time(
@@ -188,7 +192,7 @@ def run(scale: str = "full", write: bool = True) -> dict:
         "llama_fc_4096": bench_llama_fc(config["llama_shape"]),
     }
     if write:
-        output_path(scale).write_text(json.dumps(results, indent=2) + "\n")
+        write_results(output_path(scale), results)
     return results
 
 
@@ -253,7 +257,6 @@ def _print_results(scale, results):
           f"-> {llama['planned_speedup_vs_fast']:.2f}x "
           f"(executor build {llama['build_s'] * 1e3:.1f} ms, "
           f"{kernel['kernel_bytes'] / 1024:.0f} KiB)")
-    print(f"wrote {output_path(scale)}")
 
 
 def main() -> None:
@@ -274,8 +277,9 @@ def main() -> None:
     baseline = {}
     if args.check and output_path(args.scale).exists():
         baseline = json.loads(output_path(args.scale).read_text())
-    results = run(scale=args.scale, write=True)
+    results = run(scale=args.scale, write=False)
     _print_results(args.scale, results)
+    print(f"wrote {write_results(output_path(args.scale), results, args.check)}")
     if args.check:
         failures = check(args.scale, results, baseline)
         for failure in failures:

@@ -21,6 +21,10 @@ The gate asserts batched serving throughput >= 2x the sequential loop with
 every output bit-identical to ``weight @ activation``; ``--check`` also
 applies generous regression bounds (throughput floor, p99 ceiling) against
 the checked-in baseline JSON of the same scale and exits non-zero on failure.
+In every mode that compares against a baseline (this one, ``--model`` and
+``--overload``), ``--check`` writes the git-ignored sibling
+``BENCH_<name>.check.json`` and leaves the baseline as it is; a plain run
+re-records the baseline.
 
 ``--faults smoke`` runs the chaos smoke scenario instead: a synthetic
 two-stage chained plan served as whole-model requests under seeded injected
@@ -35,8 +39,9 @@ chained multi-stage plan (full: the five-stage LLaMA-7B block of
 :func:`~repro.workloads.llama_block_gemms`; smoke: a synthetic four-stage
 chain) served as concurrent model requests — each worker claim runs a
 batch of them through every stage — against the staged baseline
-(``plan.run_model``, one request at a time).  Each side repeats the same
-32 requests over a fixed wall-clock window and is compared by rate.  Writes
+(``plan.run_model``, one request at a time).  The two sides alternate
+rounds of the same 32 requests, under the running server, until each has
+spent a fixed window of its own time, and are compared by rate.  Writes
 ``BENCH_serving_pipeline.json`` (or ``_smoke``); the ``--check`` speedup
 gate is core-count aware — pipelined serving must reach 1.3x the staged
 baseline on >= 2 cores, and is recorded ungated on a single core, where
@@ -71,7 +76,7 @@ import sys
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from provenance import provenance  # noqa: E402
+from provenance import provenance, write_results  # noqa: E402
 from repro.errors import (  # noqa: E402
     BackpressureError,
     DeadlineExceededError,
@@ -200,7 +205,7 @@ def run(scale: str = "full", write: bool = True) -> dict:
         "serving": report.as_dict(),
     }
     if write:
-        output_path(scale).write_text(json.dumps(results, indent=2) + "\n")
+        write_results(output_path(scale), results)
     return results
 
 
@@ -247,8 +252,8 @@ def test_batched_serving_2x_sequential():
 
 # ------------------------------------------------------ whole-model pipeline
 PIPELINE_NUM_REQUESTS = 32
-#: Each side repeats its round of requests until this much wall time has
-#: passed, so one rate is not read off a millisecond of work.
+#: Each side repeats its round of requests until it has spent this much wall
+#: time of its own, so one rate is not read off a millisecond of work.
 PIPELINE_WINDOW_S = 1.0
 
 
@@ -276,18 +281,29 @@ def _compile_pipeline_plan(scale: str):
     return plan, time.perf_counter() - start
 
 
-def _windowed_rate(serve_round) -> tuple:
-    """Repeat ``serve_round()`` (one round of ``PIPELINE_NUM_REQUESTS``
-    requests) until ``PIPELINE_WINDOW_S`` has elapsed; return the request
-    rate over the whole window and the number of rounds."""
-    rounds = 0
-    start = time.perf_counter()
-    while True:
-        serve_round()
-        rounds += 1
-        elapsed = time.perf_counter() - start
-        if elapsed >= PIPELINE_WINDOW_S:
-            return rounds * PIPELINE_NUM_REQUESTS / elapsed, rounds
+def _interleaved_rates(staged_round, pipelined_round) -> tuple:
+    """Alternate one staged round with one pipelined round (each round is
+    ``PIPELINE_NUM_REQUESTS`` requests) until each side has spent
+    ``PIPELINE_WINDOW_S`` of its own time.
+
+    Interleaving puts both sides under the same background load, so a load
+    change during the run moves both rates instead of their ratio.  Returns
+    ``(staged_rps, staged_rounds, pipelined_rps, pipelined_rounds)``, each
+    rate computed from that side's own time.
+    """
+    sides = (staged_round, pipelined_round)
+    spent = [0.0, 0.0]
+    rounds = [0, 0]
+    while min(spent) < PIPELINE_WINDOW_S:
+        for side, serve_round in enumerate(sides):
+            start = time.perf_counter()
+            serve_round()
+            spent[side] += time.perf_counter() - start
+            rounds[side] += 1
+    return (
+        rounds[0] * PIPELINE_NUM_REQUESTS / spent[0], rounds[0],
+        rounds[1] * PIPELINE_NUM_REQUESTS / spent[1], rounds[1],
+    )
 
 
 def run_pipeline(scale: str = "full", write: bool = True) -> dict:
@@ -297,9 +313,10 @@ def run_pipeline(scale: str = "full", write: bool = True) -> dict:
     same per-stage executor calls the server makes, with no batching and
     one thread.  The pipelined measurement serves the same requests
     concurrently, so worker claims batch them through every stage on both
-    workers.  Each side repeats its round of requests over a fixed
-    wall-clock window, and every served output is bit-verified against the
-    staged reference.
+    workers.  The server starts first, so both sides run under its BLAS
+    thread budget; the two sides then alternate round by round over a fixed
+    window of their own time, and every served output is bit-verified
+    against the staged reference.
     """
     cpu_count = os.cpu_count() or 1
     plan, compile_s = _compile_pipeline_plan(scale)
@@ -315,8 +332,6 @@ def run_pipeline(scale: str = "full", write: bool = True) -> dict:
         for activation in activations:
             plan.run_model(activation)
 
-    staged_rps, staged_rounds = _windowed_rate(staged_round)
-
     with Server(plan, num_workers=NUM_WORKERS, max_batch=MAX_BATCH,
                 max_pending=PIPELINE_NUM_REQUESTS) as server:
         server.submit(activations[0]).result(timeout=600.0)  # warm workers
@@ -326,7 +341,9 @@ def run_pipeline(scale: str = "full", write: bool = True) -> dict:
             for request, reference in zip(requests, expected):
                 assert np.array_equal(request.result(timeout=600.0), reference)
 
-        pipelined_rps, pipelined_rounds = _windowed_rate(pipelined_round)
+        staged_rps, staged_rounds, pipelined_rps, pipelined_rounds = (
+            _interleaved_rates(staged_round, pipelined_round)
+        )
     report = server.report()
     results = {
         "benchmark": "bench_serving_pipeline",
@@ -353,9 +370,7 @@ def run_pipeline(scale: str = "full", write: bool = True) -> dict:
         "serving": report.as_dict(),
     }
     if write:
-        pipeline_output_path(scale).write_text(
-            json.dumps(results, indent=2) + "\n"
-        )
+        write_results(pipeline_output_path(scale), results)
     return results
 
 
@@ -390,7 +405,7 @@ def pipeline_main(scale: str, do_check: bool) -> None:
     baseline = {}
     if do_check and pipeline_output_path(scale).exists():
         baseline = json.loads(pipeline_output_path(scale).read_text())
-    results = run_pipeline(scale=scale, write=True)
+    results = run_pipeline(scale=scale, write=False)
     gate = results["speedup_gate"]
     print(f"[{scale}] {results['model']}: {results['pipeline_depth']}-stage "
           f"pipeline ({' -> '.join(results['stages'])}) on "
@@ -405,7 +420,7 @@ def pipeline_main(scale: str, do_check: bool) -> None:
         print(f"  stage[{stage['stage']}] {stage['layer']}: "
               f"{stage['requests']} reqs, {stage['batches']} batches, "
               f"{stage['occupancy']:.1%} occupancy")
-    print(f"wrote {pipeline_output_path(scale)}")
+    print(f"wrote {write_results(pipeline_output_path(scale), results, do_check)}")
     if do_check:
         failures = check_pipeline(results, baseline)
         for failure in failures:
@@ -484,7 +499,7 @@ def run_chaos_smoke(write: bool = True) -> dict:
         "health": server.health().as_dict(),
     }
     if write:
-        FAULTS_OUTPUT_PATH.write_text(json.dumps(results, indent=2) + "\n")
+        write_results(FAULTS_OUTPUT_PATH, results)
     return results
 
 
@@ -795,9 +810,7 @@ def run_overload(scale: str = "full", write: bool = True) -> dict:
         "unshedded_baseline": unshedded,
     }
     if write:
-        overload_output_path(scale).write_text(
-            json.dumps(results, indent=2) + "\n"
-        )
+        write_results(overload_output_path(scale), results)
     return results
 
 
@@ -853,7 +866,7 @@ def overload_main(scale: str, do_check: bool) -> None:
     baseline = {}
     if do_check and path.exists():
         baseline = json.loads(path.read_text())
-    results = run_overload(scale=scale, write=True)
+    results = run_overload(scale=scale, write=False)
     shedded = results["shedded"]
     unshedded = results["unshedded_baseline"]
     print(f"[{scale}] {results['model']} {results['layer']}: "
@@ -873,7 +886,7 @@ def overload_main(scale: str, do_check: bool) -> None:
           f"{sum(unshedded['rejected'].values())} hard-rejected, "
           f"{unshedded['serving']['num_expired']} expired "
           f"(the brownout-free contrast)")
-    print(f"wrote {path}")
+    print(f"wrote {write_results(path, results, do_check)}")
     if do_check:
         failures = check_overload(results, baseline)
         for failure in failures:
@@ -897,7 +910,6 @@ def _print_results(scale, results):
           f"mean batch {serving['mean_batch_size']:.1f}")
     print(f"sequential: {results['sequential_rps']:.1f} req/s "
           f"-> {results['speedup_vs_sequential']:.1f}x from batched serving")
-    print(f"wrote {output_path(scale)}")
 
 
 def main() -> None:
@@ -949,8 +961,9 @@ def main() -> None:
     baseline = {}
     if args.check and output_path(args.scale).exists():
         baseline = json.loads(output_path(args.scale).read_text())
-    results = run(scale=args.scale, write=True)
+    results = run(scale=args.scale, write=False)
     _print_results(args.scale, results)
+    print(f"wrote {write_results(output_path(args.scale), results, args.check)}")
     if args.check:
         failures = check(results, baseline)
         for failure in failures:

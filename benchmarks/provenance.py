@@ -1,10 +1,11 @@
-"""Provenance stamp shared by the two-tier benchmarks' JSON results.
+"""Provenance stamp and JSON writer shared by the two-tier benchmarks.
 
 A speed number only means something next to where it was measured: core
 count, BLAS library and its thread count, interpreter and numpy/scipy
 versions, and the git SHA of the measured tree.
 """
 
+import json
 import os
 import platform
 import subprocess
@@ -59,3 +60,16 @@ def provenance() -> dict:
         "scipy": scipy_version,
         "git_sha": sha,
     }
+
+
+def write_results(baseline: Path, results: dict, check: bool = False) -> Path:
+    """Write a run's JSON and return the path it went to.
+
+    A plain run refreshes the committed baseline ``baseline``; that is how a
+    baseline is re-recorded on purpose.  A ``--check`` run writes the
+    git-ignored sibling ``BENCH_<name>.check.json`` instead, so a gate never
+    overwrites the baseline it compares against.
+    """
+    path = baseline.with_name(f"{baseline.stem}.check.json") if check else baseline
+    path.write_text(json.dumps(results, indent=2) + "\n")
+    return path

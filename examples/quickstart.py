@@ -47,9 +47,9 @@ def main() -> None:
         ],
     ))
 
-    # Serving mode: the engine rides the vectorized fast path by default and
-    # caches the weight's scoreboard, so a second inference over new
-    # activations skips bit-slicing and scoreboarding entirely.
+    # Serving mode: the engine caches the weight's scoreboard, so a second
+    # inference over new activations skips bit-slicing and scoreboarding
+    # entirely.
     second = engine.multiply(
         weight, rng.integers(-128, 128, size=(64, 32), dtype=np.int64), weight_bits=8
     )
@@ -57,7 +57,7 @@ def main() -> None:
     cache = engine.scoreboard_cache_info()
     print(f"\nStatic-scoreboard cache after a second inference: "
           f"{cache.hits} hit(s), {cache.misses} miss(es) "
-          f"(fast path; set fast=False for the scalar oracle)")
+          f"(repro.core.scalar_multiply is the scalar oracle)")
 
     # Peek at the scoreboard of one 8-bit sub-tile: the balanced forest that
     # makes the reuse parallelisable across 8 lanes.

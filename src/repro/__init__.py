@@ -39,7 +39,6 @@ from .core import (
     classification_percentages,
     classify_nodes,
     op_counts_from_result,
-    transitive_gemm,
 )
 from .errors import (
     BackpressureError,
@@ -84,7 +83,6 @@ __all__ = [
     "classification_percentages",
     "classify_nodes",
     "op_counts_from_result",
-    "transitive_gemm",
     "BackpressureError",
     "BitSliceError",
     "ConfigurationError",

@@ -54,7 +54,7 @@ def geomean(values: Iterable[float]) -> float:
     return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
-def _default_fc_accelerators(samples_per_gemm: int, fast: bool = True) -> Dict[str, Accelerator]:
+def _default_fc_accelerators(samples_per_gemm: int) -> Dict[str, Accelerator]:
     """The Fig. 10 line-up: five baselines plus TA at 8- and 4-bit weights."""
     return {
         "bitfusion": BitFusionAccelerator(),
@@ -62,12 +62,8 @@ def _default_fc_accelerators(samples_per_gemm: int, fast: bool = True) -> Dict[s
         "olive": OliveAccelerator(),
         "tender": TenderAccelerator(),
         "bitvert": BitVertAccelerator(),
-        "transarray-8bit": TransitiveArrayAccelerator(
-            samples_per_gemm=samples_per_gemm, fast=fast
-        ),
-        "transarray-4bit": TransitiveArrayAccelerator(
-            samples_per_gemm=samples_per_gemm, fast=fast
-        ),
+        "transarray-8bit": TransitiveArrayAccelerator(samples_per_gemm=samples_per_gemm),
+        "transarray-4bit": TransitiveArrayAccelerator(samples_per_gemm=samples_per_gemm),
     }
 
 
@@ -122,12 +118,11 @@ def fc_layer_comparison(
     sequence_length: int = 2048,
     samples_per_gemm: int = 8,
     reference: str = "olive",
-    fast: bool = True,
 ) -> List[ComparisonRow]:
     """Fig. 10: runtime and energy on the FC layers of the LLaMA models."""
     models = list(models) if models is not None else fc_evaluation_models()
     workloads = {name: llama_fc_gemms(name, sequence_length) for name in models}
-    accelerators = _default_fc_accelerators(samples_per_gemm, fast=fast)
+    accelerators = _default_fc_accelerators(samples_per_gemm)
     return _run(accelerators, workloads, FC_WEIGHT_BITS, reference)
 
 
@@ -135,7 +130,6 @@ def attention_comparison(
     models: Optional[Sequence[str]] = None,
     sequence_length: int = 2048,
     samples_per_gemm: int = 8,
-    fast: bool = True,
 ) -> List[ComparisonRow]:
     """Fig. 12: attention-layer speedups over BitFusion-16bit.
 
@@ -147,9 +141,7 @@ def attention_comparison(
     accelerators: Dict[str, Accelerator] = {
         "bitfusion-16bit": BitFusionAccelerator(),
         "ant-8bit": AntAccelerator(),
-        "transarray-8bit": TransitiveArrayAccelerator(
-            samples_per_gemm=samples_per_gemm, fast=fast
-        ),
+        "transarray-8bit": TransitiveArrayAccelerator(samples_per_gemm=samples_per_gemm),
     }
     precisions = {"bitfusion-16bit": (16, 16), "ant-8bit": (8, 8), "transarray-8bit": (8, 8)}
     return _run(accelerators, workloads, precisions, reference="bitfusion-16bit")
@@ -158,7 +150,6 @@ def attention_comparison(
 def resnet_comparison(
     samples_per_gemm: int = 6,
     batch: int = 1,
-    fast: bool = True,
 ) -> List[ComparisonRow]:
     """Fig. 14: per-layer ResNet-18 speedups of BitFusion, ANT and TransArray.
 
@@ -171,9 +162,7 @@ def resnet_comparison(
     accelerators: Dict[str, Accelerator] = {
         "bitfusion": BitFusionAccelerator(),
         "ant": AntAccelerator(),
-        "transarray": TransitiveArrayAccelerator(
-            samples_per_gemm=samples_per_gemm, fast=fast
-        ),
+        "transarray": TransitiveArrayAccelerator(samples_per_gemm=samples_per_gemm),
     }
     rows: List[ComparisonRow] = []
     for shape in workload.gemms:

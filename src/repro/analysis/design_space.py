@@ -14,7 +14,6 @@ import numpy as np
 
 from ..bitslice.packing import pack_bits_to_uint
 from ..core.classification import classification_percentages
-from ..core.metrics import OpCounts, op_counts_from_result
 from ..errors import WorkloadError
 from ..hasse.graph import hasse_graph
 from ..scoreboard.algorithm import run_scoreboard
@@ -60,28 +59,20 @@ def _sweep_tiles(binary: np.ndarray, width: int, row_size: int,
 
 
 def density_point(binary: np.ndarray, width: int, row_size: int,
-                  max_tiles: Optional[int] = None, fast: bool = True) -> DensityPoint:
+                  max_tiles: Optional[int] = None) -> DensityPoint:
     """Overall TranSparsity density of a binary matrix at one (T, row size).
 
-    With ``fast`` (the default) every tile is scoreboarded in one batched
-    array pass; ``fast=False`` runs the scalar scoreboard per tile.  The
-    merged counts are identical either way.
+    Every tile is scoreboarded in one batched array pass and the per-tile
+    counts are merged.
     """
     if width < 1 or width > 16:
         raise WorkloadError(f"bit width must be in [1, 16], got {width}")
     if row_size < 1:
         raise WorkloadError(f"row size must be positive, got {row_size}")
-    merged: Optional[OpCounts] = None
-    if fast:
-        bags = list(_sweep_tiles(binary, width, row_size, max_tiles))
-        if bags:
-            merged = batched_total_op_counts(bags, width=width)
-    else:
-        for values in _sweep_tiles(binary, width, row_size, max_tiles):
-            counts = op_counts_from_result(run_scoreboard(values, width=width))
-            merged = counts if merged is None else merged.merge(counts)
-    if merged is None:
+    bags = list(_sweep_tiles(binary, width, row_size, max_tiles))
+    if not bags:
         raise WorkloadError("binary matrix produced no tiles")
+    merged = batched_total_op_counts(bags, width=width)
     return DensityPoint(
         bit_width=width,
         row_size=row_size,
@@ -100,16 +91,13 @@ def density_vs_row_size(
     matrix_size: int = 1024,
     seed: int = 0,
     max_tiles: Optional[int] = 16,
-    fast: bool = True,
 ) -> List[DensityPoint]:
     """Fig. 9(a): overall density vs tiling row size for several TransRow widths."""
     binary = random_binary_matrix(matrix_size, matrix_size, seed=seed)
     points: List[DensityPoint] = []
     for width in bit_widths:
         for row_size in row_sizes:
-            points.append(
-                density_point(binary, width, row_size, max_tiles=max_tiles, fast=fast)
-            )
+            points.append(density_point(binary, width, row_size, max_tiles=max_tiles))
     return points
 
 
@@ -119,11 +107,10 @@ def density_vs_bitwidth(
     matrix_size: int = 1024,
     seed: int = 0,
     max_tiles: Optional[int] = 16,
-    fast: bool = True,
 ) -> List[DensityPoint]:
     """Fig. 9(b) x-axis sweep: density vs TransRow width at a fixed row size."""
     binary = random_binary_matrix(matrix_size, matrix_size, seed=seed)
-    return [density_point(binary, width, row_size, max_tiles=max_tiles, fast=fast)
+    return [density_point(binary, width, row_size, max_tiles=max_tiles)
             for width in bit_widths]
 
 

@@ -9,9 +9,8 @@ import numpy as np
 
 from ..bitslice.packing import pack_bits_to_uint
 from ..bitslice.slicer import binary_weight_matrix
-from ..core.metrics import op_counts_from_result, op_counts_from_static_outcome
+from ..core.metrics import op_counts_from_static_outcome
 from ..errors import WorkloadError
-from ..scoreboard.algorithm import run_scoreboard
 from ..scoreboard.batched import batched_total_op_counts
 from ..scoreboard.static import StaticScoreboard
 from ..workloads.synthetic import outlier_weight_matrix, random_binary_matrix
@@ -52,16 +51,14 @@ def scoreboard_density_study(
     matrix_cols: int = 64,
     seed: int = 0,
     max_tiles: Optional[int] = 8,
-    fast: bool = True,
 ) -> List[ScoreboardStudyPoint]:
     """Reproduce Fig. 13: static vs dynamic density on real and random data.
 
     'Real' data is a bit-sliced quantized Gaussian/outlier weight tensor
     (standing in for the LLaMA-1-7B first FC layer); 'random' data is a uniform
     0/1 matrix.  The static scoreboard's SI is fitted on the whole tensor and
-    applied per tile; the dynamic scoreboard rebuilds the SI per tile — in one
-    batched array pass over all tiles with ``fast`` (the default), or through
-    the scalar reference scoreboard otherwise (identical densities).
+    applied per tile; the dynamic scoreboard rebuilds the SI per tile, in one
+    batched array pass over all tiles.
     """
     if width < 1 or width > 16:
         raise WorkloadError(f"width must be in [1, 16], got {width}")
@@ -80,18 +77,11 @@ def scoreboard_density_study(
                 if max_tiles is not None and len(bags) >= max_tiles:
                     break
                 bags.append(_tile_values(binary, row_start, row_size, width))
-            dynamic_counts = None
+            dynamic_counts = batched_total_op_counts(bags, width=width)
             static_counts = None
             misses = 0
             tiles = len(bags)
-            if fast and bags:
-                dynamic_counts = batched_total_op_counts(bags, width=width)
             for values in bags:
-                if not fast:
-                    dyn = op_counts_from_result(run_scoreboard(values, width=width))
-                    dynamic_counts = (
-                        dyn if dynamic_counts is None else dynamic_counts.merge(dyn)
-                    )
                 outcome = static.apply(values)
                 stat = op_counts_from_static_outcome(outcome, values)
                 misses += outcome.si_misses

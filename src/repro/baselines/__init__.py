@@ -27,13 +27,11 @@ __all__ = [
 ]
 
 
-def baseline_registry(include_transarray: bool = False, fast: bool = True):
+def baseline_registry(include_transarray: bool = False):
     """Name -> constructor mapping for every baseline accelerator.
 
     With ``include_transarray`` the TransArray itself joins the line-up (the
-    import is deferred to avoid a package cycle); ``fast`` selects its
-    vectorized batched scoreboarding path, which produces reports identical
-    to the scalar reference.
+    import is deferred to avoid a package cycle).
     """
     registry = {
         "bitfusion": BitFusionAccelerator,
@@ -46,9 +44,5 @@ def baseline_registry(include_transarray: bool = False, fast: bool = True):
     if include_transarray:
         from ..transarray.accelerator import TransitiveArrayAccelerator
 
-        def _transarray(**kwargs):
-            kwargs.setdefault("fast", fast)
-            return TransitiveArrayAccelerator(**kwargs)
-
-        registry["transarray"] = _transarray
+        registry["transarray"] = TransitiveArrayAccelerator
     return registry

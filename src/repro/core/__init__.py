@@ -1,12 +1,12 @@
 """Core of the reproduction: the transitive-sparsity GEMM engine and metrics.
 
 ``repro.core`` hosts the paper's primary contribution in functional form: a
-bit-exact GEMM engine that executes through prefix-result reuse
-(:mod:`repro.core.transitive_gemm`), the exact float64-BLAS executor its
-compiled plans serve through (:mod:`repro.core.executor`), the operation-count
-metrics used by the design-space exploration (:mod:`repro.core.metrics`), and
-the ZR/TR/FR/PR node classification of Sec. 5.2
-(:mod:`repro.core.classification`).
+bit-exact GEMM engine that executes through prefix-result reuse, and its
+scalar reference (:mod:`repro.core.transitive_gemm`), the exact float64-BLAS
+executor its compiled plans serve through (:mod:`repro.core.executor`), the
+operation-count metrics used by the design-space exploration
+(:mod:`repro.core.metrics`), and the ZR/TR/FR/PR node classification of
+Sec. 5.2 (:mod:`repro.core.classification`).
 """
 
 from .metrics import OpCounts, op_counts_from_result, op_counts_from_static_outcome
@@ -17,7 +17,7 @@ from .transitive_gemm import (
     ScoreboardCacheInfo,
     TransitiveGemmEngine,
     narrow_codes,
-    transitive_gemm,
+    scalar_multiply,
 )
 
 __all__ = [
@@ -32,5 +32,5 @@ __all__ = [
     "ScoreboardCacheInfo",
     "TransitiveGemmEngine",
     "narrow_codes",
-    "transitive_gemm",
+    "scalar_multiply",
 ]

@@ -10,28 +10,26 @@ engine asserts nothing silently and exposes exact operation counts so the
 architectural simulator and the design-space exploration share one source of
 truth.
 
-Two execution paths produce identical outputs and identical
-:class:`~repro.core.metrics.OpCounts`:
+:class:`TransitiveGemmEngine` has one execution path: it packs all column
+chunks at once, scoreboards them in one batched array pass
+(:mod:`repro.scoreboard.batched`), materialises every prefix-reuse partial sum
+level-by-level with fancy-indexed gather-adds across chunks, and folds the
+TransRow results into the output with array reductions.  A small LRU cache
+keyed on the weight matrix ("static scoreboard" serving mode) lets repeated
+inference over new activations skip bit-slicing and scoreboarding entirely.
 
-* the **scalar oracle** (``fast=False``) walks every chunk's Hasse lattice
-  with per-node Python objects — slow, but a direct transcription of the
-  paper's algorithms and the reference everything else is tested against;
-* the **vectorized fast path** (``fast=True``, the default) packs all column
-  chunks at once, scoreboards them in one batched array pass
-  (:mod:`repro.scoreboard.batched`), materialises every prefix-reuse partial
-  sum level-by-level with fancy-indexed gather-adds across chunks, and folds
-  the TransRow results into the output with array reductions.  A small LRU
-  cache keyed on the weight matrix ("static scoreboard" serving mode) lets
-  repeated inference over new activations skip bit-slicing and scoreboarding
-  entirely.
+:func:`scalar_multiply` is the reference the engine is tested against: it
+walks every chunk's Hasse lattice with per-node Python objects — slow, but a
+direct transcription of the paper's algorithms — and returns the same output
+and :class:`~repro.core.metrics.OpCounts`.
 
-On top of both, :meth:`TransitiveGemmEngine.plan` compiles a weight matrix
+On top of the engine, :meth:`TransitiveGemmEngine.plan` compiles a weight matrix
 **once, offline** into a :class:`GemmPlan`: its scoreboard's exact operation
 counts plus an :class:`~repro.core.executor.ExactExecutor`.  Because
 transitive reuse only re-associates integer additions, planned execution
 (:meth:`TransitiveGemmEngine.multiply_planned`) computes the product through
 that executor — exact float64 BLAS — and carries the plan's operation counts; it
-is bit-identical to the scalar oracle.
+is bit-identical to :func:`scalar_multiply`.
 """
 
 from __future__ import annotations
@@ -39,8 +37,8 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -48,18 +46,13 @@ from ..bitslice.slicer import bit_plane_weights, bit_slice
 from ..bitslice.packing import pack_bits_to_uint, pack_transrow_chunks
 from ..errors import SimulationError
 from ..hasse.graph import hasse_graph
-from ..scoreboard.algorithm import ScoreboardResult, run_scoreboard
-from ..scoreboard.batched import (
-    BatchedScoreboard,
-    batched_total_op_counts,
-    results_from_batch,
-    run_scoreboard_batch,
-)
+from ..scoreboard.algorithm import run_scoreboard
+from ..scoreboard.batched import batched_total_op_counts
 from ..exact import as_exact_int64
 from .executor import ExactExecutor
 from .metrics import OpCounts, op_counts_from_result
 
-#: Soft cap (bytes) on the fast path's per-block scratch arrays; chunks are
+#: Soft cap (bytes) on the engine's per-block scratch arrays; chunks are
 #: processed in blocks sized so the node-result tensor and the per-plane
 #: gathers stay within this budget.
 _FAST_BLOCK_BUDGET_BYTES = 64 * 1024 * 1024
@@ -96,7 +89,6 @@ class TransitiveGemmReport:
 
     output: np.ndarray
     op_counts: OpCounts
-    chunk_results: List[ScoreboardResult] = field(default_factory=list)
 
     @property
     def density(self) -> float:
@@ -218,23 +210,18 @@ class TransitiveGemmEngine:
         TransRow width ``T`` (the paper's final design uses 8).
     max_distance:
         Longest prefix chain before a TransRow is treated as an outlier.
-    num_lanes:
-        Lanes of the balanced forest; defaults to ``transrow_bits``.
-    fast:
-        Use the vectorized batched execution path (default).  ``False`` runs
-        the scalar per-chunk reference implementation; both produce identical
-        outputs and operation counts.
     scoreboard_cache_entries:
-        Capacity of the static-scoreboard LRU cache used by the fast path.
-        ``0`` disables caching (every call re-scoreboards the weights).
+        Capacity of the static-scoreboard LRU cache.  ``0`` disables caching
+        (every call re-scoreboards the weights).
+
+    Outputs and operation counts equal those of :func:`scalar_multiply`, the
+    scalar reference.
     """
 
     def __init__(
         self,
         transrow_bits: int = 8,
         max_distance: int = 4,
-        num_lanes: Optional[int] = None,
-        fast: bool = True,
         scoreboard_cache_entries: int = 4,
     ) -> None:
         if transrow_bits < 1 or transrow_bits > 16:
@@ -247,8 +234,6 @@ class TransitiveGemmEngine:
             )
         self.transrow_bits = transrow_bits
         self.max_distance = max_distance
-        self.num_lanes = num_lanes if num_lanes is not None else transrow_bits
-        self.fast = fast
         self._cache = _StaticScoreboardCache(scoreboard_cache_entries)
 
     # ------------------------------------------------------------------ API
@@ -257,9 +242,12 @@ class TransitiveGemmEngine:
         weight: np.ndarray,
         activation: np.ndarray,
         weight_bits: int,
-        collect_chunks: bool = False,
     ) -> TransitiveGemmReport:
         """Compute ``weight @ activation`` through transitive sparsity.
+
+        One batched scoreboard pass covers every column chunk; the merged
+        operation counts are served from the static-scoreboard cache when the
+        same weights come again.
 
         Parameters
         ----------
@@ -269,21 +257,29 @@ class TransitiveGemmEngine:
             Integer matrix of shape ``(K, M)``.
         weight_bits:
             Two's-complement precision ``S`` of the weights.
-        collect_chunks:
-            Keep the per-column-chunk scoreboard results (useful for tests and
-            the design-space analysis, costly for large GEMMs).
         """
-        weight = narrow_codes(weight)
-        activation = as_exact_int64(activation)
-        if weight.ndim != 2 or activation.ndim != 2:
-            raise SimulationError("weight and activation must both be 2-D matrices")
-        if weight.shape[1] != activation.shape[0]:
-            raise SimulationError(
-                f"shape mismatch: weight {weight.shape} x activation {activation.shape}"
+        weight, activation = _gemm_operands(weight, activation)
+        n_rows, n_cols = weight.shape
+        n_out_cols = activation.shape[1]
+        width = self.transrow_bits
+        num_chunks = (n_cols + width - 1) // width
+        if num_chunks == 0:
+            # Degenerate GEMM: validate the weight codes, then return the
+            # empty report.
+            bit_slice(weight, weight_bits)
+            return TransitiveGemmReport(
+                output=np.zeros((n_rows, n_out_cols), dtype=np.int64),
+                op_counts=_empty_op_counts(width),
             )
-        if self.fast:
-            return self._multiply_fast(weight, activation, weight_bits, collect_chunks)
-        return self._multiply_scalar(weight, activation, weight_bits, collect_chunks)
+
+        packed, counts = self._packed_transrows_cached(weight, weight_bits)
+        act_full = np.zeros((num_chunks * width, n_out_cols), dtype=np.int64)
+        act_full[:n_cols] = activation
+        act = act_full.reshape(num_chunks, width, n_out_cols)
+        output = self._batched_node_results_and_accumulate(
+            packed, act, bit_plane_weights(weight_bits), n_rows, n_out_cols
+        )
+        return TransitiveGemmReport(output=output, op_counts=counts)
 
     def scoreboard_cache_info(self) -> ScoreboardCacheInfo:
         """Hit/miss statistics of the static-scoreboard cache."""
@@ -313,7 +309,7 @@ class TransitiveGemmEngine:
             raise SimulationError("weight must be a 2-D matrix")
         if codes.shape[1] == 0 or codes.shape[0] == 0:
             raise SimulationError("cannot plan a weight matrix with a zero dimension")
-        _, counts, _ = self._packed_transrows_cached(codes, weight_bits)
+        _, counts = self._packed_transrows_cached(codes, weight_bits)
         return GemmPlan(
             weight=codes,
             weight_bits=weight_bits,
@@ -356,92 +352,34 @@ class TransitiveGemmEngine:
                 f"T={self.transrow_bits}, max_distance={self.max_distance}"
             )
 
-    # ------------------------------------------------------------ fast path
-    def _multiply_fast(
-        self,
-        weight: np.ndarray,
-        activation: np.ndarray,
-        weight_bits: int,
-        collect_chunks: bool,
-    ) -> TransitiveGemmReport:
-        """Batched array execution: one scoreboard pass for all chunks."""
-        n_rows = weight.shape[0]
-        n_cols = weight.shape[1]
-        n_out_cols = activation.shape[1]
-        width = self.transrow_bits
-        num_chunks = (n_cols + width - 1) // width
-        if num_chunks == 0:
-            # Degenerate GEMM: validate the operands exactly like the scalar
-            # path would, then return the empty report.
-            bit_slice(weight, weight_bits)
-            return TransitiveGemmReport(
-                output=np.zeros((n_rows, n_out_cols), dtype=np.int64),
-                op_counts=self._empty_op_counts(),
-            )
-
-        packed, counts, batch = self._packed_transrows_cached(
-            weight, weight_bits, want_batch=collect_chunks
-        )
-
-        chunk_results: List[ScoreboardResult] = []
-        if collect_chunks:
-            chunk_results = results_from_batch(batch, num_lanes=self.num_lanes)
-
-        act_full = np.zeros((num_chunks * width, n_out_cols), dtype=np.int64)
-        act_full[:n_cols] = activation
-        act = act_full.reshape(num_chunks, width, n_out_cols)
-        output = self._batched_node_results_and_accumulate(
-            packed, act, bit_plane_weights(weight_bits), n_rows, n_out_cols
-        )
-        return TransitiveGemmReport(
-            output=output, op_counts=counts, chunk_results=chunk_results
-        )
-
+    # ----------------------------------------------------------- execution
     def _packed_transrows_cached(
-        self, weight: np.ndarray, weight_bits: int, want_batch: bool = False
-    ) -> Tuple[np.ndarray, OpCounts, Optional[BatchedScoreboard]]:
+        self, weight: np.ndarray, weight_bits: int
+    ) -> Tuple[np.ndarray, OpCounts]:
         """Packed ``(chunks, N, S)`` TransRow values and merged OpCounts.
 
         Both depend only on the weight matrix, so they are served from the
         static-scoreboard LRU cache whenever the same weights (same bytes,
-        same parameters) are multiplied again — the serving fast path.  With
-        ``want_batch`` the full batched scoreboard state is returned as well
-        (rebuilt from the cached packed values on a hit), so callers needing
-        per-chunk results never scoreboard twice.
+        same parameters) are multiplied again.
         """
-        use_cache = self._cache.max_entries > 0
         key: Optional[tuple] = None
-        packed: Optional[np.ndarray] = None
-        counts: Optional[OpCounts] = None
-        if use_cache:
+        if self._cache.max_entries > 0:
             key = self._cache.key(
                 weight, weight_bits, self.transrow_bits, self.max_distance
             )
             entry = self._cache.get(key)
             if entry is not None:
-                if not want_batch:
-                    return entry + (None,)
-                packed, counts = entry
-        if packed is None:
-            packed = pack_transrow_chunks(weight, weight_bits, self.transrow_bits)
+                return entry
+        packed = pack_transrow_chunks(weight, weight_bits, self.transrow_bits)
+        # Scoreboard in bounded blocks so wide lattices (T = 16 -> 65536
+        # nodes) never materialise per-chunk state for the whole GEMM at once.
         bags = packed.reshape(packed.shape[0], -1).astype(np.int64)
-        batch: Optional[BatchedScoreboard] = None
-        if want_batch:
-            batch = run_scoreboard_batch(
-                bags, width=self.transrow_bits, max_distance=self.max_distance
-            )
-            if counts is None:
-                counts = batch.total_op_counts()
-        elif counts is None:
-            # Counts-only pass: scoreboard in bounded blocks so wide lattices
-            # (T = 16 -> 65536 nodes) never materialise per-chunk state for
-            # the whole GEMM at once.
-            counts = batched_total_op_counts(
-                bags, width=self.transrow_bits, max_distance=self.max_distance
-            )
-        if use_cache and key is not None:
+        counts = batched_total_op_counts(
+            bags, width=self.transrow_bits, max_distance=self.max_distance
+        )
+        if key is not None:
             self._cache.put(key, (packed, counts))
-        return packed, counts, batch
+        return packed, counts
 
     def _batched_node_results_and_accumulate(
         self,
@@ -490,90 +428,76 @@ class TransitiveGemmEngine:
                 output += int(plane_weights[s]) * gathered.sum(axis=0)
         return output
 
-    def _empty_op_counts(self) -> OpCounts:
-        return OpCounts(
-            width=self.transrow_bits, total_transrows=0, zero_rows=0, pr_ops=0,
-            fr_ops=0, tr_ops=0, outlier_ops=0, set_bits=0,
+
+def _empty_op_counts(width: int) -> OpCounts:
+    return OpCounts(
+        width=width, total_transrows=0, zero_rows=0, pr_ops=0,
+        fr_ops=0, tr_ops=0, outlier_ops=0, set_bits=0,
+    )
+
+
+def _gemm_operands(
+    weight: np.ndarray, activation: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Narrowed weight codes and the exact int64 activation, shape-checked."""
+    weight = narrow_codes(weight)
+    activation = as_exact_int64(activation)
+    if weight.ndim != 2 or activation.ndim != 2:
+        raise SimulationError("weight and activation must both be 2-D matrices")
+    if weight.shape[1] != activation.shape[0]:
+        raise SimulationError(
+            f"shape mismatch: weight {weight.shape} x activation {activation.shape}"
         )
+    return weight, activation
 
-    # ---------------------------------------------------------- scalar path
-    def _multiply_scalar(
-        self,
-        weight: np.ndarray,
-        activation: np.ndarray,
-        weight_bits: int,
-        collect_chunks: bool,
-    ) -> TransitiveGemmReport:
-        """Reference oracle: per-chunk scalar scoreboard and accumulation."""
-        n_rows, n_cols = weight.shape
-        n_out_cols = activation.shape[1]
-        width = self.transrow_bits
-        planes = bit_slice(weight, weight_bits)
-        plane_weights = bit_plane_weights(weight_bits)
 
-        output = np.zeros((n_rows, n_out_cols), dtype=np.int64)
-        total_counts: Optional[OpCounts] = None
-        chunk_results: List[ScoreboardResult] = []
+def scalar_multiply(
+    weight: np.ndarray,
+    activation: np.ndarray,
+    weight_bits: int,
+    transrow_bits: int = 8,
+    max_distance: int = 4,
+) -> TransitiveGemmReport:
+    """Reference oracle: ``weight @ activation`` one column chunk at a time.
 
-        num_chunks = (n_cols + width - 1) // width
-        for chunk in range(num_chunks):
-            start = chunk * width
-            stop = min(start + width, n_cols)
-            act_chunk = np.zeros((width, n_out_cols), dtype=np.int64)
-            act_chunk[: stop - start] = activation[start:stop]
-
-            values, sources = self._chunk_transrows(planes.planes, start, stop)
-            result = run_scoreboard(
-                values,
-                width=width,
-                max_distance=self.max_distance,
-                num_lanes=self.num_lanes,
-            )
-            node_results = self._compute_node_results(result, act_chunk)
-            self._accumulate(output, values, sources, plane_weights, node_results)
-
-            counts = op_counts_from_result(result)
-            total_counts = counts if total_counts is None else total_counts.merge(counts)
-            if collect_chunks:
-                chunk_results.append(result)
-
-        if total_counts is None:
-            total_counts = self._empty_op_counts()
-        return TransitiveGemmReport(
-            output=output, op_counts=total_counts, chunk_results=chunk_results
-        )
-
-    def _chunk_transrows(
-        self, planes: np.ndarray, start: int, stop: int
-    ) -> Tuple[List[int], List[Tuple[int, int]]]:
-        """Packed TransRow values and their (weight row, bit plane) sources."""
-        width = self.transrow_bits
-        bits, n_rows, _ = planes.shape
-        chunk_planes = np.zeros((bits, n_rows, width), dtype=np.uint8)
+    A direct transcription of the paper's Algorithms 1-2: every T-wide chunk's
+    TransRows are scoreboarded by the scalar
+    :func:`~repro.scoreboard.algorithm.run_scoreboard`, each executed node's
+    partial sum is its prefix's result plus one input row (outliers add their
+    rows raw), and every TransRow result is shifted into its output row.  It
+    checks its operands like :meth:`TransitiveGemmEngine.multiply` and returns
+    the same output and :class:`~repro.core.metrics.OpCounts`; tests and
+    benchmarks use it as the reference the engine is held to.
+    """
+    weight, activation = _gemm_operands(weight, activation)
+    width = transrow_bits
+    n_rows, n_cols = weight.shape
+    n_out = activation.shape[1]
+    planes = bit_slice(weight, weight_bits).planes
+    plane_weights = bit_plane_weights(weight_bits)
+    graph = hasse_graph(width)
+    # Packed values place the first input row at the most-significant bit,
+    # so bit position b (LSB = 0) addresses input row T - 1 - b.
+    output = np.zeros((n_rows, n_out), dtype=np.int64)
+    total_counts: Optional[OpCounts] = None
+    for start in range(0, n_cols, width):
+        stop = min(start + width, n_cols)
+        act_chunk = np.zeros((width, n_out), dtype=np.int64)
+        act_chunk[: stop - start] = activation[start:stop]
+        chunk_planes = np.zeros((planes.shape[0], n_rows, width), dtype=np.uint8)
         chunk_planes[:, :, : stop - start] = planes[:, :, start:stop]
-        packed = pack_bits_to_uint(chunk_planes.reshape(bits * n_rows, width))
-        packed = packed.reshape(bits, n_rows)
+        # TransRows in (weight row, bit plane) order.
+        packed = pack_bits_to_uint(
+            chunk_planes.reshape(-1, width)
+        ).reshape(planes.shape[0], n_rows).T
+        values = [int(v) for v in packed.ravel()]
+        result = run_scoreboard(values, width=width, max_distance=max_distance)
 
-        values: List[int] = []
-        sources: List[Tuple[int, int]] = []
-        for row in range(n_rows):
-            for plane in range(bits):
-                values.append(int(packed[plane, row]))
-                sources.append((row, plane))
-        return values, sources
-
-    def _compute_node_results(
-        self, result: ScoreboardResult, act_chunk: np.ndarray
-    ) -> Dict[int, np.ndarray]:
-        """Materialise the partial sum of every executed node via prefix reuse."""
-        graph = hasse_graph(result.width)
-        n_out = act_chunk.shape[1]
+        # PPE stage: every executed node is its prefix's result plus one row.
         node_results: Dict[int, np.ndarray] = {0: np.zeros(n_out, dtype=np.int64)}
-
-        ordered = sorted(
+        for node in sorted(
             result.nodes.values(), key=lambda node: (graph.level(node.index), node.index)
-        )
-        for node in ordered:
+        ):
             prefix_result = node_results.get(node.prefix)
             if prefix_result is None:
                 raise SimulationError(
@@ -584,60 +508,30 @@ class TransitiveGemmEngine:
                 raise SimulationError(
                     f"forest edge {node.prefix} -> {node.index} is not a single bit flip"
                 )
-            input_row = self._input_row_for_bit(act_chunk, difference)
-            node_results[node.index] = prefix_result + input_row
-
+            node_results[node.index] = (
+                prefix_result + act_chunk[width - difference.bit_length()]
+            )
         for outlier in result.outliers:
             total = np.zeros(n_out, dtype=np.int64)
-            for bit_position in range(result.width):
-                mask = 1 << bit_position
-                if outlier.index & mask:
-                    total = total + self._input_row_for_bit(act_chunk, mask)
+            for bit_position in range(width):
+                if outlier.index & (1 << bit_position):
+                    total = total + act_chunk[width - 1 - bit_position]
             node_results[outlier.index] = total
-        return node_results
 
-    def _input_row_for_bit(self, act_chunk: np.ndarray, mask: int) -> np.ndarray:
-        """Input row addressed by a single-bit TranSparsity mask.
+        # APE stage: shift-and-accumulate every TransRow result into its row.
+        for row in range(n_rows):
+            for plane in range(planes.shape[0]):
+                value = int(packed[row, plane])
+                if value == 0:
+                    continue
+                node_result = node_results.get(value)
+                if node_result is None:
+                    raise SimulationError(f"TransRow value {value} was never computed")
+                output[row] += int(plane_weights[plane]) * node_result
 
-        Packed values place the first input row at the most-significant bit, so
-        bit position ``b`` (LSB = 0) addresses input row ``T - 1 - b``.
-        """
-        bit_position = mask.bit_length() - 1
-        return act_chunk[self.transrow_bits - 1 - bit_position]
+        counts = op_counts_from_result(result)
+        total_counts = counts if total_counts is None else total_counts.merge(counts)
 
-    def _accumulate(
-        self,
-        output: np.ndarray,
-        values: List[int],
-        sources: List[Tuple[int, int]],
-        plane_weights: np.ndarray,
-        node_results: Dict[int, np.ndarray],
-    ) -> None:
-        """APE stage: shift-and-accumulate every TransRow result into its row."""
-        for value, (row, plane) in zip(values, sources):
-            if value == 0:
-                continue
-            result = node_results.get(value)
-            if result is None:
-                raise SimulationError(f"TransRow value {value} was never computed")
-            output[row] += int(plane_weights[plane]) * result
-
-
-def transitive_gemm(
-    weight: np.ndarray,
-    activation: np.ndarray,
-    weight_bits: int,
-    transrow_bits: int = 8,
-    max_distance: int = 4,
-    fast: bool = True,
-) -> np.ndarray:
-    """Convenience wrapper returning only the GEMM result.
-
-    Equivalent to ``weight @ activation`` for any integer inputs; the
-    computation path goes through bit-slicing, scoreboarding and prefix reuse
-    (vectorized by default; ``fast=False`` selects the scalar oracle).
-    """
-    engine = TransitiveGemmEngine(
-        transrow_bits=transrow_bits, max_distance=max_distance, fast=fast
-    )
-    return engine.multiply(weight, activation, weight_bits).output
+    if total_counts is None:
+        total_counts = _empty_op_counts(width)
+    return TransitiveGemmReport(output=output, op_counts=total_counts)

@@ -15,7 +15,7 @@ Two consumption styles are offered:
 
 * :func:`run_scoreboard_batch` returns the raw state arrays plus per-chunk /
   merged :class:`~repro.core.metrics.OpCounts`-compatible tallies and
-  per-chunk balanced-forest lane loads — all the fast GEMM engine, the
+  per-chunk balanced-forest lane loads — all the GEMM engine, the
   density sweeps and the accelerator's sampled profile need.
 * :func:`run_scoreboards_batched` additionally rebuilds full per-chunk
   :class:`~repro.scoreboard.algorithm.ScoreboardResult` objects (balanced

@@ -289,7 +289,7 @@ def compile_workload(
         attention layer, ResNet-18, synthetic) — compilation walks its
         :meth:`~repro.workloads.gemm.GemmWorkload.layers`.
     engine:
-        Functional engine to compile with; a fast-path engine sized so every
+        Functional engine to compile with; an engine sized so every
         layer's scoreboard also fits the LRU cache is built by default.
     weight_provider:
         Optional callable returning real ``(N, K)`` weights per layer;
@@ -338,7 +338,6 @@ def compile_workload(
     if engine is None:
         engine = TransitiveGemmEngine(
             transrow_bits=8,
-            fast=True,
             scoreboard_cache_entries=max(8, len(shapes)),
         )
     schemes = dict(quant_schemes) if quant_schemes else {}

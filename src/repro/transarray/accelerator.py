@@ -91,13 +91,12 @@ class TransitiveArrayAccelerator(Accelerator):
         Optional callable returning real weight matrices; synthetic uniform
         weights are generated otherwise (Sec. 5.9 shows real data is slightly
         *better*, so synthetic data is the conservative choice).
-    fast:
-        Profile every sampled sub-tile of a GEMM from one batched array pass
-        (:meth:`TransArrayUnit.profile_subtiles`: ``OpCounts`` and lane loads
-        read straight from the scoreboard state arrays) instead of one scalar
-        scoreboard run per sample.  Reports are identical either way; the
-        flag only trades the scalar reference path for the vectorized one.
-        Static mode ignores it.
+
+    The dynamic mode profiles every sampled sub-tile of a GEMM from one
+    batched array pass (:meth:`TransArrayUnit.profile_subtiles`: ``OpCounts``
+    and lane loads read straight from the scoreboard state arrays); the
+    static mode replays the tensor-level SI per sample through
+    :meth:`TransArrayUnit.profile_subtile`.
     """
 
     def __init__(
@@ -110,7 +109,6 @@ class TransitiveArrayAccelerator(Accelerator):
         weight_provider: Optional[WeightProvider] = None,
         seed: int = 2025,
         clock_hz: float = CLOCK_FREQUENCY_HZ,
-        fast: bool = True,
     ) -> None:
         if scoreboard_mode not in ("dynamic", "static"):
             raise SimulationError(
@@ -125,7 +123,6 @@ class TransitiveArrayAccelerator(Accelerator):
         self.samples_per_gemm = samples_per_gemm
         self.weight_provider = weight_provider
         self.clock_hz = clock_hz
-        self.fast = fast
         self._rng = np.random.default_rng(seed)
         self.unit = TransArrayUnit(config)
         self.name = f"transarray-{config.transrow_bits}t"
@@ -176,21 +173,18 @@ class TransitiveArrayAccelerator(Accelerator):
             np.concatenate(tiles), shape.weight_bits, self.config.transrow_bits
         )[0, :, ::-1]
         samples = packed.reshape(self.samples_per_gemm, -1).astype(np.int64)
-        if self.scoreboard_mode == "dynamic" and self.fast:
+        if self.scoreboard_mode == "dynamic":
             return self._mean_report(self.unit.profile_subtiles(samples))
-        bags = samples.tolist()
-        if self.scoreboard_mode == "static":
-            static = StaticScoreboard(
-                width=self.config.transrow_bits,
-                max_distance=self.config.max_prefix_distance,
-                num_lanes=self.config.lanes,
-            )
-            static.fit(samples.ravel().tolist())
-            reports = [self.unit.profile_subtile(values, static_scoreboard=static)
-                       for values in bags]
-        else:
-            reports = [self.unit.profile_subtile(values) for values in bags]
-        return self._mean_report(reports)
+        static = StaticScoreboard(
+            width=self.config.transrow_bits,
+            max_distance=self.config.max_prefix_distance,
+            num_lanes=self.config.lanes,
+        )
+        static.fit(samples.ravel().tolist())
+        return self._mean_report([
+            self.unit.profile_subtile(values, static_scoreboard=static)
+            for values in samples.tolist()
+        ])
 
     @staticmethod
     def _mean_report(reports: List[SubTileReport]) -> SubTileReport:

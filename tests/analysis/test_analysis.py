@@ -1,5 +1,6 @@
 """Tests for the design-space, comparison and scoreboard-study harnesses."""
 
+import numpy as np
 import pytest
 
 from repro.analysis import (
@@ -16,7 +17,31 @@ from repro.analysis import (
     true_distance_histogram,
 )
 from repro.analysis.comparison import geomean_speedup
+from repro.analysis.design_space import density_point
+from repro.bitslice import binary_weight_matrix, pack_bits_to_uint
+from repro.core import op_counts_from_result
 from repro.errors import ReproError, SimulationError, WorkloadError
+from repro.quant.quantizer import quantize
+from repro.scoreboard import run_scoreboard
+from repro.workloads.synthetic import outlier_weight_matrix, random_binary_matrix
+
+
+def _tile(binary, row_start, rows, col_start, width):
+    """Packed TransRow values of one ``rows x width`` tile, zero-padded."""
+    tile = np.zeros((min(rows, binary.shape[0] - row_start), width), dtype=np.uint8)
+    block = binary[row_start:row_start + rows, col_start:col_start + width]
+    tile[:, :block.shape[1]] = block
+    return [int(v) for v in pack_bits_to_uint(tile)]
+
+
+def _scalar_merge(tiles, width):
+    """Per-tile scalar scoreboard runs, merged: the reference the batched
+    analysis sweeps are held to."""
+    merged = None
+    for values in tiles:
+        counts = op_counts_from_result(run_scoreboard(values, width=width))
+        merged = counts if merged is None else merged.merge(counts)
+    return merged
 
 
 class TestDesignSpace:
@@ -49,6 +74,23 @@ class TestDesignSpace:
         histogram = true_distance_histogram([1, 3, 7, 15, 8], width=4)
         assert sum(histogram.values()) == 5
         assert histogram[1] >= 4  # the 1-3-7-15 chain is all distance 1
+
+    @pytest.mark.parametrize("width", [2, 4, 8, 12])
+    def test_density_point_equals_per_tile_scalar_merge(self, width):
+        binary = random_binary_matrix(256, 256, seed=3)
+        row_size, max_tiles = 64, 8
+        tiles = [
+            _tile(binary, row_start, row_size, chunk * width, width)
+            for row_start in range(0, 256, row_size)
+            for chunk in range(256 // width)
+        ][:max_tiles]
+        merged = _scalar_merge(tiles, width)
+        point = density_point(binary, width, row_size, max_tiles=max_tiles)
+        assert (point.density, point.bit_density, point.zr_sparsity,
+                point.tr_density, point.fr_density, point.pr_density) == (
+            merged.density, merged.bit_density, merged.zr_fraction,
+            merged.tr_density, merged.fr_density, merged.pr_density,
+        )
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(WorkloadError):
@@ -96,6 +138,30 @@ class TestScoreboardStudyAndReporting:
                         if p.data == data and p.mode == mode and p.row_size == row)
         for data in ("real", "random"):
             assert density(data, "dynamic", 64) <= density(data, "static", 64)
+
+    def test_dynamic_points_equal_per_tile_scalar_merge(self):
+        rows, cols, bits, width, max_tiles = 128, 64, 8, 8, 8
+        datasets = {
+            "real": binary_weight_matrix(
+                quantize(outlier_weight_matrix(rows, cols, seed=0), bits=bits,
+                         axis=1).values,
+                bits,
+            ),
+            "random": random_binary_matrix(rows * bits, cols, seed=1),
+        }
+        points = scoreboard_density_study(row_sizes=(64, 128), matrix_rows=rows)
+        dynamic = [p for p in points if p.mode == "dynamic"]
+        assert len(dynamic) == 4
+        for point in dynamic:
+            binary = datasets[point.data]
+            tiles = [
+                _tile(binary, row_start, point.row_size, 0, width)
+                for row_start in range(0, binary.shape[0], point.row_size)
+            ][:max_tiles]
+            merged = _scalar_merge(tiles, width)
+            assert (point.density, point.bit_density) == (
+                merged.density, merged.bit_density
+            ), (point.data, point.row_size)
 
     def test_format_table_alignment_and_validation(self):
         text = format_table(["a", "bb"], [[1, 2.5], ["x", 3.0]])

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.core import ExactExecutor, TransitiveGemmEngine
+from repro.core import ExactExecutor, TransitiveGemmEngine, scalar_multiply
 from repro.core.executor import FLOAT64_EXACT
 from repro.errors import SimulationError
 from repro.quant.schemes import SCHEME_REGISTRY
@@ -492,12 +492,11 @@ def all_ones_entry_points():
         synthetic_gemm_workload(num_layers=1, n=2, k=3, m=1, weight_bits=4),
         weight_provider=lambda shape: np.ones((shape.n, shape.k), dtype=np.int64),
     )
-    scalar = TransitiveGemmEngine(transrow_bits=4, fast=False)
     return {
         "execute": ExactExecutor(weight).execute,
         "multiply_planned": lambda a: engine.multiply_planned(gemm_plan, a).output,
         "multiply-fast": lambda a: engine.multiply(weight, a, 4).output,
-        "multiply-scalar": lambda a: scalar.multiply(weight, a, 4).output,
+        "multiply-scalar": lambda a: scalar_multiply(weight, a, 4, transrow_bits=4).output,
         "ModelPlan.run": lambda a: model.run("layer0", a),
     }
 
@@ -527,9 +526,7 @@ class TestPlannedParity:
         engine = TransitiveGemmEngine(transrow_bits=8)
         plan = engine.plan(weight, bits)
         planned = engine.multiply_planned(plan, activation)
-        oracle = TransitiveGemmEngine(transrow_bits=8, fast=False).multiply(
-            weight, activation, bits
-        )
+        oracle = scalar_multiply(weight, activation, bits)
         assert np.array_equal(planned.output, oracle.output)
         assert planned.op_counts == oracle.op_counts == plan.op_counts
 
@@ -607,11 +604,10 @@ class TestPlannedParity:
         plan = compile_workload(workload, seed=7, quant_schemes={"layer1": "olive-8"})
         assert plan.compile_stats.per_layer_scheme == {"layer1": "olive-8"}
         act = np.random.default_rng(8).integers(-128, 128, size=(20, 3))
-        oracle = TransitiveGemmEngine(fast=False)
         for name in ("layer0", "layer1"):
             layer = plan.layer(name)
             assert np.array_equal(plan.run(name, act), layer.weight @ act)
-            scalar = oracle.multiply(layer.weight, act, layer.gemm_plan.weight_bits)
+            scalar = scalar_multiply(layer.weight, act, layer.gemm_plan.weight_bits)
             assert np.array_equal(plan.run(name, act), scalar.output)
 
 

@@ -1,15 +1,16 @@
-"""Property-style regression suite for the vectorized GEMM fast path.
+"""Property-style regression suite for the batched GEMM engine.
 
 For randomized shapes, TransRow widths, weight precisions and distance limits
-the fast path must be **bit-identical** to both the scalar oracle and plain
-``weight @ activation`` — outputs and reported operation counts alike.
+the engine must be **bit-identical** to both the scalar oracle
+(:func:`repro.core.scalar_multiply`) and plain ``weight @ activation`` —
+outputs and reported operation counts alike.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import TransitiveGemmEngine
+from repro.core import TransitiveGemmEngine, scalar_multiply
 from repro.workloads.synthetic import outlier_weight_matrix
 from repro.quant.quantizer import quantize
 
@@ -24,14 +25,12 @@ def _random_case(rng, weight_bits, max_dim=24):
 
 
 def _assert_paths_agree(weight, activation, weight_bits, transrow_bits, max_distance):
-    fast = TransitiveGemmEngine(
-        transrow_bits=transrow_bits, max_distance=max_distance, fast=True
+    engine = TransitiveGemmEngine(transrow_bits=transrow_bits, max_distance=max_distance)
+    fast_report = engine.multiply(weight, activation, weight_bits)
+    scalar_report = scalar_multiply(
+        weight, activation, weight_bits,
+        transrow_bits=transrow_bits, max_distance=max_distance,
     )
-    scalar = TransitiveGemmEngine(
-        transrow_bits=transrow_bits, max_distance=max_distance, fast=False
-    )
-    fast_report = fast.multiply(weight, activation, weight_bits)
-    scalar_report = scalar.multiply(weight, activation, weight_bits)
     expected = weight.astype(np.int64) @ activation.astype(np.int64)
     np.testing.assert_array_equal(fast_report.output, expected)
     np.testing.assert_array_equal(scalar_report.output, expected)
@@ -52,21 +51,6 @@ class TestRandomizedEquivalence:
         rng = np.random.default_rng(seed)
         weight, activation = _random_case(rng, weight_bits)
         _assert_paths_agree(weight, activation, weight_bits, transrow_bits, max_distance)
-
-    @given(st.integers(min_value=0, max_value=2**32 - 1))
-    @settings(max_examples=10, deadline=None)
-    def test_chunk_results_match_scalar(self, seed):
-        rng = np.random.default_rng(seed)
-        weight, activation = _random_case(rng, 4)
-        fast = TransitiveGemmEngine(transrow_bits=4, fast=True)
-        scalar = TransitiveGemmEngine(transrow_bits=4, fast=False)
-        fr = fast.multiply(weight, activation, 4, collect_chunks=True)
-        sr = scalar.multiply(weight, activation, 4, collect_chunks=True)
-        assert len(fr.chunk_results) == len(sr.chunk_results)
-        for cf, cs in zip(fr.chunk_results, sr.chunk_results):
-            assert cf.counts == cs.counts
-            assert cf.nodes == cs.nodes
-            assert cf.outliers == cs.outliers
 
 
 class TestEdgeCases:
@@ -90,8 +74,8 @@ class TestEdgeCases:
         assert report.op_counts.zr_fraction == 1.0
 
     def test_outlier_heavy_distance_one(self):
-        # max_distance=1 turns every present node into an outlier: the fast
-        # path must reproduce the raw popcount accumulation exactly.
+        # max_distance=1 turns every present node into an outlier: the engine
+        # must reproduce the raw popcount accumulation exactly.
         rng = np.random.default_rng(0)
         weight = rng.integers(-128, 128, size=(12, 32), dtype=np.int64)
         activation = rng.integers(-64, 64, size=(32, 6), dtype=np.int64)
@@ -119,7 +103,7 @@ class TestStaticScoreboardCache:
     def test_repeated_inference_hits_cache(self):
         rng = np.random.default_rng(4)
         weight = rng.integers(-8, 8, size=(32, 48), dtype=np.int64)
-        engine = TransitiveGemmEngine(transrow_bits=8, fast=True)
+        engine = TransitiveGemmEngine(transrow_bits=8)
         first = engine.multiply(weight, rng.integers(-5, 5, size=(48, 7)), 4)
         info = engine.scoreboard_cache_info()
         assert (info.hits, info.misses, info.entries) == (0, 1, 1)
@@ -132,7 +116,7 @@ class TestStaticScoreboardCache:
 
     def test_different_weights_miss_cache(self):
         rng = np.random.default_rng(6)
-        engine = TransitiveGemmEngine(transrow_bits=8, fast=True)
+        engine = TransitiveGemmEngine(transrow_bits=8)
         act = rng.integers(-5, 5, size=(16, 3))
         for _ in range(2):
             weight = rng.integers(-8, 8, size=(8, 16), dtype=np.int64)
@@ -143,7 +127,7 @@ class TestStaticScoreboardCache:
     def test_cache_eviction_respects_capacity(self):
         rng = np.random.default_rng(7)
         engine = TransitiveGemmEngine(
-            transrow_bits=4, fast=True, scoreboard_cache_entries=2
+            transrow_bits=4, scoreboard_cache_entries=2
         )
         act = rng.integers(-5, 5, size=(8, 2))
         for _ in range(4):
@@ -154,7 +138,7 @@ class TestStaticScoreboardCache:
     def test_cache_disabled(self):
         rng = np.random.default_rng(8)
         engine = TransitiveGemmEngine(
-            transrow_bits=4, fast=True, scoreboard_cache_entries=0
+            transrow_bits=4, scoreboard_cache_entries=0
         )
         weight = rng.integers(-8, 8, size=(4, 8), dtype=np.int64)
         act = rng.integers(-5, 5, size=(8, 2))

@@ -15,7 +15,7 @@ import types
 import numpy as np
 import pytest
 
-from repro.core import ExactExecutor, TransitiveGemmEngine, narrow_codes
+from repro.core import ExactExecutor, TransitiveGemmEngine, narrow_codes, scalar_multiply
 from repro.core.executor import FLOAT64_EXACT
 from repro.serving import compile_workload
 from repro.workloads import synthetic_gemm_workload
@@ -97,15 +97,15 @@ class TestPlanStoresNarrowCodes:
         assert np.array_equal(plan.kernel.weight, plan.weight)
         assert np.array_equal(plan.weight, weight)
         assert np.array_equal(engine.multiply_planned(plan, activation).output, expected)
-        oracle = TransitiveGemmEngine(transrow_bits=4, fast=False)
-        assert np.array_equal(oracle.multiply(plan.weight, activation, bits).output, expected)
+        oracle = scalar_multiply(plan.weight, activation, bits, transrow_bits=4)
+        assert np.array_equal(oracle.output, expected)
         model = compile_workload(
             synthetic_gemm_workload(num_layers=1, n=6, k=13, m=3, weight_bits=bits),
             engine=TransitiveGemmEngine(transrow_bits=4),
             weight_provider=lambda shape: weight,
         )
         assert model.layer("layer0").weight.dtype == dtype
-        scalar = oracle.multiply(model.layer("layer0").weight, activation, bits)
+        scalar = scalar_multiply(model.layer("layer0").weight, activation, bits, transrow_bits=4)
         assert np.array_equal(scalar.output, expected)
         assert np.array_equal(model.run("layer0", activation), expected)
 

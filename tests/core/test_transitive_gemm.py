@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import TransitiveGemmEngine, transitive_gemm
+from repro.core import TransitiveGemmEngine
 from repro.errors import SimulationError
 
 
@@ -46,9 +46,8 @@ class TestCorrectness:
         rng = np.random.default_rng(2)
         weight = rng.integers(-8, 8, size=(6, 13), dtype=np.int64)
         act = rng.integers(-50, 50, size=(13, 3), dtype=np.int64)
-        np.testing.assert_array_equal(
-            transitive_gemm(weight, act, weight_bits=4, transrow_bits=8), weight @ act
-        )
+        report = TransitiveGemmEngine(transrow_bits=8).multiply(weight, act, weight_bits=4)
+        np.testing.assert_array_equal(report.output, weight @ act)
 
     def test_all_zero_weight(self):
         weight = np.zeros((4, 16), dtype=np.int64)
@@ -61,9 +60,8 @@ class TestCorrectness:
     def test_negative_weights_only(self):
         weight = np.full((3, 8), -1, dtype=np.int64)
         act = np.arange(8 * 2).reshape(8, 2).astype(np.int64)
-        np.testing.assert_array_equal(
-            transitive_gemm(weight, act, weight_bits=8), weight @ act
-        )
+        report = TransitiveGemmEngine().multiply(weight, act, weight_bits=8)
+        np.testing.assert_array_equal(report.output, weight @ act)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(SimulationError):
@@ -93,8 +91,10 @@ class TestCorrectness:
         lo, hi = -(1 << (weight_bits - 1)), (1 << (weight_bits - 1)) - 1
         weight = rng.integers(lo, hi + 1, size=(n, k), dtype=np.int64)
         act = rng.integers(-128, 128, size=(k, m), dtype=np.int64)
-        output = transitive_gemm(weight, act, weight_bits, transrow_bits=transrow_bits)
-        np.testing.assert_array_equal(output, weight @ act)
+        report = TransitiveGemmEngine(transrow_bits=transrow_bits).multiply(
+            weight, act, weight_bits
+        )
+        np.testing.assert_array_equal(report.output, weight @ act)
 
 
 class TestOpCounts:
@@ -114,12 +114,3 @@ class TestOpCounts:
         report = TransitiveGemmEngine(transrow_bits=8).multiply(weight, act, weight_bits=8)
         assert report.op_counts.transitive_ops <= report.op_counts.bit_sparsity_ops
         assert report.op_counts.bit_sparsity_ops <= report.op_counts.dense_ops
-
-    def test_chunk_results_collected_when_requested(self):
-        rng = np.random.default_rng(5)
-        weight = rng.integers(-8, 8, size=(4, 16), dtype=np.int64)
-        act = rng.integers(-4, 4, size=(16, 2), dtype=np.int64)
-        report = TransitiveGemmEngine(transrow_bits=8).multiply(
-            weight, act, weight_bits=4, collect_chunks=True
-        )
-        assert len(report.chunk_results) == 2

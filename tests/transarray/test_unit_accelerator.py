@@ -296,9 +296,8 @@ _ENERGY_FIELDS = (
 class TestSimulateGemmGolden:
     """Pinned sampled-profile outputs: sampling and packing must not drift."""
 
-    @pytest.mark.parametrize("fast", [True, False])
-    def test_decode_block_seed_1(self, fast):
-        accelerator = TransitiveArrayAccelerator(seed=1, fast=fast)
+    def test_decode_block_seed_1(self):
+        accelerator = TransitiveArrayAccelerator(seed=1)
         shapes = _decode_block_shapes()
         assert [shape.name for shape in shapes] == list(_DECODE_GOLDEN)
         for shape in shapes:
@@ -312,18 +311,17 @@ class TestSimulateGemmGolden:
                 ), (shape.name, name)
 
     @pytest.mark.parametrize(
-        "mode, fast, cycles, tr_ops, total_nj",
+        "mode, cycles, tr_ops, total_nj",
         [
-            ("dynamic", True, 133, 146, 74.9009426231629),
-            ("dynamic", False, 133, 146, 74.9009426231629),
-            ("static", True, 32, 487, 46.07200448745776),
+            ("dynamic", 133, 146, 74.9009426231629),
+            ("static", 32, 487, 46.07200448745776),
         ],
     )
-    def test_weight_provider_profile(self, mode, fast, cycles, tr_ops, total_nj):
+    def test_weight_provider_profile(self, mode, cycles, tr_ops, total_nj):
         # A partial row block and a partial column chunk exercise the padding.
         shape = GemmShape("odd", 37, 29, 3, weight_bits=4)
         accelerator = TransitiveArrayAccelerator(
-            seed=6, scoreboard_mode=mode, fast=fast,
+            seed=6, scoreboard_mode=mode,
             weight_provider=lambda s: np.random.default_rng(7).integers(-8, 8, size=(s.n, s.k)),
         )
         profile = accelerator.simulate_gemm(shape)
