@@ -29,7 +29,8 @@ re-records the baseline.
 ``--faults smoke`` runs the chaos smoke scenario instead: a synthetic
 two-stage chained plan served as whole-model requests under seeded injected
 engine faults, latency and a scripted mid-pipeline worker crash.  It writes
-``BENCH_serving_faults.json`` and gates that **availability** — the
+``BENCH_serving_faults.json`` (with ``--check``, the git-ignored
+``BENCH_serving_faults.check.json``) and gates that **availability** — the
 fraction of (non-injected) client requests that still complete
 bit-identically via retry or worker restart — stays >= 99%.  A stage that
 exhausts its retries fails its requests, which count against availability.
@@ -430,7 +431,7 @@ def pipeline_main(scale: str, do_check: bool) -> None:
         print(f"[{scale}] all pipeline gates passed")
 
 
-def run_chaos_smoke(write: bool = True) -> dict:
+def run_chaos_smoke() -> dict:
     """Seeded chaos smoke run: serve a synthetic plan under injected faults.
 
     Availability counts every client request (none are "injected" — faults
@@ -487,7 +488,7 @@ def run_chaos_smoke(write: bool = True) -> dict:
         "delays": stats.delays,
         "delay_total_s": stats.delay_total_s,
     }
-    results = {
+    return {
         "benchmark": "bench_serving_faults",
         "provenance": provenance(),
         "scenario": "smoke",
@@ -498,13 +499,10 @@ def run_chaos_smoke(write: bool = True) -> dict:
         "serving": report.as_dict(),
         "health": server.health().as_dict(),
     }
-    if write:
-        write_results(FAULTS_OUTPUT_PATH, results)
-    return results
 
 
-def chaos_main() -> None:
-    results = run_chaos_smoke(write=True)
+def chaos_main(do_check: bool) -> None:
+    results = run_chaos_smoke()
     injected = results["injected"]
     serving = results["serving"]
     print(f"chaos smoke: {results['num_requests']} requests, "
@@ -516,7 +514,7 @@ def chaos_main() -> None:
           f"{serving['num_failed']} failed")
     print(f"availability: {results['availability']:.1%} "
           f"(gate >= {AVAILABILITY_GATE:.0%})")
-    print(f"wrote {FAULTS_OUTPUT_PATH}")
+    print(f"wrote {write_results(FAULTS_OUTPUT_PATH, results, do_check)}")
     if results["availability"] < AVAILABILITY_GATE:
         raise SystemExit(
             f"availability {results['availability']:.3f} is below the "
@@ -924,7 +922,8 @@ def main() -> None:
         "--check",
         action="store_true",
         help="gate the fresh run against absolute floors and the checked-in "
-             "baseline JSON; exit non-zero on failure",
+             "baseline JSON; exit non-zero on failure (every mode then writes "
+             "BENCH_<name>.check.json, never the baseline)",
     )
     parser.add_argument(
         "--faults",
@@ -953,7 +952,7 @@ def main() -> None:
         overload_main(args.scale, args.check)
         return
     if args.faults == "smoke":
-        chaos_main()
+        chaos_main(args.check)
         return
     if args.model is not None:
         pipeline_main(args.scale, args.check)

@@ -64,7 +64,6 @@ from .scoreboard import (
     StaticScoreboard,
     run_scoreboard,
     run_scoreboard_batch,
-    run_scoreboards_batched,
 )
 
 __version__ = "1.0.0"
@@ -104,6 +103,5 @@ __all__ = [
     "StaticScoreboard",
     "run_scoreboard",
     "run_scoreboard_batch",
-    "run_scoreboards_batched",
     "__version__",
 ]

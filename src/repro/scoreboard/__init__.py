@@ -13,9 +13,7 @@ from .algorithm import NodeState, ScoreboardResult, run_scoreboard
 from .batched import (
     BatchedScoreboard,
     batched_total_op_counts,
-    results_from_batch,
     run_scoreboard_batch,
-    run_scoreboards_batched,
     scoreboard_from_counts,
 )
 from .info import ScoreboardInfo, SIEntry
@@ -29,9 +27,7 @@ __all__ = [
     "run_scoreboard",
     "BatchedScoreboard",
     "batched_total_op_counts",
-    "results_from_batch",
     "run_scoreboard_batch",
-    "run_scoreboards_batched",
     "scoreboard_from_counts",
     "ScoreboardInfo",
     "SIEntry",

@@ -11,16 +11,12 @@ together.  Both passes are exact — the scalar algorithm is level-synchronous
 by construction (a node's distance is only ever written by its direct
 prefixes, which live one level down), so batching introduces no reordering.
 
-Two consumption styles are offered:
-
-* :func:`run_scoreboard_batch` returns the raw state arrays plus per-chunk /
-  merged :class:`~repro.core.metrics.OpCounts`-compatible tallies and
-  per-chunk balanced-forest lane loads — all the GEMM engine, the
-  density sweeps and the accelerator's sampled profile need.
-* :func:`run_scoreboards_batched` additionally rebuilds full per-chunk
-  :class:`~repro.scoreboard.algorithm.ScoreboardResult` objects (balanced
-  forest included) that are **bit-for-bit identical** to what
-  ``run_scoreboard`` would return, for callers that need lane assignments.
+:func:`run_scoreboard_batch` returns the raw state arrays plus per-chunk /
+merged :class:`~repro.core.metrics.OpCounts`-compatible tallies and per-chunk
+balanced-forest lane loads — all the GEMM engine, the density sweeps and the
+accelerator's sampled profile need.  No per-chunk
+:class:`~repro.scoreboard.algorithm.ScoreboardResult` is built; the scalar
+``run_scoreboard`` is the reference those tallies are tested against.
 """
 
 from __future__ import annotations
@@ -32,10 +28,9 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..errors import ScoreboardError
-from ..hasse import balance_lanes, build_balanced_forest
-from ..hasse.forest import ForestCandidate
+from ..hasse import balance_lanes
 from ..hasse.graph import HasseGraph, hasse_graph
-from .algorithm import ExecutedNode, OutlierNode, ScoreboardResult, UNREACHED
+from .algorithm import UNREACHED
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from ..core.metrics import OpCounts
@@ -340,7 +335,7 @@ def batched_total_op_counts(
     return merged
 
 
-# --------------------------------------------------------------------- exact
+# ------------------------------------------------------------ lane balance
 @lru_cache(maxsize=None)
 def _sorted_prefixes(width: int) -> Tuple[Tuple[int, ...], ...]:
     """Every node's direct prefixes, ascending, indexed by node."""
@@ -364,103 +359,3 @@ def _forest_candidates(
     if parent >= 0:
         return (parent,)
     return tuple(p for p in prefixes[node] if p == 0 or eff_zero[p])
-
-
-def run_scoreboards_batched(
-    values: Union[np.ndarray, Sequence[Sequence[int]]],
-    width: int,
-    max_distance: int = 4,
-    num_lanes: Optional[int] = None,
-) -> List[ScoreboardResult]:
-    """Batched drop-in for calling ``run_scoreboard`` once per chunk.
-
-    The array passes run once over the whole batch; only the (cheap, at most
-    ``2**T``-node) per-chunk balanced-forest partition remains scalar.  The
-    returned results match :func:`~repro.scoreboard.algorithm.run_scoreboard`
-    exactly, including node ordering, candidate tuples, lane assignment and
-    outlier order.
-    """
-    batch = run_scoreboard_batch(values, width, max_distance)
-    return results_from_batch(batch, num_lanes=num_lanes)
-
-
-def results_from_batch(
-    batch: BatchedScoreboard,
-    num_lanes: Optional[int] = None,
-) -> List[ScoreboardResult]:
-    """Exact per-chunk ``ScoreboardResult`` list from an existing batch run."""
-    lanes = num_lanes if num_lanes is not None else batch.width
-    graph = hasse_graph(batch.width)
-    return [
-        _reconstruct_result(batch, chunk, graph, lanes)
-        for chunk in range(batch.num_chunks)
-    ]
-
-
-def _reconstruct_result(
-    batch: BatchedScoreboard,
-    chunk: int,
-    graph: HasseGraph,
-    lanes: int,
-) -> ScoreboardResult:
-    """Rebuild one chunk's exact ``ScoreboardResult`` from the state arrays."""
-    width = batch.width
-    counts_row = batch.counts[chunk]
-    distance_row = batch.distance[chunk]
-    relay_row = batch.relay[chunk]
-    parent_row = batch.relay_parent[chunk]
-    # dist_eff == 0 for the candidates a distance-1 node may adopt: node 0 and
-    # every present node that still propagates (raw distance < max_distance).
-    eff_zero = (counts_row > 0) & (distance_row < batch.max_distance)
-    eff_zero_list = eff_zero.tolist()
-    distance_list = distance_row.tolist()
-    counts_list = counts_row.tolist()
-    relay_list = relay_row.tolist()
-    parent_list = parent_row.tolist()
-    prefixes = _sorted_prefixes(width)
-
-    counts: Dict[int, int] = {
-        int(v): counts_list[v] for v in np.nonzero(counts_row)[0]
-    }
-
-    executed: List[ForestCandidate] = []
-    outliers: List[OutlierNode] = []
-    for idx in range(1, graph.num_nodes):
-        count = counts_list[idx]
-        is_relay = relay_list[idx] and count == 0
-        if count == 0 and not is_relay:
-            continue
-        if count > 0 and distance_list[idx] >= batch.max_distance:
-            outliers.append(OutlierNode(index=idx, count=count))
-            continue
-        candidates = _forest_candidates(idx, parent_list, eff_zero_list, prefixes)
-        if not candidates:  # pragma: no cover - unreachable, mirrors scalar guard
-            if count > 0:
-                outliers.append(OutlierNode(index=idx, count=count))
-            continue
-        executed.append(
-            ForestCandidate(
-                index=idx, count=count, candidates=candidates, is_relay=is_relay
-            )
-        )
-
-    forest = build_balanced_forest(graph, executed, num_lanes=lanes)
-    nodes: Dict[int, ExecutedNode] = {}
-    for candidate in executed:
-        nodes[candidate.index] = ExecutedNode(
-            index=candidate.index,
-            count=candidate.count,
-            distance=distance_list[candidate.index],
-            prefix=forest.prefix_of(candidate.index),
-            lane=forest.lane_of(candidate.index),
-            is_relay=candidate.is_relay,
-        )
-    return ScoreboardResult(
-        width=width,
-        max_distance=batch.max_distance,
-        num_lanes=lanes,
-        counts=counts,
-        nodes=nodes,
-        outliers=outliers,
-        forest=forest,
-    )

@@ -21,11 +21,7 @@ from ..core.metrics import OpCounts
 from ..core.transitive_gemm import GemmPlan, TransitiveGemmEngine, narrow_codes
 from ..errors import ServingError
 from ..quant.schemes import SCHEME_REGISTRY
-from ..transarray.accelerator import (
-    GemmProfile,
-    RequestAttribution,
-    TransitiveArrayAccelerator,
-)
+from ..transarray.accelerator import GemmProfile, TransitiveArrayAccelerator
 from ..workloads.gemm import GemmShape, GemmWorkload
 from ..workloads.synthetic import outlier_weight_matrix
 from .graph import ModelGraph
@@ -133,7 +129,6 @@ class ModelPlan:
         self.engine = engine
         self.accelerator = accelerator
         self.compile_stats = compile_stats
-        self._attributions: Dict[Tuple[str, int], Optional[RequestAttribution]] = {}
         self._layers: Dict[str, LayerPlan] = {}
         for layer in layers:
             if layer.name in self._layers:
@@ -243,21 +238,6 @@ class ModelPlan:
             activation = self.run(layer, activation)
         return activation
 
-    def attribute(self, layer_name: str, columns: int) -> Optional[RequestAttribution]:
-        """Accelerator cycles/energy for a request, if profiles were compiled.
-
-        Memoised per ``(layer, columns)``: the attribution depends on nothing
-        else, and serving asks for it once per stage of every request.
-        """
-        key = (layer_name, columns)
-        if key not in self._attributions:
-            layer = self.layer(layer_name)
-            self._attributions[key] = (
-                None if layer.profile is None or self.accelerator is None
-                else self.accelerator.attribute_request(layer.profile, columns)
-            )
-        return self._attributions[key]
-
 
 def _bits_needed(values: np.ndarray) -> int:
     """Smallest signed two's-complement width holding every value."""
@@ -303,8 +283,8 @@ def compile_workload(
     accelerator:
         Optional :class:`~repro.transarray.TransitiveArrayAccelerator`; when
         given, every compiled layer's weight codes are also profiled through
-        the cycle/energy model, in compile order, so the server can attribute
-        per-request costs.
+        the cycle/energy model, in compile order, so the server can price
+        the columns each layer serves.
     seed:
         RNG seed for synthetic weight sampling.
     graph:

@@ -1,10 +1,11 @@
 """Serving-side statistics: latency percentiles, throughput, energy.
 
-The server folds every settled request into one :class:`ServingTotals` as
-it goes: exact integer counters, exact float sums and log-bucketed
-:class:`LatencyHistogram` s whose size does not depend on the traffic.  The
-report is assembled from a snapshot of those totals after (or during) a
-serving run, in time independent of how many requests it has served.
+The server folds every executed pass and every settled request into one
+:class:`ServingTotals` as it goes: exact integer counters, exact float sums
+and log-bucketed :class:`LatencyHistogram` s whose size does not depend on
+the traffic.  The report is assembled from a snapshot of those totals after
+(or during) a serving run, in time independent of how many requests it has
+served.
 """
 
 from __future__ import annotations
@@ -12,19 +13,15 @@ from __future__ import annotations
 import math
 from array import array
 from collections import defaultdict
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.metrics import OpCounts
 from ..energy.breakdown import EnergyBreakdown
-from ..transarray.accelerator import RequestAttribution
-from .plan import CompileStats
+from .plan import CompileStats, ModelPlan
 from .request import CANCELLED, DONE, EXPIRED, FAILED, SHED, ModelRequest
-
-#: Energy components summed in place by :meth:`ServingTotals.add_stage`.
-_ENERGY_FIELDS = tuple(f.name for f in fields(EnergyBreakdown))
 
 
 class LatencyHistogram:
@@ -54,15 +51,15 @@ class LatencyHistogram:
         self.low = math.inf
         self.high = -math.inf
 
-    def add(self, value: float) -> None:
-        """Count one sample."""
+    def add(self, value: float, count: int = 1) -> None:
+        """Count ``count`` samples of ``value``."""
         index = (
             min(int(math.log(value / self.LOW_S) * self._SCALE), self.NUM_BUCKETS - 1)
             if value > self.LOW_S else 0
         )
-        self.counts[index] += 1
-        self.count += 1
-        self.total += value
+        self.counts[index] += count
+        self.count += count
+        self.total += value * count
         if value < self.low:
             self.low = value
         if value > self.high:
@@ -88,7 +85,8 @@ class LatencyHistogram:
 class StageTotals:
     """What :class:`ServingTotals` keeps per pipeline stage (layer)."""
 
-    __slots__ = ("passes", "compute_s", "queue_delay_s", "latency")
+    __slots__ = ("passes", "compute_s", "queue_delay_s", "latency",
+                 "unpriced_passes", "unpriced_columns")
 
     def __init__(self) -> None:
         #: Executor passes and their summed fault-hook + executor seconds.
@@ -97,24 +95,27 @@ class StageTotals:
         #: Queue delay and latency of the stage's completed requests.
         self.queue_delay_s = 0.0
         self.latency = LatencyHistogram()
+        #: Passes and completed columns not yet priced by
+        #: :meth:`ServingTotals.price`.
+        self.unpriced_passes = 0
+        self.unpriced_columns = 0
 
 
 class ServingTotals:
     """Every figure a :class:`ServingReport` needs, in fixed memory.
 
-    A *stage request* is one model request at one stage: a completed
-    executor pass (state ``done``), or the stage where the request stopped
-    early in any other state.  A request that never reached a stage counts
-    at its first one.  Each is added once, through :meth:`add_stage`; its
-    latency runs from when the stage became runnable (the request's
-    submission for its first stage, the previous stage's finish for the
-    others).  Sums are accumulated in the order the stage requests settle.
+    A *stage request* is one model request at one stage.  The requests of
+    one executor pass share its instants, so :meth:`add_done` counts them
+    with one weighted add; a request that stopped early, or never reached a
+    stage, adds one row through :meth:`add_stop`.  A stage's latency runs
+    from when it became runnable (the request's submission for its first
+    stage, the previous stage's finish for the others).  The modeled cost
+    is priced per layer from pass and column totals by :meth:`price`.
     """
 
     def __init__(self) -> None:
-        #: Stage requests per state, and per ``(layer, state)``.
+        #: Stage requests per state.
         self.states: Dict[str, int] = defaultdict(int)
-        self.layer_states: Dict[Tuple[str, str], int] = defaultdict(int)
         self.retries = 0
         #: Activation columns of the completed stage requests.
         self.columns = 0
@@ -130,62 +131,47 @@ class ServingTotals:
         self.passes = 0
         self.batch_size_sum = 0
         self.batch_size_max = 0
-        #: Executor passes per distinct layer ``OpCounts``.
-        self.op_passes: Dict[OpCounts, int] = defaultdict(int)
+        #: Modeled cost of the passes and columns priced so far.
+        self.op_counts: Optional[OpCounts] = None
         self.attributed_cycles: Optional[int] = None
         self.attributed_energy: Optional[EnergyBreakdown] = None
         #: Model requests per state; latency of the completed ones.
         self.model_states: Dict[str, int] = defaultdict(int)
         self.model_latency = LatencyHistogram()
 
-    def add_stage(
-        self,
-        request: ModelRequest,
-        layer: str,
-        state: str,
-        queued_at: Optional[float],
-        started_at: Optional[float],
-        finished_at: float,
-        retries: int = 0,
-        attribution: Optional[RequestAttribution] = None,
-    ) -> None:
-        """Count one stage request of ``request``.
-
-        ``queued_at`` is ``None`` for the first stage of the first step,
-        which was runnable from submission on; ``started_at`` is ``None``
-        for a stage that never ran.
-        """
-        submitted_at = request.submitted_at if queued_at is None else queued_at
-        self.states[state] += 1
-        self.layer_states[layer, state] += 1
-        self.retries += retries
-        if submitted_at < self.first_submit:
-            self.first_submit = submitted_at
+    def _span(self, since: float, finished_at: float) -> None:
+        """Widen the ``wall_s`` span to cover ``since`` .. ``finished_at``."""
+        if since < self.first_submit:
+            self.first_submit = since
         if finished_at > self.last_finish:
             self.last_finish = finished_at
-        if state != DONE:
-            return
-        latency_s = finished_at - submitted_at
-        queue_delay_s = started_at - submitted_at if started_at is not None else 0.0
-        self.columns += request.columns
-        if request.deadline_at is None or finished_at <= request.deadline_at:
-            self.deadline_met[request.priority] += 1
+
+    def add_done(self, layer: str, requests: int, columns: int, retries: int,
+                 since: float, started_at: float, finished_at: float) -> None:
+        """Count ``requests`` stage requests, ``columns`` wide in all, that
+        completed ``layer`` in one executor pass (after ``retries``), runnable
+        from ``since``, run from ``started_at`` to ``finished_at``."""
+        latency_s = finished_at - since
+        queue_delay_s = (started_at - since) * requests
+        self.states[DONE] += requests
+        self.retries += retries * requests
+        self.columns += columns
+        self._span(since, finished_at)
         self.queue_delay_s += queue_delay_s
-        self.latency.add(latency_s)
+        self.latency.add(latency_s, requests)
         stage = self.stages[layer]
         stage.queue_delay_s += queue_delay_s
-        stage.latency.add(latency_s)
-        if attribution is not None:
-            if self.attributed_energy is None:
-                self.attributed_cycles = 0
-                self.attributed_energy = EnergyBreakdown()
-            self.attributed_cycles += attribution.cycles
-            energy, charge = self.attributed_energy, attribution.energy
-            for name in _ENERGY_FIELDS:
-                setattr(energy, name, getattr(energy, name) + getattr(charge, name))
+        stage.latency.add(latency_s, requests)
+        stage.unpriced_columns += columns
 
-    def add_pass(self, layer: str, batch_size: int, compute_s: float,
-                 op_counts: Optional[OpCounts]) -> None:
+    def add_stop(self, request: ModelRequest, since: float, retries: int) -> None:
+        """Count the stage request at which ``request`` stopped early (or,
+        never having reached a stage, settled), runnable from ``since``."""
+        self.states[request.state] += 1
+        self.retries += retries
+        self._span(since, request.finished_at)
+
+    def add_pass(self, layer: str, batch_size: int, compute_s: float) -> None:
         """Count one executor pass over ``batch_size`` requests."""
         self.passes += 1
         self.batch_size_sum += batch_size
@@ -194,27 +180,39 @@ class ServingTotals:
         stage = self.stages[layer]
         stage.passes += 1
         stage.compute_s += compute_s
-        if op_counts is not None:
-            self.op_passes[op_counts] += 1
+        stage.unpriced_passes += 1
 
-    def add_model(self, request: ModelRequest) -> None:
-        """Count one settled model request."""
+    def add_model(self, request: ModelRequest, deadline_met: int = 0) -> None:
+        """Count one settled model request, ``deadline_met`` of whose
+        completed stages finished inside its deadline."""
         self.model_states[request.state] += 1
+        if deadline_met:
+            self.deadline_met[request.priority] += deadline_met
         if request.state == DONE:
             self.model_latency.add(request.latency_s)
+
+    def price(self, plan: ModelPlan) -> None:
+        """Add the passes and columns counted since the last call, priced by
+        ``plan`` (the plan they ran on), to the modeled cost: per layer, its
+        ``OpCounts`` once per pass and one ``attribute_request`` over its
+        columns when the plan has an accelerator."""
+        for name, stage in self.stages.items():
+            layer = plan.layer(name)
+            if stage.unpriced_passes:
+                ops = layer.op_counts.repeated(stage.unpriced_passes)
+                self.op_counts = ops if self.op_counts is None else self.op_counts.merge(ops)
+            if (stage.unpriced_columns and layer.profile is not None
+                    and plan.accelerator is not None):
+                charge = plan.accelerator.attribute_request(layer.profile, stage.unpriced_columns)
+                self.attributed_cycles = charge.cycles + (self.attributed_cycles or 0)
+                self.attributed_energy = charge.energy.merge(
+                    self.attributed_energy or EnergyBreakdown())
+            stage.unpriced_passes = stage.unpriced_columns = 0
 
     @property
     def wall_s(self) -> float:
         """First stage-runnable instant to last settle (0.0 before any)."""
         return self.last_finish - self.first_submit if self.states else 0.0
-
-    def op_counts(self) -> Optional[OpCounts]:
-        """Summed ``OpCounts`` of every executor pass."""
-        total: Optional[OpCounts] = None
-        for counts, passes in self.op_passes.items():
-            scaled = counts.repeated(passes)
-            total = scaled if total is None else total.merge(scaled)
-        return total
 
 
 @dataclass(frozen=True)
@@ -467,7 +465,8 @@ def build_report(
     graph).  A run whose every request failed — or a monitoring poll before
     any finished — still gets a well-formed report, with zero latency and
     throughput figures.  Counts and sums are exact; percentiles are
-    histogram values within 1 %.
+    histogram values within 1 %.  The modeled cost is what
+    :meth:`ServingTotals.price` has priced so far.
     """
     wall_s = totals.wall_s
     wall = max(wall_s, 1e-12)
@@ -515,11 +514,11 @@ def build_report(
         ),
         max_batch_size=totals.batch_size_max,
         requests_per_layer={
-            layer: count
-            for (layer, state), count in totals.layer_states.items()
-            if state == DONE
+            layer: stage.latency.count
+            for layer, stage in totals.stages.items()
+            if stage.latency.count
         },
-        op_counts=totals.op_counts(),
+        op_counts=totals.op_counts,
         attributed_cycles=totals.attributed_cycles,
         attributed_energy=totals.attributed_energy,
         compile_stats=compile_stats,

@@ -77,6 +77,7 @@ from __future__ import annotations
 import copy
 import threading
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -101,7 +102,7 @@ from .policy import (
 )
 from .queue import RequestQueue
 from .report import ServingReport, ServingTotals, ShardStats, build_report
-from .request import CANCELLED, DONE, EXPIRED, FAILED, SHED, ModelRequest
+from .request import CANCELLED, EXPIRED, FAILED, SHED, ModelRequest
 
 #: A claim's columns: one matrix, or one per request before the first
 #: stage stacks them.
@@ -133,11 +134,11 @@ class _WorkerSlot:
 class _Claim:
     """One worker claim: a batch of model requests run through every stage.
 
-    It holds the live requests in column order, one entry per executor pass
-    (the requests it served) and, per request, the stage that stopped it.
-    Only the requests the claim itself settles reach the server's totals,
-    once, when the claim ends — a request requeued after a crash is counted
-    by the claim that settles it.
+    It holds the live requests in column order, one record per executor
+    pass and one per request it settled.  Each reaches the server's totals
+    once, when the claim ends.  A request only ever leaves the live set, so
+    it rides a prefix of the claim's passes; a request requeued after a
+    crash is counted by the claim that settles it.
     """
 
     def __init__(self, server: "Server", requests: List[ModelRequest]) -> None:
@@ -145,15 +146,18 @@ class _Claim:
         # One plan for every stage: swap_plan waits for running claims.
         self.plan = server.plan
         self.live = list(requests)
-        #: Per executor pass: layer, queued/started/finished instants,
-        #: retries, compute seconds and the requests whose columns it carried.
-        self.passes: List[Tuple[str, Optional[float], float, float, int,
-                                float, Tuple[ModelRequest, ...]]] = []
-        #: Per request settled early: layer, state, queued/started/finished
-        #: instants and retries of the stage that stopped it.
-        self.stops: Dict[ModelRequest, Tuple[str, str, Optional[float],
-                                             Optional[float], float, int]] = {}
-        self.settled: List[ModelRequest] = []
+        #: Per executor pass: layer, requests and columns it carried, retries,
+        #: queued/started/finished instants and compute seconds.  Only the
+        #: first pass (stage 0 of step 0) has no ``queued_at``: it was
+        #: runnable from each request's own submission.
+        self.passes: List[Tuple[str, int, int, int, Optional[float], float,
+                                float, float]] = []
+        #: The requests the first pass carried.
+        self.first: Tuple[ModelRequest, ...] = ()
+        #: Each request the claim settled, with the passes it rode and, if it
+        #: stopped early, when the stage that stopped it became runnable and
+        #: that stage's retries.
+        self.settled: List[Tuple[ModelRequest, int, Optional[float], int]] = []
         self.compute_s = 0.0
 
     def run(self) -> None:
@@ -176,19 +180,30 @@ class _Claim:
             step += 1
 
     def account(self, totals: ServingTotals) -> None:
-        """Add each request the claim settled to ``totals``: its executor
-        passes, then the stage that stopped it."""
-        for request in self.settled:
-            for layer, queued_at, started_at, finished_at, retries, _, members in self.passes:
-                if request in members:
-                    totals.add_stage(
-                        request, layer, DONE, queued_at, started_at, finished_at,
-                        retries, self.plan.attribute(layer, request.columns),
-                    )
-            stop = self.stops.get(request)
-            if stop is not None:
-                totals.add_stage(request, *stop)
-            totals.add_model(request)
+        """Add the claim's completed stages to ``totals``, one row per
+        executor pass, then its early stops and the requests it settled."""
+        # Requests are still live only after a crash: they are requeued, and
+        # the claim that settles them counts their stages.
+        requeued = self.live
+        requeued_columns = sum(request.columns for request in requeued)
+        finished = []
+        for layer, requests, columns, retries, queued_at, started_at, finished_at, _ \
+                in self.passes:
+            finished.append(finished_at)
+            if queued_at is None:
+                for request in self.first:
+                    if request not in requeued:
+                        totals.add_done(layer, 1, request.columns, retries,
+                                        request.submitted_at, started_at, finished_at)
+            elif requests > len(requeued):
+                totals.add_done(layer, requests - len(requeued), columns - requeued_columns,
+                                retries, queued_at, started_at, finished_at)
+        # A request rode a prefix of the passes, whose finish times only grow.
+        for request, rode, since, retries in self.settled:
+            if since is not None:
+                totals.add_stop(request, since, retries)
+            totals.add_model(request, rode if request.deadline_at is None else
+                             bisect_right(finished, request.deadline_at, 0, rode))
 
     # -------------------------------------------------------------- columns
     def _keep(self, columns: _Columns, keep: List[bool]) -> _Columns:
@@ -215,13 +230,13 @@ class _Claim:
 
     # ------------------------------------------------------------ settling
     def _stop(self, request: ModelRequest, state: str, error: BaseException,
-              layer: str, queued_at: Optional[float], started_at: Optional[float],
-              retries: int = 0) -> None:
-        """Settle ``request`` early at ``layer`` (if nobody settled it yet)."""
+              queued_at: Optional[float], retries: int = 0) -> None:
+        """Settle ``request`` early at the stage runnable since ``queued_at``
+        (if nobody settled it yet)."""
         now = time.perf_counter()
         if request._settle(state, error, now):
-            self.settled.append(request)
-            self.stops[request] = (layer, state, queued_at, started_at, now, retries)
+            since = request.submitted_at if queued_at is None else queued_at
+            self.settled.append((request, len(self.passes), since, retries))
 
     def _stop_at_boundary(self, columns: _Columns, layer: str,
                           queued_at: Optional[float]) -> _Columns:
@@ -230,15 +245,14 @@ class _Claim:
         keep = []
         for request in self.live:
             if request._cancel_pending():
-                self._stop(request, CANCELLED, request._cancel_error(),
-                           layer, queued_at, None)
+                self._stop(request, CANCELLED, request._cancel_error(), queued_at)
             elif request.expired(now):
                 overrun = now - request.deadline_at
                 self._stop(request, EXPIRED, DeadlineExceededError(
                     f"model request {request.request_id} ('{request.model}') "
                     f"missed its deadline by {overrun * 1e3:.1f} ms before "
                     f"stage '{layer}'"
-                ), layer, queued_at, None)
+                ), queued_at)
             keep.append(not request.done())
         return self._keep(columns, keep)
 
@@ -257,7 +271,7 @@ class _Claim:
             request._finish_step(output[:, offset: offset + request.columns].copy())
             more = step + 1 < request.num_steps
             if not more and request._complete(now):
-                self.settled.append(request)
+                self.settled.append((request, len(self.passes), None, 0))
             keep.append(more)
         return self._keep(output, keep)
 
@@ -293,7 +307,11 @@ class _Claim:
             except Exception as error:  # noqa: BLE001 - resilience boundary
                 policy = server.retry_policy
                 if policy is None or not policy.should_retry(error, attempt):
-                    self._stage_failed(layer, error, queued_at, started_at, retries)
+                    # Retries exhausted: every live request fails with the
+                    # error, and the claim ends.
+                    for request in self.live:
+                        self._stop(request, FAILED, error, queued_at, retries)
+                    self.live = []
                     return None
                 retries += 1
                 for request in self.live:
@@ -307,18 +325,11 @@ class _Claim:
             server.admission.observe_batch(layer, len(self.live), compute_s)
         finished_at = time.perf_counter()
         self.compute_s += compute_s
-        self.passes.append((layer, queued_at, started_at, finished_at, retries,
-                            compute_s, tuple(self.live)))
+        if queued_at is None:
+            self.first = tuple(self.live)
+        self.passes.append((layer, len(self.live), activation.shape[1], retries,
+                            queued_at, started_at, finished_at, compute_s))
         return output
-
-    def _stage_failed(self, layer: str, error: BaseException,
-                      queued_at: Optional[float], started_at: float,
-                      retries: int) -> None:
-        """A stage that exhausted its retries: every live request fails
-        with ``error`` and the claim ends."""
-        for request in self.live:
-            self._stop(request, FAILED, error, layer, queued_at, started_at, retries)
-        self.live = []
 
 
 @dataclass(frozen=True)
@@ -631,8 +642,11 @@ class Server:
             while self._inflight_batches:
                 self._swap_cv.wait()
         try:
-            self.plan = new_plan
             with self._lock:
+                # Every claim on the outgoing plan is accounted: price what
+                # it served by it before any column runs on the new one.
+                self._totals.price(self.plan)
+                self.plan = new_plan
                 self._plan_swaps += 1
         finally:
             with self._swap_cv:
@@ -946,28 +960,24 @@ class Server:
     ) -> None:
         """Fold settled requests into the totals, once, in one locked update.
 
-        ``unstaged`` requests settled without reaching a stage and count at
-        their first one; a claim's settled requests count the stages they
-        ran.  With ``slot``, the claim finished: its executor passes and
-        ``busy_s`` of worker time count too.
+        ``unstaged`` requests settled without reaching a stage and count
+        one row each; a claim counts its completed stages and the requests
+        it settled.  With ``slot``, the claim finished: its executor passes
+        and ``busy_s`` of worker time count too.
         """
         with self._lock:
             totals = self._totals
             for request in unstaged:
-                totals.add_stage(
-                    request, request.layer, request.state, None,
-                    request.started_at, request.finished_at, request.retries,
-                )
+                totals.add_stop(request, request.submitted_at, request.retries)
                 totals.add_model(request)
             if claim is None:
                 return
             claim.account(totals)
             if slot is None:
                 return
-            for layer, _, _, _, _, compute_s, members in claim.passes:
-                totals.add_pass(layer, len(members), compute_s,
-                                claim.plan.layer(layer).op_counts)
-                slot.requests += len(members)
+            for layer, requests, *_, compute_s in claim.passes:
+                totals.add_pass(layer, requests, compute_s)
+                slot.requests += requests
             slot.batches += len(claim.passes)
             slot.compute_s += claim.compute_s
             slot.dispatch_s += max(busy_s - claim.compute_s, 0.0)
@@ -1037,14 +1047,16 @@ class Server:
             admission_sheds = self._admission_sheds
             plan_swaps = self._plan_swaps
             force_aborted = self._force_aborted
-        graph = self.plan.graph or self._implicit_graph
+            plan = self.plan
+        totals.price(plan)
+        graph = plan.graph or self._implicit_graph
         return build_report(
-            self.plan.name,
+            plan.name,
             totals,
             graph.layers if graph is not None else (),
             num_rejected=self.queue.rejected,
             num_worker_restarts=restarts,
-            compile_stats=getattr(self.plan, "compile_stats", None),
+            compile_stats=getattr(plan, "compile_stats", None),
             shards=shards,
             num_admission_shed=admission_sheds,
             num_plan_swaps=plan_swaps,

@@ -7,11 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.metrics import OpCounts, op_counts_from_result
 from repro.errors import ScoreboardError
-from repro.scoreboard import (
-    run_scoreboard,
-    run_scoreboard_batch,
-    run_scoreboards_batched,
-)
+from repro.scoreboard import run_scoreboard, run_scoreboard_batch
 
 
 def _random_bags(rng, width, num_bags, max_rows=60):
@@ -21,15 +17,19 @@ def _random_bags(rng, width, num_bags, max_rows=60):
     ]
 
 
-def _assert_results_equal(fast, scalar):
-    assert fast.width == scalar.width
-    assert fast.max_distance == scalar.max_distance
-    assert fast.num_lanes == scalar.num_lanes
-    assert fast.counts == scalar.counts
-    assert fast.nodes == scalar.nodes
-    assert fast.outliers == scalar.outliers
-    assert fast.forest.node_prefix == scalar.forest.node_prefix
-    assert fast.forest.node_lane == scalar.forest.node_lane
+def _assert_bags_match_scalar(batch, bags, num_lanes=None):
+    """Per bag: the batch's OpCounts fields and lane loads equal the scalar
+    scoreboard's."""
+    fields = batch.op_count_fields()
+    lanes = num_lanes if num_lanes is not None else batch.width
+    loads = batch.lane_node_counts(lanes)
+    assert len(loads) == len(bags)
+    for i, bag in enumerate(bags):
+        scalar = run_scoreboard(bag, width=batch.width, max_distance=batch.max_distance,
+                                num_lanes=num_lanes)
+        fast = OpCounts(width=batch.width, **{key: int(arr[i]) for key, arr in fields.items()})
+        assert fast == op_counts_from_result(scalar)
+        assert loads[i] == scalar.lane_ppe_loads()
 
 
 class TestExactEquivalence:
@@ -42,25 +42,24 @@ class TestExactEquivalence:
     def test_batched_results_match_scalar(self, seed, width, max_distance):
         rng = np.random.default_rng(seed)
         bags = _random_bags(rng, width, num_bags=8)
-        fast_results = run_scoreboards_batched(bags, width=width, max_distance=max_distance)
-        for bag, fast in zip(bags, fast_results):
-            scalar = run_scoreboard(bag, width=width, max_distance=max_distance)
-            _assert_results_equal(fast, scalar)
+        batch = run_scoreboard_batch(bags, width=width, max_distance=max_distance)
+        _assert_bags_match_scalar(batch, bags)
 
     def test_custom_lane_count_matches_scalar(self):
         rng = np.random.default_rng(11)
         bags = _random_bags(rng, 8, num_bags=4)
-        fast_results = run_scoreboards_batched(bags, width=8, num_lanes=3)
-        for bag, fast in zip(bags, fast_results):
-            _assert_results_equal(fast, run_scoreboard(bag, width=8, num_lanes=3))
+        _assert_bags_match_scalar(run_scoreboard_batch(bags, width=8), bags, num_lanes=3)
 
     def test_rectangular_array_input_matches_ragged(self):
         rng = np.random.default_rng(5)
         values = rng.integers(0, 256, size=(6, 40))
-        from_array = run_scoreboards_batched(values, width=8)
-        from_lists = run_scoreboards_batched([row.tolist() for row in values], width=8)
-        for a, b in zip(from_array, from_lists):
-            _assert_results_equal(a, b)
+        bags = [row.tolist() for row in values]
+        from_array = run_scoreboard_batch(values, width=8)
+        from_lists = run_scoreboard_batch(bags, width=8)
+        for key, arr in from_array.op_count_fields().items():
+            assert np.array_equal(arr, from_lists.op_count_fields()[key])
+        assert from_array.lane_node_counts(8) == from_lists.lane_node_counts(8)
+        _assert_bags_match_scalar(from_array, bags)
 
 
 class TestOpCountTallies:

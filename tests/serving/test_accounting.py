@@ -36,14 +36,15 @@ from repro.serving import (
 )
 from repro.serving.report import LatencyHistogram
 from repro.serving.request import RUNNING
+from repro.transarray import TransitiveArrayAccelerator
 from repro.workloads import synthetic_gemm_workload
 
 LAYER = "layer0"
 
 
-def _plan(num_layers=1, **kwargs):
+def _plan(num_layers=1, seed=7, **kwargs):
     workload = synthetic_gemm_workload(num_layers=num_layers, n=8, k=8, m=4, weight_bits=4)
-    return compile_workload(workload, seed=7, **kwargs)
+    return compile_workload(workload, seed=seed, **kwargs)
 
 
 def _act(cols=1, seed=0):
@@ -89,6 +90,19 @@ class TestLatencyHistogram:
         assert same.percentile(50.0) == same.percentile(99.0) == 0.25
 
 
+    def test_weighted_add_equals_repeated_adds(self):
+        weighted, repeated = LatencyHistogram(), LatencyHistogram()
+        for value, count in ((0.002, 3), (0.5, 1), (0.01, 4)):
+            weighted.add(value, count)
+            for _ in range(count):
+                repeated.add(value)
+        assert weighted.counts == repeated.counts
+        assert weighted.count == repeated.count == 8
+        assert weighted.total == pytest.approx(repeated.total, rel=1e-15)
+        for q in (50.0, 95.0, 99.0):
+            assert weighted.percentile(q) == repeated.percentile(q)
+
+
 class TestBoundedMemory:
     def test_server_memory_stops_growing_with_traffic(self):
         plan = _plan(num_layers=2, graph="chain")
@@ -112,6 +126,34 @@ class TestBoundedMemory:
         finally:
             tracemalloc.stop()
         assert server.report().num_model_requests == 2200
+        assert after - before < 64 * 1024
+
+    def test_memory_stops_growing_across_request_widths(self):
+        """Modeled cost is priced per layer, so serving a new request width
+        leaves nothing behind."""
+        plan = _plan(num_layers=2, graph="chain",
+                     accelerator=TransitiveArrayAccelerator(samples_per_gemm=2))
+
+        def serve(widths):
+            for width in widths:
+                server.submit(_act(cols=width)).result(timeout=10.0)
+
+        def retained():
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0]
+
+        tracemalloc.start()
+        try:
+            with Server(plan, num_workers=1, max_batch=4) as server:
+                serve([1, 2, 3, 4] * 50)
+                before = retained()
+                serve(range(5, 605))
+                after = retained()
+        finally:
+            tracemalloc.stop()
+        report = server.report()
+        assert report.num_model_requests == 800
+        assert report.attributed_cycles is not None
         assert after - before < 64 * 1024
 
 
@@ -232,6 +274,70 @@ class TestAccountingAcrossOutcomes:
         assert report.num_batches == 3
         assert sum(shard.batches for shard in report.shards) == 3
         assert report.requests_per_layer == {LAYER: 3}
+
+
+class TestModeledCost:
+    """Each layer's passes and columns are priced once, by the plan they ran on."""
+
+    LAYERS = ("layer0", "layer1")
+
+    @staticmethod
+    def _accelerated(seed=7):
+        # Profiled at m=5 columns: a column's share of the cycles is fractional.
+        workload = synthetic_gemm_workload(num_layers=2, n=8, k=8, m=5, weight_bits=4)
+        return compile_workload(workload, seed=seed, graph="chain",
+                                accelerator=TransitiveArrayAccelerator(samples_per_gemm=2, seed=1))
+
+    @classmethod
+    def _charges(cls, plan, columns):
+        return [plan.accelerator.attribute_request(plan.layer(name).profile, columns)
+                for name in cls.LAYERS]
+
+    @classmethod
+    def _ops(cls, plan, passes):
+        first, second = (plan.layer(name).op_counts.repeated(passes) for name in cls.LAYERS)
+        return first.merge(second)
+
+    @staticmethod
+    def _serve(server, widths):
+        handles = server.submit_many([_act(cols=w, seed=i) for i, w in enumerate(widths)])
+        for handle in handles:
+            handle.result(timeout=10.0)
+
+    def test_cost_is_priced_from_per_layer_totals(self):
+        plan = self._accelerated()
+        with Server(plan, num_workers=1, max_batch=4) as server:
+            self._serve(server, (1, 2, 3, 5, 7, 2))
+        report = server.report()
+        assert report.requests_per_layer == {"layer0": 6, "layer1": 6}
+        charges = self._charges(plan, 20)  # every column rides both layers
+        # One ceil per layer over its 20 columns; one per request gave 676.
+        assert report.attributed_cycles == sum(c.cycles for c in charges) == 672
+        assert report.attributed_energy.total_nj == pytest.approx(
+            sum(c.energy.total_nj for c in charges), rel=1e-12)
+        assert [stage.batches for stage in report.stages] == [2, 2]
+        assert report.op_counts == self._ops(plan, 2)
+
+    def test_swap_prices_each_plan_by_its_own_profile(self):
+        served, replacement = self._accelerated(seed=23), self._accelerated(seed=99)
+        # The weights differ, so the plans price the same columns differently.
+        old, new = (sum(c.energy.total_nj for c in self._charges(plan, 10))
+                    for plan in (served, replacement))
+        assert abs(old - new) > 1e-6 * old
+        assert self._ops(served, 1) != self._ops(replacement, 1)
+        server = Server(served, num_workers=1, max_batch=4)
+        with server:
+            self._serve(server, (3, 3, 3, 3))  # one pass per layer
+            server.swap_plan(replacement)
+            self._serve(server, (2, 2, 2, 2, 2))  # two passes per layer
+        report = server.report()
+        assert report.num_plan_swaps == 1
+        assert [stage.batches for stage in report.stages] == [3, 3]
+        charges = self._charges(served, 12) + self._charges(replacement, 10)
+        assert report.attributed_cycles == sum(c.cycles for c in charges)
+        assert report.attributed_energy.total_nj == pytest.approx(
+            sum(c.energy.total_nj for c in charges), rel=1e-12)
+        assert report.op_counts == self._ops(served, 1).merge(self._ops(replacement, 2))
 
 
 class TestSnapshot:

@@ -38,7 +38,7 @@ from repro.serving import (
     Server,
     compile_workload,
 )
-from repro.serving.request import DONE, FAILED
+from repro.serving.request import FAILED
 from repro.workloads import LlamaConfig, llama_block_gemms, resnet_stack_gemms
 
 TINY = LlamaConfig("tiny-llama", hidden_size=32, intermediate_size=48,
@@ -433,18 +433,19 @@ class TestWholeChainClaim:
         # o_proj's hook failed all three attempts; no later stage ran.
         assert log.calls == [("qkv_proj", 4), ("attn_score", 4)]
         assert faults.stats().batch_hooks == 5
-        assert server._totals.layer_states == {
-            ("qkv_proj", DONE): 2, ("attn_score", DONE): 2, ("o_proj", FAILED): 2,
-        }
         report = server.report()
+        # Both requests completed the two stages before o_proj, then failed
+        # there: one failed row each, and no stage from o_proj on ran.
+        assert report.requests_per_layer == {"qkv_proj": 2, "attn_score": 2}
+        assert report.num_requests == 4
         assert report.num_failed == 2
         assert report.num_model_failed == 2
         assert report.num_model_requests == 0
         assert report.num_retried == 4  # two retries for each request
-        by_layer = {stage.layer: stage for stage in report.stages}
-        assert by_layer["o_proj"].requests == 0
-        assert by_layer["o_proj"].batches == 0
-        assert by_layer["gate_proj"].batches == 0
+        assert [(stage.layer, stage.requests, stage.batches) for stage in report.stages] == [
+            ("qkv_proj", 2, 1), ("attn_score", 2, 1), ("o_proj", 0, 0),
+            ("gate_proj", 0, 0), ("down_proj", 0, 0),
+        ]
 
     def test_failed_decode_step_fails_only_the_longer_stream(self):
         plan = _block_plan()
