@@ -88,9 +88,15 @@ class ExactExecutor:
         self.build_s = time.perf_counter() - start
 
     def execute(self, activation: np.ndarray) -> np.ndarray:
-        """``weight @ activation`` for an integer ``(K, M)`` activation."""
+        """``weight @ activation`` for an integer ``(K, M)`` activation;
+        anything else raises :class:`SimulationError`."""
         activation = as_exact_int64(activation)
-        peak = max(int(activation.max()), -int(activation.min())) if activation.size else 0
+        if activation.ndim != 2 or activation.shape[0] != self.weight.shape[1]:
+            raise SimulationError(f"shape mismatch: weight {self.weight.shape} x "
+                                  f"activation {activation.shape} (need a 2-D matrix)")
+        # The ufuncs themselves: ndarray.max/min add a Python call each.
+        peak = max(int(np.maximum.reduce(activation, axis=None)),
+                   -int(np.minimum.reduce(activation, axis=None))) if activation.size else 0
         if self.row_bound * peak < FLOAT64_EXACT:
             return (self.weight @ activation.astype(np.float64)).astype(np.int64)
         if self.max_weight * peak < FLOAT64_EXACT:

@@ -27,9 +27,10 @@ On top of the engine, :meth:`TransitiveGemmEngine.plan` compiles a weight matrix
 **once, offline** into a :class:`GemmPlan`: its scoreboard's exact operation
 counts plus an :class:`~repro.core.executor.ExactExecutor`.  Because
 transitive reuse only re-associates integer additions, planned execution
-(:meth:`TransitiveGemmEngine.multiply_planned`) computes the product through
-that executor — exact float64 BLAS — and carries the plan's operation counts; it
-is bit-identical to :func:`scalar_multiply`.
+computes the product through that executor — exact float64 BLAS — and is
+bit-identical to :func:`scalar_multiply`.  A served model stage calls the
+executor directly (:meth:`repro.serving.ModelPlan.run`);
+:meth:`TransitiveGemmEngine.multiply_planned` adds the plan's operation counts.
 """
 
 from __future__ import annotations
@@ -121,7 +122,8 @@ class GemmPlan:
     once, and the merged :class:`~repro.core.metrics.OpCounts` are pinned in
     this handle next to ``kernel``, the layer's
     :class:`~repro.core.executor.ExactExecutor`.  Online execution against
-    the plan (:meth:`TransitiveGemmEngine.multiply_planned`) skips weight
+    the plan — ``kernel.execute``, which a served stage calls, or
+    :meth:`TransitiveGemmEngine.multiply_planned` — skips weight
     fingerprinting, bit-slicing and scoreboarding entirely, which is what a
     serving runtime needs on its per-request hot path.
     """
@@ -324,20 +326,13 @@ class TransitiveGemmEngine:
     ) -> TransitiveGemmReport:
         """Compute ``plan.weight @ activation`` from the precompiled plan.
 
-        The per-request hot path of the serving runtime: no hashing, no
-        bit-slicing, no scoreboarding — one call into the plan's executor.
+        No hashing, no bit-slicing, no scoreboarding — one call into the
+        plan's executor, which refuses a wrong shape or an inexact value.
         Bit-identical to :meth:`multiply` on the same operands, with the
-        plan's operation counts.
+        plan's operation counts.  A served model stage skips this wrapper:
+        :meth:`repro.serving.ModelPlan.run` calls the executor directly.
         """
         self._check_plan(plan)
-        activation = as_exact_int64(activation)
-        if activation.ndim != 2:
-            raise SimulationError("activation must be a 2-D matrix")
-        if activation.shape[0] != plan.k:
-            raise SimulationError(
-                f"shape mismatch: plan weight {plan.weight.shape} x "
-                f"activation {activation.shape}"
-            )
         output = plan.kernel.execute(activation)
         return TransitiveGemmReport(output=output, op_counts=plan.op_counts)
 

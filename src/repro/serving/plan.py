@@ -137,6 +137,9 @@ class ModelPlan:
                     f"'{workload.name}'; serving requires unique layer names"
                 )
             self._layers[layer.name] = layer
+        #: Each layer's executor call, for :meth:`run`.
+        self._execute = {name: layer.gemm_plan.kernel.execute
+                         for name, layer in self._layers.items()}
         if graph is not None:
             missing = [name for name in graph.layers if name not in self._layers]
             if missing:
@@ -162,10 +165,13 @@ class ModelPlan:
         try:
             return self._layers[name]
         except KeyError as exc:
-            raise ServingError(
-                f"model plan '{self.name}' has no layer '{name}'; "
-                f"available: {list(self._layers)}"
-            ) from exc
+            raise self._unknown(name) from exc
+
+    def _unknown(self, name: str) -> ServingError:
+        return ServingError(
+            f"model plan '{self.name}' has no layer '{name}'; "
+            f"available: {list(self._layers)}"
+        )
 
     def __contains__(self, name: str) -> bool:
         return name in self._layers
@@ -217,22 +223,24 @@ class ModelPlan:
         """Execute one activation against a compiled layer.
 
         Bit-identical to ``layer.weight @ activation``; the per-call work is
-        one call into the layer's executor — the static scoreboard was paid
-        at compile time.
+        one call of the layer's
+        :meth:`~repro.core.executor.ExactExecutor.execute`, which refuses a
+        wrong shape or value — the static scoreboard was paid at compile time.
         """
-        layer = self.layer(layer_name)
-        report = self.engine.multiply_planned(layer.gemm_plan, activation)
-        return report.output
+        try:
+            execute = self._execute[layer_name]
+        except KeyError as exc:
+            raise self._unknown(layer_name) from exc
+        return execute(activation)
 
     def run_model(self, activation: np.ndarray) -> np.ndarray:
         """Run one activation through every graph stage, sequentially.
 
         The sequential reference execution: stage outputs are produced one
-        at a time on the calling thread, each via
-        :meth:`~repro.core.transitive_gemm.TransitiveGemmEngine.multiply_planned`.
-        The server is bit-identical to this by construction — a worker claim
-        makes the same per-stage executor calls over the concatenated
-        columns of several requests.
+        at a time on the calling thread, each by :meth:`run`.  The server is
+        bit-identical to this by construction — a worker claim makes the
+        same per-stage :meth:`run` calls over the concatenated columns of
+        several requests.
         """
         for layer in self._require_graph():
             activation = self.run(layer, activation)

@@ -82,9 +82,6 @@ class RequestQueue:
         insort(lane, (key, request.queue_seq, request))
         self._size += 1
 
-    def _lane_priorities(self) -> List[int]:
-        return sorted(p for p, lane in self._lanes.items() if lane)
-
     # -------------------------------------------------------------- client
     def put(self, request: ModelRequest) -> None:
         """Admit a request, or raise :class:`BackpressureError` if full."""
@@ -157,7 +154,7 @@ class RequestQueue:
             raise ServingError(f"max_batch must be positive, got {max_batch}")
         with self._condition:
             while True:
-                batch = self._pop_live(max_batch)
+                batch = self._pop_live(max_batch) if self._size else None
                 if batch:
                     return batch
                 if self._closed:
@@ -170,7 +167,7 @@ class RequestQueue:
         dead ones on the way (lock held)."""
         now = time.perf_counter()
         batch: List[ModelRequest] = []
-        for priority in self._lane_priorities():
+        for priority in sorted(p for p, lane in self._lanes.items() if lane):
             lane = self._lanes[priority]
             while lane and len(batch) < count:
                 request = lane.pop(0)[2]
@@ -201,6 +198,8 @@ class RequestQueue:
 
     def take_shed(self) -> List[ModelRequest]:
         """Hand the accumulated shed requests to the caller (and forget them)."""
+        if not self._shed:  # unlocked: a shed added meanwhile waits for the next call
+            return []
         with self._condition:
             shed = self._shed
             self._shed = []

@@ -69,6 +69,14 @@ class LatencyHistogram:
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
+    def merge(self, other: "LatencyHistogram") -> None:
+        """Count every sample of ``other`` too."""
+        counts = np.frombuffer(self.counts, dtype=np.int64)
+        counts += np.frombuffer(other.counts, dtype=np.int64)
+        self.count += other.count
+        self.total += other.total
+        self.low, self.high = min(self.low, other.low), max(self.high, other.high)
+
     def percentile(self, q: float) -> float:
         """The ``q``-th percentile, within 1 % of the sample at rank
         ``floor(q / 100 * (count - 1))`` (numpy's ``method="lower"``);
@@ -109,7 +117,8 @@ class ServingTotals:
     with one weighted add; a request that stopped early, or never reached a
     stage, adds one row through :meth:`add_stop`.  A stage's latency runs
     from when it became runnable (the request's submission for its first
-    stage, the previous stage's finish for the others).  The modeled cost
+    stage, the previous stage's finish for the others); the report merges
+    the stages' latencies and queue delays.  The modeled cost
     is priced per layer from pass and column totals by :meth:`price`.
     """
 
@@ -121,8 +130,6 @@ class ServingTotals:
         self.columns = 0
         #: Completed stage requests inside their deadline, per priority.
         self.deadline_met: Dict[int, int] = defaultdict(int)
-        self.queue_delay_s = 0.0
-        self.latency = LatencyHistogram()
         #: Earliest stage-runnable and latest settle instant: ``wall_s``.
         self.first_submit = math.inf
         self.last_finish = -math.inf
@@ -151,17 +158,13 @@ class ServingTotals:
         """Count ``requests`` stage requests, ``columns`` wide in all, that
         completed ``layer`` in one executor pass (after ``retries``), runnable
         from ``since``, run from ``started_at`` to ``finished_at``."""
-        latency_s = finished_at - since
-        queue_delay_s = (started_at - since) * requests
         self.states[DONE] += requests
         self.retries += retries * requests
         self.columns += columns
         self._span(since, finished_at)
-        self.queue_delay_s += queue_delay_s
-        self.latency.add(latency_s, requests)
         stage = self.stages[layer]
-        stage.queue_delay_s += queue_delay_s
-        stage.latency.add(latency_s, requests)
+        stage.queue_delay_s += (started_at - since) * requests
+        stage.latency.add(finished_at - since, requests)
         stage.unpriced_columns += columns
 
     def add_stop(self, request: ModelRequest, since: float, retries: int) -> None:
@@ -470,7 +473,10 @@ def build_report(
     """
     wall_s = totals.wall_s
     wall = max(wall_s, 1e-12)
-    states, latency = totals.states, totals.latency
+    states, latency = totals.states, LatencyHistogram()
+    for stage in totals.stages.values():
+        latency.merge(stage.latency)
+    queue_delay_s = sum(stage.queue_delay_s for stage in totals.stages.values())
     stages = []
     for index, layer in enumerate(layers):
         stage = totals.stages.get(layer) or StageTotals()
@@ -505,9 +511,7 @@ def build_report(
         latency_p50_s=latency.percentile(50.0),
         latency_p95_s=latency.percentile(95.0),
         latency_p99_s=latency.percentile(99.0),
-        queue_delay_mean_s=(
-            totals.queue_delay_s / latency.count if latency.count else 0.0
-        ),
+        queue_delay_mean_s=queue_delay_s / latency.count if latency.count else 0.0,
         num_batches=totals.passes,
         mean_batch_size=(
             totals.batch_size_sum / totals.passes if totals.passes else 0.0
@@ -523,7 +527,7 @@ def build_report(
         attributed_energy=totals.attributed_energy,
         compile_stats=compile_stats,
         shards=tuple(shards),
-        queue_wait_s_total=totals.queue_delay_s,
+        queue_wait_s_total=queue_delay_s,
         compute_s_total=sum(shard.compute_s for shard in shards),
         dispatch_s_total=sum(shard.dispatch_s for shard in shards),
         stages=tuple(stages),

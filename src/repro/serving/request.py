@@ -252,10 +252,6 @@ class ModelRequest:
         """
         return self._settle(FAILED, error, finished_at)
 
-    def _cancel_pending(self) -> bool:
-        with self._state_lock:
-            return self._cancel_requested
-
     def _finish_step(self, output: np.ndarray) -> None:
         with self._state_lock:
             self._step_outputs.append(output)

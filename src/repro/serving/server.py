@@ -139,13 +139,21 @@ class _Claim:
     once, when the claim ends.  A request only ever leaves the live set, so
     it rides a prefix of the claim's passes; a request requeued after a
     crash is counted by the claim that settles it.
+
+    The claim reads the clock once per stage boundary, into ``now``: a
+    pass's finish is also the next boundary's deadline check and the time
+    the next stage became runnable.  Only a pass's start, before the fault
+    hook, reads it again, so compute is the hook and the executor call.
     """
 
-    def __init__(self, server: "Server", requests: List[ModelRequest]) -> None:
+    def __init__(self, server: "Server", requests: List[ModelRequest],
+                 now: float) -> None:
         self.server = server
         # One plan for every stage: swap_plan waits for running claims.
         self.plan = server.plan
         self.live = list(requests)
+        #: The last clock read: the claim's start, then each stage boundary.
+        self.now = now
         #: Per executor pass: layer, requests and columns it carried, retries,
         #: queued/started/finished instants and compute seconds.  Only the
         #: first pass (stage 0 of step 0) has no ``queued_at``: it was
@@ -162,7 +170,7 @@ class _Claim:
 
     def run(self) -> None:
         """Every decode step, every stage, until no request is live."""
-        layers = self.server._pipeline_graph().layers
+        layers = self.server._graph.layers
         # The first stage pass stacks the inputs, inside its failure handling.
         columns: Optional[_Columns] = [request.activation for request in self.live]
         queued_at: Optional[float] = None
@@ -175,7 +183,7 @@ class _Claim:
                 columns = self._run_stage(layer, columns, queued_at)
                 if columns is None:
                     return
-                queued_at = time.perf_counter()
+                queued_at = self.now
             columns = self._finish_step(columns, step)
             step += 1
 
@@ -210,6 +218,10 @@ class _Claim:
         """Drop the columns of requests that left the claim."""
         if all(keep):
             return columns
+        if not any(keep):
+            # The claim ends: nothing reads the columns again.
+            self.live = []
+            return columns
         if isinstance(columns, list):
             columns = [part for part, kept in zip(columns, keep) if kept]
         else:
@@ -217,7 +229,7 @@ class _Claim:
                 np.arange(offset, offset + request.columns)
                 for request, offset, kept in zip(self.live, self._offsets(), keep)
                 if kept
-            ] or [np.arange(0)])]
+            ])]
         self.live = [r for r, kept in zip(self.live, keep) if kept]
         return columns
 
@@ -231,20 +243,21 @@ class _Claim:
     # ------------------------------------------------------------ settling
     def _stop(self, request: ModelRequest, state: str, error: BaseException,
               queued_at: Optional[float], retries: int = 0) -> None:
-        """Settle ``request`` early at the stage runnable since ``queued_at``
-        (if nobody settled it yet)."""
-        now = time.perf_counter()
-        if request._settle(state, error, now):
+        """Settle ``request`` early, at ``now``, at the stage runnable since
+        ``queued_at`` (if nobody settled it yet)."""
+        if request._settle(state, error, self.now):
             since = request.submitted_at if queued_at is None else queued_at
             self.settled.append((request, len(self.passes), since, retries))
 
     def _stop_at_boundary(self, columns: _Columns, layer: str,
                           queued_at: Optional[float]) -> _Columns:
         """Before ``layer``: drop requests cancelled, expired or settled elsewhere."""
-        now = time.perf_counter()
+        now = self.now
         keep = []
         for request in self.live:
-            if request._cancel_pending():
+            # Read unlocked: cancel() sets the flag under the request's lock
+            # before it returns, so every cancel that returned by now counts.
+            if request._cancel_requested:
                 self._stop(request, CANCELLED, request._cancel_error(), queued_at)
             elif request.expired(now):
                 overrun = now - request.deadline_at
@@ -261,7 +274,6 @@ class _Claim:
 
         Returns the next step's input over the requests still live.
         """
-        now = time.perf_counter()
         keep = []
         for request, offset in zip(self.live, self._offsets()):
             if request.done():
@@ -270,7 +282,7 @@ class _Claim:
             # A copy: a view would pin the whole batch output on the handle.
             request._finish_step(output[:, offset: offset + request.columns].copy())
             more = step + 1 < request.num_steps
-            if not more and request._complete(now):
+            if not more and request._complete(self.now):
                 self.settled.append((request, len(self.passes), None, 0))
             keep.append(more)
         return self._keep(output, keep)
@@ -285,20 +297,22 @@ class _Claim:
         stage failed for good and settled every live request.
         """
         server = self.server
-        started_at = time.perf_counter()
+        started_at: Optional[float] = None
         attempt = retries = 0
         while True:
             attempt += 1
             try:
                 if isinstance(activation, list):
-                    activation = np.concatenate(activation, axis=1)
+                    activation = (activation[0] if len(activation) == 1
+                                  else np.concatenate(activation, axis=1))
                 # Timed from before the fault hook, so injected latency
                 # counts as compute.
                 pass_started = time.perf_counter()
+                if started_at is None:
+                    started_at = pass_started
                 if server.faults is not None:
                     server.faults.on_batch(layer, len(self.live))
                 output = self.plan.run(layer, activation)
-                compute_s = time.perf_counter() - pass_started
                 break
             except WorkerCrashError:
                 # Not a stage failure: the worker crash path requeues the
@@ -309,6 +323,7 @@ class _Claim:
                 if policy is None or not policy.should_retry(error, attempt):
                     # Retries exhausted: every live request fails with the
                     # error, and the claim ends.
+                    self.now = time.perf_counter()
                     for request in self.live:
                         self._stop(request, FAILED, error, queued_at, retries)
                     self.live = []
@@ -321,9 +336,10 @@ class _Claim:
                 delay = policy.backoff_s(attempt)
                 if delay > 0.0:
                     time.sleep(delay)
+        self.now = finished_at = time.perf_counter()
+        compute_s = finished_at - pass_started
         if server.admission is not None:
             server.admission.observe_batch(layer, len(self.live), compute_s)
-        finished_at = time.perf_counter()
         self.compute_s += compute_s
         if queued_at is None:
             self.first = tuple(self.live)
@@ -443,7 +459,7 @@ class Server:
             raise ServingError(
                 f"max_worker_restarts must be >= 0, got {max_worker_restarts}"
             )
-        self.plan = plan
+        self._install(plan)
         self.num_workers = num_workers
         self.max_batch = max_batch
         self.retry_policy = retry_policy
@@ -467,7 +483,6 @@ class Server:
         self._next_id = 0
         #: Everything report() and health() count, in fixed memory.
         self._totals = ServingTotals()
-        self._implicit_graph: Optional[ModelGraph] = None
         self._retry_events = 0
         self._admission_sheds = 0
         self._force_aborted = 0
@@ -630,10 +645,7 @@ class Server:
         Call it from a control thread, never from a worker.
         """
         with self._lock:
-            if not self._started:
-                raise ServingError("server is not started; call start() first")
-            if self._closed:
-                raise ServingError("server has been closed")
+            self._check_accepting()
         self._validate_swap(new_plan)
         with self._swap_cv:
             while self._swap_active:  # serialise concurrent swaps
@@ -646,7 +658,7 @@ class Server:
                 # Every claim on the outgoing plan is accounted: price what
                 # it served by it before any column runs on the new one.
                 self._totals.price(self.plan)
-                self.plan = new_plan
+                self._install(new_plan)
                 self._plan_swaps += 1
         finally:
             with self._swap_cv:
@@ -744,51 +756,44 @@ class Server:
             first_id = self._next_id
             self._next_id += len(activations)
         submitted_at = time.perf_counter()
+        deadline = deadline_at(submitted_at, deadline_s)
         requests = [
-            self._make_request(
-                first_id + offset, graph, activation, submitted_at,
-                deadline_s, stream, priority,
-            )
+            ModelRequest(first_id + offset, self.plan.name, graph.layers, stream,
+                         self._exact_input(graph.layers[0], activation),
+                         submitted_at, deadline, priority)
             for offset, activation in enumerate(activations)
         ]
-        self._admission_shed_check(requests)
+        # The admission controller sheds only a deadline or a bulk lane.  The
+        # requests share one chain, deadline and priority, so the first one
+        # decides for all; a shed counts once per request (a submit_many
+        # batch sheds as a unit).
+        if self.admission is not None and (priority or deadline_s is not None):
+            error = self.admission.admission_check(
+                requests[0], time.perf_counter(),
+                len(self.queue), self.queue.max_pending,
+            )
+            if error is not None:
+                with self._lock:
+                    self._admission_sheds += len(requests)
+                raise error
         self.queue.put_many(requests)  # may raise BackpressureError
         return requests
 
-    def _admission_shed_check(self, requests: List[ModelRequest]) -> None:
-        """Consult the admission controller before enqueueing new work.
+    def _install(self, plan: ModelPlan) -> None:
+        """Serve ``plan``, resolving once the graph model requests flow
+        through and the height of their input.
 
-        The requests share one chain, deadline and priority, so the first
-        one decides for all; a shed raises the controller's
-        :class:`~repro.errors.ShedError`, counted once per request (a
-        ``submit_many`` batch sheds as a unit).
+        A one-layer plan without a graph serves as an implicit one-stage
+        chain; any other plan without one serves nothing (``_graph`` is
+        ``None``).
         """
-        if self.admission is None:
-            return
-        error = self.admission.admission_check(
-            requests[0], time.perf_counter(),
-            len(self.queue), self.queue.max_pending,
-        )
-        if error is not None:
-            with self._lock:
-                self._admission_sheds += len(requests)
-            raise error
-
-    def _pipeline_graph(self) -> ModelGraph:
-        """The graph model requests flow through, building the implicit
-        single-layer chain when the plan has exactly one layer and no graph."""
-        if self.plan.graph is not None:
-            return self.plan.graph
-        if self._implicit_graph is None:
-            names = self.plan.layer_names()
-            if len(names) != 1:
-                raise ServingError(
-                    f"model plan '{self.plan.name}' has {len(names)} layers "
-                    f"but no model graph; recompile with graph='chain' (or "
-                    f"an explicit ModelGraph) to serve whole-model requests"
-                )
-            self._implicit_graph = ModelGraph.chain(names)
-        return self._implicit_graph
+        names = plan.layer_names()
+        graph = plan.graph
+        if graph is None and len(names) == 1:
+            graph = ModelGraph.chain(names)
+        self.plan = plan
+        self._graph = graph
+        self._input_k = plan.layer(graph.layers[0]).shape.k if graph else 0
 
     def _resolve_submit(
         self, model: Optional[str], stream: int, priority: int
@@ -799,17 +804,23 @@ class Server:
             raise ServingError(f"stream must be >= 1 decode steps, got {stream}")
         if priority < 0:
             raise ServingError(f"priority must be >= 0, got {priority}")
-        if model is not None and model != self.plan.name:
+        plan, graph = self.plan, self._graph
+        if model is not None and model != plan.name:
             raise ServingError(
-                f"this server serves model '{self.plan.name}', not '{model}'"
+                f"this server serves model '{plan.name}', not '{model}'"
             )
-        graph = self._pipeline_graph()
+        if graph is None:
+            raise ServingError(
+                f"model plan '{plan.name}' has {len(plan)} layers "
+                f"but no model graph; recompile with graph='chain' (or "
+                f"an explicit ModelGraph) to serve whole-model requests"
+            )
         if stream > 1:
-            first = self.plan.layer(graph.layers[0]).shape
-            last = self.plan.layer(graph.layers[-1]).shape
+            first = plan.layer(graph.layers[0]).shape
+            last = plan.layer(graph.layers[-1]).shape
             if last.n != first.k:
                 raise ServingError(
-                    f"model '{self.plan.name}' is not streamable: the final "
+                    f"model '{plan.name}' is not streamable: the final "
                     f"stage ('{last.name}') produces {last.n}-row outputs but "
                     f"the first stage ('{first.name}') consumes {first.k}-row "
                     f"inputs, so step outputs cannot feed the next step"
@@ -817,25 +828,16 @@ class Server:
         return graph
 
     def _check_accepting(self) -> None:
-        """Reject submissions outside the started-and-open window (locked)."""
+        """Refuse a call outside the started-and-open window (locked)."""
         if not self._started:
             raise ServingError("server is not started; call start() first")
         if self._closed:
             raise ServingError("server has been closed")
 
-    def _make_request(
-        self,
-        request_id: int,
-        graph: ModelGraph,
-        activation: np.ndarray,
-        submitted_at: float,
-        deadline_s: Optional[float],
-        steps: int,
-        priority: int,
-    ) -> ModelRequest:
-        """Validate one activation and wrap it into a queue-ready request."""
-        layer = graph.layers[0]
-        k = self.plan.layer(layer).shape.k
+    def _exact_input(self, layer: str, activation: np.ndarray) -> np.ndarray:
+        """A model input as an exact int64 ``(k, m >= 1)`` matrix, or a
+        :class:`~repro.errors.ServingError`."""
+        k = self._input_k
         activation = np.asarray(activation)
         if activation.ndim != 2:
             raise ServingError(
@@ -847,19 +849,9 @@ class Server:
                 f"got {activation.shape}"
             )
         try:
-            activation = as_exact_int64(activation)
+            return as_exact_int64(activation)
         except SimulationError as error:
             raise ServingError(f"activation for layer '{layer}': {error}") from error
-        return ModelRequest(
-            request_id=request_id,
-            model=self.plan.name,
-            stages=graph.layers,
-            num_steps=steps,
-            activation=activation,
-            submitted_at=submitted_at,
-            deadline_at=deadline_at(submitted_at, deadline_s),
-            priority=priority,
-        )
 
     # -------------------------------------------------------------- workers
     def _worker_entry(self, slot: _WorkerSlot) -> None:
@@ -896,7 +888,9 @@ class Server:
             # Block on the queue's condition variable: close() notifies, so
             # shutdown latency is notification-bound, not poll-bound.
             batch = self.queue.next_batch(self.max_batch, timeout=None)
-            self._collect_shed()
+            shed = self.queue.take_shed()
+            if shed:
+                self._account(shed)
             if batch is None:
                 return
             slot.inflight = batch
@@ -916,7 +910,8 @@ class Server:
             finally:
                 with self._swap_cv:
                     self._inflight_batches -= 1
-                    self._swap_cv.notify_all()
+                    if self._swap_active:  # only a draining swap waits on it
+                        self._swap_cv.notify_all()
             slot.inflight = None
 
     def _process_batch(self, slot: _WorkerSlot, batch: List[ModelRequest]) -> None:
@@ -929,7 +924,7 @@ class Server:
         for request in batch:
             ok = request.try_claim(claim_time)
             (claimed if ok else unclaimed).append(request)
-        claim = _Claim(self, claimed)
+        claim = _Claim(self, claimed, claim_time)
         if claimed and self.admission is not None:
             for request in claimed:
                 self.admission.observe_wait(claim_time - request.submitted_at)
@@ -944,11 +939,6 @@ class Server:
         # A claim that ran no request costs its worker nothing.
         self._account(unclaimed, claim, slot if claimed else None,
                       time.perf_counter() - claim_time)
-
-    def _collect_shed(self) -> None:
-        shed = self.queue.take_shed()
-        if shed:
-            self._account(shed)
 
     # ------------------------------------------------------------ accounting
     def _account(
@@ -1047,9 +1037,8 @@ class Server:
             admission_sheds = self._admission_sheds
             plan_swaps = self._plan_swaps
             force_aborted = self._force_aborted
-            plan = self.plan
+            plan, graph = self.plan, self._graph
         totals.price(plan)
-        graph = plan.graph or self._implicit_graph
         return build_report(
             plan.name,
             totals,

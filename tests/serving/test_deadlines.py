@@ -35,17 +35,27 @@ def _request(request_id, layer="layer0", k=10, cols=1, deadline_at_=None):
     )
 
 
+def _chain_plan():
+    workload = synthetic_gemm_workload(num_layers=2, n=10, k=10, m=4, weight_bits=4)
+    return compile_workload(workload, seed=11, graph="chain")
+
+
 class _Gate:
-    """Blocks the served plan's stage passes until released."""
+    """Blocks the served plan's stage passes until released, recording the
+    layer of each pass."""
 
     def __init__(self, server):
         self.event = threading.Event()
+        self.entered = threading.Event()
+        self.layers = []
         self._original = server.plan.run
         server.plan.run = self._gated
 
-    def _gated(self, *args):
+    def _gated(self, layer, activation):
+        self.layers.append(layer)
+        self.entered.set()
         assert self.event.wait(10.0)
-        return self._original(*args)
+        return self._original(layer, activation)
 
     def release(self):
         self.event.set()
@@ -203,6 +213,46 @@ class TestServerDeadlines:
         assert report.num_requests == 1
         # a finished request can no longer be cancelled
         assert blocker.cancel() is False
+
+    def test_deadline_passing_during_a_stage_stops_before_the_next(self):
+        # The boundary after stage 0 reads the clock when stage 0 finishes,
+        # so a deadline that passed while it ran stops the request there.
+        server = Server(_chain_plan(), num_workers=1)
+        gate = _Gate(server)
+        try:
+            server.start()
+            request = server.submit(np.ones((10, 1), dtype=np.int64), deadline_s=0.05)
+            assert gate.entered.wait(5.0)
+            time.sleep(0.1)  # the deadline passes inside stage 0
+            gate.release()
+            with pytest.raises(DeadlineExceededError, match="before stage 'layer1'"):
+                request.result(timeout=10.0)
+        finally:
+            gate.release()
+            server.close()
+        assert request.state == EXPIRED
+        assert gate.layers == ["layer0"]
+        report = server.report()
+        assert (report.num_requests, report.num_expired) == (1, 1)
+
+    def test_cancel_during_a_stage_stops_at_the_next_boundary(self):
+        server = Server(_chain_plan(), num_workers=1)
+        gate = _Gate(server)
+        try:
+            server.start()
+            request = server.submit(np.ones((10, 1), dtype=np.int64))
+            assert gate.entered.wait(5.0)
+            assert request.cancel() is True  # running: takes effect at a boundary
+            gate.release()
+            with pytest.raises(RequestCancelledError):
+                request.result(timeout=10.0)
+        finally:
+            gate.release()
+            server.close()
+        assert request.state == CANCELLED
+        assert gate.layers == ["layer0"]
+        report = server.report()
+        assert (report.num_requests, report.num_cancelled) == (1, 1)
 
     def test_close_abort_fails_queued_requests_promptly(self):
         plan = _plan()

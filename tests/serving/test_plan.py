@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import TransitiveGemmEngine
+from repro.exact import FLOAT64_EXACT
 from repro.errors import ServingError, SimulationError, WorkloadError
 from repro.serving import compile_workload
 from repro.transarray import TransitiveArrayAccelerator
@@ -89,6 +90,63 @@ class TestGemmPlan:
         other = TransitiveGemmEngine(transrow_bits=4)
         with pytest.raises(SimulationError):
             other.multiply_planned(plan, np.zeros((6, 1), dtype=np.int64))
+
+
+def _wrapped_product(weight, activation):
+    """Exact product in Python ints, reduced mod 2**64 like an int64 matmul."""
+    exact = weight.astype(object) @ activation.astype(object)
+    wrap = np.vectorize(lambda value: (value + 2 ** 63) % 2 ** 64 - 2 ** 63, otypes=[np.int64])
+    return wrap(exact).reshape(exact.shape)
+
+
+class TestModelPlanRun:
+    """``ModelPlan.run`` calls the layer's executor directly, which keeps
+    every refusal of the engine's planned path and its exact result."""
+
+    weight = np.random.default_rng(8).integers(-8, 8, size=(6, 40), dtype=np.int64)
+
+    @pytest.fixture(scope="class")
+    def plan(self):
+        workload = synthetic_gemm_workload(num_layers=1, n=6, k=40, m=1, weight_bits=4)
+        return compile_workload(workload, weight_provider=lambda shape: self.weight)
+
+    def test_wrong_height_is_refused(self, plan):
+        with pytest.raises(SimulationError, match="shape mismatch"):
+            plan.run("layer0", np.zeros((39, 1), dtype=np.int64))
+
+    def test_one_dimensional_input_is_refused(self, plan):
+        with pytest.raises(SimulationError, match="2-D"):
+            plan.run("layer0", np.zeros(40, dtype=np.int64))
+
+    def test_unknown_layer_is_named(self, plan):
+        with pytest.raises(ServingError, match="no layer 'nope'"):
+            plan.run("nope", np.zeros((40, 1), dtype=np.int64))
+
+    def test_inexact_entry_is_refused(self, plan):
+        activation = np.zeros((40, 1))
+        activation[7, 0] = 1.5
+        with pytest.raises(SimulationError, match="not exactly representable"):
+            plan.run("layer0", activation)
+
+    @pytest.mark.parametrize("regime", ["one-product", "k-split", "digit-split"])
+    def test_matches_python_ints_mod_2_64(self, plan, regime):
+        kernel = plan.layer("layer0").gemm_plan.kernel
+        peak = {
+            "one-product": 127,
+            "k-split": (FLOAT64_EXACT - 1) // kernel.max_weight,
+            "digit-split": 2 ** 63 - 1,
+        }[regime]
+        one_product = kernel.row_bound * peak < FLOAT64_EXACT
+        k_split = not one_product and kernel.max_weight * peak < FLOAT64_EXACT
+        assert {"one-product": one_product, "k-split": k_split,
+                "digit-split": not (one_product or k_split)}[regime]
+        activation = np.random.default_rng(9).integers(
+            -peak, peak, size=(40, 3), dtype=np.int64, endpoint=True
+        )
+        activation[0, 0] = -peak  # the peak itself, negated
+        assert np.array_equal(
+            plan.run("layer0", activation), _wrapped_product(self.weight, activation)
+        )
 
 
 class TestCompileWorkload:
