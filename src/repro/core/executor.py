@@ -23,6 +23,15 @@ three regimes, each running the cheapest exact product:
 For every int64 activation the result equals the exact product reduced
 mod ``2**64`` — the wrap-around semantics of an int64 matmul.
 
+The float64 copy of the weight is stored column-major, so ``weight.T`` is a
+C-contiguous ``(K, N)`` matrix, and every product runs activation-on-the-left
+as ``(activation.T @ weight.T).T``.  For activations of tens of columns,
+as in a prefill, OpenBLAS's dgemm runs that orientation 10–25% faster than
+``weight @ activation`` with a row-major weight (``docs/performance.md``);
+at one column both reach the same GEMV.  Exactness does not depend on the
+orientation: the bounds above hold for every partial sum in any summation
+order.  Outputs come back column-major.
+
 Every activation the library multiplies enters through
 :func:`repro.exact.as_exact_int64`, which refuses a conversion to int64 that
 would change a value instead of flooring or wrapping it.
@@ -57,17 +66,24 @@ class ExactExecutor:
     def __init__(self, weight: np.ndarray) -> None:
         start = time.perf_counter()
         weight = np.asarray(weight)
+        if weight.ndim != 2:
+            raise SimulationError(f"weight must be a 2-D matrix, got shape {weight.shape}")
         if weight.dtype.kind not in "iu":
             weight = weight.astype(np.int64)
         magnitude = _magnitude(weight)
-        #: ``max_row sum|w|``: bounds every partial sum per unit of ``max|a|``.
-        # Summed in float64, which is exact below 2**53 and, since rounding
-        # is monotone, never lands below 2**53 when the exact sum does not:
-        # the range check below is exact even where an integer sum would wrap.
-        self.row_bound = int(magnitude.sum(axis=1, dtype=np.float64).max(initial=0))
         #: ``max|w|``: bounds every partial sum of a K block per unit of
         #: ``max|a|`` and block width.
         self.max_weight = int(magnitude.max(initial=0))
+        #: ``max_row sum|w|``: bounds every partial sum per unit of ``max|a|``.
+        # Summed in the narrowest unsigned type ``max|w| * K`` cannot
+        # overflow (for narrow codes several times faster than float64),
+        # else in float64: exact below 2**53 and, rounding being monotone,
+        # never below 2**53 when the exact sum is not, so the range check
+        # below stays exact.
+        most = self.max_weight * weight.shape[1]
+        accumulator = next((dtype for dtype in (np.uint16, np.uint32, np.uint64)
+                            if most <= np.iinfo(dtype).max), np.float64)
+        self.row_bound = int(magnitude.sum(axis=1, dtype=accumulator).max(initial=0))
         del magnitude  # free it before the float64 copy: a lower build peak
         if self.row_bound >= FLOAT64_EXACT:
             raise SimulationError(
@@ -80,8 +96,7 @@ class ExactExecutor:
         self.digit_bits = (
             (FLOAT64_EXACT - 1) // max(self.row_bound, 1) + 1
         ).bit_length() - 1
-        self.weight = weight.astype(np.float64)
-        self.weight.setflags(write=False)
+        self.weight = _column_major_float64(weight)
         #: Bytes of compiled state: the float64 copy of the weight.
         self.kernel_bytes = int(self.weight.nbytes)
         #: Seconds spent building the executor.
@@ -98,39 +113,59 @@ class ExactExecutor:
         peak = max(int(np.maximum.reduce(activation, axis=None)),
                    -int(np.minimum.reduce(activation, axis=None))) if activation.size else 0
         if self.row_bound * peak < FLOAT64_EXACT:
-            return (self.weight @ activation.astype(np.float64)).astype(np.int64)
+            values = activation.astype(np.float64, order="F").T
+            return (values @ self.weight.T).astype(np.int64).T
         if self.max_weight * peak < FLOAT64_EXACT:
             return self._block_product(activation, peak)
         return self._digit_product(activation, peak)
 
     def _block_product(self, activation: np.ndarray, peak: int) -> np.ndarray:
         """One exact float64 product per block of K, summed in int64 so the
-        sum wraps modulo ``2**64``."""
+        sum wraps modulo ``2**64``.  Each block of ``weight.T`` is a
+        contiguous run of its rows."""
         k = self.weight.shape[1]
         widest = (FLOAT64_EXACT - 1) // (self.max_weight * peak)
         blocks = -(-k // widest)
         width = -(-k // blocks)
-        values = activation.astype(np.float64)
-        total = np.zeros((self.weight.shape[0], activation.shape[1]), dtype=np.int64)
+        values = activation.astype(np.float64, order="F").T
+        weight_t = self.weight.T
+        total = np.zeros((activation.shape[1], self.weight.shape[0]), dtype=np.int64)
         for start in range(0, k, width):
             block = slice(start, start + width)
-            total += (self.weight[:, block] @ values[block]).astype(np.int64)
-        return total
+            total += (values[:, block] @ weight_t[block]).astype(np.int64)
+        return total.T
 
     def _digit_product(self, activation: np.ndarray, peak: int) -> np.ndarray:
         """One exact float64 product per base-``2**b`` digit of ``|a|``,
         recombined in uint64 so the sum wraps modulo ``2**64``."""
         bits = self.digit_bits
         mask = np.uint64((1 << bits) - 1)
-        sign = np.where(activation < 0, -1.0, 1.0)
+        values = activation.T
+        sign = np.where(values < 0, -1.0, 1.0)
         # |-2**63| wraps back to -2**63 in int64; read as uint64 it is 2**63.
-        magnitude = np.abs(activation).view(np.uint64)
-        total = np.zeros((self.weight.shape[0], activation.shape[1]), dtype=np.uint64)
+        magnitude = np.abs(values).view(np.uint64)
+        weight_t = self.weight.T
+        total = np.zeros((activation.shape[1], self.weight.shape[0]), dtype=np.uint64)
         for shift in range(0, peak.bit_length(), bits):
             digit = ((magnitude >> np.uint64(shift)) & mask).astype(np.float64) * sign
-            product = (self.weight @ digit).astype(np.int64).view(np.uint64)
+            product = (digit @ weight_t).astype(np.int64).view(np.uint64)
             total += product << np.uint64(shift)
-        return total.view(np.int64)
+        return total.view(np.int64).T
+
+
+def _column_major_float64(codes: np.ndarray) -> np.ndarray:
+    """A read-only float64 copy of ``codes`` whose transpose is C-contiguous.
+
+    Filled in blocks of 256 code rows, which stay in cache while their
+    columns are written out: one strided transpose of a whole 2816x1024
+    layer runs about 3.5x slower (17.5 vs 5.0 ms).
+    """
+    n, k = codes.shape
+    transposed = np.empty((k, n), dtype=np.float64)
+    for start in range(0, n, 256):
+        transposed[:, start:start + 256] = codes[start:start + 256].T
+    transposed.setflags(write=False)
+    return transposed.T
 
 
 def _magnitude(codes: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ import random
 import threading
 from dataclasses import dataclass
 from math import isfinite
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..errors import ServingError, ShedError, TransientServingError
 
@@ -137,12 +137,12 @@ class AdmissionController:
     """Adaptive load shedding from EWMA queue-wait and compute estimates.
 
     The controller watches what the server actually measures — per-layer
-    engine-pass seconds per request (:meth:`observe_batch`) and queue wait
-    (:meth:`observe_wait`) — and turns the estimates into two shedding
-    decisions, both *conservative by construction*: a request whose chain
-    has a layer with fewer than ``min_samples`` observations is never shed
-    as doomed, so a cold server behaves exactly like one without a
-    controller.
+    engine-pass seconds per request (:meth:`observe_batches`, once per
+    claim) and queue wait (:meth:`observe_wait`) — and turns the estimates
+    into two shedding decisions, both *conservative by construction*: a
+    request whose chain has a layer with fewer than ``min_samples``
+    observations is never shed as doomed, so a cold server behaves exactly
+    like one without a controller.
 
     * **doomed shedding** — a request whose remaining deadline budget is
       smaller than the expected cost of serving it cannot succeed; admitting
@@ -204,17 +204,24 @@ class AdmissionController:
     # ---------------------------------------------------------- observation
     def observe_batch(self, layer: str, batch_size: int, compute_s: float) -> None:
         """Feed one executed batch's per-request compute cost into the EWMA."""
-        if batch_size < 1 or compute_s < 0.0:
-            return
-        per_request = compute_s / batch_size
+        self.observe_batches(((layer, batch_size, compute_s),))
+
+    def observe_batches(self, batches: Sequence[Tuple[str, int, float]]) -> None:
+        """Feed executed ``(layer, batch_size, compute_s)`` batches into the
+        EWMA in order, under one lock: the same estimates as one
+        :meth:`observe_batch` per batch."""
         with self._lock:
-            previous = self._compute_ewma_s.get(layer)
-            self._compute_ewma_s[layer] = (
-                per_request
-                if previous is None
-                else previous + self.alpha * (per_request - previous)
-            )
-            self._samples[layer] = self._samples.get(layer, 0) + 1
+            for layer, batch_size, compute_s in batches:
+                if batch_size < 1 or compute_s < 0.0:
+                    continue
+                per_request = compute_s / batch_size
+                previous = self._compute_ewma_s.get(layer)
+                self._compute_ewma_s[layer] = (
+                    per_request
+                    if previous is None
+                    else previous + self.alpha * (per_request - previous)
+                )
+                self._samples[layer] = self._samples.get(layer, 0) + 1
 
     def observe_wait(self, wait_s: float) -> None:
         """Feed one dispatched request's queue wait into the EWMA."""

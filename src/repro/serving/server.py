@@ -338,8 +338,6 @@ class _Claim:
                     time.sleep(delay)
         self.now = finished_at = time.perf_counter()
         compute_s = finished_at - pass_started
-        if server.admission is not None:
-            server.admission.observe_batch(layer, len(self.live), compute_s)
         self.compute_s += compute_s
         if queued_at is None:
             self.first = tuple(self.live)
@@ -936,6 +934,13 @@ class Server:
             # the crash path and counted by the claim that settles them.
             self._account(unclaimed, claim)
             raise
+        finally:
+            # Every pass that ran, crash or not, in pass order: one lock.
+            if self.admission is not None and claim.passes:
+                self.admission.observe_batches([
+                    (layer, requests, compute_s)
+                    for layer, requests, *_, compute_s in claim.passes
+                ])
         # A claim that ran no request costs its worker nothing.
         self._account(unclaimed, claim, slot if claimed else None,
                       time.perf_counter() - claim_time)

@@ -43,7 +43,9 @@ def _reference(weight: np.ndarray, activation: np.ndarray) -> np.ndarray:
 
 class _CountingMatrix(np.ndarray):
     """Float64 weight view that records the K width of every product run
-    against it or against a slice of it."""
+    against it, its transpose or a slice of either: columns of the weight
+    on its left (``weight @ a``), rows of ``weight.T`` on its right
+    (``a.T @ weight.T``)."""
 
     def __array_finalize__(self, obj):
         self.widths = getattr(obj, "widths", None)
@@ -51,6 +53,10 @@ class _CountingMatrix(np.ndarray):
     def __matmul__(self, other):
         self.widths.append(self.shape[1])
         return np.asarray(self) @ other
+
+    def __rmatmul__(self, other):
+        self.widths.append(self.shape[0])
+        return other @ np.asarray(self)
 
 
 def _widths(executor: ExactExecutor, activation: np.ndarray) -> list:
@@ -153,13 +159,27 @@ class TestWrappedExactness:
 
     @pytest.mark.parametrize(
         "row",
-        [[2 ** 51] * 4, [2 ** 53], [2 ** 52, -(2 ** 52)], [INT64_MIN + 1]],
-        ids=["sum", "single", "mixed-signs", "int64-max"],
+        [[2 ** 51] * 4, [2 ** 53], [2 ** 52, -(2 ** 52)], [INT64_MIN + 1],
+         [INT64_MAX, INT64_MAX, 2]],
+        ids=["sum", "single", "mixed-signs", "int64-max", "wraps-uint64"],
     )
     def test_row_bound_past_float64_is_refused(self, row):
         weight = np.array([[1] * len(row), row], dtype=np.int64)
         with pytest.raises(SimulationError):
             ExactExecutor(weight)
+
+    @pytest.mark.parametrize(
+        "value,k",
+        [(255, 257), (255, 258), (-(2 ** 15), 2), (2 ** 32 - 1, 1), (2 ** 31, 2),
+         (2 ** 32, 1), (2 ** 50, 7)],
+    )
+    def test_row_bound_is_exact_at_each_accumulator_edge(self, value, k):
+        # max|w| * K just at and just past the largest uint16/uint32 sum.
+        weight = np.array([[value] * k, [1] * k])
+        for dtype in {weight.dtype, np.min_scalar_type(-abs(value))}:
+            executor = ExactExecutor(weight.astype(dtype))
+            assert executor.row_bound == abs(value) * k
+            assert executor.max_weight == abs(value)
 
     def test_stats(self):
         weight = _signed(4, 8, 6, seed=4)
@@ -427,6 +447,11 @@ class TestInputs:
         assert executor.row_bound == int(np.abs(weight).sum(axis=1).max())
         activation = np.random.default_rng(16).integers(-128, 128, size=(7, 3))
         assert np.array_equal(executor.execute(activation), weight @ activation)
+
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 2, 2)])
+    def test_weight_that_is_not_a_matrix_is_refused(self, shape):
+        with pytest.raises(SimulationError, match="2-D"):
+            ExactExecutor(np.zeros(shape, dtype=np.int64))
 
     def test_empty_reduction_dimension(self):
         executor = ExactExecutor(np.zeros((3, 0), dtype=np.int64))

@@ -246,3 +246,11 @@ class TestPlanMemory:
             if array.shape == self.SHAPE and array.dtype == np.int64
         ]
         assert wide == []
+        # One float64 copy, column-major: weight.T is C-contiguous, and every
+        # reachable float array of the weight's size is a view of it.
+        assert plan.kernel.weight.T.flags.c_contiguous
+        floats = [
+            array for array in arrays
+            if array.size == plan.weight.size and array.dtype == np.float64
+        ]
+        assert floats and all(np.shares_memory(array, plan.kernel.weight) for array in floats)

@@ -14,6 +14,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import (
     BackpressureError,
@@ -282,6 +284,55 @@ class TestAdmissionController:
         # Decode steps multiply the chain.
         streamed = _request(3, stages=("layer0", "layer1"), num_steps=3)
         assert controller.chain_estimate_s(streamed) == pytest.approx(0.303)
+
+
+_BATCHES = st.lists(st.tuples(
+    st.sampled_from(["layer0", "layer1", "layer2"]),
+    st.integers(-1, 5),
+    st.floats(-0.1, 1.0, allow_nan=False),
+), max_size=30)
+
+
+class TestClaimObservation:
+    """The server feeds the controller once per claim; the estimates must
+    equal those of one update per executor pass."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_BATCHES, st.sampled_from([0.2, 0.5, 1.0]))
+    def test_one_call_equals_the_per_pass_sequence(self, batches, alpha):
+        per_pass = AdmissionController(alpha=alpha)
+        for batch in batches:
+            per_pass.observe_batch(*batch)
+        per_claim = AdmissionController(alpha=alpha)
+        per_claim.observe_batches(batches)
+        assert per_claim._compute_ewma_s == per_pass._compute_ewma_s
+        assert per_claim._samples == per_pass._samples
+
+    def test_server_observes_every_pass_once_per_claim(self):
+        plan = _plan(num_layers=2, k=12, graph="chain")
+        calls = []
+
+        class Recording(AdmissionController):
+            def observe_batches(self, batches):
+                calls.append([(layer, size) for layer, size, _ in batches])
+                super().observe_batches(batches)
+
+        controller = Recording(min_samples=1)
+        with Server(plan, num_workers=2, max_batch=3,
+                    admission_control=controller) as server:
+            handles = [server.submit(act, stream=2) for act in _acts(9, k=12)]
+            for handle in handles:
+                handle.result(timeout=10.0)
+        report = server.report()
+        # One call per claim, carrying its passes in order: two steps of
+        # both stages, each pass over every request of the claim.
+        assert len(calls) >= 3
+        for call in calls:
+            assert [layer for layer, _ in call] == ["layer0", "layer1"] * 2
+            assert len({size for _, size in call}) == 1
+        assert sum(call[0][1] for call in calls) == 9
+        for stage in report.stages:
+            assert controller._samples[stage.layer] == stage.batches
 
 
 class TestRetryPolicySeeding:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import TransitiveGemmEngine
 from repro.exact import FLOAT64_EXACT
@@ -147,6 +149,72 @@ class TestModelPlanRun:
         assert np.array_equal(
             plan.run("layer0", activation), _wrapped_product(self.weight, activation)
         )
+
+
+def _lay_out(activation, layout):
+    """``activation``'s values in a C, Fortran, reversed or strided layout."""
+    if layout == "fortran":
+        return np.asfortranarray(activation)
+    if layout == "reversed":
+        return np.ascontiguousarray(activation[::-1, ::-1])[::-1, ::-1]
+    if layout == "strided":
+        base = np.zeros((2 * activation.shape[0], 3 * activation.shape[1]), dtype=np.int64)
+        base[::2, ::3] = activation
+        return base[::2, ::3]
+    return np.ascontiguousarray(activation)
+
+
+_CHAIN_WEIGHTS = {
+    name: np.random.default_rng(seed).integers(-128, 128, size=(12, 12), dtype=np.int64)
+    for name, seed in (("layer0", 31), ("layer1", 32))
+}
+
+
+@pytest.fixture(scope="module")
+def chain_plan():
+    workload = synthetic_gemm_workload(num_layers=2, n=12, k=12, m=1, weight_bits=8)
+    return compile_workload(workload, graph="chain",
+                            weight_provider=lambda shape: _CHAIN_WEIGHTS[shape.name])
+
+
+@st.composite
+def _laid_out_inputs(draw, row_bound, max_weight):
+    """An activation for a ``(12, 12)`` layer in any layout, its peak drawn
+    into one executor regime: one product, K split or digit split."""
+    regime = draw(st.sampled_from(["one-product", "k-split", "digit-split"]))
+    low, high = {
+        "one-product": (0, (FLOAT64_EXACT - 1) // row_bound),
+        "k-split": (-(-FLOAT64_EXACT // row_bound), (FLOAT64_EXACT - 1) // max_weight),
+        "digit-split": (-(-FLOAT64_EXACT // max_weight), 2 ** 63),
+    }[regime]
+    peak = draw(st.integers(low, high))
+    m = draw(st.integers(1, 4))
+    bound = min(peak, 2 ** 63 - 1)
+    activation = np.array(
+        draw(st.lists(st.integers(-bound, bound), min_size=12 * m, max_size=12 * m)),
+        dtype=np.int64,
+    ).reshape(12, m)
+    row, col = draw(st.integers(0, 11)), draw(st.integers(0, m - 1))
+    activation[row, col] = -(2 ** 63) if peak == 2 ** 63 else peak
+    layout = draw(st.sampled_from(["contiguous", "fortran", "reversed", "strided"]))
+    return _lay_out(activation, layout)
+
+
+class TestColumnOrders:
+    """Served stages hand column-major outputs to the next stage, so every
+    input layout must give the exact product in every executor regime."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_run_and_run_model_match_python_ints(self, chain_plan, data):
+        kernel = chain_plan.layer("layer0").gemm_plan.kernel
+        activation = data.draw(_laid_out_inputs(kernel.row_bound, kernel.max_weight))
+        first = _wrapped_product(_CHAIN_WEIGHTS["layer0"], activation)
+        assert np.array_equal(chain_plan.run("layer0", activation), first)
+        assert np.array_equal(chain_plan.run("layer1", activation),
+                              _wrapped_product(_CHAIN_WEIGHTS["layer1"], activation))
+        assert np.array_equal(chain_plan.run_model(activation),
+                              _wrapped_product(_CHAIN_WEIGHTS["layer1"], first))
 
 
 class TestCompileWorkload:
