@@ -2,7 +2,6 @@
 
 from .design_space import (
     DensityPoint,
-    density_vs_bitwidth,
     density_vs_row_size,
     distance_histogram,
     node_type_vs_bitwidth,
@@ -21,7 +20,6 @@ from .reporting import format_serving_report, format_table
 
 __all__ = [
     "DensityPoint",
-    "density_vs_bitwidth",
     "density_vs_row_size",
     "distance_histogram",
     "node_type_vs_bitwidth",

@@ -101,19 +101,6 @@ def density_vs_row_size(
     return points
 
 
-def density_vs_bitwidth(
-    bit_widths: Sequence[int] = (1, 2, 4, 6, 8, 10, 12, 16),
-    row_size: int = 256,
-    matrix_size: int = 1024,
-    seed: int = 0,
-    max_tiles: Optional[int] = 16,
-) -> List[DensityPoint]:
-    """Fig. 9(b) x-axis sweep: density vs TransRow width at a fixed row size."""
-    binary = random_binary_matrix(matrix_size, matrix_size, seed=seed)
-    return [density_point(binary, width, row_size, max_tiles=max_tiles)
-            for width in bit_widths]
-
-
 def node_type_vs_bitwidth(
     bit_widths: Sequence[int] = (1, 2, 4, 6, 8, 10, 12, 16),
     row_size: int = 256,

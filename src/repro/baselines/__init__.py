@@ -7,7 +7,6 @@ paper's methodology ("we rewrite all baseline PE implementations").
 """
 
 from .base import Accelerator, PerformanceReport
-from .dense import DenseInt8Accelerator
 from .bitfusion import BitFusionAccelerator
 from .ant import AntAccelerator
 from .olive import OliveAccelerator
@@ -17,32 +16,9 @@ from .bitvert import BitVertAccelerator
 __all__ = [
     "Accelerator",
     "PerformanceReport",
-    "DenseInt8Accelerator",
     "BitFusionAccelerator",
     "AntAccelerator",
     "OliveAccelerator",
     "TenderAccelerator",
     "BitVertAccelerator",
-    "baseline_registry",
 ]
-
-
-def baseline_registry(include_transarray: bool = False):
-    """Name -> constructor mapping for every baseline accelerator.
-
-    With ``include_transarray`` the TransArray itself joins the line-up (the
-    import is deferred to avoid a package cycle).
-    """
-    registry = {
-        "bitfusion": BitFusionAccelerator,
-        "ant": AntAccelerator,
-        "olive": OliveAccelerator,
-        "tender": TenderAccelerator,
-        "bitvert": BitVertAccelerator,
-        "dense-int8": DenseInt8Accelerator,
-    }
-    if include_transarray:
-        from ..transarray.accelerator import TransitiveArrayAccelerator
-
-        registry["transarray"] = TransitiveArrayAccelerator
-    return registry

@@ -47,17 +47,6 @@ class PerformanceReport:
         """Total energy in nanojoules."""
         return self.energy.total_nj
 
-    def speedup_over(self, other: "PerformanceReport") -> float:
-        """This design's speedup relative to ``other`` on the same workload."""
-        if self.cycles == 0:
-            return float("inf")
-        return other.cycles / self.cycles
-
-    def energy_efficiency_over(self, other: "PerformanceReport") -> float:
-        """Energy-reduction factor relative to ``other`` on the same workload."""
-        if self.energy_nj == 0:
-            return float("inf")
-        return other.energy_nj / self.energy_nj
 
 
 def as_workload(workload: WorkloadLike) -> GemmWorkload:

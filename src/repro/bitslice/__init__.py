@@ -13,25 +13,15 @@ from .slicer import (
     bit_plane_weights,
     bit_slice,
     binary_weight_matrix,
-    reconstruct_from_planes,
-    reconstruct_from_binary,
-    sliced_gemm,
 )
-from .transrow import TransRow, extract_transrows
-from .packing import pack_bits_to_uint, pack_transrow_chunks, unpack_uint_to_bits, popcount
+from .packing import pack_bits_to_uint, pack_transrow_chunks, popcount
 
 __all__ = [
     "BitPlanes",
     "bit_plane_weights",
     "bit_slice",
     "binary_weight_matrix",
-    "reconstruct_from_planes",
-    "reconstruct_from_binary",
-    "sliced_gemm",
-    "TransRow",
-    "extract_transrows",
     "pack_bits_to_uint",
     "pack_transrow_chunks",
-    "unpack_uint_to_bits",
     "popcount",
 ]

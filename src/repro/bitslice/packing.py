@@ -49,7 +49,7 @@ def pack_transrow_chunks(matrix: np.ndarray, bits: int, width: int) -> np.ndarra
     ``bits``-bit integers: entry ``[c, n, s]`` is :func:`pack_bits_to_uint` of
     plane ``s`` (LSB = 0) of row ``n`` over columns ``[c*T, (c+1)*T)``, so
     column ``j`` of a chunk is bit ``T-1-j``.  A final partial chunk is
-    zero-padded on the right, like :func:`~repro.bitslice.extract_transrows`.
+    zero-padded on the right.
     """
     if width < 1 or width > 16:
         raise BitSliceError(f"TransRow width must be in [1, 16], got {width}")
@@ -70,23 +70,6 @@ def pack_transrow_chunks(matrix: np.ndarray, bits: int, width: int) -> np.ndarra
     packed = np.packbits(cells.reshape(n_bits, n_rows, chunks * field), axis=-1)
     values = packed.view(f">u{field // 8}").astype(np.uint16)
     return values.transpose(2, 1, 0)
-
-
-def unpack_uint_to_bits(values: np.ndarray, width: int) -> np.ndarray:
-    """Inverse of :func:`pack_bits_to_uint`.
-
-    Expands packed TransRow values back into a ``(..., width)`` 0/1 matrix with
-    the most-significant bit in column 0.
-    """
-    if width < 1 or width > 63:
-        raise BitSliceError(f"TransRow width must be in [1, 63], got {width}")
-    values = np.asarray(values, dtype=np.int64)
-    if values.size and (values.min() < 0 or values.max() >= (1 << width)):
-        raise BitSliceError(
-            f"values outside [0, {(1 << width) - 1}] cannot be unpacked at width {width}"
-        )
-    shifts = np.arange(width - 1, -1, -1)
-    return ((values[..., None] >> shifts) & 1).astype(np.uint8)
 
 
 def popcount(values: np.ndarray) -> np.ndarray:

@@ -2,9 +2,8 @@
 
 The Transitive Array operates on *binary* weight matrices obtained by slicing a
 quantized integer matrix into its bit planes (paper Fig. 2).  The functions in
-this module implement that decomposition, its inverse, and a reference
-"bit-sliced GEMM" used throughout the test-suite to check that every simulated
-dataflow is numerically lossless.
+this module implement that decomposition and the bit-sliced binary weight
+matrix the TransRows are cut from.
 """
 
 from __future__ import annotations
@@ -13,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import BitSliceError, SimulationError
-from ..exact import as_exact_int64
+from ..errors import BitSliceError
 
 
 def _validate_signed_range(matrix: np.ndarray, bits: int) -> None:
@@ -101,12 +99,6 @@ def bit_slice(matrix: np.ndarray, bits: int) -> BitPlanes:
     return BitPlanes(planes=planes, weights=bit_plane_weights(bits), bits=bits)
 
 
-def reconstruct_from_planes(planes: BitPlanes) -> np.ndarray:
-    """Rebuild the signed integer matrix from its bit planes (exact inverse)."""
-    weighted = planes.weights.reshape(-1, 1, 1) * planes.planes.astype(np.int64)
-    return weighted.sum(axis=0)
-
-
 def binary_weight_matrix(matrix: np.ndarray, bits: int, msb_first: bool = True) -> np.ndarray:
     """Rearrange an ``(N, K)`` integer matrix into an ``(S*N, K)`` binary matrix.
 
@@ -122,43 +114,3 @@ def binary_weight_matrix(matrix: np.ndarray, bits: int, msb_first: bool = True) 
     return np.ascontiguousarray(
         ordered.transpose(1, 0, 2).reshape(bits * n_rows, n_cols)
     )
-
-
-def reconstruct_from_binary(binary: np.ndarray, bits: int, msb_first: bool = True) -> np.ndarray:
-    """Inverse of :func:`binary_weight_matrix`."""
-    binary = np.asarray(binary, dtype=np.int64)
-    if binary.ndim != 2 or binary.shape[0] % bits != 0:
-        raise BitSliceError(
-            f"binary matrix of shape {binary.shape} is not a stack of {bits}-bit rows"
-        )
-    weights = bit_plane_weights(bits)
-    ordered_weights = weights[::-1] if msb_first else weights
-    n_rows = binary.shape[0] // bits
-    stacked = binary.reshape(n_rows, bits, binary.shape[1])
-    return (ordered_weights[None, :, None] * stacked).sum(axis=1)
-
-
-def sliced_gemm(weight: np.ndarray, activation: np.ndarray, bits: int) -> np.ndarray:
-    """Reference GEMM computed plane-by-plane via bit-slicing.
-
-    Computes ``weight @ activation`` by accumulating, for every bit plane, the
-    binary-plane GEMM scaled by the plane weight.  The result is exactly equal
-    to the integer product; the function exists so tests can assert that the
-    accumulation-reordering performed by the Transitive Array is lossless
-    (paper Sec. 2.1).  An activation that is not exactly an int64 matrix
-    (non-integral, NaN, inf, uint64 past int64) raises :class:`BitSliceError`.
-    """
-    weight = np.asarray(weight)
-    try:
-        activation = as_exact_int64(activation)
-    except SimulationError as error:
-        raise BitSliceError(str(error)) from error
-    planes = bit_slice(weight, bits)
-    if activation.ndim != 2 or activation.shape[0] != weight.shape[1]:
-        raise BitSliceError(
-            f"activation shape {activation.shape} incompatible with weight {weight.shape}"
-        )
-    acc = np.zeros((weight.shape[0], activation.shape[1]), dtype=np.int64)
-    for s in range(bits):
-        acc += planes.weights[s] * (planes.planes[s].astype(np.int64) @ activation)
-    return acc

@@ -75,11 +75,6 @@ class OpCounts:
         return self.transitive_ops / self.dense_ops if self.dense_ops else 0.0
 
     @property
-    def sparsity(self) -> float:
-        """Transitive sparsity = 1 - density."""
-        return 1.0 - self.density
-
-    @property
     def bit_density(self) -> float:
         """Bit-sparsity density (≈50 % for uniform random data)."""
         return self.bit_sparsity_ops / self.dense_ops if self.dense_ops else 0.0

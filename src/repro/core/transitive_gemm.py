@@ -106,12 +106,6 @@ class ScoreboardCacheInfo:
     entries: int
     max_entries: int
 
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from the cache."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
 
 @dataclass(frozen=True, eq=False)
 class GemmPlan:

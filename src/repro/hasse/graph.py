@@ -18,7 +18,7 @@ NumPy index tables of the per-level direct-prefix/suffix adjacency and the
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -64,7 +64,6 @@ class HasseGraph:
         self._levels: List[List[int]] = [[] for _ in range(width + 1)]
         for node in range(self.num_nodes):
             self._levels[self._level_list[node]].append(node)
-        self._level_tuples: List[Tuple[int, ...]] = [tuple(l) for l in self._levels]
         self._level_arrays: List[np.ndarray] = [
             np.array(l, dtype=np.int64) for l in self._levels
         ]
@@ -80,14 +79,6 @@ class HasseGraph:
         self._check_node(node)
         return self._level_list[node]
 
-    def nodes_at_level(self, level: int) -> Sequence[int]:
-        """All nodes with exactly ``level`` set bits, in ascending value order."""
-        if level < 0 or level > self.width:
-            raise ConfigurationError(
-                f"level {level} out of range for a {self.width}-bit Hasse graph"
-            )
-        return self._level_tuples[level]
-
     def level_nodes_array(self, level: int) -> np.ndarray:
         """Nodes at a level as a cached int64 array (do not mutate)."""
         if level < 0 or level > self.width:
@@ -95,10 +86,6 @@ class HasseGraph:
                 f"level {level} out of range for a {self.width}-bit Hasse graph"
             )
         return self._level_arrays[level]
-
-    def level_parallelism(self, level: int) -> int:
-        """Number of nodes at a level: the binomial coefficient C(width, level)."""
-        return len(self.nodes_at_level(level))
 
     # -------------------------------------------------------------- traversals
     def hamming_order(self, include_zero: bool = True, include_top: bool = True) -> List[int]:
@@ -149,7 +136,7 @@ class HasseGraph:
         """Direct prefixes of every level-``level`` node as one dense array.
 
         Returns a cached ``(C(width, level), level)`` int64 array whose row
-        ``i`` lists the direct prefixes of ``nodes_at_level(level)[i]`` in
+        ``i`` lists the direct prefixes of ``level_nodes_array(level)[i]`` in
         ascending value order.  This is the adjacency operand of the batched
         scoreboard's level-synchronous forward/backward passes; do not mutate.
         """
@@ -199,29 +186,6 @@ class HasseGraph:
         if not self.is_prefix(prefix, node) and prefix != 0:
             raise ConfigurationError(f"{prefix} is not a prefix of {node}")
         return self.level(node) - self.level(prefix)
-
-    def ancestors(self, node: int) -> Iterator[int]:
-        """All strict prefixes of ``node`` (any distance), node 0 included."""
-        self._check_node(node)
-        bits = [b for b in range(self.width) if node & (1 << b)]
-        for mask in range((1 << len(bits)) - 1):
-            value = 0
-            for i, b in enumerate(bits):
-                if mask & (1 << i):
-                    value |= 1 << b
-            yield value
-
-    def xor_difference(self, prefix: int, node: int) -> int:
-        """The TranSparsity pattern ``node XOR prefix`` (paper Sec. 4.3)."""
-        self._check_node(prefix)
-        self._check_node(node)
-        return node ^ prefix
-
-    # ------------------------------------------------------------------ misc
-    def max_parallelism(self) -> Tuple[int, int]:
-        """(level, parallelism) of the widest level — C(width, width//2)."""
-        level = self.width // 2
-        return level, self.level_parallelism(level)
 
     def _check_node(self, node: int) -> None:
         if not 0 <= node < self.num_nodes:

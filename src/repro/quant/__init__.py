@@ -11,7 +11,6 @@ quantization error onto the published FP16 perplexity anchors.
 from .quantizer import (
     QuantizedTensor,
     group_quantize,
-    quantization_mse,
     quantize,
 )
 from .schemes import (
@@ -20,7 +19,6 @@ from .schemes import (
     bitfusion_int8_quantize,
     bitvert_pruned_quantize,
     olive_outlier_victim_quantize,
-    smoothquant_scale,
     tender_power_of_two_quantize,
     transarray_group_quantize,
 )
@@ -34,14 +32,12 @@ from .accuracy import (
 __all__ = [
     "QuantizedTensor",
     "group_quantize",
-    "quantization_mse",
     "quantize",
     "SCHEME_REGISTRY",
     "ant_adaptive_quantize",
     "bitfusion_int8_quantize",
     "bitvert_pruned_quantize",
     "olive_outlier_victim_quantize",
-    "smoothquant_scale",
     "tender_power_of_two_quantize",
     "transarray_group_quantize",
     "FP16_PERPLEXITY",

@@ -86,21 +86,3 @@ def group_quantize(tensor: np.ndarray, bits: int, group_size: int = 128) -> Quan
     values = values.reshape(rows, padded_cols)[:, :cols].astype(np.int64)
     scales_full = np.repeat(scales, group_size, axis=1).reshape(rows, padded_cols)[:, :cols]
     return QuantizedTensor(values=values, scales=scales_full, bits=bits)
-
-
-def quantization_mse(original: np.ndarray, quantized: QuantizedTensor) -> float:
-    """Relative mean-squared quantization error (the accuracy-proxy input).
-
-    Defined as ``mean((x - x_hat)^2) / mean(x^2)`` so tensors of different
-    magnitude are comparable.
-    """
-    original = np.asarray(original, dtype=np.float64)
-    if original.shape != quantized.values.shape:
-        raise QuantizationError(
-            f"shape mismatch: original {original.shape} vs quantized {quantized.values.shape}"
-        )
-    signal = float(np.mean(original ** 2))
-    if signal == 0:
-        return 0.0
-    error = float(np.mean((original - quantized.dequantized) ** 2))
-    return error / signal

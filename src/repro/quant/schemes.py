@@ -22,29 +22,6 @@ def bitfusion_int8_quantize(weight: np.ndarray, bits: int = 8) -> QuantizedTenso
     return quantize(weight, bits=bits, axis=None)
 
 
-def smoothquant_scale(weight: np.ndarray, activation_absmax: np.ndarray,
-                      alpha: float = 0.5) -> np.ndarray:
-    """SmoothQuant-style per-channel smoothing factors.
-
-    Migrates quantization difficulty from activations to weights by dividing
-    activations and multiplying weights per channel with
-    ``s_j = act_max_j**alpha / weight_max_j**(1-alpha)``.
-    """
-    if not 0.0 <= alpha <= 1.0:
-        raise QuantizationError(f"alpha must be in [0, 1], got {alpha}")
-    weight = np.asarray(weight, dtype=np.float64)
-    activation_absmax = np.asarray(activation_absmax, dtype=np.float64)
-    if activation_absmax.shape != (weight.shape[1],):
-        raise QuantizationError(
-            f"activation_absmax must have shape ({weight.shape[1]},), "
-            f"got {activation_absmax.shape}"
-        )
-    weight_absmax = np.abs(weight).max(axis=0)
-    weight_absmax = np.where(weight_absmax > 0, weight_absmax, 1.0)
-    act = np.where(activation_absmax > 0, activation_absmax, 1.0)
-    return act ** alpha / weight_absmax ** (1.0 - alpha)
-
-
 def transarray_group_quantize(weight: np.ndarray, bits: int = 4,
                               group_size: int = 128) -> QuantizedTensor:
     """TransArray / QServe pipeline: group-wise symmetric INT4 or INT8."""

@@ -17,7 +17,7 @@ from .batched import (
     scoreboard_from_counts,
 )
 from .info import ScoreboardInfo, SIEntry
-from .sorter import bitonic_stage_count, sort_by_popcount, sorter_cycles
+from .sorter import bitonic_stage_count, sorter_cycles
 from .static import StaticScoreboard, StaticTileOutcome
 from .dynamic import DynamicScoreboard, DynamicTileOutcome
 
@@ -32,7 +32,6 @@ __all__ = [
     "ScoreboardInfo",
     "SIEntry",
     "bitonic_stage_count",
-    "sort_by_popcount",
     "sorter_cycles",
     "StaticScoreboard",
     "StaticTileOutcome",

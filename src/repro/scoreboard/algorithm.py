@@ -101,11 +101,6 @@ class ScoreboardResult:
         return self.counts.get(0, 0)
 
     @property
-    def present_nodes(self) -> List[int]:
-        """Distinct non-zero TransRow values observed."""
-        return sorted(v for v in self.counts if v != 0)
-
-    @property
     def relay_nodes(self) -> List[int]:
         """Absent nodes executed only to forward partial sums (TR nodes)."""
         return sorted(idx for idx, node in self.nodes.items() if node.is_relay)

@@ -61,28 +61,6 @@ class ScoreboardInfo:
             )
         return self.entries.get(transrow)
 
-    def prefix_chain(self, transrow: int, limit: Optional[int] = None) -> List[int]:
-        """Follow the prefix chain of ``transrow`` down to node 0.
-
-        Used by the static scoreboard to check whether a chain survives inside
-        a tile, and by tests to assert the chain is acyclic and strictly
-        decreasing in Hamming weight.
-        """
-        limit = limit if limit is not None else (1 << self.width)
-        chain: List[int] = []
-        current = transrow
-        while current != 0 and len(chain) < limit:
-            entry = self.lookup(current)
-            if entry is None:
-                break
-            chain.append(entry.prefix)
-            if bin(entry.prefix).count("1") >= bin(current).count("1"):
-                raise ScoreboardError(
-                    f"SI chain of {transrow} does not descend: {current} -> {entry.prefix}"
-                )
-            current = entry.prefix
-        return chain
-
     def lanes(self) -> Dict[int, List[SIEntry]]:
         """Group entries per lane, each sorted in Hamming order (execution order)."""
         grouped: Dict[int, List[SIEntry]] = {}
@@ -91,16 +69,6 @@ class ScoreboardInfo:
         for lane_entries in grouped.values():
             lane_entries.sort(key=lambda e: (bin(e.transrow).count("1"), e.transrow))
         return grouped
-
-    @property
-    def memory_bits(self) -> int:
-        """SI storage requirement from the paper: ``2 * T * 2**T`` bits."""
-        return 2 * self.width * (1 << self.width)
-
-    @property
-    def memory_bytes(self) -> int:
-        """SI storage requirement in bytes (512 B for ``T = 8``)."""
-        return (self.memory_bits + 7) // 8
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -1,27 +1,17 @@
 """PopCount (Hamming-order) sorter model.
 
 The dynamic scoreboard sorts incoming TransRows by their Hamming weight before
-scoreboarding (paper Sec. 3.1).  The hardware uses a bitonic sorting network
-(Batcher, 1968), whose depth — and therefore pipeline latency in cycles — is
-``log2(n) * (log2(n) + 1) / 2`` comparator stages for ``n`` inputs.
+scoreboarding (paper Sec. 3.1); values with equal PopCount need no order.  The
+hardware uses a bitonic sorting network (Batcher, 1968), whose depth — and
+therefore pipeline latency in cycles — is ``log2(n) * (log2(n) + 1) / 2``
+comparator stages for ``n`` inputs.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Sequence
 
 from ..errors import ScoreboardError
-
-
-def sort_by_popcount(values: Sequence[int]) -> List[int]:
-    """Stable sort of TransRow values by Hamming weight (PopCount).
-
-    Values with equal PopCount keep their arrival order: the paper notes that
-    no ordering is needed within a level, so the hardware sorter does not
-    enforce one and neither does this model.
-    """
-    return sorted(values, key=lambda v: bin(int(v)).count("1"))
 
 
 def bitonic_stage_count(n: int) -> int:

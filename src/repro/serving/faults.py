@@ -66,11 +66,6 @@ class ArrivalSchedule:
         """Span from the first to the last arrival (0 for <= 1 arrival)."""
         return self.offsets_s[-1] - self.offsets_s[0] if self.offsets_s else 0.0
 
-    @property
-    def offered_rps(self) -> float:
-        """Offered load implied by the schedule (arrivals per second)."""
-        return len(self.offsets_s) / self.duration_s if self.duration_s else 0.0
-
     @classmethod
     def uniform(cls, rate_rps: float, count: int) -> "ArrivalSchedule":
         """Deterministic constant-rate arrivals: one every ``1/rate_rps`` s."""

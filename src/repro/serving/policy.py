@@ -202,14 +202,9 @@ class AdmissionController:
         self._wait_samples = 0
 
     # ---------------------------------------------------------- observation
-    def observe_batch(self, layer: str, batch_size: int, compute_s: float) -> None:
-        """Feed one executed batch's per-request compute cost into the EWMA."""
-        self.observe_batches(((layer, batch_size, compute_s),))
-
     def observe_batches(self, batches: Sequence[Tuple[str, int, float]]) -> None:
         """Feed executed ``(layer, batch_size, compute_s)`` batches into the
-        EWMA in order, under one lock: the same estimates as one
-        :meth:`observe_batch` per batch."""
+        per-request compute EWMA in order, under one lock."""
         with self._lock:
             for layer, batch_size, compute_s in batches:
                 if batch_size < 1 or compute_s < 0.0:

@@ -215,11 +215,6 @@ class RequestQueue:
             self._size = 0
             return drained
 
-    def depths(self) -> Dict[int, int]:
-        """Queued request count per priority lane (monitoring)."""
-        with self._condition:
-            return {p: len(lane) for p, lane in self._lanes.items() if lane}
-
     # ------------------------------------------------------------ lifecycle
     def close(self) -> None:
         """Refuse new requests and wake every waiting worker immediately."""

@@ -105,12 +105,6 @@ class ModelRequest:
         """Number of pipeline stages one decode step passes through."""
         return len(self.stages)
 
-    @property
-    def steps_completed(self) -> int:
-        """Decode steps whose final output is already available."""
-        with self._state_lock:
-            return len(self._step_outputs)
-
     def done(self) -> bool:
         """Whether the request has reached a terminal state."""
         return self.state in SETTLED

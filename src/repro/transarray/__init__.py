@@ -8,7 +8,7 @@ accelerator prices the three-stage pipeline fill and DRAM traffic inline
 models the nonlinear glue of attention.
 """
 
-from .tiling import SubTile, TileShape, TilingPlan, plan_tiling
+from .tiling import TileShape, TilingPlan, plan_tiling
 from .prefix_buffer import DistributedPrefixBuffer
 from .pe import AccumulationPE, PrefixPE
 from .dispatcher import Dispatcher, DispatchRecord
@@ -16,7 +16,6 @@ from .unit import SubTileReport, TransArrayUnit
 from .accelerator import GemmProfile, RequestAttribution, TransitiveArrayAccelerator
 
 __all__ = [
-    "SubTile",
     "TileShape",
     "TilingPlan",
     "plan_tiling",

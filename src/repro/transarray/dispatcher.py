@@ -74,7 +74,3 @@ class Dispatcher:
             source_row=source_row,
             bit_level=bit_level,
         )
-
-    def reset(self) -> None:
-        """Forget which nodes were computed (new sub-tile, same SI)."""
-        self._computed = set()

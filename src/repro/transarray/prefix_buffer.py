@@ -1,16 +1,15 @@
-"""Distributed prefix buffer with bank-conflict accounting (paper Sec. 4.4).
+"""Distributed prefix buffer (paper Sec. 4.4).
 
 Each lane of the TransArray owns an independent prefix-buffer bank holding the
 partial sums of the nodes in its tree, which is what lets the paper avoid a
 monolithic multi-ported memory.  Functionally the buffer is a keyed store of
-partial-sum vectors; for the cycle model it counts accesses and the bank
-conflicts that arise when several simultaneous requests target the same bank.
+partial-sum vectors; for the cycle model it counts accesses and their bytes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Dict
 
 import numpy as np
 
@@ -36,12 +35,6 @@ class PrefixBufferStats:
 
     reads: int = 0
     writes: int = 0
-    bank_conflicts: int = 0
-
-    @property
-    def accesses(self) -> int:
-        """Total buffer accesses."""
-        return self.reads + self.writes
 
 
 class DistributedPrefixBuffer:
@@ -108,28 +101,3 @@ class DistributedPrefixBuffer:
             raise SimulationError(
                 f"prefix {node} missing from bank {self.bank_of(lane)}"
             ) from exc
-
-    def contains(self, lane: int, node: int) -> bool:
-        """True if the node's partial sum is resident in the lane's bank."""
-        return node == 0 or node in self._banks[self.bank_of(lane)]
-
-    def record_parallel_accesses(self, lanes: Sequence[int]) -> int:
-        """Count bank conflicts for a set of same-cycle accesses.
-
-        Accesses mapping to the same bank beyond the first each cost one extra
-        cycle (the crossbar queue of Sec. 4.4 absorbs them); the number of
-        conflicts is returned and accumulated in :attr:`stats`.
-        """
-        histogram: Dict[int, int] = {}
-        for lane in lanes:
-            bank = self.bank_of(lane)
-            histogram[bank] = histogram.get(bank, 0) + 1
-        conflicts = sum(count - 1 for count in histogram.values() if count > 1)
-        self.stats.bank_conflicts += conflicts
-        return conflicts
-
-    def reset(self) -> None:
-        """Clear contents and statistics (called between sub-tiles)."""
-        self._banks = {b: {} for b in range(self.num_banks)}
-        self.stats = PrefixBufferStats()
-        self.traffic = BufferAccessCounter()

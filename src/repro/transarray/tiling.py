@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 from ..config import TransArrayConfig
 from ..errors import ConfigurationError
@@ -26,15 +25,6 @@ class TileShape:
     weight_rows: int
     reduction: int
     input_cols: int
-
-
-@dataclass(frozen=True)
-class SubTile:
-    """Coordinates of one ``(S*n, T) x (T, m)`` sub-GEMM inside the full GEMM."""
-
-    row_block: int
-    col_chunk: int
-    input_block: int
 
 
 @dataclass(frozen=True)
@@ -62,13 +52,6 @@ class TilingPlan:
     def transrows_per_subtile(self) -> int:
         """TransRows in one full sub-tile: ``S * n``."""
         return self.tile.weight_rows * self.shape.weight_bits
-
-    def subtiles(self) -> Iterator[SubTile]:
-        """Iterate sub-tiles in row-block > K-chunk > input-block order."""
-        for row_block in range(self.row_blocks):
-            for col_chunk in range(self.col_chunks):
-                for input_block in range(self.input_blocks):
-                    yield SubTile(row_block, col_chunk, input_block)
 
     # ------------------------------------------------------------ traffic
     @property

@@ -56,10 +56,6 @@ class SubTileReport:
         """Steady-state per-sub-tile cost: the slower of the PPE/APE stages."""
         return max(self.ppe_cycles, self.ape_cycles)
 
-    @property
-    def bottleneck_cycles(self) -> int:
-        """Per-sub-tile cost including the scoreboard stage."""
-        return max(self.scoreboard_cycles, self.compute_cycles)
 
 
 class TransArrayUnit:

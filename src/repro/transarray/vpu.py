@@ -1,52 +1,16 @@
 """Vector processing unit (VPU): non-GEMM operations (paper Sec. 4.5).
 
-The VPU handles de-quantization (group-wise scale application), softmax and
-other element-wise work, overlapping with GEMM execution.  For the cycle model
-the only relevant contribution is the group-wise rescale that TranSparsity
-needs every ``group_size / T`` column chunks; its throughput is one vector of
-``m`` elements per cycle.
+The VPU handles the element-wise work between GEMMs, overlapping with GEMM
+execution.  The attention example runs its softmax here.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
-
-from ..errors import SimulationError
-
-
-@dataclass(frozen=True)
-class VPUConfig:
-    """VPU sizing: vector width and the quantization group size it rescales."""
-
-    vector_width: int = 32
-    group_size: int = 128
-
-    def __post_init__(self) -> None:
-        if self.vector_width < 1 or self.group_size < 1:
-            raise SimulationError("VPU vector width and group size must be positive")
 
 
 class VectorProcessingUnit:
-    """Functional + cycle model of the VPU."""
-
-    def __init__(self, config: VPUConfig = VPUConfig()) -> None:
-        self.config = config
-
-    def rescale(self, partial_sums: np.ndarray, scales: np.ndarray) -> np.ndarray:
-        """Apply group-wise integer scale factors to partial results."""
-        partial_sums = np.asarray(partial_sums, dtype=np.float64)
-        scales = np.asarray(scales, dtype=np.float64)
-        if scales.ndim == 1:
-            scales = scales[:, None]
-        if partial_sums.shape[0] != scales.shape[0]:
-            raise SimulationError(
-                f"scale rows {scales.shape[0]} do not match partial sums "
-                f"rows {partial_sums.shape[0]}"
-            )
-        return partial_sums * scales
+    """Functional model of the VPU."""
 
     def softmax(self, scores: np.ndarray, axis: int = -1) -> np.ndarray:
         """Numerically-stable softmax used by the attention examples."""
@@ -54,15 +18,3 @@ class VectorProcessingUnit:
         shifted = scores - scores.max(axis=axis, keepdims=True)
         exp = np.exp(shifted)
         return exp / exp.sum(axis=axis, keepdims=True)
-
-    def rescale_cycles(self, output_rows: int, output_cols: int, transrow_bits: int) -> int:
-        """Cycles to rescale an output tile once per quantization group.
-
-        One rescale pass is needed every ``group_size / T`` column chunks; each
-        pass streams the tile through the vector lanes.
-        """
-        if min(output_rows, output_cols, transrow_bits) < 1:
-            raise SimulationError("rescale dimensions must be positive")
-        vectors = output_rows * math.ceil(output_cols / self.config.vector_width)
-        chunks_per_group = max(1, self.config.group_size // transrow_bits)
-        return math.ceil(vectors / chunks_per_group)

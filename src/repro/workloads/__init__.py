@@ -14,14 +14,10 @@ from .resnet import (
     ConvLayer,
     im2col_gemm_shape,
     resnet18_gemms,
-    resnet_stack_gemms,
 )
-from .attention import attention_gemms
 from .synthetic import (
     outlier_weight_matrix,
-    quantized_activation_matrix,
     random_binary_matrix,
-    random_transrow_values,
     synthetic_gemm_workload,
 )
 
@@ -38,11 +34,7 @@ __all__ = [
     "ConvLayer",
     "im2col_gemm_shape",
     "resnet18_gemms",
-    "resnet_stack_gemms",
-    "attention_gemms",
     "outlier_weight_matrix",
-    "quantized_activation_matrix",
     "random_binary_matrix",
-    "random_transrow_values",
     "synthetic_gemm_workload",
 ]

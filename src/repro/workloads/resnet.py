@@ -102,36 +102,3 @@ def resnet18_gemms(
                   activation_bits=activation_bits)
     )
     return GemmWorkload(name="resnet18", gemms=shapes)
-
-
-def resnet_stack_gemms(
-    *,
-    weight_bits: int = 4,
-    activation_bits: int = 8,
-    batch: int = 1,
-) -> GemmWorkload:
-    """ResNet-18 channel-doubling spine as a *chainable* GEMM pipeline.
-
-    A whole-model serving workload built from the 1x1 downsample projections
-    plus the classifier, the four points where ResNet-18 changes feature
-    width: ``64 -> 128 -> 256 -> 512 -> 1000``.  Each stage's output channel
-    count equals the next stage's reduction dimension, so the stack compiles
-    with ``graph="chain"`` and serves end-to-end.  Spatial pooling between
-    stages (which in the real network shrinks the activation grid) is elided
-    the same way elementwise glue is elided in
-    :func:`~repro.workloads.llama.llama_block_gemms` — each stage sees a
-    ``batch``-column activation, a per-image feature vector.
-    """
-    if batch < 1:
-        raise WorkloadError("batch must be positive")
-    shapes = [
-        GemmShape("layer2.downsample", n=128, k=64, m=batch,
-                  weight_bits=weight_bits, activation_bits=activation_bits),
-        GemmShape("layer3.downsample", n=256, k=128, m=batch,
-                  weight_bits=weight_bits, activation_bits=activation_bits),
-        GemmShape("layer4.downsample", n=512, k=256, m=batch,
-                  weight_bits=weight_bits, activation_bits=activation_bits),
-        GemmShape("fc", n=1000, k=512, m=batch, weight_bits=8,
-                  activation_bits=activation_bits),
-    ]
-    return GemmWorkload(name="resnet18-stack", gemms=shapes)

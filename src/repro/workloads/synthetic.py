@@ -3,9 +3,8 @@
 The paper extracts real LLaMA weights and activations; offline we generate
 synthetic tensors with matching first-order statistics: weights are Gaussian
 with a small fraction of heavy-tailed outlier channels (the structure that
-motivates Olive/SmoothQuant), activations are Gaussian with per-token outliers,
-and the design-space exploration uses uniform 0/1 matrices exactly as the
-paper's Fig. 9 does.
+motivates Olive/SmoothQuant), and the design-space exploration uses uniform 0/1
+matrices exactly as the paper's Fig. 9 does.
 """
 
 from __future__ import annotations
@@ -58,15 +57,6 @@ def random_binary_matrix(rows: int, cols: int, density: float = 0.5,
     return (_rng(seed).random((rows, cols)) < density).astype(np.uint8)
 
 
-def random_transrow_values(count: int, width: int, seed: Optional[int] = None) -> np.ndarray:
-    """Uniform random TransRow values in ``[0, 2**width)``."""
-    if count < 1:
-        raise WorkloadError("count must be positive")
-    if width < 1 or width > 16:
-        raise WorkloadError(f"width must be in [1, 16], got {width}")
-    return _rng(seed).integers(0, 1 << width, size=count, dtype=np.int64)
-
-
 def outlier_weight_matrix(rows: int, cols: int, std: float = 0.02,
                           outlier_fraction: float = 0.01, outlier_scale: float = 10.0,
                           seed: Optional[int] = None) -> np.ndarray:
@@ -86,24 +76,3 @@ def outlier_weight_matrix(rows: int, cols: int, std: float = 0.02,
         outlier_cols = rng.choice(cols, size=num_outlier_cols, replace=False)
         matrix[:, outlier_cols] *= outlier_scale
     return matrix
-
-
-def quantized_activation_matrix(rows: int, cols: int, bits: int = 8,
-                                outlier_fraction: float = 0.005,
-                                seed: Optional[int] = None) -> np.ndarray:
-    """Synthetic integer activations with token-wise outliers.
-
-    Values follow a clipped Gaussian quantized to ``bits`` and a small fraction
-    of entries are pushed toward the representable extremes, mimicking GLU /
-    attention activations after SmoothQuant-style balancing.
-    """
-    if bits < 2 or bits > 16:
-        raise WorkloadError(f"activation bits must be in [2, 16], got {bits}")
-    rng = _rng(seed)
-    hi = (1 << (bits - 1)) - 1
-    lo = -(1 << (bits - 1))
-    values = np.clip(np.round(rng.normal(0.0, hi / 4, size=(rows, cols))), lo, hi)
-    if outlier_fraction > 0:
-        mask = rng.random((rows, cols)) < outlier_fraction
-        values[mask] = rng.choice([lo, hi], size=int(mask.sum()))
-    return values.astype(np.int64)

@@ -5,7 +5,6 @@ import pytest
 
 from repro.analysis import (
     attention_comparison,
-    density_vs_bitwidth,
     density_vs_row_size,
     fc_layer_comparison,
     format_table,
@@ -46,7 +45,7 @@ def _scalar_merge(tiles, width):
 
 class TestDesignSpace:
     def test_density_floor_follows_one_over_t(self):
-        points = density_vs_bitwidth(bit_widths=(2, 4, 8), row_size=256,
+        points = density_vs_row_size(bit_widths=(2, 4, 8), row_sizes=(256,),
                                      matrix_size=256, max_tiles=2)
         by_width = {p.bit_width: p.density for p in points}
         assert by_width[2] == pytest.approx(0.375, abs=0.02)

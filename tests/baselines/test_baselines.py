@@ -6,16 +6,21 @@ from repro.baselines import (
     AntAccelerator,
     BitFusionAccelerator,
     BitVertAccelerator,
-    DenseInt8Accelerator,
     OliveAccelerator,
     TenderAccelerator,
-    baseline_registry,
 )
 from repro.errors import SimulationError
 from repro.workloads import GemmShape, GemmWorkload
 
 
 SHAPE = GemmShape("fc", 1024, 1024, 512, weight_bits=8, activation_bits=8)
+BASELINES = {
+    "bitfusion": BitFusionAccelerator,
+    "ant": AntAccelerator,
+    "olive": OliveAccelerator,
+    "tender": TenderAccelerator,
+    "bitvert": BitVertAccelerator,
+}
 
 
 class TestThroughputModels:
@@ -40,16 +45,11 @@ class TestThroughputModels:
         base = 30 * 48 / 4
         assert tender.effective_macs_per_cycle(SHAPE) == pytest.approx(base / 1.05)
 
-    def test_dense_reference_ignores_precision(self):
-        dense = DenseInt8Accelerator()
-        assert dense.effective_macs_per_cycle(SHAPE) == dense.effective_macs_per_cycle(
-            SHAPE.with_precision(4)
-        )
 
 
 class TestSimulation:
     def test_reports_have_consistent_fields(self):
-        for name, cls in baseline_registry().items():
+        for name, cls in BASELINES.items():
             report = cls().simulate(SHAPE)
             assert report.accelerator == name
             assert report.cycles > 0
@@ -60,8 +60,7 @@ class TestSimulation:
     def test_relative_ordering_matches_paper_llm_setting(self):
         # At 8-bit (the LLM iso-accuracy setting) BitFusion outruns ANT/Olive
         # because their 4-bit PEs pay 4x; BitVert leads thanks to bit sparsity.
-        cycles = {name: cls().simulate(SHAPE).cycles for name, cls in baseline_registry().items()
-                  if name != "dense-int8"}
+        cycles = {name: cls().simulate(SHAPE).cycles for name, cls in BASELINES.items()}
         assert cycles["bitvert"] < cycles["ant"] < cycles["olive"]
         assert cycles["bitfusion"] < cycles["ant"]
 
@@ -90,14 +89,6 @@ class TestSimulation:
         report = AntAccelerator().simulate(skinny)
         dram_cycles = skinny.total_bytes / AntAccelerator().dram.bandwidth_bytes_per_cycle
         assert report.cycles >= int(dram_cycles)
-
-    def test_speedup_and_energy_helpers(self):
-        olive = OliveAccelerator().simulate(SHAPE)
-        ant = AntAccelerator().simulate(SHAPE)
-        assert ant.speedup_over(olive) == pytest.approx(olive.cycles / ant.cycles)
-        assert ant.energy_efficiency_over(olive) == pytest.approx(
-            olive.energy_nj / ant.energy_nj
-        )
 
     def test_workload_sums_layer_cycles(self):
         workload = GemmWorkload("pair", [SHAPE, SHAPE.with_precision(4)])

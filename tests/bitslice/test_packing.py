@@ -5,14 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.bitslice import (
-    extract_transrows,
-    pack_bits_to_uint,
-    pack_transrow_chunks,
-    popcount,
-    unpack_uint_to_bits,
-)
+from repro.bitslice import pack_bits_to_uint, pack_transrow_chunks, popcount
 from repro.errors import BitSliceError
+from tests.reference import extract_transrows, unpack_uint_to_bits
 
 
 class TestPacking:
@@ -115,3 +110,13 @@ class TestPackTransrowChunks:
         packed = pack_transrow_chunks(matrix, bits, width)
         assert packed.dtype == np.uint16
         np.testing.assert_array_equal(packed, _reference_chunks(matrix, bits, width))
+
+
+class TestExtractTransrows:
+    def test_reference_refuses_what_it_cannot_slice(self):
+        with pytest.raises(BitSliceError):
+            extract_transrows(np.zeros(4, dtype=np.int64), 4, 4)  # not 2-D
+        with pytest.raises(BitSliceError):
+            extract_transrows(np.zeros((2, 4), dtype=np.int64), 4, 4, column_chunk=1)
+        with pytest.raises(BitSliceError):
+            extract_transrows(np.zeros((2, 4), dtype=np.int64), 4, 4, column_chunk=-1)

@@ -5,15 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bitslice import (
-    bit_plane_weights,
-    bit_slice,
-    binary_weight_matrix,
-    reconstruct_from_binary,
-    reconstruct_from_planes,
-    sliced_gemm,
-)
+from repro.bitslice import bit_plane_weights, bit_slice, binary_weight_matrix
 from repro.errors import BitSliceError
+from tests.reference import reconstruct_from_planes, sliced_gemm
 
 
 class TestBitPlaneWeights:
@@ -106,19 +100,18 @@ class TestBinaryWeightMatrix:
         rng = np.random.default_rng(7)
         matrix = rng.integers(-128, 128, size=(5, 9), dtype=np.int64)
         binary = binary_weight_matrix(matrix, 8)
-        np.testing.assert_array_equal(reconstruct_from_binary(binary, 8), matrix)
+        planes = bit_slice(matrix, 8)
+        # Row n*S + j is plane S-1-j of row n: MSB first, as in Fig. 2.
+        stacked = binary.reshape(5, 8, 9).transpose(1, 0, 2)[::-1]
+        np.testing.assert_array_equal(stacked, planes.planes)
+        np.testing.assert_array_equal(reconstruct_from_planes(planes), matrix)
 
     def test_lsb_first_ordering_roundtrip(self):
         rng = np.random.default_rng(11)
         matrix = rng.integers(-8, 8, size=(3, 5), dtype=np.int64)
         binary = binary_weight_matrix(matrix, 4, msb_first=False)
-        np.testing.assert_array_equal(
-            reconstruct_from_binary(binary, 4, msb_first=False), matrix
-        )
-
-    def test_bad_row_count_rejected(self):
-        with pytest.raises(BitSliceError):
-            reconstruct_from_binary(np.zeros((7, 3), dtype=np.uint8), 4)
+        stacked = binary.reshape(3, 4, 5).transpose(1, 0, 2)
+        np.testing.assert_array_equal(stacked, bit_slice(matrix, 4).planes)
 
 
 class TestSlicedGemm:

@@ -22,9 +22,9 @@ from repro.serving import compile_workload
 from repro.workloads import (
     LlamaConfig,
     llama_block_gemms,
-    resnet_stack_gemms,
     synthetic_gemm_workload,
 )
+from tests.reference import resnet_stack_gemms
 
 INT64_MIN, INT64_MAX = -(2 ** 63), 2 ** 63 - 1
 

@@ -17,18 +17,8 @@ class TestStructure:
         graph = HasseGraph(4)
         assert graph.level(0) == 0
         assert graph.level(11) == 3
-        assert graph.nodes_at_level(1) == (1, 2, 4, 8)
-        assert graph.nodes_at_level(2) == (3, 5, 6, 9, 10, 12)
-
-    def test_level_parallelism_is_binomial(self):
-        graph = HasseGraph(8)
-        assert graph.level_parallelism(4) == 70
-        assert HasseGraph(4).level_parallelism(2) == 6
-
-    def test_max_parallelism(self):
-        level, parallelism = HasseGraph(8).max_parallelism()
-        assert level == 4
-        assert parallelism == 70
+        assert graph.level_nodes_array(1).tolist() == [1, 2, 4, 8]
+        assert graph.level_nodes_array(2).tolist() == [3, 5, 6, 9, 10, 12]
 
     def test_invalid_width_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -67,13 +57,6 @@ class TestAdjacency:
     def test_distance_requires_prefix(self):
         with pytest.raises(ConfigurationError):
             HasseGraph(4).distance(4, 11)
-
-    def test_ancestors_of_node(self):
-        ancestors = sorted(HasseGraph(4).ancestors(11))
-        assert ancestors == [0, 1, 2, 3, 8, 9, 10]
-
-    def test_xor_difference(self):
-        assert HasseGraph(4).xor_difference(5, 7) == 2
 
     def test_node_out_of_range(self):
         with pytest.raises(ConfigurationError):

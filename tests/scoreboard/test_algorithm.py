@@ -21,7 +21,7 @@ class TestPaperExample:
     def test_present_nodes_and_counts(self):
         result = run_scoreboard(paper_example_values(), width=4)
         assert result.counts[2] == 2
-        assert sorted(result.present_nodes) == [1, 2, 5, 7, 14, 15]
+        assert sorted(v for v in result.counts if v) == [1, 2, 5, 7, 14, 15]
 
     def test_relay_node_6_is_recruited(self):
         # Node 14 is at distance 2 from node 2; the backward pass recruits the
@@ -108,7 +108,7 @@ class TestStructuralInvariants:
         values = rng.integers(0, 256, size=96).tolist()
         result = run_scoreboard(values, width=8)
         outlier_indices = {o.index for o in result.outliers}
-        for value in result.present_nodes:
+        for value in (v for v in result.counts if v):
             assert value in result.nodes or value in outlier_indices
 
     def test_value_out_of_range_rejected(self):

@@ -224,7 +224,7 @@ class TestAccountingAcrossOutcomes:
         # A queue-only controller priced at 10 s per request sheds a 5 s
         # deadline at claim time, nowhere else.
         controller = AdmissionController(min_samples=1)
-        controller.observe_batch(LAYER, 1, 10.0)
+        controller.observe_batches([(LAYER, 1, 10.0)])
         server.queue.controller = controller
         with server:
             gate = _Gate(server)

@@ -137,7 +137,7 @@ class TestPriorityLanes:
         # Both interactive requests lead; bulk fills the room they leave and
         # the bulk request that does not fit keeps its lane position.
         assert queue.next_batch(3) == [head, interactive, bulk[0]]
-        assert queue.depths() == {1: 1}
+        assert len(queue) == 1
         assert queue.next_batch(3) == [bulk[1]]
 
     def test_interactive_head_wins_even_against_full_bulk_lane(self):
@@ -161,14 +161,6 @@ class TestPriorityLanes:
         queue.requeue([first])  # crash recovery keeps the admission sequence
         assert queue.next_batch(1) == [first]
         assert queue.next_batch(1) == [second]
-
-    def test_depths_reports_per_lane_occupancy(self):
-        queue = RequestQueue(max_pending=8)
-        queue.put(_request(1, priority=0))
-        queue.put(_request(2, priority=2))
-        queue.put(_request(3, priority=2))
-        assert queue.depths() == {0: 1, 2: 2}
-        assert len(queue) == 3
 
     def test_doomed_request_shed_at_claim_time(self):
         class _AlwaysDoom:
@@ -232,9 +224,9 @@ class TestAdmissionController:
         controller = AdmissionController(min_samples=3)
         assert controller.estimate_s(LAYER) is None
         for _ in range(2):
-            controller.observe_batch(LAYER, 2, 0.2)  # 0.1 s per request
+            controller.observe_batches([(LAYER, 2, 0.2)])  # 0.1 s per request
         assert controller.estimate_s(LAYER) is None  # below min_samples
-        controller.observe_batch(LAYER, 2, 0.2)
+        controller.observe_batches([(LAYER, 2, 0.2)])
         assert controller.estimate_s(LAYER) == pytest.approx(0.1)
         assert controller.estimate_s("other") is None
         controller.observe_wait(1.0)
@@ -247,7 +239,7 @@ class TestAdmissionController:
         tight = _request(1, deadline_at_=now + 0.001)
         assert cold.admission_check(tight, now, 0, 100) is None
         warm = AdmissionController(min_samples=1)
-        warm.observe_batch(LAYER, 1, 0.1)
+        warm.observe_batches([(LAYER, 1, 0.1)])
         doomed = _request(2, deadline_at_=now + 0.01)
         error = warm.admission_check(doomed, now, 0, 100)
         assert isinstance(error, ShedError)
@@ -257,7 +249,7 @@ class TestAdmissionController:
 
     def test_claim_check_uses_remaining_budget_only(self):
         controller = AdmissionController(min_samples=1)
-        controller.observe_batch(LAYER, 1, 0.1)
+        controller.observe_batches([(LAYER, 1, 0.1)])
         now = time.perf_counter()
         doomed = _request(1, deadline_at_=now + 0.01)
         assert isinstance(controller.claim_check(doomed, now), ShedError)
@@ -268,13 +260,13 @@ class TestAdmissionController:
 
     def test_doomed_checks_price_the_whole_chain(self):
         controller = AdmissionController(min_samples=1)
-        controller.observe_batch("layer0", 1, 0.001)
+        controller.observe_batches([("layer0", 1, 0.001)])
         now = time.perf_counter()
         # Stage 1 unobserved: no estimate, so no doomed shedding at all.
         cold = _request(1, stages=("layer0", "layer1"), deadline_at_=now + 0.02)
         assert controller.chain_estimate_s(cold) is None
         assert controller.admission_check(cold, now, 0, 100) is None
-        controller.observe_batch("layer1", 1, 0.1)
+        controller.observe_batches([("layer1", 1, 0.1)])
         # ~1 ms + ~100 ms of chain cannot fit a 20 ms budget, although
         # stage 0 alone would.
         doomed = _request(2, stages=("layer0", "layer1"), deadline_at_=now + 0.02)
@@ -302,7 +294,7 @@ class TestClaimObservation:
     def test_one_call_equals_the_per_pass_sequence(self, batches, alpha):
         per_pass = AdmissionController(alpha=alpha)
         for batch in batches:
-            per_pass.observe_batch(*batch)
+            per_pass.observe_batches([batch])
         per_claim = AdmissionController(alpha=alpha)
         per_claim.observe_batches(batches)
         assert per_claim._compute_ewma_s == per_pass._compute_ewma_s
@@ -369,7 +361,7 @@ class TestArrivalSchedule:
     def test_uniform(self):
         schedule = ArrivalSchedule.uniform(rate_rps=10.0, count=5)
         assert schedule.offsets_s == pytest.approx((0.0, 0.1, 0.2, 0.3, 0.4))
-        assert schedule.offered_rps == pytest.approx(12.5)  # 5 over 0.4 s
+        assert schedule.duration_s == pytest.approx(0.4)
         assert len(schedule) == 5
 
     def test_poisson_is_seeded_and_sorted(self):
@@ -463,7 +455,7 @@ class TestServerOverload:
         # Attach a pre-warmed controller to the queue only, so the shed can
         # happen nowhere but at batch-claim time.
         controller = AdmissionController(min_samples=1)
-        controller.observe_batch(LAYER, 1, 10.0)  # "10 s per request"
+        controller.observe_batches([(LAYER, 1, 10.0)])  # "10 s per request"
         server.queue.controller = controller
         act = _acts(1)[0]
         with server:
@@ -482,8 +474,8 @@ class TestServerOverload:
 
         def primed():
             controller = AdmissionController(min_samples=1)
-            controller.observe_batch("layer0", 1, 0.001)  # ~1 ms per request
-            controller.observe_batch("layer1", 1, 0.1)  # ~100 ms per request
+            controller.observe_batches([("layer0", 1, 0.001)])  # ~1 ms per request
+            controller.observe_batches([("layer1", 1, 0.1)])  # ~100 ms per request
             return controller
 
         act = np.ones((12, 1), dtype=np.int64)

@@ -39,7 +39,8 @@ from repro.serving import (
     compile_workload,
 )
 from repro.serving.request import FAILED
-from repro.workloads import LlamaConfig, llama_block_gemms, resnet_stack_gemms
+from repro.workloads import LlamaConfig, llama_block_gemms
+from tests.reference import resnet_stack_gemms
 
 TINY = LlamaConfig("tiny-llama", hidden_size=32, intermediate_size=48,
                    num_attention_heads=4, num_key_value_heads=4, num_layers=2)
@@ -119,7 +120,7 @@ class TestPipelineStream:
             request = server.submit(activation, stream=4)
             steps = request.outputs(timeout=30.0)
         assert len(steps) == 4
-        assert request.steps_completed == 4
+        assert len(request._step_outputs) == 4
         token = activation
         for produced in steps:
             token = _sequential_reference(plan, token)
@@ -179,7 +180,7 @@ class TestPipelineDeadlinesAndCancel:
                 request.result(timeout=10.0)
         # Stage 0 completed; the request expired before stage 1 ran.
         assert ran == ["qkv_proj"]
-        assert request.steps_completed == 0
+        assert len(request._step_outputs) == 0
         assert server.report().num_expired == 1
 
     def test_cancel_parks_model_request_at_stage_boundary(self):
@@ -359,7 +360,7 @@ class TestWholeChainClaim:
             ("qkv_proj", 2), ("attn_score", 2), ("o_proj", 2),
             ("gate_proj", 1), ("down_proj", 1),
         ]
-        assert doomed.steps_completed == 0
+        assert len(doomed._step_outputs) == 0
         report = server.report()
         assert report.num_expired == 1
         assert report.num_model_requests == 2
@@ -429,7 +430,7 @@ class TestWholeChainClaim:
             for handle in handles:
                 with pytest.raises(InjectedFaultError):
                     handle.result(timeout=30.0)
-                assert handle.steps_completed == 0
+                assert len(handle._step_outputs) == 0
         # o_proj's hook failed all three attempts; no later stage ran.
         assert log.calls == [("qkv_proj", 4), ("attn_score", 4)]
         assert faults.stats().batch_hooks == 5
@@ -468,7 +469,7 @@ class TestWholeChainClaim:
         log.restore()
         assert np.array_equal(output, plan.run_model(acts[1]))
         assert longer.state == FAILED
-        assert longer.steps_completed == 1
+        assert len(longer._step_outputs) == 1
         # Both shared the first step; the second step's qkv_proj hook failed
         # all three attempts, so no pass of it reached the plan.
         assert log.calls[5:] == [(layer, 2) for layer in STAGES]

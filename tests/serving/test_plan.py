@@ -14,7 +14,7 @@ from repro.workloads import (
     GemmShape,
     GemmWorkload,
     LlamaConfig,
-    attention_gemms,
+    llama_attention_gemms,
     llama_block_gemms,
     resnet18_gemms,
     synthetic_gemm_workload,
@@ -31,7 +31,7 @@ class TestWorkloadLayers:
     def test_layers_is_uniform_across_builders(self):
         for workload in (
             _workload(),
-            attention_gemms("attn", num_heads=2, head_dim=4, sequence_length=8),
+            llama_attention_gemms("llama1-7b", sequence_length=8),
             resnet18_gemms(),
         ):
             layers = workload.layers()

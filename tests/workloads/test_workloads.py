@@ -1,4 +1,4 @@
-"""Tests for GEMM descriptors and the LLaMA / attention / ResNet workloads."""
+"""Tests for GEMM descriptors and the LLaMA / ResNet workloads."""
 
 import numpy as np
 import pytest
@@ -8,15 +8,12 @@ from repro.workloads import (
     GemmShape,
     GemmWorkload,
     LLAMA_MODELS,
-    attention_gemms,
     im2col_gemm_shape,
     llama_attention_gemms,
     llama_fc_gemms,
     llama_model,
     outlier_weight_matrix,
-    quantized_activation_matrix,
     random_binary_matrix,
-    random_transrow_values,
     resnet18_gemms,
 )
 from repro.workloads.resnet import RESNET18_LAYERS, ConvLayer
@@ -72,12 +69,6 @@ class TestLlama:
         qk = workload.gemms[0]
         assert qk.macs == 1024 * 32 * 128 * 1024
 
-    def test_generic_attention_validates_gqa(self):
-        with pytest.raises(WorkloadError):
-            attention_gemms("a", num_heads=32, head_dim=128, sequence_length=128, num_kv_heads=5)
-        workload = attention_gemms("a", 32, 128, 128, num_kv_heads=8)
-        assert len(workload.gemms) == 2
-
     def test_sequence_length_validation(self):
         with pytest.raises(WorkloadError):
             llama_fc_gemms("llama1-7b", sequence_length=0)
@@ -118,18 +109,8 @@ class TestSynthetic:
         with pytest.raises(WorkloadError):
             random_binary_matrix(8, 8, density=1.5)
 
-    def test_random_transrow_range(self):
-        values = random_transrow_values(1000, width=8, seed=0)
-        assert values.min() >= 0 and values.max() < 256
-
     def test_outlier_matrix_has_heavy_columns(self):
         matrix = outlier_weight_matrix(256, 256, outlier_fraction=0.02,
                                        outlier_scale=10.0, seed=0)
         column_norms = np.abs(matrix).max(axis=0)
         assert column_norms.max() > 5 * np.median(column_norms)
-
-    def test_quantized_activations_fit_range(self):
-        acts = quantized_activation_matrix(64, 64, bits=8, seed=0)
-        assert acts.min() >= -128 and acts.max() <= 127
-        with pytest.raises(WorkloadError):
-            quantized_activation_matrix(8, 8, bits=1)
