@@ -1,5 +1,7 @@
-"""RequestQueue admission control / batch order and the batched stage pass."""
+"""RequestQueue admission control / batch order and share, and the batched
+stage pass."""
 
+import threading
 import time
 
 import numpy as np
@@ -7,8 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import BackpressureError, ServingError
-from repro.serving import ModelRequest, RequestQueue, Server, compile_workload
+from repro.errors import BackpressureError, ServingError, WorkerCrashError
+from repro.serving import (
+    FaultInjector,
+    ModelRequest,
+    RequestQueue,
+    Server,
+    compile_workload,
+)
 from repro.serving.request import DONE, PENDING
 from repro.workloads import synthetic_gemm_workload
 
@@ -20,6 +28,47 @@ def _request(request_id, layer, k=6, cols=2, deadline_at=None, priority=0):
         activation=activation, submitted_at=time.perf_counter(),
         deadline_at=deadline_at, priority=priority,
     )
+
+
+def _await_takers(queue, count, timeout=10.0):
+    """Spin until ``count`` threads are inside ``next_batch``.
+
+    A taker is counted under the queue lock and releases that lock only to
+    wait, so a ``put`` made after this returns finds every one of them
+    waiting.
+    """
+    deadline = time.perf_counter() + timeout
+    while queue._takers < count:
+        assert time.perf_counter() < deadline, "takers never entered next_batch"
+
+
+def _blocked_takers(queue, count, max_batch):
+    """Start ``count`` threads blocked in ``next_batch``; each appends its
+    batch to the returned list once it returns."""
+    batches = []
+    threads = [
+        threading.Thread(
+            target=lambda: batches.append(queue.next_batch(max_batch, timeout=10.0))
+        )
+        for _ in range(count)
+    ]
+    for thread in threads:
+        thread.start()
+    _await_takers(queue, count)
+    return threads, batches
+
+
+def _joined(threads, batches):
+    for thread in threads:
+        thread.join(10.0)
+        assert not thread.is_alive()
+    return sorted(batches, key=lambda batch: batch[0].request_id)
+
+
+def _lane_key(request):
+    """The queue's order: (priority lane, EDF key, admission sequence)."""
+    deadline = request.deadline_at if request.deadline_at is not None else float("inf")
+    return (request.priority, deadline, request.queue_seq)
 
 
 #: One queued request: (priority lane, deadline slot or None, fate).  Few
@@ -52,12 +101,19 @@ class TestRequestQueue:
             queue.put(_request(9, "a"))
 
     @settings(max_examples=200, deadline=None)
-    @given(specs=st.lists(_SPEC, max_size=24), max_batch=st.integers(1, 6))
+    @given(
+        specs=st.lists(_SPEC, max_size=24),
+        max_batch=st.integers(1, 6),
+        others=st.integers(0, 2),
+    )
     def test_batches_are_live_requests_in_lane_edf_sequence_order(
-        self, specs, max_batch
+        self, specs, max_batch, others
     ):
         now = time.perf_counter()
         queue = RequestQueue(max_pending=64)
+        # ``others`` takers count as waiting inside next_batch throughout.
+        queue._takers = others
+        takers = others + 1
         requests = []
         for request_id, (priority, slot, fate) in enumerate(specs):
             deadline = None if slot is None else now + 100.0 + slot
@@ -70,27 +126,47 @@ class TestRequestQueue:
             if fate == "cancel":
                 assert request.cancel()
             requests.append((request, fate))
+        fates = {request: fate for request, fate in requests}
         live = sorted(
-            (request for request, fate in requests if fate == "live"),
-            key=lambda r: (
-                r.priority,
-                r.deadline_at if r.deadline_at is not None else float("inf"),
-                r.queue_seq,
-            ),
+            (request for request, fate in requests if fate == "live"), key=_lane_key
         )
-        chunks = [live[i: i + max_batch] for i in range(0, len(live), max_batch)]
-        if chunks:
+        # Model of the queue: every entry in order; a pop takes the next
+        # ``min(max_batch, ceil(queued / takers))`` live ones, shedding the
+        # dead ones it passes.  This thread is the only one that pops, so
+        # once a pop leaves requests queued it counts as the only taker.
+        queued = sorted(fates, key=_lane_key)
+        left_by_me = [False]
+
+        def cap():
+            return min(max_batch, -(-len(queued) // (1 if left_by_me[0] else takers)))
+
+        def expected_pop():
+            count = cap()
+            batch = []
+            while queued and len(batch) < count:
+                request = queued.pop(0)
+                if fates[request] == "live":
+                    batch.append(request)
+            left_by_me[0] = bool(queued)
+            return batch or None
+
+        if live:
             # Crash recovery puts a claimed batch back at its old position.
             first = queue.next_batch(max_batch, timeout=0)
-            assert first == chunks[0]
+            assert first == expected_pop()
             queue.requeue(reversed(first))
+            queued = sorted(queued + first, key=_lane_key)
         batches = []
         while True:
+            count = cap()
             batch = queue.next_batch(max_batch, timeout=0)
+            assert batch == expected_pop()
             if batch is None:
                 break
+            assert len(batch) <= count
             batches.append(batch)
-        assert batches == chunks
+        assert [request for batch in batches for request in batch] == live
+        assert queue._takers == others
         # No settled request ever comes out.
         assert all(r.state == PENDING for batch in batches for r in batch)
         dead = {request for request, fate in requests if fate != "live"}
@@ -105,6 +181,189 @@ class TestRequestQueue:
         queue = RequestQueue(max_pending=1)
         with pytest.raises(ServingError):
             queue.next_batch(max_batch=0)
+
+
+class TestTakerShare:
+    """A call pops at most ``ceil(queued / takers)`` of the queue."""
+
+    def test_two_waiting_takers_split_a_pair(self):
+        queue = RequestQueue(max_pending=8)
+        threads, batches = _blocked_takers(queue, 2, max_batch=16)
+        pair = [_request(0, "a", cols=64), _request(1, "a", cols=64)]
+        queue.put_many(pair)
+        assert _joined(threads, batches) == [[pair[0]], [pair[1]]]
+        assert queue._takers == 0
+
+    def test_lone_taker_takes_up_to_max_batch(self):
+        queue = RequestQueue(max_pending=8)
+        threads, batches = _blocked_takers(queue, 1, max_batch=8)
+        requests = [_request(i, "a") for i in range(5)]
+        queue.put_many(requests)
+        assert _joined(threads, batches) == [requests]
+        requests = [_request(i, "a") for i in range(5, 10)]
+        queue.put_many(requests)
+        assert queue.next_batch(3) == requests[:3]
+        assert queue.next_batch(3) == requests[3:]
+
+    def test_two_takers_split_thirty_two_evenly_in_order(self):
+        queue = RequestQueue(max_pending=64)
+        threads, batches = _blocked_takers(queue, 2, max_batch=64)
+        requests = [_request(i, "a") for i in range(32)]
+        queue.put_many(requests)
+        assert _joined(threads, batches) == [requests[:16], requests[16:]]
+
+    def test_dead_requests_are_shed_and_do_not_count(self):
+        queue = RequestQueue(max_pending=8)
+        threads, batches = _blocked_takers(queue, 2, max_batch=16)
+        expired = _request(0, "a", deadline_at=time.perf_counter() - 1.0)
+        live = [_request(i, "a") for i in (1, 3, 4, 5)]
+        cancelled = _request(2, "a")
+        assert cancelled.cancel()
+        # Queue order: expired (EDF first), live[0], cancelled, live[1:].
+        queue.put_many([expired, live[0], cancelled] + live[1:])
+        # Six queued, two takers: the first pop takes three live requests.
+        assert _joined(threads, batches) == [live[:3], live[3:]]
+        assert set(queue.take_shed()) == {expired, cancelled}
+        assert (queue.expired, queue.cancelled) == (1, 1)
+        assert len(queue) == 0
+
+    def test_taker_back_before_the_others_popped_counts_alone(self):
+        queue = RequestQueue(max_pending=16)
+        queue._takers = 1  # a woken taker that never gets to run
+        requests = [_request(i, "a") for i in range(6)]
+        queue.put_many(requests)
+        assert queue.next_batch(16, timeout=0) == requests[:3]
+        # The other taker has not popped since: this thread takes the rest.
+        assert queue.next_batch(16, timeout=0) == requests[3:]
+        requests = [_request(i, "a") for i in range(6, 10)]
+        queue.put_many(requests)
+        # The last pop emptied the queue, so the share holds again ...
+        assert queue.next_batch(16, timeout=0) == requests[:2]
+        # ... and once another thread has popped, for this thread too.
+        other = threading.Thread(target=lambda: queue.next_batch(16, timeout=0))
+        other.start()
+        other.join(10.0)
+        assert len(queue) == 1
+        queue.put(_request(10, "a"))
+        assert queue.next_batch(16, timeout=0) == [requests[3]]
+
+    def test_taker_whose_wait_times_out_looks_once_more(self):
+        queue = RequestQueue(max_pending=8)
+        batches = []
+        thread = threading.Thread(
+            target=lambda: batches.append(queue.next_batch(8, timeout=0.05))
+        )
+        thread.start()
+        _await_takers(queue, 1)
+        request = _request(0, "a")
+        with queue._condition:
+            queue._insert(request)  # queued without waking the taker
+        thread.join(10.0)
+        assert batches == [[request]]
+
+
+class _HeldCrash(FaultInjector):
+    """Holds the dispatch of one claim, then crashes its worker."""
+
+    def __init__(self, crash_at):
+        super().__init__()
+        self.crash_at = crash_at
+        self.held = threading.Event()
+        self.release = threading.Event()
+        self.dispatches = 0
+        self._dispatch_lock = threading.Lock()
+
+    def on_dispatch(self, worker):
+        with self._dispatch_lock:
+            self.dispatches += 1
+            index = self.dispatches
+        if index == self.crash_at:
+            self.held.set()
+            assert self.release.wait(10.0)
+            raise WorkerCrashError(f"injected crash of worker '{worker}'")
+
+
+class _HeldPasses:
+    """Blocks the served plan's passes until released; ``entered`` counts
+    the passes that are blocked."""
+
+    def __init__(self, server):
+        self.release = threading.Event()
+        self.entered = threading.Semaphore(0)
+        self._original = server.plan.run
+        server.plan.run = self._held
+
+    def _held(self, layer, activation):
+        self.entered.release()
+        assert self.release.wait(10.0)
+        return self._original(layer, activation)
+
+
+class TestShareAcrossWorkers:
+    """Prompts that arrive while workers wait are split between them."""
+
+    @staticmethod
+    def _plan():
+        workload = synthetic_gemm_workload(num_layers=2, n=8, k=6, m=4, weight_bits=4)
+        return compile_workload(workload, seed=3, layer_names=["layer0"])
+
+    def test_two_prompts_reaching_two_waiting_workers_run_as_two_claims(self):
+        plan = self._plan()
+        rng = np.random.default_rng(7)
+        prompts = [rng.integers(-8, 8, size=(6, 64), dtype=np.int64) for _ in range(2)]
+        server = Server(plan, num_workers=2, max_batch=16)
+        # Each pass is held until both claims have begun, so a fast worker
+        # cannot come back for the second prompt before the other wakes.
+        passes = _HeldPasses(server)
+        with server:
+            _await_takers(server.queue, 2)
+            handles = server.submit_many(prompts)
+            for _ in prompts:
+                assert passes.entered.acquire(timeout=10.0)
+            passes.release.set()
+            weight = plan.layer("layer0").weight.astype(np.int64)
+            for handle, prompt in zip(handles, prompts):
+                assert np.array_equal(handle.result(timeout=10.0), weight @ prompt)
+        report = server.report()
+        assert report.num_batches == 2
+        assert report.mean_batch_size == 1.0
+        assert [(shard.batches, shard.requests) for shard in report.shards] == [
+            (1, 1), (1, 1)
+        ]
+
+    def test_crashed_workers_requeued_claim_is_split_across_waiting_workers(self):
+        # Two workers hold single-prompt claims, so the third claims the pair
+        # alone; it crashes once both others wait again.  Its requeue lands
+        # on two waiting workers (the crashed one requeues before it takes
+        # again), so the pair runs as two claims.
+        plan = self._plan()
+        faults = _HeldCrash(crash_at=3)
+        rng = np.random.default_rng(8)
+        prompts = [rng.integers(-8, 8, size=(6, 3), dtype=np.int64) for _ in range(4)]
+        server = Server(plan, num_workers=3, max_batch=16, faults=faults,
+                        max_worker_restarts=1)
+        passes = _HeldPasses(server)
+        with server:
+            _await_takers(server.queue, 3)
+            first = server.submit_many(prompts[:1])
+            assert passes.entered.acquire(timeout=10.0)
+            second = server.submit_many(prompts[1:2])
+            assert passes.entered.acquire(timeout=10.0)
+            _await_takers(server.queue, 1)
+            pair = server.submit_many(prompts[2:])
+            assert faults.held.wait(10.0)
+            passes.release.set()
+            _await_takers(server.queue, 2)
+            faults.release.set()
+            weight = plan.layer("layer0").weight.astype(np.int64)
+            for handle, prompt in zip(first + second + pair, prompts):
+                assert np.array_equal(handle.result(timeout=10.0), weight @ prompt)
+            assert server.health().num_worker_restarts == 1
+        report = server.report()
+        assert report.num_failed == 0
+        # Four single-prompt claims: the pair never ran together.
+        assert report.num_batches == 4
+        assert report.max_batch_size == 1
 
 
 class TestClaimBatch:
