@@ -46,6 +46,16 @@ import numpy as np
 from ..errors import SimulationError
 from ..exact import FLOAT64_EXACT, as_exact_int64
 
+#: Activation columns from which one pass is full: from this width on, a
+#: pass's time grows about in proportion to its columns, so running two
+#: such requests in two passes costs no more than in one.  Narrower passes
+#: get cheaper per column the more columns they carry.  With one OpenBLAS
+#: thread on int8 layers from 256x256 to 2816x1024, time per column at 32
+#: columns is within 1.4x of the cheapest width from 1 to 128, at 8
+#: columns 1.4-2.8x and at 1 column 4.6-10x.  The serving queue splits
+#: queued requests between waiting workers only from this width.
+FULL_PASS_COLUMNS = 32
+
 
 class ExactExecutor:
     """``weight @ activation`` in int64, computed through float64 BLAS.

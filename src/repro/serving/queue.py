@@ -13,18 +13,17 @@ sequence breaks deadline ties, so a lane with no deadlines degenerates to the
 classic FIFO queue).  Workers drain the queue through
 :meth:`RequestQueue.next_batch`, which has one batch rule: the next live
 requests in (priority lane, EDF key, admission sequence) order, at most
-``max_batch`` of them and at most the caller's *share* of the queue,
-``ceil(queued / takers)``.  The takers are the threads inside
-:meth:`next_batch`, waiting or woken but not yet returned, so requests that
-arrive while two workers wait are split between them instead of one worker
-claiming them all while the other idles.  A thread that comes back while
-what its last pop left is still queued, no other thread having popped
-since, counts as the only taker: the others are not running (starved of a
-core or of the GIL), and halving the queue for them again would only
-shrink its claims.  Interactive traffic overtakes bulk traffic instead of
-FIFO-starving behind it, and bulk work fills whatever room an interactive
-batch leaves.  Every request enters at the model's first stage, so any of
-them batch together.
+``max_batch`` of them and, when the first of them fills a pass
+(:data:`~repro.core.executor.FULL_PASS_COLUMNS` columns or more), at most
+the caller's *share* of the queue, ``ceil(queued / takers)``.  The takers
+are the threads inside :meth:`next_batch`, waiting or woken but not yet
+returned, so prompts that arrive while two workers wait are split between
+them instead of one worker claiming them all while the other idles.
+Narrower requests batch up to ``max_batch`` whoever waits: their passes
+get cheaper per column the more columns they carry.  Interactive traffic
+overtakes bulk traffic instead of FIFO-starving behind it, and bulk work
+fills whatever room an interactive batch leaves.  Every request enters at
+the model's first stage, so any of them batch together.
 
 Deadline enforcement happens at dispatch: while scanning for a batch,
 :meth:`next_batch` *sheds* every already-expired request it encounters —
@@ -48,6 +47,7 @@ import time
 from bisect import insort
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from ..core.executor import FULL_PASS_COLUMNS
 from ..errors import BackpressureError, ServingError
 from .request import ModelRequest
 
@@ -71,9 +71,6 @@ class RequestQueue:
         self._closed = False
         #: Threads inside :meth:`next_batch`, waiting or woken.
         self._takers = 0
-        #: The thread whose last pop left requests queued, until another
-        #: thread pops; ``None`` when that pop emptied the queue.
-        self._left_by: Optional[int] = None
         self._shed: List[ModelRequest] = []
         #: Optional :class:`~repro.serving.policy.AdmissionController`; when
         #: set, the dispatch scan sheds deadline-doomed requests through it.
@@ -159,50 +156,47 @@ class RequestQueue:
 
         Returns ``None`` when the wait times out or the queue is closed and
         drained.  The batch is the next live requests in (priority lane, EDF
-        key, admission sequence) order, at most ``max_batch`` of them and at
-        most ``ceil(queued / takers)``, where the takers are the threads
-        inside this method, this one included (just this one when no other
-        thread has popped since this thread's last pop left requests
-        queued).  Expired, cancelled and deadline-doomed requests
-        encountered on the way are shed (see module docstring), never
-        returned, and do not count toward the batch.
+        key, admission sequence) order, at most ``max_batch`` of them; when
+        the first has ``FULL_PASS_COLUMNS`` columns or more, also at most
+        ``ceil(queued / takers)``, where the takers are the threads inside
+        this method, this one included.  Expired, cancelled and
+        deadline-doomed requests encountered on the way are shed (see module
+        docstring), never returned, and do not count toward the batch.
         """
         if max_batch < 1:
             raise ServingError(f"max_batch must be positive, got {max_batch}")
-        me = threading.get_ident()
         with self._condition:
             self._takers += 1
             try:
-                timed_out = False
                 while True:
-                    if self._size:
-                        # Back before any other taker took what this thread
-                        # left: they are not running, so it counts alone.
-                        takers = 1 if self._left_by == me else self._takers
-                        batch = self._pop_live(min(max_batch, -(-self._size // takers)))
-                        self._left_by = me if self._size else None
-                        if batch:
-                            return batch
-                    # A taker whose wait timed out still looks once: others
-                    # may have left requests to it as its share.
-                    if self._closed or timed_out:
+                    batch = self._pop_live(max_batch) if self._size else None
+                    if batch:
+                        return batch
+                    if self._closed:
                         return None
-                    timed_out = not self._condition.wait(timeout)
+                    if not self._condition.wait(timeout):
+                        return None
             finally:
                 self._takers -= 1
 
-    def _pop_live(self, count: int) -> List[ModelRequest]:
-        """Pop up to ``count`` live requests in priority order, shedding the
-        dead ones on the way (lock held)."""
+    def _pop_live(self, max_batch: int) -> List[ModelRequest]:
+        """Pop the next live requests in priority order, shedding the dead
+        ones on the way (lock held): at most ``max_batch``, and at most the
+        caller's share of the queue when the first fills a pass."""
         now = time.perf_counter()
+        share = -(-self._size // self._takers)
+        count = max_batch
         batch: List[ModelRequest] = []
         for priority in sorted(p for p, lane in self._lanes.items() if lane):
             lane = self._lanes[priority]
             while lane and len(batch) < count:
                 request = lane.pop(0)[2]
                 self._size -= 1
-                if not self._shed_if_dead(request, now):
-                    batch.append(request)
+                if self._shed_if_dead(request, now):
+                    continue
+                if not batch and request.columns >= FULL_PASS_COLUMNS:
+                    count = min(max_batch, share)
+                batch.append(request)
         return batch
 
     def _shed_if_dead(self, request: ModelRequest, now: float) -> bool:

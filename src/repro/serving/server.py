@@ -9,9 +9,9 @@ rejects work beyond ``max_pending`` with
 :class:`~repro.errors.BackpressureError`.
 
 Every queued item is a model request, and a worker serves it in **one
-claim**: it pops up to ``max_batch`` model requests, and no more than its
-share of the queue among the workers waiting on it
-(:meth:`~repro.serving.queue.RequestQueue.next_batch`), concatenates their
+claim**: it pops up to ``max_batch`` model requests (prompts wide enough to
+fill a pass are split between waiting workers; see
+:meth:`~repro.serving.queue.RequestQueue.next_batch`), concatenates their
 columns once, and runs every stage of the plan's
 :class:`~repro.serving.graph.ModelGraph` back to back against one snapshot
 of the plan — for every decode step of ``stream=`` — before splitting the
@@ -418,10 +418,10 @@ class Server:
         Worker threads draining the queue (each runs whole claims).
     max_batch:
         Maximum model requests claimed together; their columns run through
-        each stage in one executor pass.  A claim also takes no more than
-        its worker's share of the queue, ``ceil(queued / waiting
-        workers)``, so requests that arrive while several workers wait are
-        split between them.
+        each stage in one executor pass.  Prompts wide enough to fill a
+        pass are also split between the workers inside
+        :meth:`~repro.serving.queue.RequestQueue.next_batch`, which states
+        the exact rule.
     max_pending:
         Admission-control bound on queued requests; submissions beyond it
         raise :class:`~repro.errors.BackpressureError`.

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.executor import FULL_PASS_COLUMNS
 from repro.errors import BackpressureError, ServingError, WorkerCrashError
 from repro.serving import (
     FaultInjector,
@@ -71,12 +72,14 @@ def _lane_key(request):
     return (request.priority, deadline, request.queue_seq)
 
 
-#: One queued request: (priority lane, deadline slot or None, fate).  Few
-#: lanes and deadline slots so ties between keys are common.
+#: One queued request: (priority lane, deadline slot or None, fate, wide).
+#: Few lanes and deadline slots so ties between keys are common; a wide
+#: request fills a pass.
 _SPEC = st.tuples(
     st.integers(0, 2),
     st.one_of(st.none(), st.integers(0, 3)),
     st.sampled_from(["live", "live", "cancel", "expire"]),
+    st.booleans(),
 )
 
 
@@ -115,12 +118,13 @@ class TestRequestQueue:
         queue._takers = others
         takers = others + 1
         requests = []
-        for request_id, (priority, slot, fate) in enumerate(specs):
+        for request_id, (priority, slot, fate, wide) in enumerate(specs):
             deadline = None if slot is None else now + 100.0 + slot
             if fate == "expire":
                 deadline = now - 1.0 - (slot or 0)
             request = _request(
-                request_id, "a", deadline_at=deadline, priority=priority
+                request_id, "a", cols=FULL_PASS_COLUMNS if wide else 2,
+                deadline_at=deadline, priority=priority,
             )
             queue.put(request)
             if fate == "cancel":
@@ -131,23 +135,21 @@ class TestRequestQueue:
             (request for request, fate in requests if fate == "live"), key=_lane_key
         )
         # Model of the queue: every entry in order; a pop takes the next
-        # ``min(max_batch, ceil(queued / takers))`` live ones, shedding the
-        # dead ones it passes.  This thread is the only one that pops, so
-        # once a pop leaves requests queued it counts as the only taker.
+        # ``max_batch`` live ones, shedding the dead ones it passes, and at
+        # most ``ceil(queued / takers)`` when the first live one is wide.
         queued = sorted(fates, key=_lane_key)
-        left_by_me = [False]
-
-        def cap():
-            return min(max_batch, -(-len(queued) // (1 if left_by_me[0] else takers)))
 
         def expected_pop():
-            count = cap()
+            share = -(-len(queued) // takers)
+            count = max_batch
             batch = []
             while queued and len(batch) < count:
                 request = queued.pop(0)
-                if fates[request] == "live":
-                    batch.append(request)
-            left_by_me[0] = bool(queued)
+                if fates[request] != "live":
+                    continue
+                if not batch and request.columns >= FULL_PASS_COLUMNS:
+                    count = min(max_batch, share)
+                batch.append(request)
             return batch or None
 
         if live:
@@ -158,12 +160,14 @@ class TestRequestQueue:
             queued = sorted(queued + first, key=_lane_key)
         batches = []
         while True:
-            count = cap()
+            share = -(-len(queue) // takers)
             batch = queue.next_batch(max_batch, timeout=0)
             assert batch == expected_pop()
             if batch is None:
                 break
-            assert len(batch) <= count
+            assert len(batch) <= max_batch
+            if batch[0].columns >= FULL_PASS_COLUMNS:
+                assert len(batch) <= share
             batches.append(batch)
         assert [request for batch in batches for request in batch] == live
         assert queue._takers == others
@@ -184,7 +188,9 @@ class TestRequestQueue:
 
 
 class TestTakerShare:
-    """A call pops at most ``ceil(queued / takers)`` of the queue."""
+    """A call whose first request fills a pass pops at most
+    ``ceil(queued / takers)`` of the queue; narrower requests batch up to
+    ``max_batch``."""
 
     def test_two_waiting_takers_split_a_pair(self):
         queue = RequestQueue(max_pending=8)
@@ -197,10 +203,10 @@ class TestTakerShare:
     def test_lone_taker_takes_up_to_max_batch(self):
         queue = RequestQueue(max_pending=8)
         threads, batches = _blocked_takers(queue, 1, max_batch=8)
-        requests = [_request(i, "a") for i in range(5)]
+        requests = [_request(i, "a", cols=FULL_PASS_COLUMNS) for i in range(5)]
         queue.put_many(requests)
         assert _joined(threads, batches) == [requests]
-        requests = [_request(i, "a") for i in range(5, 10)]
+        requests = [_request(i, "a", cols=FULL_PASS_COLUMNS) for i in range(5, 10)]
         queue.put_many(requests)
         assert queue.next_batch(3) == requests[:3]
         assert queue.next_batch(3) == requests[3:]
@@ -208,16 +214,17 @@ class TestTakerShare:
     def test_two_takers_split_thirty_two_evenly_in_order(self):
         queue = RequestQueue(max_pending=64)
         threads, batches = _blocked_takers(queue, 2, max_batch=64)
-        requests = [_request(i, "a") for i in range(32)]
+        requests = [_request(i, "a", cols=FULL_PASS_COLUMNS) for i in range(32)]
         queue.put_many(requests)
         assert _joined(threads, batches) == [requests[:16], requests[16:]]
 
     def test_dead_requests_are_shed_and_do_not_count(self):
         queue = RequestQueue(max_pending=8)
         threads, batches = _blocked_takers(queue, 2, max_batch=16)
-        expired = _request(0, "a", deadline_at=time.perf_counter() - 1.0)
-        live = [_request(i, "a") for i in (1, 3, 4, 5)]
-        cancelled = _request(2, "a")
+        wide = FULL_PASS_COLUMNS
+        expired = _request(0, "a", cols=wide, deadline_at=time.perf_counter() - 1.0)
+        live = [_request(i, "a", cols=wide) for i in (1, 3, 4, 5)]
+        cancelled = _request(2, "a", cols=wide)
         assert cancelled.cancel()
         # Queue order: expired (EDF first), live[0], cancelled, live[1:].
         queue.put_many([expired, live[0], cancelled] + live[1:])
@@ -227,39 +234,23 @@ class TestTakerShare:
         assert (queue.expired, queue.cancelled) == (1, 1)
         assert len(queue) == 0
 
-    def test_taker_back_before_the_others_popped_counts_alone(self):
+    def test_narrow_requests_batch_whoever_waits(self):
         queue = RequestQueue(max_pending=16)
-        queue._takers = 1  # a woken taker that never gets to run
-        requests = [_request(i, "a") for i in range(6)]
-        queue.put_many(requests)
-        assert queue.next_batch(16, timeout=0) == requests[:3]
-        # The other taker has not popped since: this thread takes the rest.
-        assert queue.next_batch(16, timeout=0) == requests[3:]
-        requests = [_request(i, "a") for i in range(6, 10)]
-        queue.put_many(requests)
-        # The last pop emptied the queue, so the share holds again ...
-        assert queue.next_batch(16, timeout=0) == requests[:2]
-        # ... and once another thread has popped, for this thread too.
-        other = threading.Thread(target=lambda: queue.next_batch(16, timeout=0))
-        other.start()
-        other.join(10.0)
-        assert len(queue) == 1
-        queue.put(_request(10, "a"))
-        assert queue.next_batch(16, timeout=0) == [requests[3]]
-
-    def test_taker_whose_wait_times_out_looks_once_more(self):
-        queue = RequestQueue(max_pending=8)
-        batches = []
-        thread = threading.Thread(
-            target=lambda: batches.append(queue.next_batch(8, timeout=0.05))
-        )
-        thread.start()
-        _await_takers(queue, 1)
-        request = _request(0, "a")
-        with queue._condition:
-            queue._insert(request)  # queued without waking the taker
-        thread.join(10.0)
-        assert batches == [[request]]
+        queue._takers = 1  # another taker waits throughout
+        narrow = [_request(i, "a", cols=FULL_PASS_COLUMNS - 1) for i in range(6)]
+        queue.put_many(narrow)
+        assert queue.next_batch(16, timeout=0) == narrow
+        # The first request decides: wide ones behind a narrow head ride
+        # along up to max_batch, narrow ones behind a wide head do not.
+        head = _request(6, "a", cols=1)
+        wide = [_request(i, "a", cols=FULL_PASS_COLUMNS) for i in range(7, 10)]
+        queue.put_many([head] + wide)
+        assert queue.next_batch(16, timeout=0) == [head] + wide
+        wide = [_request(i, "a", cols=FULL_PASS_COLUMNS) for i in range(10, 12)]
+        narrow = [_request(i, "a", cols=1) for i in range(12, 14)]
+        queue.put_many(wide + narrow)
+        assert queue.next_batch(16, timeout=0) == wide
+        assert queue.next_batch(16, timeout=0) == narrow
 
 
 class _HeldCrash(FaultInjector):
@@ -339,7 +330,7 @@ class TestShareAcrossWorkers:
         plan = self._plan()
         faults = _HeldCrash(crash_at=3)
         rng = np.random.default_rng(8)
-        prompts = [rng.integers(-8, 8, size=(6, 3), dtype=np.int64) for _ in range(4)]
+        prompts = [rng.integers(-8, 8, size=(6, 64), dtype=np.int64) for _ in range(4)]
         server = Server(plan, num_workers=3, max_batch=16, faults=faults,
                         max_worker_restarts=1)
         passes = _HeldPasses(server)
