@@ -147,8 +147,9 @@ def bench_llama_fc(shape):
         lambda: engine.multiply(weight, new_activation, 8), repeats=3
     )
 
-    # The serving path: compile the plan once (scoreboard from the warm LRU
-    # cache + executor build), then time planned calls through the executor.
+    # The serving path: compile the plan once (scoreboard counts streamed
+    # over row blocks + executor build), then time planned calls through the
+    # executor.
     plan_start = time.perf_counter()
     plan = engine.plan(weight, 8)
     plan_compile_s = time.perf_counter() - plan_start

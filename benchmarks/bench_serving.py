@@ -78,6 +78,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from provenance import provenance, write_results  # noqa: E402
+from repro.core import TransitiveGemmEngine  # noqa: E402
 from repro.errors import (  # noqa: E402
     BackpressureError,
     DeadlineExceededError,
@@ -164,10 +165,11 @@ def bench_serving(plan, layer_name):
         assert np.array_equal(output, layer.weight @ activation)
     report = server.report()
 
-    # Sequential baseline on the same plan: one single-GEMM call per request
-    # (warm LRU cache; the per-call weight fingerprint is the honest cost of
-    # serving without plan-level precompute).
-    engine = plan.engine
+    # Sequential baseline on the same weights: one single-GEMM call per
+    # request on an engine of the plan's width (warm LRU cache; the per-call
+    # weight fingerprint is the honest cost of serving without plan-level
+    # precompute).
+    engine = TransitiveGemmEngine(transrow_bits=layer.gemm_plan.transrow_bits)
     engine.multiply(layer.weight, activations[0], WEIGHT_BITS)  # warm the cache
     start = time.perf_counter()
     sequential_outputs = [

@@ -10,9 +10,10 @@ engine asserts nothing silently and exposes exact operation counts so the
 architectural simulator and the design-space exploration share one source of
 truth.
 
-:class:`TransitiveGemmEngine` has one execution path: it packs all column
-chunks at once, scoreboards them in one batched array pass
-(:mod:`repro.scoreboard.batched`), materialises every prefix-reuse partial sum
+:class:`TransitiveGemmEngine` has one execution path: it counts every column
+chunk's TransRows in row blocks and scoreboards the counts in batched array
+passes (:func:`repro.scoreboard.weight_op_counts`), packs all column chunks
+at once, materialises every prefix-reuse partial sum
 level-by-level with fancy-indexed gather-adds across chunks, and folds the
 TransRow results into the output with array reductions.  A small LRU cache
 keyed on the weight matrix ("static scoreboard" serving mode) lets repeated
@@ -48,7 +49,7 @@ from ..bitslice.packing import pack_bits_to_uint, pack_transrow_chunks
 from ..errors import SimulationError
 from ..hasse.graph import hasse_graph
 from ..scoreboard.algorithm import run_scoreboard
-from ..scoreboard.batched import batched_total_op_counts
+from ..scoreboard.batched import weight_op_counts
 from ..exact import as_exact_int64
 from .executor import ExactExecutor
 from .metrics import OpCounts, op_counts_from_result
@@ -290,9 +291,10 @@ class TransitiveGemmEngine:
         codes (:func:`narrow_codes`), the exact operation counts and the
         layer's :class:`~repro.core.executor.ExactExecutor`.  Executions
         against the handle (:meth:`multiply_planned`) skip the per-call
-        weight fingerprint and all weight-side work; the LRU cache is warmed
-        as a side effect so plain :meth:`multiply` calls with the same
-        weights also hit.
+        weight fingerprint and all weight-side work.  The counts are
+        streamed over row blocks (:func:`~repro.scoreboard.weight_op_counts`),
+        so the packed TransRows of the whole matrix are never built, kept or
+        put in the LRU cache, which only :meth:`multiply` fills.
         """
         weight = np.asarray(weight)
         codes = narrow_codes(weight)
@@ -305,13 +307,14 @@ class TransitiveGemmEngine:
             raise SimulationError("weight must be a 2-D matrix")
         if codes.shape[1] == 0 or codes.shape[0] == 0:
             raise SimulationError("cannot plan a weight matrix with a zero dimension")
-        _, counts = self._packed_transrows_cached(codes, weight_bits)
         return GemmPlan(
             weight=codes,
             weight_bits=weight_bits,
             transrow_bits=self.transrow_bits,
             max_distance=self.max_distance,
-            op_counts=counts,
+            op_counts=weight_op_counts(
+                codes, weight_bits, self.transrow_bits, self.max_distance
+            ),
             kernel=ExactExecutor(codes),
         )
 
@@ -359,13 +362,10 @@ class TransitiveGemmEngine:
             entry = self._cache.get(key)
             if entry is not None:
                 return entry
-        packed = pack_transrow_chunks(weight, weight_bits, self.transrow_bits)
-        # Scoreboard in bounded blocks so wide lattices (T = 16 -> 65536
-        # nodes) never materialise per-chunk state for the whole GEMM at once.
-        bags = packed.reshape(packed.shape[0], -1).astype(np.int64)
-        counts = batched_total_op_counts(
-            bags, width=self.transrow_bits, max_distance=self.max_distance
+        counts = weight_op_counts(
+            weight, weight_bits, self.transrow_bits, self.max_distance
         )
+        packed = pack_transrow_chunks(weight, weight_bits, self.transrow_bits)
         if key is not None:
             self._cache.put(key, (packed, counts))
         return packed, counts

@@ -15,6 +15,7 @@ from .batched import (
     batched_total_op_counts,
     run_scoreboard_batch,
     scoreboard_from_counts,
+    weight_op_counts,
 )
 from .info import ScoreboardInfo, SIEntry
 from .sorter import bitonic_stage_count, sorter_cycles
@@ -29,6 +30,7 @@ __all__ = [
     "batched_total_op_counts",
     "run_scoreboard_batch",
     "scoreboard_from_counts",
+    "weight_op_counts",
     "ScoreboardInfo",
     "SIEntry",
     "bitonic_stage_count",

@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..bitslice.packing import pack_transrow_chunks
 from ..errors import ScoreboardError
 from ..hasse import balance_lanes
 from ..hasse.graph import HasseGraph, hasse_graph
@@ -37,6 +38,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
 
 #: Sentinel larger than any reachable distance but safe to add 1 to (int32).
 _FAR = UNREACHED
+
+#: Default cap (bytes) on the scoreboard state of one block of chunks.
+_BLOCK_BYTES = 64 * 1024 * 1024
+
+#: Weight rows packed per step by :func:`weight_op_counts`.
+_ROW_BLOCK = 256
 
 
 def _counts_matrix(
@@ -223,10 +230,7 @@ def run_scoreboard_batch(
     max_distance:
         Longest prefix chain before a present node becomes an outlier.
     """
-    if width < 1 or width > 16:
-        raise ScoreboardError(f"TransRow width must be in [1, 16], got {width}")
-    if max_distance < 1:
-        raise ScoreboardError(f"max_distance must be >= 1, got {max_distance}")
+    _check_parameters(width, max_distance)
     counts, totals = _counts_matrix(values, width)
     return scoreboard_from_counts(counts, totals, width, max_distance)
 
@@ -308,7 +312,7 @@ def batched_total_op_counts(
     values: Union[np.ndarray, Sequence[Sequence[int]]],
     width: int,
     max_distance: int = 4,
-    block_bytes: int = 64 * 1024 * 1024,
+    block_bytes: int = _BLOCK_BYTES,
 ) -> "OpCounts":
     """Merged ``OpCounts`` over all chunks with bounded scratch memory.
 
@@ -320,8 +324,7 @@ def batched_total_op_counts(
     scoreboard state; the merged counts are identical either way.
     """
     num_chunks = len(values)
-    per_chunk_bytes = (1 << width) * 32  # counts + distances + relay state
-    block = max(1, min(num_chunks, block_bytes // per_chunk_bytes))
+    block = _chunks_per_block(num_chunks, width, block_bytes)
     merged: Optional["OpCounts"] = None
     for start in range(0, num_chunks, block):
         batch = run_scoreboard_batch(
@@ -333,6 +336,61 @@ def batched_total_op_counts(
         merged = run_scoreboard_batch([], width=width, max_distance=max_distance
                                       ).total_op_counts()
     return merged
+
+
+def weight_op_counts(
+    weight: np.ndarray,
+    weight_bits: int,
+    width: int,
+    max_distance: int = 4,
+) -> "OpCounts":
+    """Merged ``OpCounts`` of an ``(N, K)`` weight matrix's TransRows.
+
+    Equal to :func:`batched_total_op_counts` of the ``(chunks, N * S)`` bags
+    of ``pack_transrow_chunks(weight, weight_bits, width)``, but the whole
+    matrix is never packed.  Column chunks go in the blocks that function
+    uses by default; within a block, 256 weight rows at a time are
+    packed and their node occurrences added to the block's
+    ``(chunks, 2**width)`` count matrix, which is then scoreboarded.  Scratch
+    memory is bounded by those blocks, not by the layer.
+    """
+    _check_parameters(width, max_distance)
+    n_rows, n_cols = weight.shape
+    num_chunks = -(-n_cols // width)
+    block = _chunks_per_block(num_chunks, width, _BLOCK_BYTES)
+    merged: Optional["OpCounts"] = None
+    for start in range(0, num_chunks, block):
+        columns = weight[:, start * width:(start + block) * width]
+        span = -(-columns.shape[1] // width)
+        counts = np.zeros((span, 1 << width), dtype=np.int64)
+        totals = np.zeros(span, dtype=np.int64)
+        # At least one row block, so an empty weight is still validated.
+        for row in range(0, max(n_rows, 1), _ROW_BLOCK):
+            packed = pack_transrow_chunks(columns[row:row + _ROW_BLOCK], weight_bits, width)
+            row_counts, row_totals = _counts_matrix(packed.reshape(span, -1), width)
+            counts += row_counts
+            totals += row_totals
+        block_counts = scoreboard_from_counts(
+            counts, totals, width, max_distance
+        ).total_op_counts()
+        merged = block_counts if merged is None else merged.merge(block_counts)
+    if merged is None:
+        merged = run_scoreboard_batch([], width=width, max_distance=max_distance
+                                      ).total_op_counts()
+    return merged
+
+
+def _check_parameters(width: int, max_distance: int) -> None:
+    if width < 1 or width > 16:
+        raise ScoreboardError(f"TransRow width must be in [1, 16], got {width}")
+    if max_distance < 1:
+        raise ScoreboardError(f"max_distance must be >= 1, got {max_distance}")
+
+
+def _chunks_per_block(num_chunks: int, width: int, block_bytes: int) -> int:
+    """Chunks scoreboarded together so their state stays under ``block_bytes``."""
+    per_chunk_bytes = (1 << width) * 32  # counts + distances + relay state
+    return max(1, min(num_chunks, block_bytes // per_chunk_bytes))
 
 
 # ------------------------------------------------------------ lane balance

@@ -4,9 +4,14 @@ The paper's *static scoreboard* exists precisely for serving: the weights are
 fixed, so the SI can be computed once offline and reused for every activation
 that streams by.  :func:`compile_workload` makes that mode concrete for whole
 models — every layer of a :class:`~repro.workloads.gemm.GemmWorkload` gets its
-weights materialised, bit-sliced and scoreboarded exactly once through the
-engine's plan machinery, and the resulting :class:`ModelPlan` is the immutable
-artifact the online server executes requests against.
+weights materialised, bit-sliced and scoreboarded exactly once through
+:meth:`~repro.core.TransitiveGemmEngine.plan`, and the resulting
+:class:`ModelPlan` is the immutable artifact the online server executes
+requests against.  A plan keeps only what serving reads: per layer the narrow
+weight codes, the executor's float64 copy, the ``OpCounts`` and the optional
+cycle profile.  Compilation samples and counts in blocks of 256 weight rows,
+so no int64 draw and no packed TransRows of a layer's size are built on the
+way.
 """
 
 from __future__ import annotations
@@ -118,7 +123,6 @@ class ModelPlan:
     def __init__(
         self,
         workload: GemmWorkload,
-        engine: TransitiveGemmEngine,
         layers: Sequence[LayerPlan],
         *,
         accelerator: Optional[TransitiveArrayAccelerator] = None,
@@ -126,7 +130,6 @@ class ModelPlan:
         graph: Optional[ModelGraph] = None,
     ) -> None:
         self.workload = workload
-        self.engine = engine
         self.accelerator = accelerator
         self.compile_stats = compile_stats
         self._layers: Dict[str, LayerPlan] = {}
@@ -277,8 +280,9 @@ def compile_workload(
         attention layer, ResNet-18, synthetic) — compilation walks its
         :meth:`~repro.workloads.gemm.GemmWorkload.layers`.
     engine:
-        Functional engine to compile with; an engine sized so every
-        layer's scoreboard also fits the LRU cache is built by default.
+        Functional engine to compile with, which sets the TransRow width and
+        maximum prefix distance; a default ``TransitiveGemmEngine()`` (T = 8)
+        otherwise.  The plan does not keep it.
     weight_provider:
         Optional callable returning real ``(N, K)`` weights per layer;
         synthetic quantized weights are sampled otherwise (seeded, so a plan
@@ -324,10 +328,7 @@ def compile_workload(
             )
         shapes = [by_name[name] for name in wanted]
     if engine is None:
-        engine = TransitiveGemmEngine(
-            transrow_bits=8,
-            scoreboard_cache_entries=max(8, len(shapes)),
-        )
+        engine = TransitiveGemmEngine()
     schemes = dict(quant_schemes) if quant_schemes else {}
     known = {shape.name for shape in shapes}
     unknown_layers = sorted(name for name in schemes if name not in known)
@@ -415,7 +416,6 @@ def compile_workload(
         graph = ModelGraph.chain(layer.name for layer in layers)
     return ModelPlan(
         workload=workload,
-        engine=engine,
         layers=layers,
         accelerator=accelerator,
         compile_stats=stats,

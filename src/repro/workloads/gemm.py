@@ -127,7 +127,18 @@ class GemmWorkload:
         )
 
     def sample_weight(self, shape: GemmShape, rng: np.random.Generator) -> np.ndarray:
-        """Synthetic quantized weight tensor for one GEMM of the workload."""
+        """Synthetic quantized weight tensor for one GEMM of the workload.
+
+        The codes come in the narrowest signed dtype holding
+        ``weight_bits``-bit values (int8 up to 8 bits).  They are drawn as
+        int64 in blocks of 256 rows, which gives the same values and leaves
+        ``rng`` in the same state as one ``(N, K)`` int64 draw, without
+        allocating that draw.
+        """
         lo = -(1 << (shape.weight_bits - 1))
         hi = (1 << (shape.weight_bits - 1)) - 1
-        return rng.integers(lo, hi + 1, size=(shape.n, shape.k), dtype=np.int64)
+        weight = np.empty((shape.n, shape.k), dtype=np.min_scalar_type(lo))
+        for start in range(0, shape.n, 256):
+            block = weight[start:start + 256]
+            block[...] = rng.integers(lo, hi + 1, size=block.shape, dtype=np.int64)
+        return weight

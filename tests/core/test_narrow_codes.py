@@ -236,6 +236,25 @@ class TestPlanMemory:
         assert plan.weight.dtype == np.int8
         assert held <= 10 * weight.size, f"{held / weight.size:.2f} B/weight held"
 
+    @pytest.mark.parametrize("width", [4, 8])
+    def test_plan_peak_is_what_it_keeps_plus_a_block(self, width):
+        # plan() streams its counts over row blocks and builds the executor
+        # copy in row blocks, so no weight-sized temporary (a whole packed
+        # matrix, its int64 bags, an int64 draw) raises the peak past what
+        # the plan keeps by more than a fixed block allowance.
+        weight = np.random.default_rng(4).integers(-8, 8, size=(2816, 1024), dtype=np.int8)
+        engine = TransitiveGemmEngine(transrow_bits=width)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            plan = engine.plan(weight, 4)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        kept = plan.weight.nbytes + plan.kernel.weight.nbytes
+        assert peak <= kept + 2 * 2**20, f"peak {peak / 2**20:.1f} MiB, keeps {kept / 2**20:.1f} MiB"
+
     def test_no_int64_copy_of_the_weight_is_reachable(self):
         plan = TransitiveGemmEngine(transrow_bits=8).plan(self._weight(), 4)
         arrays = _reachable_arrays(plan)

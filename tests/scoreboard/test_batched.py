@@ -5,9 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bitslice import pack_transrow_chunks
 from repro.core.metrics import OpCounts, op_counts_from_result
-from repro.errors import ScoreboardError
-from repro.scoreboard import run_scoreboard, run_scoreboard_batch
+from repro.errors import BitSliceError, ScoreboardError
+from repro.scoreboard import (
+    batched_total_op_counts,
+    run_scoreboard,
+    run_scoreboard_batch,
+    weight_op_counts,
+)
 
 
 def _random_bags(rng, width, num_bags, max_rows=60):
@@ -100,6 +106,44 @@ class TestOpCountTallies:
         batch = run_scoreboard_batch([], width=8)
         assert batch.num_chunks == 0
         assert all(v == 0 for v in batch.total_op_count_fields().values())
+
+
+class TestWeightOpCounts:
+    """Counts streamed over row blocks equal those of the whole packed
+    matrix, for ragged shapes: N not a multiple of the 256-row block, K not
+    a multiple of T."""
+
+    @pytest.mark.parametrize("width", [1, 4, 8, 16])
+    @pytest.mark.parametrize("n, k", [(1, 1), (255, 9), (300, 37), (513, 20)])
+    def test_equal_to_the_whole_packed_matrix(self, width, n, k):
+        bits = 4
+        weight = np.random.default_rng(n * k + width).integers(
+            -(1 << (bits - 1)), 1 << (bits - 1), size=(n, k), dtype=np.int8
+        )
+        packed = pack_transrow_chunks(weight, bits, width)
+        whole = batched_total_op_counts(
+            packed.reshape(packed.shape[0], -1).astype(np.int64), width=width
+        )
+        assert weight_op_counts(weight, bits, width) == whole
+
+    def test_several_chunk_blocks_at_t16(self):
+        # At T = 16 a block holds 32 chunks: 40 chunks take two blocks.
+        weight = np.random.default_rng(5).integers(-8, 8, size=(20, 16 * 40), dtype=np.int8)
+        packed = pack_transrow_chunks(weight, 4, 16)
+        bags = [chunk.ravel().tolist() for chunk in packed]
+        merged = run_scoreboard_batch(bags[:32], width=16).total_op_counts().merge(
+            run_scoreboard_batch(bags[32:], width=16).total_op_counts())
+        assert weight_op_counts(weight, 4, 16) == merged
+
+    def test_empty_weights_are_still_validated(self):
+        zero = weight_op_counts(np.zeros((0, 12), dtype=np.int8), 4, 4)
+        assert zero == batched_total_op_counts([[]] * 3, width=4)
+        with pytest.raises(BitSliceError):
+            weight_op_counts(np.zeros((0, 12)), 4, 4)  # not an integer matrix
+        past_first_block = np.zeros((300, 12), dtype=np.int8)
+        past_first_block[299, 5] = 8  # not a 4-bit value
+        with pytest.raises(BitSliceError):
+            weight_op_counts(past_first_block, 4, 4)
 
 
 class TestValidation:

@@ -52,12 +52,11 @@ def _block_plan(**kwargs):
 
 
 def _sequential_reference(plan, activation):
-    """Per-layer sequential execution via ``multiply_planned`` — the
-    non-pipelined ground truth the server must match bit-for-bit."""
+    """Per-layer sequential execution, one layer executor call after the
+    other — the non-pipelined ground truth the server must match
+    bit-for-bit."""
     for name in plan.graph.layers:
-        activation = plan.engine.multiply_planned(
-            plan.layer(name).gemm_plan, activation
-        ).output
+        activation = plan.layer(name).gemm_plan.kernel.execute(activation)
     return activation
 
 

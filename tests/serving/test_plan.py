@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.core import TransitiveGemmEngine
 from repro.exact import FLOAT64_EXACT
 from repro.errors import ServingError, SimulationError, WorkloadError
+from repro.quant.schemes import SCHEME_REGISTRY
 from repro.serving import compile_workload
 from repro.transarray import TransitiveArrayAccelerator
 from repro.workloads import (
@@ -16,6 +17,7 @@ from repro.workloads import (
     LlamaConfig,
     llama_attention_gemms,
     llama_block_gemms,
+    outlier_weight_matrix,
     resnet18_gemms,
     synthetic_gemm_workload,
 )
@@ -57,14 +59,19 @@ class TestGemmPlan:
             assert np.array_equal(report.output, weight @ activation)
             assert report.op_counts == engine.multiply(weight, activation, 4).op_counts
 
-    def test_plan_warms_the_lru_cache(self):
+    def test_plan_counts_like_multiply_and_leaves_the_cache_empty(self):
+        # plan() streams its counts and keeps no packed TransRows, so only
+        # multiply() fills the cache; both count through one path.
         rng = np.random.default_rng(2)
         engine = TransitiveGemmEngine(transrow_bits=8)
         weight = rng.integers(-8, 8, size=(10, 10), dtype=np.int64)
-        engine.plan(weight, weight_bits=4)
+        plan = engine.plan(weight, weight_bits=4)
+        info = engine.scoreboard_cache_info()
+        assert (info.hits, info.misses, info.entries) == (0, 0, 0)
         activation = rng.integers(-4, 4, size=(10, 2), dtype=np.int64)
-        engine.multiply(weight, activation, 4)
-        assert engine.scoreboard_cache_info().hits >= 1
+        report = engine.multiply(weight, activation, 4)
+        assert report.op_counts == plan.op_counts
+        assert np.array_equal(report.output, weight @ activation)
 
     def test_narrow_codes_and_int64_values_share_one_cache_entry(self):
         # The cache keys on the narrowed codes, so the dtype the same values
@@ -72,13 +79,14 @@ class TestGemmPlan:
         rng = np.random.default_rng(2)
         engine = TransitiveGemmEngine(transrow_bits=8)
         weight = rng.integers(-8, 8, size=(10, 10), dtype=np.int64)
-        plan = engine.plan(weight.astype(np.int8), weight_bits=4)
         activation = rng.integers(-4, 4, size=(10, 2), dtype=np.int64)
-        report = engine.multiply(weight, activation, 4)
+        narrow = engine.multiply(weight.astype(np.int8), activation, 4)
+        wide = engine.multiply(weight, activation, 4)
         info = engine.scoreboard_cache_info()
         assert (info.hits, info.misses, info.entries) == (1, 1, 1)
-        assert np.array_equal(report.output, weight @ activation)
-        assert report.op_counts == plan.op_counts
+        assert np.array_equal(wide.output, weight @ activation)
+        assert np.array_equal(narrow.output, wide.output)
+        assert narrow.op_counts == wide.op_counts
 
     def test_plan_validation(self):
         rng = np.random.default_rng(3)
@@ -256,6 +264,22 @@ class TestCompileWorkload:
         plan_a = compile_workload(workload, seed=99)
         plan_b = compile_workload(workload, seed=99)
         assert np.array_equal(plan_a.layer("layer1").weight, plan_b.layer("layer1").weight)
+
+    def test_sampled_layers_follow_one_whole_draw_per_layer(self):
+        # Each sampled layer equals a whole-matrix int64 draw from the
+        # compile stream, and the quantized layer after them gets the seed
+        # that stream then yields: sampling leaves the generator where one
+        # whole draw per layer did.
+        workload = synthetic_gemm_workload(num_layers=3, n=300, k=20, m=1, weight_bits=4)
+        plan = compile_workload(workload, seed=21, quant_schemes={"layer2": "transarray-int4"})
+        rng = np.random.default_rng(21)
+        for name in ("layer0", "layer1"):
+            expected = rng.integers(-8, 8, size=(300, 20), dtype=np.int64)
+            assert plan.layer(name).weight.dtype == np.int8
+            assert np.array_equal(plan.layer(name).weight, expected)
+        source = outlier_weight_matrix(300, 20, seed=int(rng.integers(0, 2**31)))
+        quantized = SCHEME_REGISTRY["transarray-int4"](source)
+        assert np.array_equal(plan.layer("layer2").weight, quantized.values)
 
     @pytest.mark.parametrize("source", ["synthetic", "provider", "quant_schemes"])
     def test_accelerator_profiles_the_compiled_weights(self, source):

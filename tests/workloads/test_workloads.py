@@ -102,6 +102,25 @@ class TestResNet:
         assert 1.5e9 <= total <= 2.2e9
 
 
+class TestSampleWeight:
+    """Row-block sampling draws what one whole-matrix int64 draw did, in
+    the narrowest dtype, and leaves the generator where that draw did."""
+
+    @pytest.mark.parametrize("bits, dtype", [(1, np.int8), (4, np.int8), (8, np.int8),
+                                             (9, np.int16), (16, np.int16), (33, np.int64)])
+    @pytest.mark.parametrize("n, k", [(1, 3), (300, 7), (513, 33)])
+    def test_equal_to_one_int64_draw(self, bits, dtype, n, k):
+        shape = GemmShape("fc", n, k, 1, weight_bits=bits)
+        workload = GemmWorkload("w", [shape])
+        lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+        old, new = np.random.default_rng(3), np.random.default_rng(3)
+        expected = old.integers(lo, hi + 1, size=(n, k), dtype=np.int64)
+        sampled = workload.sample_weight(shape, new)
+        assert sampled.dtype == dtype
+        assert np.array_equal(sampled, expected)
+        assert new.bit_generator.state == old.bit_generator.state
+
+
 class TestSynthetic:
     def test_random_binary_density(self):
         matrix = random_binary_matrix(512, 512, density=0.5, seed=0)
