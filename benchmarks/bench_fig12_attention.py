@@ -23,7 +23,8 @@ the baseline as it is; a plain run re-records the baseline.
 
 Run as a script (``python benchmarks/bench_fig12_attention.py [--scale
 smoke] [--check]``) or through pytest (``pytest
-benchmarks/bench_fig12_attention.py``, full scale).
+benchmarks/bench_fig12_attention.py``, full scale, writing the ``.check.json``
+as ``--check`` does).
 """
 
 import argparse
@@ -171,7 +172,9 @@ def _print_results(scale: str, results: dict) -> None:
 
 
 def test_fig12_attention_speedups(run_once):
-    results = run_once(run, scale="full", write=True)
+    results = run_once(run, scale="full", write=False)
+    # A gate writes the git-ignored .check.json; the baseline stays committed.
+    write_results(output_path("full"), results, check=True)
     _print_results("full", results)
 
     speedups = results["geomean_speedup"]

@@ -38,15 +38,9 @@ class PerformanceReport:
     per_gemm_cycles: Dict[str, int] = field(default_factory=dict)
 
     @property
-    def runtime_s(self) -> float:
-        """Wall-clock runtime at the configured frequency."""
-        return self.cycles / self.clock_hz
-
-    @property
     def energy_nj(self) -> float:
         """Total energy in nanojoules."""
         return self.energy.total_nj
-
 
 
 def as_workload(workload: WorkloadLike) -> GemmWorkload:

@@ -14,7 +14,7 @@ from .slicer import (
     bit_slice,
     binary_weight_matrix,
 )
-from .packing import pack_bits_to_uint, pack_transrow_chunks, popcount
+from .packing import pack_bits_to_uint, pack_transrow_chunks
 
 __all__ = [
     "BitPlanes",
@@ -23,5 +23,4 @@ __all__ = [
     "binary_weight_matrix",
     "pack_bits_to_uint",
     "pack_transrow_chunks",
-    "popcount",
 ]

@@ -70,14 +70,3 @@ def pack_transrow_chunks(matrix: np.ndarray, bits: int, width: int) -> np.ndarra
     packed = np.packbits(cells.reshape(n_bits, n_rows, chunks * field), axis=-1)
     values = packed.view(f">u{field // 8}").astype(np.uint16)
     return values.transpose(2, 1, 0)
-
-
-def popcount(values: np.ndarray) -> np.ndarray:
-    """Number of set bits (Hamming weight) of each packed TransRow value."""
-    values = np.asarray(values, dtype=np.uint64)
-    counts = np.zeros(values.shape, dtype=np.int64)
-    work = values.copy()
-    while work.any():
-        counts += (work & 1).astype(np.int64)
-        work >>= np.uint64(1)
-    return counts

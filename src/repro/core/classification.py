@@ -43,16 +43,6 @@ class Classification:
     outlier_rows: int
     total_transrows: int
 
-    def as_dict(self) -> Dict[NodeType, int]:
-        """Mapping from class to count, convenient for tabular reports."""
-        return {
-            NodeType.ZERO_ROW: self.zr_rows,
-            NodeType.TRANSITIVE_REUSE: self.tr_steps,
-            NodeType.FULL_RESULT_REUSE: self.fr_rows,
-            NodeType.PREFIX_RESULT_REUSE: self.pr_rows,
-            NodeType.OUTLIER: self.outlier_rows,
-        }
-
 
 def classify_nodes(result: ScoreboardResult) -> Classification:
     """Count TransRows per execution class for one scoreboard run."""

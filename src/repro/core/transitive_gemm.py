@@ -134,16 +134,6 @@ class GemmPlan:
     op_counts: OpCounts
     kernel: ExactExecutor
 
-    @property
-    def n(self) -> int:
-        """Output rows (weight rows)."""
-        return int(self.weight.shape[0])
-
-    @property
-    def k(self) -> int:
-        """Reduction dimension (weight columns / activation rows)."""
-        return int(self.weight.shape[1])
-
 
 class _StaticScoreboardCache:
     """LRU cache of (packed TransRows, merged OpCounts) per weight matrix.

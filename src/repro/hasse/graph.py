@@ -175,18 +175,6 @@ class HasseGraph:
             bit_position[lowest == (1 << b)] = b
         return parent, bit_position
 
-    def is_prefix(self, prefix: int, node: int) -> bool:
-        """True when every set bit of ``prefix`` is also set in ``node`` (and differ)."""
-        self._check_node(prefix)
-        self._check_node(node)
-        return prefix != node and (prefix & node) == prefix
-
-    def distance(self, prefix: int, node: int) -> int:
-        """Level difference between a node and one of its (transitive) prefixes."""
-        if not self.is_prefix(prefix, node) and prefix != 0:
-            raise ConfigurationError(f"{prefix} is not a prefix of {node}")
-        return self.level(node) - self.level(prefix)
-
     def _check_node(self, node: int) -> None:
         if not 0 <= node < self.num_nodes:
             raise ConfigurationError(

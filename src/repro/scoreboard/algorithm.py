@@ -59,11 +59,6 @@ class ExecutedNode:
     lane: int
     is_relay: bool
 
-    @property
-    def popcount(self) -> int:
-        """Hamming weight of the node value."""
-        return bin(self.index).count("1")
-
 
 @dataclass(frozen=True)
 class OutlierNode:
@@ -104,24 +99,6 @@ class ScoreboardResult:
     def relay_nodes(self) -> List[int]:
         """Absent nodes executed only to forward partial sums (TR nodes)."""
         return sorted(idx for idx, node in self.nodes.items() if node.is_relay)
-
-    def distance_histogram(self) -> Dict[int, int]:
-        """Present-node count per scoreboard distance (outliers keyed as 0)."""
-        histogram: Dict[int, int] = {}
-        for node in self.nodes.values():
-            if node.is_relay:
-                continue
-            histogram[node.distance] = histogram.get(node.distance, 0) + 1
-        if self.outliers:
-            histogram[0] = len(self.outliers)
-        return histogram
-
-    def lane_ppe_loads(self) -> List[int]:
-        """Per-lane count of PPE steps (one per executed node in the lane)."""
-        loads = [0] * self.num_lanes
-        for node in self.nodes.values():
-            loads[node.lane] += 1
-        return loads
 
 
 def _validate_inputs(values: Sequence[int], width: int, max_distance: int) -> None:

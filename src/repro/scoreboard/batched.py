@@ -172,9 +172,10 @@ class BatchedScoreboard:
     def lane_node_counts(self, num_lanes: int) -> List[List[int]]:
         """Executed nodes on each lane of every chunk's balanced forest.
 
-        Equal to ``lane_ppe_loads()`` of each chunk's ``ScoreboardResult``,
-        but computed by one :func:`~repro.hasse.balance_lanes` pass per chunk
-        over plain lists: no result, candidate or forest object is built.
+        Each lane's count of the executed nodes of a chunk's
+        ``ScoreboardResult.nodes``, but computed by one
+        :func:`~repro.hasse.balance_lanes` pass per chunk over plain lists: no
+        result, candidate or forest object is built.
         """
         order = np.asarray(hasse_graph(self.width).hamming_order(include_zero=False))
         executed = (self.executed_present | self.relay)[:, order]

@@ -9,7 +9,7 @@ enough to live in the on-chip buffer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..errors import ScoreboardError
 from .algorithm import ScoreboardResult
@@ -24,11 +24,6 @@ class SIEntry:
     lane: int
     distance: int
     is_relay: bool = False
-
-    @property
-    def transparsity(self) -> int:
-        """XOR difference dispatched to the input network (paper Sec. 4.3)."""
-        return self.transrow ^ self.prefix
 
 
 @dataclass
@@ -60,15 +55,3 @@ class ScoreboardInfo:
                 f"TransRow {transrow} out of range for width {self.width}"
             )
         return self.entries.get(transrow)
-
-    def lanes(self) -> Dict[int, List[SIEntry]]:
-        """Group entries per lane, each sorted in Hamming order (execution order)."""
-        grouped: Dict[int, List[SIEntry]] = {}
-        for entry in self.entries.values():
-            grouped.setdefault(entry.lane, []).append(entry)
-        for lane_entries in grouped.values():
-            lane_entries.sort(key=lambda e: (bin(e.transrow).count("1"), e.transrow))
-        return grouped
-
-    def __len__(self) -> int:
-        return len(self.entries)

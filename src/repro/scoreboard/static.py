@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Set
 
 from ..errors import ScoreboardError
-from .algorithm import ScoreboardResult, run_scoreboard
+from .algorithm import run_scoreboard
 from .info import ScoreboardInfo
 
 
@@ -39,26 +39,6 @@ class StaticTileOutcome:
     outlier_adds: int
     si_misses: int
 
-    @property
-    def reuse_ops(self) -> int:
-        """Adds performed through the prefix-reuse path (PR + FR + TR)."""
-        return self.pr_nodes + self.fr_rows + self.tr_steps
-
-    @property
-    def total_ops(self) -> int:
-        """All adds the tile needs under the static scoreboard."""
-        return self.reuse_ops + self.outlier_adds
-
-    @property
-    def dense_ops(self) -> int:
-        """Bit-serial dense cost: one add per bit of every TransRow."""
-        return self.total_transrows * self.width
-
-    @property
-    def density(self) -> float:
-        """Fraction of dense work remaining (lower is better)."""
-        return self.total_ops / self.dense_ops if self.dense_ops else 0.0
-
 
 class StaticScoreboard:
     """Tensor-level scoreboard computed offline and shared by all tiles."""
@@ -70,19 +50,17 @@ class StaticScoreboard:
         self.width = width
         self.max_distance = max_distance
         self.num_lanes = num_lanes if num_lanes is not None else width
-        self._result: Optional[ScoreboardResult] = None
         self._info: Optional[ScoreboardInfo] = None
 
     # ------------------------------------------------------------------ fit
     def fit(self, values: Iterable[int]) -> ScoreboardInfo:
         """Build the shared SI from every TransRow value of the tensor."""
-        self._result = run_scoreboard(
+        self._info = ScoreboardInfo.from_result(run_scoreboard(
             values,
             width=self.width,
             max_distance=self.max_distance,
             num_lanes=self.num_lanes,
-        )
-        self._info = ScoreboardInfo.from_result(self._result)
+        ))
         return self._info
 
     @property
@@ -91,13 +69,6 @@ class StaticScoreboard:
         if self._info is None:
             raise ScoreboardError("StaticScoreboard.fit must be called before use")
         return self._info
-
-    @property
-    def result(self) -> ScoreboardResult:
-        """The tensor-level scoreboard result backing the shared SI."""
-        if self._result is None:
-            raise ScoreboardError("StaticScoreboard.fit must be called before use")
-        return self._result
 
     # ---------------------------------------------------------------- apply
     def apply(self, tile_values: Sequence[int]) -> StaticTileOutcome:

@@ -1,9 +1,9 @@
 """Bounded request queue with QoS priority lanes and EDF batch formation.
 
-Admission control is the queue's job: :meth:`RequestQueue.put` never blocks —
-when the queue is full it raises :class:`~repro.errors.BackpressureError` so
-the client sheds load instead of piling unbounded latency onto every request
-behind it.
+Admission control is the queue's job: :meth:`RequestQueue.put_many` never
+blocks — when the queue is full it raises
+:class:`~repro.errors.BackpressureError` so the client sheds load instead of
+piling unbounded latency onto every request behind it.
 
 Queued work is organised into **priority lanes**: one lane per QoS class
 (``ModelRequest.priority``; 0 is the most urgent, larger values are bulk).
@@ -93,20 +93,6 @@ class RequestQueue:
         self._size += 1
 
     # -------------------------------------------------------------- client
-    def put(self, request: ModelRequest) -> None:
-        """Admit a request, or raise :class:`BackpressureError` if full."""
-        with self._condition:
-            if self._closed:
-                raise ServingError("request queue is closed")
-            if self._size >= self.max_pending:
-                self.rejected += 1
-                raise BackpressureError(
-                    f"request queue is full ({self.max_pending} pending); "
-                    f"retry after the backlog drains"
-                )
-            self._insert(request)
-            self._condition.notify()
-
     def put_many(self, requests: List[ModelRequest]) -> None:
         """Admit a batch of requests atomically, taking the lock once.
 
@@ -244,12 +230,6 @@ class RequestQueue:
         with self._condition:
             self._closed = True
             self._condition.notify_all()
-
-    @property
-    def closed(self) -> bool:
-        """Whether the queue has been closed to new requests."""
-        with self._condition:
-            return self._closed
 
     def __len__(self) -> int:
         with self._condition:

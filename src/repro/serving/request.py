@@ -100,11 +100,6 @@ class ModelRequest:
         """The first stage, where the request enters the model."""
         return self.stages[0]
 
-    @property
-    def pipeline_depth(self) -> int:
-        """Number of pipeline stages one decode step passes through."""
-        return len(self.stages)
-
     def done(self) -> bool:
         """Whether the request has reached a terminal state."""
         return self.state in SETTLED

@@ -24,7 +24,6 @@ from ..energy.sram import sram_energy_per_byte_pj
 from ..errors import SimulationError
 from ..baselines.base import Accelerator, PerformanceReport, WorkloadLike, as_workload
 from ..bitslice.packing import pack_transrow_chunks
-from ..scoreboard.static import StaticScoreboard
 from ..workloads.gemm import GemmShape
 from .tiling import TilingPlan, plan_tiling
 from .unit import SubTileReport, TransArrayUnit
@@ -62,17 +61,6 @@ class RequestAttribution:
     columns: int
     cycles: int
     energy: EnergyBreakdown
-    clock_hz: float
-
-    @property
-    def latency_s(self) -> float:
-        """Modelled on-accelerator latency of the request."""
-        return self.cycles / self.clock_hz
-
-    @property
-    def energy_nj(self) -> float:
-        """Total energy attributed to the request."""
-        return self.energy.total_nj
 
 
 class TransitiveArrayAccelerator(Accelerator):
@@ -82,9 +70,6 @@ class TransitiveArrayAccelerator(Accelerator):
     ----------
     config:
         Hardware configuration (Table 1 defaults).
-    scoreboard_mode:
-        ``"dynamic"`` (per-sub-tile SI, the paper's default) or ``"static"``
-        (tensor-level SI shared by every tile, cheaper hardware, SI misses).
     samples_per_gemm:
         Number of sub-tiles profiled exactly per GEMM before scaling.
     weight_provider:
@@ -92,11 +77,10 @@ class TransitiveArrayAccelerator(Accelerator):
         weights are generated otherwise (Sec. 5.9 shows real data is slightly
         *better*, so synthetic data is the conservative choice).
 
-    The dynamic mode profiles every sampled sub-tile of a GEMM from one
-    batched array pass (:meth:`TransArrayUnit.profile_subtiles`: ``OpCounts``
-    and lane loads read straight from the scoreboard state arrays); the
-    static mode replays the tensor-level SI per sample through
-    :meth:`TransArrayUnit.profile_subtile`.
+    Every sampled sub-tile of a GEMM runs the dynamic scoreboard (per-sub-tile
+    SI, the paper's design), all of them in one batched array pass
+    (:meth:`TransArrayUnit.profile_subtiles`: ``OpCounts`` and lane loads read
+    straight from the scoreboard state arrays).
     """
 
     def __init__(
@@ -104,22 +88,16 @@ class TransitiveArrayAccelerator(Accelerator):
         config: TransArrayConfig = TransArrayConfig(),
         dram: DRAMConfig = DRAMConfig(),
         energy: EnergyParameters = EnergyParameters(),
-        scoreboard_mode: str = "dynamic",
         samples_per_gemm: int = 12,
         weight_provider: Optional[WeightProvider] = None,
         seed: int = 2025,
         clock_hz: float = CLOCK_FREQUENCY_HZ,
     ) -> None:
-        if scoreboard_mode not in ("dynamic", "static"):
-            raise SimulationError(
-                f"scoreboard_mode must be 'dynamic' or 'static', got {scoreboard_mode!r}"
-            )
         if samples_per_gemm < 1:
             raise SimulationError("samples_per_gemm must be positive")
         self.config = config
         self.dram = dram
         self.energy_params = energy
-        self.scoreboard_mode = scoreboard_mode
         self.samples_per_gemm = samples_per_gemm
         self.weight_provider = weight_provider
         self.clock_hz = clock_hz
@@ -173,18 +151,7 @@ class TransitiveArrayAccelerator(Accelerator):
             np.concatenate(tiles), shape.weight_bits, self.config.transrow_bits
         )[0, :, ::-1]
         samples = packed.reshape(self.samples_per_gemm, -1).astype(np.int64)
-        if self.scoreboard_mode == "dynamic":
-            return self._mean_report(self.unit.profile_subtiles(samples))
-        static = StaticScoreboard(
-            width=self.config.transrow_bits,
-            max_distance=self.config.max_prefix_distance,
-            num_lanes=self.config.lanes,
-        )
-        static.fit(samples.ravel().tolist())
-        return self._mean_report([
-            self.unit.profile_subtile(values, static_scoreboard=static)
-            for values in samples.tolist()
-        ])
+        return self._mean_report(self.unit.profile_subtiles(samples))
 
     @staticmethod
     def _mean_report(reports: List[SubTileReport]) -> SubTileReport:
@@ -282,7 +249,6 @@ class TransitiveArrayAccelerator(Accelerator):
             columns=columns,
             cycles=cycles,
             energy=profile.energy.scale(fraction),
-            clock_hz=self.clock_hz,
         )
 
     # -------------------------------------------------------------- energy
@@ -302,14 +268,12 @@ class TransitiveArrayAccelerator(Accelerator):
         ) / 1000.0
         runtime_s = cycles / self.clock_hz
         core_static_nj = self.energy_params.core_static_power_mw * 1e-3 * runtime_s * 1e9
-        scoreboard_nj = 0.0
-        if self.scoreboard_mode == "dynamic":
-            scoreboard_nj = (
-                plan.weight_subtiles
-                * min(plan.transrows_per_subtile, self.config.num_nodes)
-                * self.energy_params.scoreboard_access_pj
-                / 1000.0
-            )
+        scoreboard_nj = (
+            plan.weight_subtiles
+            * min(plan.transrows_per_subtile, self.config.num_nodes)
+            * self.energy_params.scoreboard_access_pj
+            / 1000.0
+        )
 
         def buffer_nj(stream: str, capacity: int) -> float:
             per_bank = max(1, capacity // self.config.lanes) if stream == "prefix" else capacity

@@ -23,11 +23,6 @@ class BufferAccessCounter:
     read_bytes: int = 0
     write_bytes: int = 0
 
-    @property
-    def total_bytes(self) -> int:
-        """Total traffic through the buffer."""
-        return self.read_bytes + self.write_bytes
-
 
 @dataclass
 class PrefixBufferStats:

@@ -1,29 +1,24 @@
 """One TransArray unit: functional execution and per-sub-tile cycle/traffic model.
 
 The unit stitches the previous pieces together (Fig. 7b / Fig. 8): TransRows of
-a weight sub-tile are scoreboarded (dynamic or via a shared static SI),
-dispatched with XOR pruning, routed to the PPE lanes, and the APE folds every
-result into the output tile.  Two entry points are provided:
+a weight sub-tile are dynamically scoreboarded, dispatched with XOR pruning,
+routed to the PPE lanes, and the APE folds every result into the output tile.
+Two entry points are provided:
 
 * :meth:`TransArrayUnit.execute_subtile` — full functional execution of one
   sub-GEMM through the architectural path (dispatcher, prefix buffer, PPE/APE),
   bit-exact against ``weight_tile @ act_tile``; used by integration tests.
-* :meth:`TransArrayUnit.profile_subtile` — statistics-only profiling of one
-  TransRow population, returning the cycle and buffer-traffic estimate the
-  accelerator-level simulator scales up to full GEMMs; the scalar reference.
-* :meth:`TransArrayUnit.profile_subtiles` — the same dynamic-scoreboard
-  reports for many populations at once, read straight from one batched
-  scoreboard pass (the accelerator's sampled-profile path).
-
-Both dynamic entry points price a sub-tile through one helper,
-``_dynamic_report``, from its ``OpCounts`` and per-lane node counts.
+* :meth:`TransArrayUnit.profile_subtiles` — statistics-only profiling of many
+  TransRow populations, read straight from one batched scoreboard pass: the
+  cycle and buffer-traffic estimates the accelerator-level simulator scales up
+  to full GEMMs.  ``tests/reference`` holds the scalar oracle it must equal.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Sequence, Union
 
 import numpy as np
 
@@ -31,12 +26,11 @@ from ..bitslice.packing import pack_transrow_chunks
 from ..bitslice.slicer import bit_plane_weights
 from ..config import TransArrayConfig
 from ..exact import as_exact_int64
-from ..core.metrics import OpCounts, op_counts_from_result, op_counts_from_static_outcome
+from ..core.metrics import OpCounts
 from ..errors import SimulationError
 from ..hasse.graph import hasse_graph
 from ..scoreboard.batched import run_scoreboard_batch
 from ..scoreboard.dynamic import DynamicScoreboard
-from ..scoreboard.static import StaticScoreboard
 from .pe import AccumulationPE, PrefixPE
 from .prefix_buffer import DistributedPrefixBuffer
 
@@ -57,7 +51,6 @@ class SubTileReport:
         return max(self.ppe_cycles, self.ape_cycles)
 
 
-
 class TransArrayUnit:
     """Functional + cycle model of a single TransArray unit."""
 
@@ -70,42 +63,14 @@ class TransArrayUnit:
         )
 
     # ----------------------------------------------------------- profiling
-    def profile_subtile(
-        self,
-        values: Sequence[int],
-        static_scoreboard: Optional[StaticScoreboard] = None,
-    ) -> SubTileReport:
-        """Profile one TransRow population (no data movement, statistics only).
-
-        With ``static_scoreboard`` the shared SI is applied (SI misses and all)
-        and the scoreboard stage costs nothing at run time; otherwise the
-        dynamic scoreboard is run and modelled.
-        """
-        if static_scoreboard is None:
-            result = self.scoreboard.process(values).result
-            return self._dynamic_report(op_counts_from_result(result), result.lane_ppe_loads())
-        lanes = self.config.lanes
-        outcome = static_scoreboard.apply(values)
-        counts = op_counts_from_static_outcome(outcome, values)
-        ppe_steps = outcome.pr_nodes + outcome.tr_steps + outcome.outlier_adds
-        ape_steps = counts.total_transrows - counts.zero_rows
-        return SubTileReport(
-            op_counts=counts,
-            scoreboard_cycles=0,
-            ppe_cycles=math.ceil(ppe_steps / lanes) if ppe_steps else 0,
-            ape_cycles=math.ceil(ape_steps / lanes) if ape_steps else 0,
-            buffer_bytes=self._buffer_traffic(counts),
-        )
-
     def profile_subtiles(
         self, bags: Union[np.ndarray, Sequence[Sequence[int]]]
     ) -> List[SubTileReport]:
         """Dynamic-scoreboard profiles of many TransRow bags in one array pass.
 
-        Equal to ``[self.profile_subtile(bag) for bag in bags]``: one batched
-        scoreboard run gives every bag's ``OpCounts`` and balanced-forest lane
-        loads straight from its state arrays, without building per-bag
-        ``ScoreboardResult`` or forest objects.
+        One batched scoreboard run gives every bag's ``OpCounts`` and
+        balanced-forest lane loads straight from its state arrays, without
+        building per-bag ``ScoreboardResult`` or forest objects.
         """
         scoreboard = self.scoreboard
         batch = run_scoreboard_batch(

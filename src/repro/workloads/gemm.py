@@ -99,25 +99,10 @@ class GemmWorkload:
         """
         return tuple(self.gemms)
 
-    def layer(self, name: str) -> GemmShape:
-        """Look up one layer by name."""
-        for shape in self.gemms:
-            if shape.name == name:
-                return shape
-        raise WorkloadError(
-            f"workload '{self.name}' has no layer '{name}'; "
-            f"available: {[shape.name for shape in self.gemms]}"
-        )
-
     @property
     def total_macs(self) -> int:
         """MAC count over every GEMM in the workload."""
         return sum(shape.macs for shape in self.gemms)
-
-    @property
-    def total_bytes(self) -> int:
-        """Off-chip traffic over every GEMM in the workload."""
-        return sum(shape.total_bytes for shape in self.gemms)
 
     def with_precision(self, weight_bits: int, activation_bits: Optional[int] = None) -> "GemmWorkload":
         """Copy of the workload at a different quantization precision."""

@@ -55,7 +55,6 @@ class TestSimulation:
             assert report.cycles > 0
             assert report.macs == SHAPE.macs
             assert report.energy_nj > 0
-            assert report.runtime_s == pytest.approx(report.cycles / 500e6)
 
     def test_relative_ordering_matches_paper_llm_setting(self):
         # At 8-bit (the LLM iso-accuracy setting) BitFusion outruns ANT/Olive

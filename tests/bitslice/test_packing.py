@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.bitslice import pack_bits_to_uint, pack_transrow_chunks, popcount
+from repro.bitslice import pack_bits_to_uint, pack_transrow_chunks
 from repro.errors import BitSliceError
 from tests.reference import extract_transrows, unpack_uint_to_bits
 
@@ -42,19 +42,6 @@ class TestPacking:
         values = rng.integers(0, 1 << width, size=20, dtype=np.int64)
         bits = unpack_uint_to_bits(values, width)
         np.testing.assert_array_equal(pack_bits_to_uint(bits), values)
-
-
-class TestPopcount:
-    def test_matches_python_bin(self):
-        values = np.array([0, 1, 3, 255, 128, 170])
-        expected = [bin(v).count("1") for v in values]
-        assert popcount(values).tolist() == expected
-
-    @given(st.lists(st.integers(min_value=0, max_value=2**16 - 1), min_size=1, max_size=30))
-    @settings(max_examples=50, deadline=None)
-    def test_popcount_property(self, values):
-        result = popcount(np.array(values, dtype=np.int64))
-        assert result.tolist() == [bin(v).count("1") for v in values]
 
 
 def _reference_chunks(matrix, bits, width):

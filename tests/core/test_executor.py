@@ -585,13 +585,14 @@ class TestPlannedParity:
         activation = rng.integers(-peak, peak, size=(16, 5), dtype=np.int64, endpoint=True)
         activation[3, 2] = peak
         widths = _widths(plan.kernel, activation)
+        k = plan.weight.shape[1]
         if regime == "one-product":
-            assert widths == [plan.k]
+            assert widths == [k]
         elif regime == "k-split":
             assert plan.kernel.row_bound * peak >= FLOAT64_EXACT
-            assert len(widths) >= 2 and sum(widths) == plan.k
+            assert len(widths) >= 2 and sum(widths) == k
         else:
-            assert widths == [plan.k, plan.k]
+            assert widths == [k, k]
         output = engine.multiply_planned(plan, activation).output
         assert np.array_equal(output, _reference(plan.weight, activation))
 
@@ -603,9 +604,9 @@ class TestPlannedParity:
         kernel = plan.kernel
         assert isinstance(kernel, ExactExecutor)
         assert kernel.backend == "float64-blas"
-        assert kernel.weight.shape == (plan.n, plan.k) == shape
+        assert kernel.weight.shape == plan.weight.shape == shape
         assert np.array_equal(kernel.weight, plan.weight)
-        assert kernel.kernel_bytes == plan.n * plan.k * 8
+        assert kernel.kernel_bytes == plan.weight.size * 8
 
     def test_plan_pins_the_weight(self):
         weight = _signed(4, 8, 6, seed=21)

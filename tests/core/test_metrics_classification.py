@@ -5,12 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (
-    NodeType,
-    classification_percentages,
-    classify_nodes,
-    op_counts_from_result,
-)
+from repro.core import classification_percentages, classify_nodes, op_counts_from_result
 from repro.scoreboard import run_scoreboard
 
 
@@ -84,7 +79,7 @@ class TestClassification:
         classes = classify_nodes(result)
         assert classes.outlier_rows == 1
         assert classes.pr_rows == 0
-        assert classify_nodes(result).as_dict()[NodeType.OUTLIER] == 1
+        assert classify_nodes(result).outlier_rows == 1
 
     @given(st.lists(st.integers(min_value=0, max_value=255), min_size=1, max_size=200))
     @settings(max_examples=40, deadline=None)

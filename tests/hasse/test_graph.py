@@ -40,24 +40,6 @@ class TestAdjacency:
         # Node 3 (0011) can only grow to 7 and 11.
         assert sorted(HasseGraph(4).direct_suffixes(3)) == [7, 11]
 
-    def test_is_prefix_relation(self):
-        graph = HasseGraph(4)
-        assert graph.is_prefix(3, 11)
-        assert graph.is_prefix(2, 11)
-        assert not graph.is_prefix(11, 3)
-        assert not graph.is_prefix(4, 11)
-        assert not graph.is_prefix(11, 11)
-
-    def test_distance(self):
-        graph = HasseGraph(4)
-        assert graph.distance(3, 11) == 1
-        assert graph.distance(2, 14) == 2
-        assert graph.distance(0, 15) == 4
-
-    def test_distance_requires_prefix(self):
-        with pytest.raises(ConfigurationError):
-            HasseGraph(4).distance(4, 11)
-
     def test_node_out_of_range(self):
         with pytest.raises(ConfigurationError):
             HasseGraph(4).level(16)

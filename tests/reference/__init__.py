@@ -19,6 +19,13 @@ library fast path to an independent answer.
   ``tests/bitslice/test_slicer.py::TestSlicedGemm`` compares it with the
   integer product, over the same exact-input refusals as
   :func:`repro.exact.as_exact_int64`.
+- :func:`~tests.reference.scoreboard.profile_subtile` profiles one TransRow
+  bag through the scalar dynamic scoreboard, with
+  :func:`~tests.reference.scoreboard.lane_ppe_loads` counting each lane's
+  executed nodes.  They check :meth:`repro.transarray.TransArrayUnit.
+  profile_subtiles` in ``tests/transarray/test_unit_accelerator.py::
+  TestArrayProfile`` and the batched lane loads in
+  ``tests/scoreboard/test_batched.py``.
 - :func:`~tests.reference.workloads.resnet_stack_gemms` is a second chainable
   model next to :func:`repro.workloads.llama_block_gemms`.  It is served end
   to end in ``tests/serving/test_pipeline.py`` and compiled through every
@@ -36,6 +43,7 @@ from .bitslice import (
     sliced_gemm,
     unpack_uint_to_bits,
 )
+from .scoreboard import lane_ppe_loads, profile_subtile
 from .workloads import resnet_stack_gemms
 
 __all__ = [
@@ -44,5 +52,7 @@ __all__ = [
     "reconstruct_from_planes",
     "sliced_gemm",
     "unpack_uint_to_bits",
+    "lane_ppe_loads",
+    "profile_subtile",
     "resnet_stack_gemms",
 ]

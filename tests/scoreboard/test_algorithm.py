@@ -76,7 +76,7 @@ class TestStructuralInvariants:
         result = run_scoreboard(values, width=8)
         graph = hasse_graph(8)
         for node in result.nodes.values():
-            assert node.prefix == 0 or graph.is_prefix(node.prefix, node.index)
+            assert node.prefix & node.index == node.prefix != node.index
             assert graph.level(node.index) - graph.level(node.prefix) == 1
 
     def test_prefix_is_executed_before_suffix(self):

@@ -14,6 +14,7 @@ from repro.scoreboard import (
     run_scoreboard_batch,
     weight_op_counts,
 )
+from tests.reference import lane_ppe_loads
 
 
 def _random_bags(rng, width, num_bags, max_rows=60):
@@ -35,7 +36,7 @@ def _assert_bags_match_scalar(batch, bags, num_lanes=None):
                                 num_lanes=num_lanes)
         fast = OpCounts(width=batch.width, **{key: int(arr[i]) for key, arr in fields.items()})
         assert fast == op_counts_from_result(scalar)
-        assert loads[i] == scalar.lane_ppe_loads()
+        assert loads[i] == lane_ppe_loads(scalar)
 
 
 class TestExactEquivalence:

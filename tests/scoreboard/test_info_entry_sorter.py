@@ -17,7 +17,6 @@ class TestScoreboardInfo:
         result = run_scoreboard([3, 11, 2], width=4)
         info = ScoreboardInfo.from_result(result)
         assert info.lookup(11).prefix == 3
-        assert info.lookup(11).transparsity == 8
         assert info.lookup(13) is None
         with pytest.raises(ScoreboardError):
             info.lookup(16)
@@ -35,13 +34,6 @@ class TestScoreboardInfo:
                 current = entry.prefix
                 entry = info.lookup(current) if current else None
             assert current == 0 or info.lookup(current) is None
-
-    def test_lanes_grouped_in_hamming_order(self):
-        result = run_scoreboard([14, 2, 5, 1, 15, 7, 2], width=4)
-        lanes = ScoreboardInfo.from_result(result).lanes()
-        for entries in lanes.values():
-            popcounts = [bin(e.transrow).count("1") for e in entries]
-            assert popcounts == sorted(popcounts)
 
 
 class TestSorter:

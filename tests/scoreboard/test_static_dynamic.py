@@ -16,7 +16,7 @@ class TestDynamicScoreboard:
         values = list(range(0, 256, 3))
         outcome = scoreboard.process(values)
         assert outcome.cycles > 0
-        assert len(outcome.info) == len(outcome.result.nodes)
+        assert len(outcome.info.entries) == len(outcome.result.nodes)
 
     def test_cycles_bounded_by_distinct_nodes(self):
         from repro.scoreboard import sorter_cycles
@@ -83,7 +83,7 @@ class TestStaticScoreboard:
         static.fit([0, 0, 5])
         outcome = static.apply([0, 0, 5])
         assert outcome.zero_rows == 2
-        assert outcome.total_ops >= 1
+        assert outcome.pr_nodes + outcome.fr_rows + outcome.tr_steps + outcome.outlier_adds >= 1
 
     def test_out_of_range_tile_value_rejected(self):
         static = StaticScoreboard(width=4)

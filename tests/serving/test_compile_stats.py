@@ -9,7 +9,7 @@ import numpy as np
 
 import repro
 
-from repro.core import ExactExecutor, TransitiveGemmEngine, scalar_multiply
+from repro.core import ExactExecutor, scalar_multiply
 from repro.serving import CompileStats, Server, compile_workload
 from repro.workloads import synthetic_gemm_workload
 

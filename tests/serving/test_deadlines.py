@@ -93,7 +93,7 @@ class TestQueueDeadlines:
         expired = _request(1, deadline_at_=past)
         live2 = _request(2)
         for request in (live1, expired, live2):
-            queue.put(request)
+            queue.put_many([request])
         batch = queue.next_batch(max_batch=3)
         assert [r.request_id for r in batch] == [0, 2]
         assert expired.state == EXPIRED
@@ -108,7 +108,7 @@ class TestQueueDeadlines:
     def test_expired_head_is_shed_before_dispatch(self):
         queue = RequestQueue(max_pending=8)
         expired = _request(0, deadline_at_=time.perf_counter() - 1.0)
-        queue.put(expired)
+        queue.put_many([expired])
         assert queue.next_batch(max_batch=2, timeout=0.01) is None
         assert expired.state == EXPIRED
 
@@ -116,8 +116,8 @@ class TestQueueDeadlines:
         queue = RequestQueue(max_pending=8)
         cancelled = _request(0)
         live = _request(1)
-        queue.put(cancelled)
-        queue.put(live)
+        queue.put_many([cancelled])
+        queue.put_many([live])
         assert cancelled.cancel() is True
         assert cancelled.cancel() is False  # idempotent loser
         batch = queue.next_batch(max_batch=2)

@@ -53,7 +53,7 @@ def _preloaded_server(plan, requests, **kwargs):
     """Enqueue raw requests before the workers spin up (deterministic batching)."""
     server = Server(plan, **kwargs)
     for request in requests:
-        server.queue.put(request)
+        server.queue.put_many([request])
     return server.start()
 
 

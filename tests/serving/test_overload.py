@@ -104,7 +104,7 @@ class TestPriorityLanes:
         mid = _request(2, priority=1)
         interactive = _request(3, priority=0)
         for request in (bulk, mid, interactive):
-            queue.put(request)
+            queue.put_many([request])
         assert [queue.next_batch(1)[0] for _ in range(3)] == [
             interactive, mid, bulk
         ]
@@ -115,16 +115,16 @@ class TestPriorityLanes:
         late = _request(1, deadline_at_=now + 100.0)
         early = _request(2, deadline_at_=now + 50.0)
         none = _request(3)  # no deadline sorts after any deadline
-        queue.put(late)
-        queue.put(none)
-        queue.put(early)
+        queue.put_many([late])
+        queue.put_many([none])
+        queue.put_many([early])
         assert [queue.next_batch(1)[0] for _ in range(3)] == [early, late, none]
 
     def test_fifo_among_deadline_less_requests(self):
         queue = RequestQueue(max_pending=8)
         requests = [_request(index) for index in range(3)]
         for request in requests:
-            queue.put(request)
+            queue.put_many([request])
         assert [queue.next_batch(1)[0] for _ in range(3)] == requests
 
     def test_bulk_rides_interactive_batch_not_vice_versa(self):
@@ -133,7 +133,7 @@ class TestPriorityLanes:
         bulk = [_request(2, priority=1), _request(3, priority=1)]
         interactive = _request(4, priority=0)
         for request in (*bulk, head, interactive):
-            queue.put(request)
+            queue.put_many([request])
         # Both interactive requests lead; bulk fills the room they leave and
         # the bulk request that does not fit keeps its lane position.
         assert queue.next_batch(3) == [head, interactive, bulk[0]]
@@ -145,8 +145,8 @@ class TestPriorityLanes:
         bulk = [_request(index, priority=1) for index in range(3)]
         interactive = _request(9, priority=0)
         for request in bulk:
-            queue.put(request)
-        queue.put(interactive)
+            queue.put_many([request])
+        queue.put_many([interactive])
         # The batch is taken in priority order, not by admission order.
         assert queue.next_batch(2) == [interactive, bulk[0]]
         assert queue.next_batch(4) == bulk[1:]
@@ -155,8 +155,8 @@ class TestPriorityLanes:
         queue = RequestQueue(max_pending=8)
         first = _request(1)
         second = _request(2)
-        queue.put(first)
-        queue.put(second)
+        queue.put_many([first])
+        queue.put_many([second])
         assert queue.next_batch(1) == [first]
         queue.requeue([first])  # crash recovery keeps the admission sequence
         assert queue.next_batch(1) == [first]
@@ -170,7 +170,7 @@ class TestPriorityLanes:
         queue = RequestQueue(max_pending=8)
         queue.controller = _AlwaysDoom()
         doomed = _request(1, deadline_at_=time.perf_counter() + 100.0)
-        queue.put(doomed)
+        queue.put_many([doomed])
         assert queue.next_batch(1, timeout=0.01) is None
         assert doomed.state == SHED
         assert queue.shed_doomed == 1
@@ -186,7 +186,7 @@ class TestPriorityLanes:
         queue = RequestQueue(max_pending=8)
         queue.controller = _Exploding()
         request = _request(1)
-        queue.put(request)
+        queue.put_many([request])
         assert queue.next_batch(1) == [request]
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core import TransitiveGemmEngine
 from repro.exact import FLOAT64_EXACT
-from repro.errors import ServingError, SimulationError, WorkloadError
+from repro.errors import ServingError, SimulationError
 from repro.quant.schemes import SCHEME_REGISTRY
 from repro.serving import compile_workload
 from repro.transarray import TransitiveArrayAccelerator
@@ -39,12 +39,6 @@ class TestWorkloadLayers:
             layers = workload.layers()
             assert layers == tuple(workload.gemms)
             assert all(shape.name for shape in layers)
-
-    def test_layer_lookup(self):
-        workload = _workload()
-        assert workload.layer("layer1").name == "layer1"
-        with pytest.raises(WorkloadError):
-            workload.layer("missing")
 
 
 class TestGemmPlan:

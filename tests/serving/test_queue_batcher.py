@@ -86,10 +86,10 @@ _SPEC = st.tuples(
 class TestRequestQueue:
     def test_backpressure_at_capacity(self):
         queue = RequestQueue(max_pending=2)
-        queue.put(_request(0, "a"))
-        queue.put(_request(1, "a"))
+        queue.put_many([_request(0, "a")])
+        queue.put_many([_request(1, "a")])
         with pytest.raises(BackpressureError):
-            queue.put(_request(2, "a"))
+            queue.put_many([_request(2, "a")])
         assert queue.rejected == 1
         assert len(queue) == 2
 
@@ -101,7 +101,7 @@ class TestRequestQueue:
         queue.close()
         assert queue.next_batch(max_batch=2, timeout=10.0) is None
         with pytest.raises(ServingError):
-            queue.put(_request(9, "a"))
+            queue.put_many([_request(9, "a")])
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -126,7 +126,7 @@ class TestRequestQueue:
                 request_id, "a", cols=FULL_PASS_COLUMNS if wide else 2,
                 deadline_at=deadline, priority=priority,
             )
-            queue.put(request)
+            queue.put_many([request])
             if fate == "cancel":
                 assert request.cancel()
             requests.append((request, fate))
@@ -368,7 +368,7 @@ class TestClaimBatch:
         inputs = [request.activation for request in requests]
         server = Server(plan, num_workers=1, max_batch=3)
         for request in requests:
-            server.queue.put(request)  # before start: one claim takes all three
+            server.queue.put_many([request])  # before start: one claim takes all three
         with server.start():
             weight = plan.layer("layer0").weight
             for request, activation in zip(requests, inputs):

@@ -147,9 +147,9 @@ class TestServerLifecycle:
             )
             for request_id in range(2)
         )
-        queue.put(admitted)
+        queue.put_many([admitted])
         with pytest.raises(BackpressureError):
-            queue.put(rejected)
+            queue.put_many([rejected])
         assert queue.rejected == 1
         assert rejected.state == PENDING
         assert rejected.started_at is None

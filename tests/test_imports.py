@@ -9,7 +9,10 @@ AST scans, since no linter ships with the project.
   ``# noqa: F401`` on its line, as flake8 would want.
 - Every public definition is reached from outside ``tests/``: from
   ``examples/``, ``benchmarks/`` or ``perfbench/``, directly or through other
-  reached library code.  A name only tests call is deleted, or moved to
+  reached library code.  A module-level function or class is reached by its
+  bare name or as an attribute of a package module (``packing.popcount``),
+  never as an attribute of some other object (``outlier.popcount``); a method
+  by its name either way.  A name only tests call is deleted, or moved to
   ``tests/reference`` when a test needs it as an oracle.  ``ALLOWED`` names
   each exception with its reason.
 - Every backticked ``repro.…`` name in ``README.md`` and ``docs/*.md``
@@ -102,15 +105,42 @@ def test_every_imported_name_is_read():
 
 
 # ------------------------------------------------------------- reachability
-def _referenced(nodes):
-    """Every bare name and attribute name used anywhere under ``nodes``."""
-    names = set()
+def _dotted(node):
+    """``"a.b"`` for an attribute chain rooted at a bare name, else ``None``."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    parts.append(node.id)
+    return ".".join(reversed(parts))
+
+
+def _referenced(nodes, modules, names, members):
+    """Add what ``nodes`` use to ``names`` and ``members``.
+
+    ``names`` gets every bare name and every attribute read off one of
+    ``modules`` (dotted module names, or their trailing parts, such as
+    ``packing`` or ``repro.bitslice``); ``members`` every attribute name.
+    """
     for node in nodes:
         for child in ast.walk(node):
             if isinstance(child, ast.Name):
                 names.add(child.id)
             elif isinstance(child, ast.Attribute):
-                names.add(child.attr)
+                members.add(child.attr)
+                if _dotted(child.value) in modules:
+                    names.add(child.attr)
+
+
+def _module_names(package):
+    """Every package module's dotted name and each of its trailing parts."""
+    names = set()
+    for path in package.rglob("*.py"):
+        parts = path.relative_to(package.parent).with_suffix("").parts
+        parts = parts[:-1] if parts[-1] == "__init__" else parts
+        names |= {".".join(parts[start:]) for start in range(len(parts))}
     return names
 
 
@@ -154,17 +184,21 @@ def unreached(package, callers, roots=()):
     that no ``.py`` file under ``callers`` reaches.
 
     Reach is by name and transitive: a function or class is reached when a
-    caller, import-time code or a reached definition uses its name; a method
-    when its class is reached and its name is used the same way.  The
-    qualnames in ``roots`` count as reached from the start.  Code that only
-    unreached code uses stays unreached.  A method of an unreached class is
-    not listed on its own: the class is.
+    caller, import-time code or a reached definition uses its bare name or
+    reads it off a package module; a method when its class is reached and its
+    name is used either way or as any attribute.  The qualnames in ``roots``
+    count as reached from the start.  Code that only unreached code uses
+    stays unreached.  A method of an unreached class is not listed on its
+    own: the class is.
     """
     definitions, on_import = _definitions(package)
-    used = _referenced(on_import)
+    modules = _module_names(package)
+    names, members = set(), set()
+    _referenced(on_import, modules, names, members)
     for directory in callers:
         for path in directory.rglob("*.py"):
-            used |= _referenced([ast.parse(path.read_text(), filename=str(path))])
+            tree = ast.parse(path.read_text(), filename=str(path))
+            _referenced([tree], modules, names, members)
     reached = set()
     grew = True
     while grew:
@@ -172,9 +206,13 @@ def unreached(package, callers, roots=()):
         for qualname, name, owner, body, _ in definitions:
             if qualname in reached:
                 continue
-            if qualname in roots or (name in used and (owner is None or owner in reached)):
+            if owner is None:
+                used = name in names
+            else:
+                used = owner in reached and (name in names or name in members)
+            if qualname in roots or used:
                 reached.add(qualname)
-                used |= _referenced(body)
+                _referenced(body, modules, names, members)
                 grew = True
     return {
         qualname: where
@@ -257,6 +295,23 @@ class TestReachabilityScan:
             assert f"pkg.mod.{name}" not in flagged
         assert "pkg.mod.dead" in unreached(package, ())
         assert "pkg.mod.used" in unreached(package, ())
+
+    def test_an_object_attribute_does_not_reach_a_module_function(self, tmp_path):
+        package = tmp_path / "src" / "pkg"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text("")
+        (package / "bits.py").write_text(
+            "def popcount(value):\n    return bin(value).count('1')\n\n"
+            "def parity(value):\n    return popcount(value) & 1\n\n"
+            "class Node:\n    def popcount(self):\n        return 1\n"
+        )
+        examples = tmp_path / "examples"
+        examples.mkdir()
+        demo = "from pkg import bits\n\nbits.Node().popcount()\n"
+        (examples / "demo.py").write_text(demo)
+        assert set(unreached(package, (examples,))) == {"pkg.bits.popcount", "pkg.bits.parity"}
+        (examples / "demo.py").write_text(demo + "bits.parity(3)\n")
+        assert unreached(package, (examples,)) == {}
 
     def test_allow_list_excuses_a_name_and_what_it_calls(self, tree):
         package, callers = tree

@@ -52,7 +52,7 @@ class TestPrefixBuffer:
         buffer.write(lane=3, node=11, value=value)
         np.testing.assert_array_equal(buffer.read(lane=3, node=11), value)
         assert buffer.stats.reads == 1 and buffer.stats.writes == 1
-        assert buffer.traffic.total_bytes == 128
+        assert buffer.traffic.read_bytes + buffer.traffic.write_bytes == 128
 
     def test_node_zero_reads_as_zero(self):
         buffer = DistributedPrefixBuffer(num_banks=4, capacity_bytes=1024, entry_bytes=64)

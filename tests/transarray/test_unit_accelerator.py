@@ -11,15 +11,11 @@ from repro.config import TransArrayConfig
 from repro.core.metrics import OpCounts
 from repro.errors import SimulationError
 from repro.hasse import balance_lanes, hasse_graph
-from repro.scoreboard import (
-    DynamicScoreboard,
-    StaticScoreboard,
-    run_scoreboard,
-    run_scoreboard_batch,
-)
+from repro.scoreboard import DynamicScoreboard, run_scoreboard, run_scoreboard_batch
 from repro.transarray import TransArrayUnit, TransitiveArrayAccelerator
 from repro.workloads import GemmShape, GemmWorkload
 from repro.workloads.llama import LlamaConfig, llama_block_gemms
+from tests.reference import lane_ppe_loads, profile_subtile
 
 
 class TestUnitFunctional:
@@ -62,31 +58,20 @@ class TestUnitProfiling:
     def test_profile_density_near_floor_for_full_population(self):
         rng = np.random.default_rng(2)
         unit = TransArrayUnit()
-        report = unit.profile_subtile(rng.integers(0, 256, size=256).tolist())
+        report = unit.profile_subtiles([rng.integers(0, 256, size=256).tolist()])[0]
         assert 0.115 <= report.op_counts.density <= 0.16
         assert report.ape_cycles >= 1
         assert report.compute_cycles == max(report.ppe_cycles, report.ape_cycles)
 
-    def test_static_profile_has_no_scoreboard_cycles(self):
-        rng = np.random.default_rng(3)
-        values = rng.integers(0, 256, size=256).tolist()
-        static = StaticScoreboard(width=8)
-        static.fit(values)
-        report = TransArrayUnit().profile_subtile(values, static_scoreboard=static)
-        assert report.scoreboard_cycles == 0
-        assert report.op_counts.total_transrows == 256
-
     def test_buffer_traffic_keys(self):
         rng = np.random.default_rng(4)
-        report = TransArrayUnit().profile_subtile(rng.integers(0, 256, size=64).tolist())
+        report = TransArrayUnit().profile_subtiles([rng.integers(0, 256, size=64).tolist()])[0]
         assert set(report.buffer_bytes) == {"weight", "input", "prefix", "output"}
         assert report.buffer_bytes["prefix"] > 0
 
 
 class TestAccelerator:
     def test_configuration_validation(self):
-        with pytest.raises(SimulationError):
-            TransitiveArrayAccelerator(scoreboard_mode="offline")
         with pytest.raises(SimulationError):
             TransitiveArrayAccelerator(samples_per_gemm=0)
 
@@ -103,18 +88,6 @@ class TestAccelerator:
         eight = TransitiveArrayAccelerator(samples_per_gemm=3).simulate(shape)
         four = TransitiveArrayAccelerator(samples_per_gemm=3).simulate(shape.with_precision(4))
         assert 1.6 <= eight.cycles / four.cycles <= 2.4
-
-    def test_static_mode_density_never_beats_dynamic(self):
-        shape = GemmShape("fc", 256, 256, 128, weight_bits=8)
-        dynamic = TransitiveArrayAccelerator(samples_per_gemm=3, seed=1).simulate_gemm(shape)
-        static = TransitiveArrayAccelerator(
-            samples_per_gemm=3, seed=1, scoreboard_mode="static"
-        ).simulate_gemm(shape)
-        # The shared tensor-level SI can at best match the per-sub-tile SI
-        # (paper Sec. 5.8); both stay far below bit-sparsity density.
-        assert static.op_counts.density >= dynamic.op_counts.density * 0.95
-        assert static.op_counts.density < 0.40
-        assert static.cycles > 0 and dynamic.cycles > 0
 
     def test_weight_provider_is_used_and_validated(self):
         shape = GemmShape("fc", 64, 64, 32, weight_bits=8)
@@ -192,16 +165,16 @@ class TestArrayProfile:
                                                max_prefix_distance=max_distance))
         unit.scoreboard = DynamicScoreboard(width, max_distance, num_lanes=lanes)
         reports = unit.profile_subtiles(bags)
-        assert reports == [unit.profile_subtile(bag) for bag in bags]
+        assert reports == [profile_subtile(unit, bag) for bag in bags]
         lane_loads = run_scoreboard_batch(bags, width, max_distance).lane_node_counts(lanes)
         for bag, report, loads in zip(bags, reports, lane_loads):
             result = run_scoreboard(bag, width, max_distance, num_lanes=lanes)
-            assert loads == result.lane_ppe_loads()
+            assert loads == lane_ppe_loads(result)
             # Pin the pricing itself, which both paths share.
             outlier_adds = sum(outlier.popcount for outlier in result.outliers)
             nonzero = len(bag) - bag.count(0)
             assert report.ppe_cycles == (
-                max(result.lane_ppe_loads()) + math.ceil(outlier_adds / width)
+                max(lane_ppe_loads(result)) + math.ceil(outlier_adds / width)
             )
             assert report.ape_cycles == math.ceil(nonzero / width)
             assert report.op_counts.outlier_ops == outlier_adds
@@ -311,18 +284,15 @@ class TestSimulateGemmGolden:
                 ), (shape.name, name)
 
     @pytest.mark.parametrize(
-        "mode, cycles, tr_ops, total_nj",
-        [
-            ("dynamic", 133, 146, 74.9009426231629),
-            ("static", 32, 487, 46.07200448745776),
-        ],
+        "cycles, tr_ops, total_nj",
+        # The id keeps the dynamic scoreboard these values were pinned under.
+        [pytest.param(133, 146, 74.9009426231629, id="dynamic-133-146-74.9009426231629")],
     )
-    def test_weight_provider_profile(self, mode, cycles, tr_ops, total_nj):
+    def test_weight_provider_profile(self, cycles, tr_ops, total_nj):
         # A partial row block and a partial column chunk exercise the padding.
         shape = GemmShape("odd", 37, 29, 3, weight_bits=4)
         accelerator = TransitiveArrayAccelerator(
-            seed=6, scoreboard_mode=mode,
-            weight_provider=lambda s: np.random.default_rng(7).integers(-8, 8, size=(s.n, s.k)),
+            seed=6, weight_provider=lambda s: np.random.default_rng(7).integers(-8, 8, size=(s.n, s.k)),
         )
         profile = accelerator.simulate_gemm(shape)
         assert profile.cycles == cycles
@@ -332,17 +302,14 @@ class TestSimulateGemmGolden:
         )
         assert profile.energy.total_nj == pytest.approx(total_nj, rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize("mode", ["dynamic", "static"])
-    def test_weight_provider_called_once_per_gemm(self, mode):
+    def test_weight_provider_called_once_per_gemm(self):
         calls = []
 
         def provider(shape):
             calls.append(shape.name)
             return np.ones((shape.n, shape.k), dtype=np.int64)
 
-        accelerator = TransitiveArrayAccelerator(
-            samples_per_gemm=12, scoreboard_mode=mode, weight_provider=provider
-        )
+        accelerator = TransitiveArrayAccelerator(samples_per_gemm=12, weight_provider=provider)
         shapes = [GemmShape("a", 64, 64, 8, weight_bits=4),
                   GemmShape("b", 96, 40, 8, weight_bits=4)]
         for shape in shapes:
