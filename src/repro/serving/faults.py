@@ -13,12 +13,13 @@ exposes two hook points wired to a :class:`FaultInjector`:
   latency) and may raise :class:`~repro.errors.InjectedFaultError`
   (transient, so the retry policy applies to that stage).
 
-Faults come from two composable sources: a seeded **probabilistic** profile
-(per-hook rates drawn from one ``numpy`` generator, so a seed reproduces the
-exact fault sequence under deterministic scheduling) and a **scripted**
-:class:`FaultPlan` keyed by 1-based hook call index (exact, scheduling
-independent — the chaos tests' workhorse).  The default server configuration
-injects nothing and pays one ``None`` check per hook.
+Engine faults and latency come from two composable sources: a seeded
+**probabilistic** profile (per-call rates of the stage hook, drawn from one
+``numpy`` generator, so a seed reproduces the exact fault sequence under
+deterministic scheduling) and a **scripted** :class:`FaultPlan` keyed by
+1-based hook call index (exact, scheduling independent — the chaos tests'
+workhorse).  Worker crashes are scripted only.  The default server
+configuration injects nothing and pays one ``None`` check per hook.
 """
 
 from __future__ import annotations
@@ -60,18 +61,6 @@ class ArrivalSchedule:
 
     def __iter__(self) -> Iterator[float]:
         return iter(self.offsets_s)
-
-    @property
-    def duration_s(self) -> float:
-        """Span from the first to the last arrival (0 for <= 1 arrival)."""
-        return self.offsets_s[-1] - self.offsets_s[0] if self.offsets_s else 0.0
-
-    @classmethod
-    def uniform(cls, rate_rps: float, count: int) -> "ArrivalSchedule":
-        """Deterministic constant-rate arrivals: one every ``1/rate_rps`` s."""
-        if rate_rps <= 0.0 or count < 1:
-            raise ServingError("uniform schedule needs rate_rps > 0 and count >= 1")
-        return cls(tuple(index / rate_rps for index in range(count)))
 
     @classmethod
     def poisson(cls, rate_rps: float, count: int, seed: int = 0) -> "ArrivalSchedule":
@@ -150,13 +139,15 @@ class FaultInjector:
 
     Parameters
     ----------
-    engine_fault_rate / worker_crash_rate / latency_rate:
-        Per-hook-call probabilities in ``[0, 1]`` of the respective fault.
+    engine_fault_rate / latency_rate:
+        Per-call probabilities in ``[0, 1]`` of the respective fault at the
+        stage hook (:meth:`on_batch`).
     latency_s:
         Sleep injected when the latency fault fires probabilistically.
     plan:
         Optional scripted :class:`FaultPlan`; scripted faults fire on exact
-        call indices in addition to (and independently of) the rates.
+        call indices in addition to (and independently of) the rates.  It is
+        the only source of worker crashes.
     seed:
         Seed of the probabilistic draw stream.
     """
@@ -164,7 +155,6 @@ class FaultInjector:
     def __init__(
         self,
         engine_fault_rate: float = 0.0,
-        worker_crash_rate: float = 0.0,
         latency_rate: float = 0.0,
         latency_s: float = 0.0,
         plan: Optional[FaultPlan] = None,
@@ -172,7 +162,6 @@ class FaultInjector:
     ) -> None:
         for name, rate in (
             ("engine_fault_rate", engine_fault_rate),
-            ("worker_crash_rate", worker_crash_rate),
             ("latency_rate", latency_rate),
         ):
             if not 0.0 <= rate <= 1.0:
@@ -180,7 +169,6 @@ class FaultInjector:
         if latency_s < 0.0:
             raise ServingError(f"latency_s must be non-negative, got {latency_s}")
         self.engine_fault_rate = engine_fault_rate
-        self.worker_crash_rate = worker_crash_rate
         self.latency_rate = latency_rate
         self.latency_s = latency_s
         self.plan = plan if plan is not None else FaultPlan()
@@ -205,10 +193,7 @@ class FaultInjector:
         with self._lock:
             self._dispatch_calls += 1
             index = self._dispatch_calls
-            crash = index in self.plan.worker_crashes_at or (
-                self.worker_crash_rate > 0.0
-                and self._rng.random() < self.worker_crash_rate
-            )
+            crash = index in self.plan.worker_crashes_at
             if crash:
                 self._worker_crashes += 1
         if crash:

@@ -16,12 +16,17 @@ AST scans, since no linter ships with the project.
   ``tests/reference`` when a test needs it as an oracle.  ``ALLOWED`` names
   each exception with its reason.
 - Every backticked ``repro.…`` name in ``README.md`` and ``docs/*.md``
-  imports, so a deletion cannot strand a doc.
+  imports, and every backticked ``Class.attr`` of a public class defined in
+  ``repro`` names an attribute its instances carry, so a deletion cannot
+  strand a doc.
 """
 
 import ast
 import importlib
+import inspect
+import pkgutil
 import re
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -332,12 +337,13 @@ class TestReachabilityScan:
 
 
 # ----------------------------------------------------------------- doc names
+DOCS = (ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md")))
 _DOC_NAME = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)")
+_DOC_CLASS_ATTRIBUTE = re.compile(r"`([A-Z]\w*)\.([A-Za-z_]\w*)")
 
 
 def _doc_names():
-    docs = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]
-    return sorted({name for doc in docs for name in _DOC_NAME.findall(doc.read_text())})
+    return sorted({name for doc in DOCS for name in _DOC_NAME.findall(doc.read_text())})
 
 
 def _resolve(dotted):
@@ -354,6 +360,48 @@ def _resolve(dotted):
     raise ModuleNotFoundError(dotted)
 
 
+def _public_classes():
+    """``{name: [class, ...]}`` of every public class defined in ``repro``."""
+    classes = {}
+    for info in pkgutil.walk_packages([str(SRC)], prefix="repro."):
+        module = importlib.import_module(info.name)
+        for name, value in vars(module).items():
+            if (inspect.isclass(value) and value.__module__ == module.__name__
+                    and not name.startswith("_")):
+                classes.setdefault(name, []).append(value)
+    return classes
+
+
+def _has_attribute(cls, attribute):
+    """Whether instances of ``cls`` carry ``attribute``: ``getattr`` finds it
+    (which covers ``__slots__``), it is a dataclass field, or the source of
+    ``cls`` or of a base assigns ``self.<attribute>``."""
+    if hasattr(cls, attribute) or attribute in getattr(cls, "__dataclass_fields__", {}):
+        return True
+    for klass in cls.__mro__[:-1]:
+        try:
+            tree = ast.parse(textwrap.dedent(inspect.getsource(klass)))
+        except (OSError, TypeError):
+            continue
+        if any(
+            isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+            and node.attr == attribute and _dotted(node.value) == "self"
+            for node in ast.walk(tree)
+        ):
+            return True
+    return False
+
+
+def stale_class_attributes(text, classes):
+    """The backticked ``Class.attr`` names in ``text`` whose ``Class`` is in
+    ``classes`` (``{name: [class, ...]}``) but has no such attribute."""
+    return sorted({
+        f"{name}.{attribute}"
+        for name, attribute in _DOC_CLASS_ATTRIBUTE.findall(text)
+        if name in classes and not any(_has_attribute(c, attribute) for c in classes[name])
+    })
+
+
 def test_docs_cite_names_that_exist():
     names = _doc_names()
     assert len(names) > 20
@@ -363,4 +411,30 @@ def test_docs_cite_names_that_exist():
             _resolve(name)
         except (ImportError, AttributeError) as error:
             missing.append(f"{name}: {error}")
-    assert not missing, "docs cite names that do not import:\n" + "\n".join(missing)
+    classes = _public_classes()
+    assert len(classes) > 50
+    for doc in DOCS:
+        missing += [
+            f"{doc.name}: {name} names no attribute"
+            for name in stale_class_attributes(doc.read_text(), classes)
+        ]
+    assert not missing, "docs cite names that do not exist:\n" + "\n".join(missing)
+
+
+class DocProbe:
+    """Known answers for the ``Class.attr`` doc check."""
+
+    def __init__(self):
+        self.assigned = 1
+
+    def method(self):
+        return self.assigned
+
+
+def test_doc_class_attributes_resolve_like_instance_attributes():
+    classes = {"DocProbe": [DocProbe]}
+    cited = "`DocProbe.method()` returns `DocProbe.assigned`; `Other.gone` is not ours"
+    assert stale_class_attributes(cited, classes) == []
+    assert stale_class_attributes("see `DocProbe.deleted_method()`", classes) == [
+        "DocProbe.deleted_method"
+    ]
